@@ -31,7 +31,14 @@ Gauss rule, so adjacent-pair entries are accurate to near machine
 precision.  In d >= 2 the displacement box is handled by a midpoint
 lattice whose subcells get exact-geometry mask fractions from a fixed
 sub-lattice; accuracy there is the doubling tolerance, not machine
-precision.
+precision.  The lattice and its mask fractions depend only on the
+wrapped centre offset and the lattice size, so one build computes them
+once per (offset, size) and reuses them for every pair and every measure
+value.  Only subcells in the cutoff band, whose centre radius lies within
+a half-diagonal of delta_n/2, evaluate their sub-lattice: the torus
+distance is 1-Lipschitz, so every other subcell is wholly kept or wholly
+cut.  A lattice whose point arrays would exceed ``_PAIR_BYTES_LIMIT``
+raises QuadratureError before it is allocated.
 
 All cell-pair integrals are independent; they are evaluated in batches
 with a deterministic write order, so two builds from the same config are
@@ -323,31 +330,68 @@ def _active_pair_1d(spec, meas, xj, xk, w, dhalf, order):
 # ---------------------------------------------------------------------------
 
 
-def _active_pair_nd(spec, meas, cj, ck, w, dhalf, m, d, frac_sub):
-    """Displacement-lattice value of the masked pair integral (d >= 2)."""
-    s = _wrapped_signed(ck - cj)
+# Largest (K, q, d) point array a d >= 2 pair evaluation may allocate; about
+# five such arrays are alive at once.  Larger lattices raise QuadratureError
+# up front instead of running out of memory.
+_PAIR_BYTES_LIMIT = 2**30
+
+
+def _cutoff_geometry(s, w, dhalf, m, d, frac_sub):
+    """Displacement lattice around the wrapped offset s and its mask fractions.
+
+    Returns T, the m^d subcell centres of the window s + [-w, w]^d, and
+    frac, the share of each subcell's frac_sub^d sub-lattice whose wrapped
+    radius is >= dhalf.  The torus distance is 1-Lipschitz, so a subcell
+    whose centre radius r_c lies farther than its half-diagonal h sqrt(d)/2
+    from dhalf is wholly kept (frac 1) or wholly cut (frac 0); only the
+    subcells of that cutoff band evaluate their sub-lattice.
+    """
     t1 = ((np.arange(m) + 0.5) / m - 0.5) * (2.0 * w)
     axes = [s[i] + t1 for i in range(d)]
     T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)  # (m^d, d)
     h = 2.0 * w / m
-    # mask fraction per displacement subcell from a fixed sub-lattice
+    Tw = np.abs(_wrapped_signed(T))
+    r_c = np.sqrt(np.sum(Tw * Tw, axis=1))
+    frac = (r_c >= dhalf).astype(float)
+    band = np.abs(r_c - dhalf) < 0.5 * h * np.sqrt(d) * (1.0 + 1e-9) + 1e-12
     sub1 = ((np.arange(frac_sub) + 0.5) / frac_sub - 0.5) * h
     sub = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    TS = T[:, None, :] + sub[None, :, :]
+    TS = T[band][:, None, :] + sub[None, :, :]
     TSw = np.abs(_wrapped_signed(TS))
     rr = np.sqrt(np.sum(TSw * TSw, axis=-1))
-    frac = np.mean(rr >= dhalf, axis=1)
-    keep = frac > 0.0
-    if not np.any(keep):
+    frac[band] = np.mean(rr >= dhalf, axis=1)
+    return T, frac
+
+
+def _active_pair_nd(spec, meas, cj, ck, w, dhalf, m, d, frac_sub, geometry):
+    """Displacement-lattice value of the masked pair integral (d >= 2).
+
+    ``geometry`` memoizes the kept part of `_cutoff_geometry` by the exact
+    bits of the wrapped offset and by m; it lives for one build.
+    """
+    s = _wrapped_signed(ck - cj)
+    u_nodes, u_wts = _gauss_nodes(0.0, 1.0, 4)
+    q = u_nodes.size**d
+    need = m**d * q * d * 8  # the (K, q, d) point arrays below, K <= m^d
+    if need > _PAIR_BYTES_LIMIT:
+        raise QuadratureError(
+            f"displacement lattice for cells at {cj.tolist()} and {ck.tolist()} needs about "
+            f"{need / 2**20:.0f} MiB per array at m={m} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
+        )
+    key = (s.tobytes(), m)
+    if key not in geometry:
+        T, frac = _cutoff_geometry(s, w, dhalf, m, d, frac_sub)
+        keep = frac > 0.0
+        geometry[key] = (T[keep], frac[keep])
+    T, frac = geometry[key]
+    if T.shape[0] == 0:
         return 0.0
-    T = T[keep]
-    frac = frac[keep]
+    h = 2.0 * w / m
     # overlap box per displacement: per-axis segment of length w - |t_i - s_i|
     a_x = cj[None, :] + np.maximum(-0.5 * w, (s - T) - 0.5 * w)
     b_x = cj[None, :] + np.minimum(0.5 * w, (s - T) + 0.5 * w)
     lengths = np.clip(b_x - a_x, 0.0, None)  # (K, d)
     vol = np.prod(lengths, axis=1)
-    u_nodes, u_wts = _gauss_nodes(0.0, 1.0, 4)
     UN = np.stack(np.meshgrid(*([u_nodes] * d), indexing="ij"), axis=-1).reshape(-1, d)  # (q, d)
     UW = np.prod(np.stack(np.meshgrid(*([u_wts] * d), indexing="ij"), axis=-1).reshape(-1, d), axis=1)
     X = a_x[:, None, :] + lengths[:, None, :] * UN[None, :, :]  # (K, q, d)
@@ -427,6 +471,7 @@ def discretize_kernel(
         )
 
     # --- active pairs: displacement coordinates --------------------------
+    geometry = {}
     for p in np.nonzero(active)[0]:
         j0, k0 = int(jj[p]), int(kk[p])
         if d == 1:
@@ -446,7 +491,9 @@ def discretize_kernel(
             m2 = 8
             frac_sub = 8 if d == 2 else 4
             for _ in range(quad.max_doublings + 1):
-                val = _active_pair_nd(spec, pi, grid.points[j0], grid.points[k0], w, dhalf, m2, d, frac_sub)
+                val = _active_pair_nd(
+                    spec, pi, grid.points[j0], grid.points[k0], w, dhalf, m2, d, frac_sub, geometry
+                )
                 if prev is not None and abs(val - prev) <= quad.pair_tol * max(abs(val), 1e-300):
                     integrals[p] = val
                     break

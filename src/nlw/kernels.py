@@ -44,6 +44,7 @@ diagnostics-grade (a relative percent or so).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -557,6 +558,35 @@ def _moment_integrand_1d(spec, pi, x, t):
     return t * t * vals
 
 
+def _dyadic_sum(panel, total: float, quad: QuadratureConfig, stop_tol: float, message: str) -> float:
+    """Add dyadic panel contributions to ``total`` and extrapolate the tail.
+
+    ``panel(k)`` returns the contribution of panel k, or None for a panel
+    that holds no nodes.  Summation stops once a contribution (from the
+    third panel on) drops below ``stop_tol`` times the running total;
+    otherwise the remainder under the last panel is extrapolated from the
+    measured ratio of the last two panels.  A ratio >= ``quad.ratio_cap``
+    raises KernelDivergenceError with ``message`` formatted with ``ratio``.
+    """
+    contributions = []
+    for k in range(quad.max_panels):
+        contrib = panel(k)
+        if contrib is None:
+            contributions.append(0.0)
+            continue
+        contributions.append(contrib)
+        total += contrib
+        if contrib <= stop_tol * max(total, 1e-300) and k >= 2:
+            return total
+    last, prev = contributions[-1], contributions[-2]
+    if prev <= 0.0 or last <= 0.0:
+        return total
+    ratio = last / prev
+    if ratio >= quad.ratio_cap:
+        raise KernelDivergenceError(message.format(ratio=ratio))
+    return total + last * ratio / (1.0 - ratio)
+
+
 def _radial_moment_1d(spec, pi, x, hi: float, quad: QuadratureConfig) -> float:
     """int_{0 < |t| <= hi} t^2 eta(x, x+t) rho_pi(x+t) dt on the circle.
 
@@ -566,31 +596,66 @@ def _radial_moment_1d(spec, pi, x, hi: float, quad: QuadratureConfig) -> float:
     """
     if hi <= 0.0:
         return 0.0
-    total = 0.0
-    contributions = []
-    for k in range(quad.max_panels):
+
+    def panel(k):
         p_hi = hi * 0.5**k
-        p_lo = p_hi * 0.5
-        nodes, weights = _gauss_nodes(p_lo, p_hi, quad.panel_order)
+        nodes, weights = _gauss_nodes(p_hi * 0.5, p_hi, quad.panel_order)
         both = np.concatenate([nodes, -nodes])
         w_both = np.concatenate([weights, weights])
-        vals = _moment_integrand_1d(spec, pi, x, both)
-        contrib = float(np.dot(w_both, vals))
-        contributions.append(contrib)
-        total += contrib
-        if contrib <= 1e-16 * max(total, 1e-300) and k >= 2:
-            return total
-    # extrapolate the geometric tail under the last panel
-    last, prev = contributions[-1], contributions[-2]
-    if prev <= 0.0 or last <= 0.0:
-        return total
-    ratio = last / prev
-    if ratio >= quad.ratio_cap:
-        raise KernelDivergenceError(
-            "second moment does not converge under radial refinement "
-            f"(panel ratio {ratio:.6f}); the kernel is too singular"
-        )
-    return total + last * ratio / (1.0 - ratio)
+        return float(np.dot(w_both, _moment_integrand_1d(spec, pi, x, both)))
+
+    return _dyadic_sum(
+        panel,
+        0.0,
+        quad,
+        1e-16,
+        "second moment does not converge under radial refinement "
+        "(panel ratio {ratio:.6f}); the kernel is too singular",
+    )
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=8)
+def _outer_mesh(d: int, m: int) -> np.ndarray:
+    """Midpoint lattice of T^d with m points per axis, shape (m^d, d)."""
+    axes = [(np.arange(m) + 0.5) / m] * d
+    return _frozen(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d))
+
+
+@lru_cache(maxsize=128)
+def _annulus(d: int, ma: int, r_hi: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lattice offsets in the annulus r_hi/2 <= r < r_hi, their radii and cell volume.
+
+    The lattice has ``ma`` midpoints per axis on [-r_hi, r_hi]; both
+    arrays are empty when no lattice point falls in the annulus.
+    """
+    grid_1d = (np.arange(ma) + 0.5) / ma * (2 * r_hi) - r_hi
+    offs = np.stack(np.meshgrid(*([grid_1d] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    rr = np.sqrt(np.sum(offs * offs, axis=1))
+    sel = (rr >= r_hi * 0.5) & (rr < r_hi)
+    return _frozen(offs[sel]), _frozen(rr[sel]), (2 * r_hi / ma) ** d
+
+
+def _annulus_panel(spec, pi, x, radius, ma, cutoff):
+    """panel(k) for `_dyadic_sum`: the annulus radius 2^-k-1 .. radius 2^-k.
+
+    The radial weight is min(1, r^2) with ``cutoff`` and r^2 without.
+    """
+
+    def panel(k):
+        offs, rr, vol = _annulus(x.shape[0], ma, radius * 0.5**k)
+        if rr.size == 0:
+            return None
+        Y = np.mod(x[None, :] + offs, 1.0)
+        r2 = np.minimum(1.0, rr**2) if cutoff else rr**2
+        f = r2 * _values_with_radius(spec, np.broadcast_to(x, Y.shape), Y, rr) * pi.density(Y)
+        return float(np.sum(f)) * vol
+
+    return panel
 
 
 def _moment_nd(spec, pi, x, quad: QuadratureConfig) -> float:
@@ -601,8 +666,7 @@ def _moment_nd(spec, pi, x, quad: QuadratureConfig) -> float:
     d = x.shape[0]
     rho0 = min(quad.split_radius, 0.5)
     m = quad.outer_points if d == 2 else max(24, quad.outer_points // 4)
-    axes = [(np.arange(m) + 0.5) / m] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    mesh = _outer_mesh(d, m)
     ad = axis_distances(mesh, x)
     r = np.sqrt(np.sum(ad * ad, axis=1))
     outer_mask = r >= rho0
@@ -613,38 +677,13 @@ def _moment_nd(spec, pi, x, quad: QuadratureConfig) -> float:
         f = np.minimum(1.0, rr * rr) * _values_with_radius(spec, np.broadcast_to(x, Y.shape), Y, rr) * pi.density(Y)
         total += float(np.sum(f)) / m**d
     # dyadic annuli down to the origin
-    contributions = []
-    ma = quad.annulus_points
-    for k in range(quad.max_panels):
-        r_hi = rho0 * 0.5**k
-        r_lo = r_hi * 0.5
-        grid_1d = (np.arange(ma) + 0.5) / ma * (2 * r_hi) - r_hi
-        offs = np.stack(np.meshgrid(*([grid_1d] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        rr = np.sqrt(np.sum(offs * offs, axis=1))
-        sel = (rr >= r_lo) & (rr < r_hi)
-        if not np.any(sel):
-            contributions.append(0.0)
-            continue
-        Y = np.mod(x[None, :] + offs[sel], 1.0)
-        f = (
-            np.minimum(1.0, rr[sel] ** 2)
-            * _values_with_radius(spec, np.broadcast_to(x, Y.shape), Y, rr[sel])
-            * pi.density(Y)
-        )
-        contrib = float(np.sum(f)) * (2 * r_hi / ma) ** d
-        contributions.append(contrib)
-        total += contrib
-        if contrib <= 1e-12 * max(total, 1e-300) and k >= 2:
-            return total
-    last, prev = contributions[-1], contributions[-2]
-    if prev <= 0.0 or last <= 0.0:
-        return total
-    ratio = last / prev
-    if ratio >= quad.ratio_cap:
-        raise KernelDivergenceError(
-            f"second moment does not converge under radial refinement (panel ratio {ratio:.6f})"
-        )
-    return total + last * ratio / (1.0 - ratio)
+    return _dyadic_sum(
+        _annulus_panel(spec, pi, x, rho0, quad.annulus_points, cutoff=True),
+        total,
+        quad,
+        1e-12,
+        "second moment does not converge under radial refinement (panel ratio {ratio:.6f})",
+    )
 
 
 def second_moment(spec: KernelSpec, pi: MeasureSpec, x, quad: QuadratureConfig | None = None) -> float:
@@ -728,34 +767,13 @@ def tail_profile(
 
 def _moment_nd_tail(spec, pi, x, radius, quad):
     """Annuli-only variant of _moment_nd, integrating r < radius."""
-    d = x.shape[0]
-    total = 0.0
-    contributions = []
-    ma = quad.annulus_points
-    for k in range(quad.max_panels):
-        r_hi = radius * 0.5**k
-        r_lo = r_hi * 0.5
-        grid_1d = (np.arange(ma) + 0.5) / ma * (2 * r_hi) - r_hi
-        offs = np.stack(np.meshgrid(*([grid_1d] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        rr = np.sqrt(np.sum(offs * offs, axis=1))
-        sel = (rr >= r_lo) & (rr < r_hi)
-        if not np.any(sel):
-            contributions.append(0.0)
-            continue
-        Y = np.mod(x[None, :] + offs[sel], 1.0)
-        f = rr[sel] ** 2 * _values_with_radius(spec, np.broadcast_to(x, Y.shape), Y, rr[sel]) * pi.density(Y)
-        contrib = float(np.sum(f)) * (2 * r_hi / ma) ** d
-        contributions.append(contrib)
-        total += contrib
-        if contrib <= 1e-12 * max(total, 1e-300) and k >= 2:
-            return total
-    last, prev = contributions[-1], contributions[-2]
-    if prev <= 0.0 or last <= 0.0:
-        return total
-    ratio = last / prev
-    if ratio >= quad.ratio_cap:
-        raise KernelDivergenceError("tail integral does not converge under refinement")
-    return total + last * ratio / (1.0 - ratio)
+    return _dyadic_sum(
+        _annulus_panel(spec, pi, x, radius, quad.annulus_points, cutoff=False),
+        0.0,
+        quad,
+        1e-12,
+        "tail integral does not converge under refinement (panel ratio {ratio:.6f})",
+    )
 
 
 # ---------------------------------------------------------------------------

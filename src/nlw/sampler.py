@@ -24,7 +24,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .discretize import DiscreteSystem
 from .functionals import DensityState
@@ -184,8 +184,8 @@ def compare_marginals(result: SampleResult, expected: np.ndarray) -> MarginalRep
     sigma = np.sqrt(expected[ok] * (1.0 - expected[ok]) / n)
     z[ok] = (emp[ok] - expected[ok]) / sigma
     z[degenerate] = np.where(emp[degenerate] == expected[degenerate], 0.0, np.inf)
-    alpha3 = 2.0 * (1.0 - norm.cdf(3.0))
-    threshold = float(norm.ppf(1.0 - alpha3 / (2.0 * expected.size)))
+    alpha3 = 2.0 * (1.0 - ndtr(3.0))
+    threshold = float(ndtri(1.0 - alpha3 / (2.0 * expected.size)))
     max_abs = float(np.max(np.abs(z)))
     return MarginalReport(
         z_scores=z,

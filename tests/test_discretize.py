@@ -7,9 +7,15 @@ import pytest
 from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.special import i0
 
+from nlw import discretize
 from nlw.discretize import (
     DiscreteSystem,
+    QuadratureError,
     ZeroCellError,
+    _active_pair_nd,
+    _cutoff_geometry,
+    _pair_min_distance_sq,
+    _wrapped_signed,
     build_system,
     discretize_kernel,
     load_system,
@@ -198,6 +204,73 @@ def test_discrete_system_validation():
     bad2[2, 2] = 1.0
     with pytest.raises(ValueError):
         DiscreteSystem.from_arrays(grid, good_pi, bad2)  # diagonal
+
+
+# ---------------------------------------------------------------------------
+# d >= 2 cutoff geometry: band-only mask against the full sub-lattice
+# ---------------------------------------------------------------------------
+
+
+def full_lattice_geometry(s, w, dhalf, m, d, frac_sub):
+    """Oracle: mask fractions from the sub-lattice of every displacement subcell."""
+    t1 = ((np.arange(m) + 0.5) / m - 0.5) * (2.0 * w)
+    axes = [s[i] + t1 for i in range(d)]
+    T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    h = 2.0 * w / m
+    sub1 = ((np.arange(frac_sub) + 0.5) / frac_sub - 0.5) * h
+    sub = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    TS = T[:, None, :] + sub[None, :, :]
+    TSw = np.abs(_wrapped_signed(TS))
+    rr = np.sqrt(np.sum(TSw * TSw, axis=-1))
+    frac = np.mean(rr >= dhalf, axis=1)
+    return T, frac
+
+
+def active_offsets(grid):
+    """Distinct wrapped centre offsets of the cutoff-active pairs j < k."""
+    dhalf = 0.5 * grid.cell_diameter
+    jj, kk = np.triu_indices(grid.n_points, k=1)
+    active = _pair_min_distance_sq(grid)[jj, kk] < dhalf * dhalf
+    offs = _wrapped_signed(grid.points[kk[active]] - grid.points[jj[active]])
+    return np.unique(offs, axis=0), dhalf
+
+
+@pytest.mark.parametrize(
+    "d, level, ms",
+    [(2, 2, (8, 16, 32, 64, 128)), (2, 3, (8, 16, 32, 64, 128)), (3, 2, (8, 16))],
+)
+def test_cutoff_geometry_matches_full_sub_lattice(d, level, ms):
+    grid = build_grid(d, level)
+    offsets, dhalf = active_offsets(grid)
+    frac_sub = 8 if d == 2 else 4
+    # the windows s +- w reach past |t_i| = 1/2, so the wrap is exercised
+    assert np.max(np.abs(offsets)) + grid.cell_width > 0.5
+    for s in offsets:
+        for m in ms:
+            T, frac = _cutoff_geometry(s, grid.cell_width, dhalf, m, d, frac_sub)
+            T_ref, frac_ref = full_lattice_geometry(s, grid.cell_width, dhalf, m, d, frac_sub)
+            assert np.array_equal(T, T_ref)
+            assert np.array_equal(frac, frac_ref)
+            assert np.array_equal(frac > 0.0, frac_ref > 0.0)
+            assert 0.0 < np.mean((frac > 0.0) & (frac < 1.0)) < 1.0
+
+
+def test_discretize_2d_matches_full_sub_lattice_build(monkeypatch):
+    grid = build_grid(2, 2)
+    spec = FractionalKernel(s=0.5)
+    eta = discretize_kernel(spec, UniformMeasure(), grid)
+    # reference: full sub-lattice mask, recomputed for every pair and size
+    monkeypatch.setattr(discretize, "_cutoff_geometry", full_lattice_geometry)
+    monkeypatch.setattr(discretize, "_active_pair_nd", lambda *a: _active_pair_nd(*a[:-1], {}))
+    eta_ref = discretize_kernel(spec, UniformMeasure(), grid)
+    assert np.array_equal(eta, eta_ref)
+
+
+def test_oversized_displacement_lattice_fails_early():
+    grid = build_grid(3, 2)
+    pair = (ConstantKernel(c=1.0), UniformMeasure(), grid.points[0], grid.points[1])
+    with pytest.raises(QuadratureError, match="m=256"):
+        _active_pair_nd(*pair, grid.cell_width, 0.5 * grid.cell_diameter, 256, 3, 4, {})
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ from nlw.kernels import (
     TabulatedMeasure,
     UniformMeasure,
     WeightedKernel,
+    _annulus,
+    _moment_nd,
+    _moment_nd_tail,
+    _outer_mesh,
     _radial_moment_1d,
     c_eta,
     check_assumptions,
@@ -201,6 +205,28 @@ def test_refinement_detects_divergence_without_exponent_hint():
 
     with pytest.raises(KernelDivergenceError):
         _radial_moment_1d(OpaqueFractional(s=2.5), UniformMeasure(), np.array([0.0]), 0.5, QuadratureConfig())
+
+
+def test_refinement_detects_divergence_in_2d():
+    class OpaqueFractional(FractionalKernel):
+        def singularity_exponent(self, dim):
+            return 0.0
+
+    x = np.array([0.3, 0.6])
+    with pytest.raises(KernelDivergenceError, match="second moment .*panel ratio"):
+        _moment_nd(OpaqueFractional(s=2.5), UniformMeasure(), x, QuadratureConfig())
+    with pytest.raises(KernelDivergenceError, match="tail integral .*panel ratio"):
+        _moment_nd_tail(OpaqueFractional(s=2.5), UniformMeasure(), x, 0.1, QuadratureConfig())
+
+
+def test_probe_independent_lattices_are_shared_read_only():
+    mesh = _outer_mesh(2, 96)
+    offs, rr, vol = _annulus(2, 24, 0.25)
+    assert mesh.shape == (96 * 96, 2) and offs.shape == (rr.size, 2)
+    assert np.all((rr >= 0.125) & (rr < 0.25)) and vol == (0.5 / 24) ** 2
+    for a in (mesh, offs, rr):
+        assert not a.flags.writeable
+    assert _outer_mesh(2, 96) is mesh and _annulus(2, 24, 0.25)[0] is offs
 
 
 def test_second_moment_gibbs_against_scipy():

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import nlw
 from nlw.discretize import DiscreteSystem
 from nlw.flow import IntegratorConfig, solve
 from nlw.functionals import DensityState
@@ -179,6 +185,24 @@ def test_threshold_is_bonferroni_widened_three_sigma():
     res50 = SampleResult(counts=np.full(50, 2), config=cfg, n_jumps=0)
     rep50 = compare_marginals(res50, np.full(50, 0.02))
     assert rep50.threshold > rep.threshold
+
+
+@pytest.mark.parametrize("n_nodes", [2, 8, 64, 512])
+def test_threshold_equals_normal_quantile_exactly(n_nodes):
+    cfg = SamplerConfig(n_paths=100, horizon=1.0, seed=0)
+    res = SampleResult(counts=np.full(n_nodes, 2), config=cfg, n_jumps=0)
+    rep = compare_marginals(res, np.full(n_nodes, 1.0 / n_nodes))
+    alpha3 = 2.0 * (1.0 - norm.cdf(3.0))
+    assert rep.threshold == float(norm.ppf(1.0 - alpha3 / (2.0 * n_nodes)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a third of the package import time
+    src = str(Path(nlw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, nlw; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_degenerate_expected_probabilities():
