@@ -13,13 +13,14 @@ from __future__ import annotations
 import os
 
 
-def _pin_thread_env(count: str = "1", force: bool = False) -> None:
+def _pin_thread_env() -> None:
     """Pin BLAS/OpenMP thread pools so results do not depend on core count.
 
     Multi-threaded reductions change summation order, which would make
     artifact bytes depend on the machine.  Called at import time with
-    ``setdefault`` semantics so an explicit environment wins; the CLI's
-    --threads flag calls it again with force=True.
+    ``setdefault`` semantics so an explicit environment wins.  It only
+    takes effect when ``nlw`` is imported before numpy: the BLAS library
+    reads these variables once, when numpy loads it.
     """
     for var in (
         "OPENBLAS_NUM_THREADS",
@@ -27,10 +28,7 @@ def _pin_thread_env(count: str = "1", force: bool = False) -> None:
         "OMP_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        if force:
-            os.environ[var] = count
-        else:
-            os.environ.setdefault(var, count)
+        os.environ.setdefault(var, "1")
 
 
 _pin_thread_env()

@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    nlw <subcommand> --config experiment.json [--out DIR] [--seed N]
-                     [--threads K] [--quiet]
+    nlw <subcommand> --config experiment.json [--out DIR] [--seed N] [--quiet]
 
 Subcommands select which stages of the config run:
 
@@ -15,18 +14,19 @@ Subcommands select which stages of the config run:
 
 Exit codes: 0 success, 2 bad config or I/O, 3 numerical failure,
 4 a produced check (certificate, marginal comparison, refinement
-monotonicity) failed.  ``--threads`` caps the linear-algebra thread
-pools; results are identical for any value, so it is purely a
-resource knob.
+monotonicity) failed.
+
+Linear-algebra thread counts come from the environment
+(``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``, ``OMP_NUM_THREADS``,
+``NUMEXPR_NUM_THREADS``) and must be set before ``nlw`` is imported:
+the BLAS library reads them once, when numpy loads it.  Importing
+``nlw`` first pins each unset one to 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
-
-from . import _pin_thread_env
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,18 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, default=None, help="sampler seed (overrides the config)")
-        p.add_argument("--threads", type=int, default=None, help="cap on linear-algebra threads")
         p.add_argument("--quiet", action="store_true", help="suppress per-artifact messages")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be at least 1", file=_sys.stderr)
-            return EXIT_CONFIG
-        _pin_thread_env(str(args.threads), force=True)
 
     from .config import ConfigError, load_config
     from .experiments import run_config

@@ -229,12 +229,17 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _step_count(cfg: IntegratorConfig) -> int:
+    """Number of dt steps in the horizon, which must be a whole number of them."""
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    if abs(n_steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
+        raise ValueError("horizon must be an integer multiple of dt")
+    return n_steps
+
+
 def _default_output_times(cfg: IntegratorConfig) -> np.ndarray:
     if cfg.dt is not None:
-        n_steps = int(round(cfg.horizon / cfg.dt))
-        if abs(n_steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
-            raise ValueError("horizon must be an integer multiple of dt")
-        return np.arange(n_steps + 1) * cfg.dt
+        return np.arange(_step_count(cfg) + 1) * cfg.dt
     return np.linspace(0.0, cfg.horizon, 129)
 
 
@@ -293,9 +298,7 @@ def solve(
         if cfg.dt is None:
             raise ValueError("backward_euler requires dt")
         dt = cfg.dt
-        n_steps = int(round(cfg.horizon / dt))
-        if abs(n_steps * dt - cfg.horizon) > 1e-9 * cfg.horizon:
-            raise ValueError("horizon must be an integer multiple of dt")
+        n_steps = _step_count(cfg)
         # output times must sit on the step grid
         idx = np.rint(times / dt).astype(int)
         if np.any(np.abs(idx * dt - times) > 1e-9 * max(dt, 1.0)):

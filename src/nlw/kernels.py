@@ -43,6 +43,7 @@ diagnostics-grade (a relative percent or so).
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -107,6 +108,50 @@ _EXPR_NAMESPACE = {
     "abs": np.abs,
     "pi": np.pi,
 }
+_EXPR_FUNCTIONS = frozenset(k for k, v in _EXPR_NAMESPACE.items() if callable(v))
+_EXPR_VARIABLES = frozenset({"x", "y", "z", "pi"})
+# syntax an expression may use besides names, numbers and calls: the
+# arithmetic, unary and comparison operators (comparisons give masks
+# such as 800*(x>0.5))
+_EXPR_SYNTAX = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Load,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.UAdd, ast.USub,
+    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq,
+)
+
+
+def _checked_expr(expr: str) -> ast.Expression:
+    """Parse a potential expression and reject anything outside its whitelist.
+
+    Allowed: int and float literals, the names x, y, z and pi, the
+    operators in ``_EXPR_SYNTAX`` and positional calls to the functions
+    of ``_EXPR_NAMESPACE``.  Attribute access, subscripts, lambdas and
+    every other construct are refused before anything is compiled, so an
+    expression cannot reach Python objects beyond those values.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"potential expression {expr!r} is not valid syntax: {exc.msg}") from None
+    callees = set()
+    for node in ast.walk(tree):  # breadth first: a call comes before its callee
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCTIONS) or node.keywords:
+                raise ValueError(
+                    f"potential expression {expr!r}: only positional calls to "
+                    f"{', '.join(sorted(_EXPR_FUNCTIONS))} are allowed"
+                )
+            callees.add(id(node.func))
+        elif isinstance(node, ast.Name):
+            if node.id not in _EXPR_VARIABLES and id(node) not in callees:
+                raise ValueError(f"potential expression {expr!r}: unknown name {node.id!r}")
+        elif isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ValueError(f"potential expression {expr!r}: literal {node.value!r} is not a number")
+        elif not isinstance(node, _EXPR_SYNTAX):
+            raise ValueError(f"potential expression {expr!r}: {type(node).__name__} is not allowed")
+    return tree
 
 
 @dataclass
@@ -130,7 +175,7 @@ class PotentialSpec:
         if (self.expr is None) == (self.table_values is None):
             raise ValueError("give exactly one of expr / table_values")
         if self.expr is not None:
-            self._code = compile(self.expr, "<potential>", "eval")
+            self._code = compile(_checked_expr(self.expr), "<potential>", "eval")
             # validate on a probe point; failures should surface at build time
             probe = np.full((2, 3), 0.25)
             val = self._eval_expr(probe)
@@ -150,7 +195,7 @@ class PotentialSpec:
         names = "xyz"
         for axis in range(pts.shape[1]):
             ns[names[axis]] = pts[:, axis]
-        out = eval(self._code, {"__builtins__": {}}, ns)  # noqa: S307 - closed namespace
+        out = eval(self._code, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted AST
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:

@@ -10,12 +10,15 @@ with A the flux action built on the logarithmic mean (see
 ``functionals``).  Time is cut into M uniform steps; the unknowns are
 one flux value per support edge per step, densities are recovered by
 summing divergences, and the action weight uses the logarithmic mean of
-the two adjacent time levels (a midpoint rule).  The endpoint
-constraint is linear, so it is eliminated exactly: least-norm total
-flux plus a basis of the divergence null space.  What remains is a
-smooth convex program, solved by a limited-memory quasi-Newton descent
-with an Armijo backtracking search and a decreasing interior barrier
-that keeps intermediate densities positive.  A hand-rolled descent loop
+the two adjacent time levels (a midpoint rule).  Each objective
+evaluation computes the logarithmic mean and both of its partial
+derivatives in one pass over the edges, and scatters the action's
+sensitivity to the nodes with one ``np.bincount`` on the edge list.
+The endpoint constraint is linear, so it is eliminated exactly:
+least-norm total flux plus a basis of the divergence null space.
+What remains is a smooth convex program, solved by a limited-memory
+quasi-Newton descent with an Armijo backtracking search and a
+decreasing interior barrier that keeps intermediate densities positive.  A hand-rolled descent loop
 is used instead of a library optimizer because the barrier makes the
 objective +inf outside the feasible cone and the line search must treat
 that as "reject the trial point", a convention library line searches do
@@ -150,11 +153,8 @@ class DiscretePath:
         """Max violation of mu^{m} - mu^{m-1} + dt * div(x^{m}) = 0."""
         dt = 1.0 / self.n_steps
         mu = self.u * self.system.pi[None, :]
-        div = np.zeros_like(mu[:-1])
-        ei, ej = self.edges[:, 0], self.edges[:, 1]
-        for m in range(self.n_steps):
-            np.add.at(div[m], ei, self.fluxes[m])
-            np.add.at(div[m], ej, -self.fluxes[m])
+        index = _scatter_index(self.edges, self.n_steps, self.system.n_points)
+        div = _node_sums(index, mu[:-1].shape, self.fluxes, -self.fluxes)
         return float(np.max(np.abs(np.diff(mu, axis=0) + dt * div)))
 
 
@@ -183,18 +183,37 @@ class MetricResult:
 
 
 def _support_edges(sys: DiscreteSystem):
-    """Edge list (i < j with eta > 0), incidence matrix, and conductances."""
-    n = sys.n_points
-    iu, ju = np.triu_indices(n, k=1)
+    """Edge list (i < j with eta > 0) and conductances eta_ij pi_i pi_j."""
+    iu, ju = np.triu_indices(sys.n_points, k=1)
     keep = sys.eta[iu, ju] > 0.0
     ei, ej = iu[keep], ju[keep]
-    n_edges = ei.size
-    D = np.zeros((n, n_edges))
-    cols = np.arange(n_edges)
-    D[ei, cols] = 1.0
-    D[ej, cols] = -1.0
     q = sys.eta[ei, ej] * sys.pi[ei] * sys.pi[ej]
-    return np.column_stack([ei, ej]), D, q
+    return np.column_stack([ei, ej]), q
+
+
+def _incidence(edges: np.ndarray, n_points: int) -> np.ndarray:
+    """Dense N x E incidence matrix: +1 at node i and -1 at node j of edge (i, j)."""
+    cols = np.arange(edges.shape[0])
+    D = np.zeros((n_points, edges.shape[0]))
+    D[edges[:, 0], cols] = 1.0
+    D[edges[:, 1], cols] = -1.0
+    return D
+
+
+def _scatter_index(edges: np.ndarray, n_steps: int, n_points: int) -> np.ndarray:
+    """Flat bins m*N + i for every (step, edge) pair, then m*N + j.
+
+    With this order ``np.bincount`` adds each bin's terms exactly as
+    ``np.add.at`` over the i ends and then over the j ends would.
+    """
+    rows = np.arange(n_steps)[:, None] * n_points
+    return np.concatenate([(rows + edges[:, 0]).ravel(), (rows + edges[:, 1]).ravel()])
+
+
+def _node_sums(index: np.ndarray, shape, at_i: np.ndarray, at_j: np.ndarray) -> np.ndarray:
+    """Per-step node sums of edge values: ``at_i`` lands on each edge's node i, ``at_j`` on node j."""
+    weights = np.concatenate([at_i.ravel(), at_j.ravel()])
+    return np.bincount(index, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _component_labels(sys: DiscreteSystem) -> np.ndarray:
@@ -202,30 +221,48 @@ def _component_labels(sys: DiscreteSystem) -> np.ndarray:
     return connected_components(adj, directed=False)[1]
 
 
-def _log_mean_partial(r, s):
-    """d theta / d r for the logarithmic mean, elementwise.
+def _log_mean_and_partials(r, s):
+    """theta(r, s), d theta / d r and d theta / d s, elementwise, in one pass.
 
-    On the boundary (either argument zero) the mean is identically zero
-    along the ray, so the derivative is reported as 0; the interior
-    barrier keeps optimization paths away from that edge anyway.
+    Each value is computed with the same arithmetic as ``log_mean`` and
+    the mirrored derivative formulas: away from the diagonal
+    theta = d / log1p(d/s) with d = r - s, d theta/d r = (1 - theta/r)/ell
+    with ell = log1p(d/s), and d theta/d s the same with r and s swapped
+    (ell = log1p(-d/r)); near it the series 0.5 -/+ d/(6m) around the
+    midpoint m.  On the boundary (either argument zero) the mean is
+    identically zero along the ray, so all three are reported as 0; the
+    interior barrier keeps optimization paths away from that edge anyway.
+    Scalars come back as arrays of shape (1,).
     """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(np.broadcast_shapes(r.shape, s.shape))
-    rb = np.broadcast_to(r, out.shape)
-    sb = np.broadcast_to(s, out.shape)
-    pos = (rb > 0.0) & (sb > 0.0)
-    d = rb - sb
-    m = 0.5 * (rb + sb)
-    near = pos & (np.abs(d) <= 1e-8 * np.maximum(rb, sb))
-    far = pos & ~near
+    r, s = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    )
+    if np.any(r < 0.0) or np.any(s < 0.0):
+        raise ValueError("log mean requires nonnegative arguments")
+    d = r - s
+    pos = (r > 0.0) & (s > 0.0)
+    near = pos & (np.abs(d) <= 1e-8 * np.maximum(r, s))
+    # the far-branch formulas on every entry; near and boundary entries
+    # are overwritten below, so their inf/nan here never escape
     with np.errstate(divide="ignore", invalid="ignore"):
-        mn = np.where(m > 0, m, 1.0)
-        out[near] = (0.5 - d / (6.0 * mn))[near]
-        ell = np.log1p(np.where(far, d, 0.0) / np.where(far, sb, 1.0))
-        theta = np.where(ell != 0.0, d / np.where(ell != 0.0, ell, 1.0), m)
-        out[far] = ((1.0 - theta / np.where(rb > 0, rb, 1.0)) / np.where(ell != 0, ell, 1.0))[far]
-    return out
+        ell_r = np.log1p(d / s)
+        ell_s = np.log1p(-d / r)
+        theta = d / ell_r
+        dr = (1.0 - theta / r) / ell_r
+        ds = (1.0 - (-d / ell_s) / s) / ell_s
+    if not pos.all():
+        off = ~pos
+        theta[off] = 0.0
+        dr[off] = 0.0
+        ds[off] = 0.0
+    if near.any():
+        m = 0.5 * (r[near] + s[near])
+        dn = d[near]
+        theta[near] = m - dn * dn / (12.0 * m)
+        t = dn / (6.0 * m)
+        dr[near] = 0.5 - t
+        ds[near] = 0.5 + t
+    return theta, dr, ds
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +278,10 @@ class _PathWorkspace:
         self.sys = sys
         self.M = prob.n_steps
         self.dt = 1.0 / self.M
-        self.edges, self.D, self.q = _support_edges(sys)
+        self.edges, self.q = _support_edges(sys)
+        self.D = _incidence(self.edges, sys.n_points)
         self.n_edges = self.edges.shape[0]
+        self.scatter = _scatter_index(self.edges, self.M, sys.n_points)
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
         self.g = (self.mu0 - self.muT) / self.dt
@@ -324,8 +363,8 @@ class _PathWorkspace:
         u = mu / self.sys.pi[None, :]
         ut = 0.5 * (u[:-1] + u[1:])
         ei, ej = self.edges[:, 0], self.edges[:, 1]
-        r, s = ut[:, ei], ut[:, ej]
-        theta = np.asarray(log_mean(r, s)) + eps
+        theta, dtheta_dr, dtheta_ds = _log_mean_and_partials(ut[:, ei], ut[:, ej])
+        theta += eps
         w = 1.0 / (theta * self.q[None, :])
         f = dt * float(np.sum(x * x * w))
         if beta > 0.0:
@@ -336,9 +375,7 @@ class _PathWorkspace:
         grad_x = 2.0 * dt * x * w
         # action sensitivity to the midpoint densities, scattered to nodes
         coef = -dt * x * x * w / theta  # dF/dtheta_e, shape (M, E)
-        G = np.zeros((M, self.sys.n_points))
-        np.add.at(G, (slice(None), ei), coef * _log_mean_partial(r, s))
-        np.add.at(G, (slice(None), ej), coef * _log_mean_partial(s, r))
+        G = _node_sums(self.scatter, (M, self.sys.n_points), coef * dtheta_dr, coef * dtheta_ds)
         if M > 1:
             P = (G[:-1] + G[1:]) / (2.0 * self.sys.pi[None, :])
             if beta > 0.0:
@@ -377,7 +414,7 @@ def _action_from_arrays(sys, u, x, edges, q, eps) -> float:
 
 def action_of_path(path: DiscretePath, eps: float = 0.0) -> float:
     """Kinetic action of a discrete path (midpoint logarithmic-mean rule)."""
-    _, _, q = _support_edges(path.system)
+    _, q = _support_edges(path.system)
     return _action_from_arrays(path.system, path.u, path.fluxes, path.edges, q, eps)
 
 

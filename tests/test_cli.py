@@ -137,22 +137,6 @@ def test_seed_flag_overrides_sampler_seed(tmp_path):
     assert h("a") != h("c")
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    cfg1 = write_config(tmp_path, smoke_doc(tmp_path / "t1"), "t1.json")
-    cfg4 = write_config(tmp_path, smoke_doc(tmp_path / "t4"), "t4.json")
-    assert main(["solve", "--config", cfg1, "--threads", "1", "--quiet"]) == EXIT_OK
-    assert main(["solve", "--config", cfg4, "--threads", "4", "--quiet"]) == EXIT_OK
-    a = (tmp_path / "t1" / "trajectory.csv").read_bytes()
-    b = (tmp_path / "t4" / "trajectory.csv").read_bytes()
-    assert a == b
-
-
-def test_bad_threads_value(tmp_path, capsys):
-    cfg = write_config(tmp_path, smoke_doc(tmp_path / "out"))
-    assert main(["build", "--config", cfg, "--threads", "0"]) == EXIT_CONFIG
-    assert "threads" in capsys.readouterr().err
-
-
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])

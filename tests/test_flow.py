@@ -289,6 +289,22 @@ def test_solve_validates_output_times():
         )
 
 
+@pytest.mark.parametrize(
+    "method, output_times",
+    [
+        ("matrix_exponential", None),  # default output times on the dt grid
+        ("backward_euler", None),
+        ("backward_euler", np.array([0.0, 0.5, 1.0])),  # the stepper's own count
+    ],
+)
+def test_horizon_must_be_whole_number_of_steps(method, output_times):
+    sys = make_system(4)
+    u0 = DensityState.uniform(sys)
+    cfg = IntegratorConfig(method=method, horizon=1.0, dt=0.3)
+    with pytest.raises(ValueError, match="horizon must be an integer multiple of dt"):
+        solve(sys, u0, cfg, output_times)
+
+
 def test_expm_size_cap():
     n = EXPM_MAX_POINTS + 512
     grid = build_grid(1, n)

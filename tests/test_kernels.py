@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import i0
 
 from nlw.kernels import (
+    _EXPR_NAMESPACE,
     AdmissibilityReport,
     ConstantKernel,
     CoverageError,
@@ -110,6 +114,58 @@ def test_potential_requires_exactly_one_source():
         PotentialSpec()
     with pytest.raises(ValueError):
         PotentialSpec(expr="x", table_values=np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "expr, why",
+    [
+        ("().__class__.__mro__[1].__subclasses__().__len__() + 0*x", "only positional calls"),
+        ("().__class__", "Attribute"),
+        ("x.real", "Attribute"),
+        ("x[0]", "Subscript"),
+        ("(lambda t: t)(x)", "only positional calls"),
+        ("lambda: 0", "Lambda"),
+        ("__import__('os')", "only positional calls"),
+        ("sin(x, out=x)", "only positional calls"),
+        ("sin(*[x])", "Starred"),
+        ("sin", "unknown name 'sin'"),
+        ("x + q", "unknown name 'q'"),
+        ("x + 'a'", "is not a number"),
+        ("x if x > 0 else 1", "IfExp"),
+        ("[x][0]", "Subscript"),
+        ("x +", "not valid syntax"),
+    ],
+)
+def test_potential_expression_outside_whitelist_is_rejected(expr, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        PotentialSpec(expr=expr)
+
+
+@pytest.mark.parametrize(
+    "expr", ["cos(2*pi*x)", "800*(x>0.5)", "-x**2 + 3*y - z/7 + 1e-3", "sqrt(abs(sin(x*y))) + exp(-z)"]
+)
+def test_potential_expression_values_equal_plain_eval(expr):
+    pts = np.random.default_rng(2).uniform(0.0, 1.0, size=(50, 3))
+    ns = dict(_EXPR_NAMESPACE, x=pts[:, 0], y=pts[:, 1], z=pts[:, 2])
+    ref = eval(compile(expr, "<potential>", "eval"), {"__builtins__": {}}, ns)  # noqa: S307
+    assert np.array_equal(PotentialSpec(expr=expr)(pts), np.broadcast_to(ref, (50,)))
+
+
+def test_shipped_config_potentials_pass_the_whitelist():
+    config_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+    def exprs(doc):
+        if isinstance(doc, dict):
+            for key, val in doc.items():
+                yield from [val] if key == "expr" else exprs(val)
+        elif isinstance(doc, list):
+            for val in doc:
+                yield from exprs(val)
+
+    found = [e for path in sorted(config_dir.glob("*.json")) for e in exprs(json.loads(path.read_text()))]
+    assert found
+    for expr in found:
+        assert np.all(np.isfinite(PotentialSpec(expr=expr)(np.array([[0.1], [0.7]]))))
 
 
 def test_gibbs_density_integrates_to_one():

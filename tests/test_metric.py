@@ -15,13 +15,13 @@ import pytest
 
 from nlw.discretize import DiscreteSystem
 from nlw.flow import IntegratorConfig, solve
-from nlw.functionals import DensityState, fisher_information
+from nlw.functionals import DensityState, fisher_information, log_mean
 from nlw.metric import (
     AxiomCheck,
     DiscretePath,
     MetricSolverConfig,
     PathProblem,
-    _log_mean_partial,
+    _log_mean_and_partials,
     _PathWorkspace,
     action_of_path,
     check_metric_axioms,
@@ -50,8 +50,30 @@ def state(sys, u):
 
 
 # ---------------------------------------------------------------------------
-# derivative of the logarithmic mean
+# the logarithmic mean and its partial derivatives
 # ---------------------------------------------------------------------------
+
+
+def log_mean_partial_oracle(r, s):
+    """d theta / d r, elementwise: the masked two-pass formula the solver
+    used before the mean and both partials came from one helper."""
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(np.broadcast_shapes(r.shape, s.shape))
+    rb = np.broadcast_to(r, out.shape)
+    sb = np.broadcast_to(s, out.shape)
+    pos = (rb > 0.0) & (sb > 0.0)
+    d = rb - sb
+    m = 0.5 * (rb + sb)
+    near = pos & (np.abs(d) <= 1e-8 * np.maximum(rb, sb))
+    far = pos & ~near
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mn = np.where(m > 0, m, 1.0)
+        out[near] = (0.5 - d / (6.0 * mn))[near]
+        ell = np.log1p(np.where(far, d, 0.0) / np.where(far, sb, 1.0))
+        theta = np.where(ell != 0.0, d / np.where(ell != 0.0, ell, 1.0), m)
+        out[far] = ((1.0 - theta / np.where(rb > 0, rb, 1.0)) / np.where(ell != 0, ell, 1.0))[far]
+    return out
 
 
 def test_log_mean_partial_matches_finite_differences():
@@ -60,19 +82,53 @@ def test_log_mean_partial_matches_finite_differences():
     s = rng.uniform(0.1, 3.0, size=200)
     # include near-equal pairs that exercise the series branch
     s[:50] = r[:50] * (1.0 + rng.uniform(-1e-9, 1e-9, size=50))
-    from nlw.functionals import log_mean
 
     h = 1e-7
-    fd = (np.asarray(log_mean(r + h, s)) - np.asarray(log_mean(r - h, s))) / (2 * h)
-    got = _log_mean_partial(r, s)
-    assert np.max(np.abs(got - fd)) < 1e-6
+    _, got_r, got_s = _log_mean_and_partials(r, s)
+    fd_r = (np.asarray(log_mean(r + h, s)) - np.asarray(log_mean(r - h, s))) / (2 * h)
+    fd_s = (np.asarray(log_mean(r, s + h)) - np.asarray(log_mean(r, s - h))) / (2 * h)
+    assert np.max(np.abs(got_r - fd_r)) < 1e-6
+    assert np.max(np.abs(got_s - fd_s)) < 1e-6
 
 
 def test_log_mean_partial_special_values():
-    assert _log_mean_partial(2.0, 2.0) == pytest.approx(0.5, abs=1e-12)
-    assert _log_mean_partial(0.0, 1.0) == 0.0
-    assert _log_mean_partial(1.0, 0.0) == 0.0
-    assert _log_mean_partial(0.0, 0.0) == 0.0
+    assert _log_mean_and_partials(2.0, 2.0)[1] == pytest.approx(0.5, abs=1e-12)
+    assert _log_mean_and_partials(2.0, 2.0)[2] == pytest.approx(0.5, abs=1e-12)
+    for r, s in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        assert all(v == 0.0 for v in _log_mean_and_partials(r, s))
+
+
+def _log_mean_cases():
+    rng = np.random.default_rng(17)
+    r = rng.uniform(0.0, 3.0, size=(6, 40))
+    s = rng.uniform(0.0, 3.0, size=(6, 40))
+    s[0] = r[0] * (1.0 + rng.uniform(-1e-8, 1e-8, size=40))  # near the diagonal
+    s[1, :20] = r[1, :20]  # exactly on it
+    r[2, ::3] = 0.0  # boundary entries
+    s[2, 1::3] = 0.0
+    s[3, :5] = r[3, :5] * (1.0 + 2e-8)  # just outside the series branch
+    return {
+        "mixed": (r, s),
+        "all far": (r[4:] + 0.5, np.flip(r[4:], axis=1) + 0.01),
+        "scalar near": (1.5, 1.5 * (1.0 + 1e-9)),
+    }
+
+
+@pytest.mark.parametrize("name", ["mixed", "all far", "scalar near"])
+def test_log_mean_and_partials_equal_the_separate_formulas(name):
+    r, s = _log_mean_cases()[name]
+    theta, dr, ds = _log_mean_and_partials(r, s)
+    shape = np.atleast_1d(np.asarray(r)).shape
+    assert np.array_equal(theta, np.asarray(log_mean(r, s), dtype=float).reshape(shape))
+    assert np.array_equal(dr, log_mean_partial_oracle(r, s).reshape(shape))
+    assert np.array_equal(ds, log_mean_partial_oracle(s, r).reshape(shape))
+
+
+def test_log_mean_and_partials_reject_negative_arguments():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _log_mean_and_partials(np.array([1.0, -1e-300]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _log_mean_and_partials(1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +208,75 @@ def test_objective_infinite_outside_positive_cone():
     p[0] = 50.0  # huge first-step flux drains node 0 negative
     f, g = ws.value_and_grad(p, 1e-2, 1e-2)
     assert f == np.inf and g is None
+
+
+def value_and_grad_oracle(ws, p, beta, eps):
+    """The reduced objective as computed before the one-pass mean and the
+    bincount scatter: ``log_mean`` plus two partial calls and ``np.add.at``."""
+    M, dt = ws.M, ws.dt
+    x = ws.unpack(p)
+    mu = ws.masses(x)
+    interior = mu[1:-1]
+    active = ws.barrier_nodes
+    if beta > 0.0:
+        if interior.size and interior[:, active].min() <= 0.0:
+            return np.inf, None
+    elif interior.size and interior[:, active].min() < 0.0:
+        return np.inf, None
+    u = mu / ws.sys.pi[None, :]
+    ut = 0.5 * (u[:-1] + u[1:])
+    ei, ej = ws.edges[:, 0], ws.edges[:, 1]
+    r, s = ut[:, ei], ut[:, ej]
+    theta = np.asarray(log_mean(r, s)) + eps
+    w = 1.0 / (theta * ws.q[None, :])
+    f = dt * float(np.sum(x * x * w))
+    if beta > 0.0:
+        f -= beta * float(np.sum(np.log(u[1:-1][:, active])))
+    if not np.isfinite(f):
+        return np.inf, None
+    grad_x = 2.0 * dt * x * w
+    coef = -dt * x * x * w / theta
+    G = np.zeros((M, ws.sys.n_points))
+    np.add.at(G, (slice(None), ei), coef * log_mean_partial_oracle(r, s))
+    np.add.at(G, (slice(None), ej), coef * log_mean_partial_oracle(s, r))
+    if M > 1:
+        P = (G[:-1] + G[1:]) / (2.0 * ws.sys.pi[None, :])
+        if beta > 0.0:
+            bar = np.zeros_like(interior)
+            bar[:, active] = -beta / interior[:, active]
+            P = P + bar
+        suffix = np.flip(np.cumsum(np.flip(P, axis=0), axis=0), axis=0)
+        grad_x[:-1] -= dt * (suffix @ ws.D)
+    grad_y = (grad_x[: M - 1] - grad_x[M - 1][None, :]).ravel()
+    grad_c = ws.null.T @ grad_x[M - 1] if ws.n_null else np.zeros(0)
+    return f, np.concatenate([grad_y, grad_c])
+
+
+@pytest.mark.parametrize("same_ends", [False, True])
+def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
+    rng = np.random.default_rng(23)
+    n = 5
+    pi = rng.uniform(0.5, 1.5, size=n)
+    pi /= pi.sum()
+    eta = rng.uniform(0.2, 2.0, size=(n, n))
+    eta = eta + eta.T
+    eta[0, 3] = eta[3, 0] = 0.0  # not a complete graph
+    np.fill_diagonal(eta, 0.0)
+    sys = make_system(n, pi=pi, eta=eta)
+    a = state(sys, np.ones(n))
+    raw = rng.uniform(0.2, 2.0, size=n)
+    b = a if same_ends else state(sys, raw / (raw @ pi))
+    ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=6))
+    p0 = ws.initial_point(0.01)
+    # tiny fluxes keep same-end midpoints within the series branch of the mean
+    for scale in (0.0, 1e-10, 1e-3):
+        p = p0 + rng.normal(scale=scale, size=p0.size)
+        for beta, eps in ((1e-2, 1e-2), (1e-6, 1e-6), (0.0, 1e-12)):
+            f, g = ws.value_and_grad(p, beta, eps)
+            f_ref, g_ref = value_and_grad_oracle(ws, p, beta, eps)
+            assert np.isfinite(f)
+            assert f == f_ref
+            assert np.array_equal(g, g_ref)
 
 
 # ---------------------------------------------------------------------------
