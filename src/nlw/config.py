@@ -16,8 +16,10 @@ Configs are JSON documents with up to six sections::
 Unknown keys anywhere in the tree are hard errors reported with their
 full field path — a silently ignored typo ("integator") costs far more
 debugging time than a strict parser costs up front.  Validation here is
-purely structural; numerical legality (positive step sizes and the
-like) is enforced by the objects each section ultimately constructs.
+structural, plus the whitelist that every potential expression must
+pass (the one `PotentialSpec` applies); numerical legality (positive
+step sizes and the like) is enforced by the objects each section
+ultimately constructs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+
+from .kernels import _checked_expr
 
 __all__ = [
     "ConfigError",
@@ -62,8 +66,13 @@ def _validate_potential(doc, path) -> dict:
     _check_keys(doc, {"expr", "table"}, path)
     if ("expr" in doc) == ("table" in doc):
         raise ConfigError(f"{path}: give exactly one of 'expr' or 'table'")
-    if "expr" in doc and not isinstance(doc["expr"], str):
-        raise ConfigError(f"{path}.expr: expected a string")
+    if "expr" in doc:
+        if not isinstance(doc["expr"], str):
+            raise ConfigError(f"{path}.expr: expected a string")
+        try:
+            _checked_expr(doc["expr"])
+        except ValueError as exc:
+            raise ConfigError(f"{path}.expr: {exc}") from None
     if "table" in doc:
         _check_keys(doc["table"], {"dim", "values"}, f"{path}.table")
         _require(doc["table"], "values", f"{path}.table")
@@ -83,7 +92,7 @@ def _validate_kernel(doc, path) -> dict:
         _validate_potential(_require(doc, "potential", path), f"{path}.potential")
         _validate_kernel(_require(doc, "base", path), f"{path}.base")
     elif kind == "tabulated":
-        _check_keys(doc, {"type", "path", "bandwidth", "exponent"}, path)
+        _check_keys(doc, {"type", "path", "sha256", "bandwidth", "exponent"}, path)
         for key in ("path", "bandwidth", "exponent"):
             _require(doc, key, path)
     else:

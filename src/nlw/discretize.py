@@ -37,8 +37,16 @@ once per (offset, size) and reuses them for every pair and every measure
 value.  Only subcells in the cutoff band, whose centre radius lies within
 a half-diagonal of delta_n/2, evaluate their sub-lattice: the torus
 distance is 1-Lipschitz, so every other subcell is wholly kept or wholly
-cut.  A lattice whose point arrays would exceed ``_PAIR_BYTES_LIMIT``
-raises QuadratureError before it is allocated.
+cut.  A midpoint rule or lattice whose point arrays would exceed
+``_PAIR_BYTES_LIMIT`` raises QuadratureError before it is allocated.
+
+Offset classes.  On the uniform measure with a translation-invariant
+kernel (constant, fractional) the pair integral depends only on the
+integer cell offset o = k - j (mod n per axis), up to its sign.  Such a
+build evaluates one pair per class {o, -o}, the pair (0, c) with c the
+smaller flat index of o and -o, and copies its integral to every pair of
+the class, so eta_n is exactly multilevel circulant.  Every other input
+evaluates each pair on the same code path.
 
 All cell-pair integrals are independent; they are evaluated in batches
 with a deterministic write order, so two builds from the same config are
@@ -55,9 +63,12 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import (
+    ConstantKernel,
+    FractionalKernel,
     KernelSpec,
     MeasureSpec,
     QuadratureConfig,
+    UniformMeasure,
     _gauss_nodes,
     _values_with_radius,
     kernel_from_dict,
@@ -241,9 +252,35 @@ def _pair_min_distance_sq(grid: GridSpec) -> np.ndarray:
     return np.sum(gaps * gaps, axis=-1)
 
 
+def _pair_representatives(spec, pi, grid: GridSpec, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """Index of the pair whose integral stands for each pair (j, k), j < k.
+
+    On the uniform measure a translation-invariant, symmetric kernel
+    gives every pair the integral of the pair (0, c), with c the flat
+    index of the smaller of the integer offsets k - j and j - k (mod n
+    per axis); that pair is number c - 1 in ``np.triu_indices`` order.
+    Every other input maps each pair to itself.
+    """
+    if not (isinstance(pi, UniformMeasure) and isinstance(spec, (ConstantKernel, FractionalKernel))):
+        return np.arange(jj.size)
+    shape = (grid.level,) * grid.dim
+    ij = np.unravel_index(jj, shape)
+    ik = np.unravel_index(kk, shape)
+    fwd = np.ravel_multi_index(tuple((b - a) % grid.level for a, b in zip(ij, ik)), shape)
+    bwd = np.ravel_multi_index(tuple((a - b) % grid.level for a, b in zip(ij, ik)), shape)
+    return np.minimum(fwd, bwd) - 1
+
+
 # ---------------------------------------------------------------------------
 # Cutoff-inactive pairs: tensor midpoint over cell x cell
 # ---------------------------------------------------------------------------
+
+
+# Largest point array one pair quadrature may allocate: a chunk's
+# (P, q^2, d) arrays for inactive pairs, a (K, q, d) array for d >= 2 active
+# pairs; about five such arrays are alive at once.  Larger requests raise
+# QuadratureError up front instead of running out of memory.
+_PAIR_BYTES_LIMIT = 2**30
 
 
 def _midpoint_offsets(w: float, m: int, d: int) -> np.ndarray:
@@ -252,12 +289,22 @@ def _midpoint_offsets(w: float, m: int, d: int) -> np.ndarray:
 
 
 def _inactive_batch(spec, meas, centers_j, centers_k, w, m, d, chunk_bytes=2**25):
-    """Unmasked cell-pair integrals for a batch of pairs at m points/axis."""
-    offs = _midpoint_offsets(w, m, d)
-    q = offs.shape[0]
-    out = np.empty(centers_j.shape[0])
+    """Unmasked cell-pair integrals for a batch of pairs at m points/axis.
+
+    A chunk whose (P, q^2, d) point arrays would exceed ``_PAIR_BYTES_LIMIT``
+    raises QuadratureError before anything is allocated.
+    """
+    q = m**d
     rows_per_pair = q * q
     chunk = max(1, int(chunk_bytes / (rows_per_pair * 8 * (d + 2))))
+    need = min(chunk, centers_j.shape[0]) * rows_per_pair * d * 8
+    if need > _PAIR_BYTES_LIMIT:
+        raise QuadratureError(
+            f"midpoint rule for cells at {centers_j[0].tolist()} and {centers_k[0].tolist()} needs about "
+            f"{need / 2**20:.0f} MiB per array at m={m} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
+        )
+    offs = _midpoint_offsets(w, m, d)
+    out = np.empty(centers_j.shape[0])
     for lo in range(0, centers_j.shape[0], chunk):
         hi = min(lo + chunk, centers_j.shape[0])
         X = np.mod(centers_j[lo:hi, None, :] + offs[None, :, :], 1.0)  # (P, q, d)
@@ -328,12 +375,6 @@ def _active_pair_1d(spec, meas, xj, xk, w, dhalf, order):
 # ---------------------------------------------------------------------------
 # Cutoff-active pairs, d >= 2: displacement lattice with mask fractions
 # ---------------------------------------------------------------------------
-
-
-# Largest (K, q, d) point array a d >= 2 pair evaluation may allocate; about
-# five such arrays are alive at once.  Larger lattices raise QuadratureError
-# up front instead of running out of memory.
-_PAIR_BYTES_LIMIT = 2**30
 
 
 def _cutoff_geometry(s, w, dhalf, m, d, frac_sub):
@@ -423,7 +464,9 @@ def discretize_kernel(
     Entry (j, k) is the pair integral of eta * 1{distance >= delta/2}
     against the product measure, divided by pi_n(j) pi_n(k).  Computed
     for j < k and mirrored, so the result is exactly symmetric with a
-    zero diagonal.
+    zero diagonal.  On the uniform measure with a constant or fractional
+    kernel only one pair per offset class {o, -o} is integrated (see
+    `_pair_representatives`).
     """
     quad = quad or QuadratureConfig()
     if weights is None:
@@ -436,10 +479,11 @@ def discretize_kernel(
     jj, kk = np.triu_indices(N, k=1)
     active = min_d2[jj, kk] < dhalf * dhalf
     integrals = np.zeros(jj.shape[0])
+    rep = _pair_representatives(spec, pi, grid, jj, kk)
+    evaluated = rep == np.arange(rep.size)
 
     # --- inactive pairs: tensor midpoint with doubling -------------------
-    idx = np.nonzero(~active)[0]
-    pending = idx
+    pending = np.nonzero(~active & evaluated)[0]
     m = quad.cell_points
     prev_vals = {}
     for step in range(quad.max_doublings + 1):
@@ -472,7 +516,7 @@ def discretize_kernel(
 
     # --- active pairs: displacement coordinates --------------------------
     geometry = {}
-    for p in np.nonzero(active)[0]:
+    for p in np.nonzero(active & evaluated)[0]:
         j0, k0 = int(jj[p]), int(kk[p])
         if d == 1:
             prev = None
@@ -502,6 +546,7 @@ def discretize_kernel(
             else:
                 raise QuadratureError(f"adjacent-pair quadrature did not converge for cells ({j0}, {k0})")
 
+    integrals = integrals[rep]
     eta = np.zeros((N, N))
     eta[jj, kk] = integrals / (weights[jj] * weights[kk])
     eta[kk, jj] = eta[jj, kk]

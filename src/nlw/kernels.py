@@ -44,8 +44,10 @@ diagnostics-grade (a relative percent or so).
 from __future__ import annotations
 
 import ast
+import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -430,22 +432,32 @@ class WeightedKernel(KernelSpec):
 
 @dataclass
 class TabulatedKernel(KernelSpec):
-    """A kernel given by grid-pair values, made continuous by extend_kernel."""
+    """A kernel given by grid-pair values, made continuous by extend_kernel.
+
+    ``path`` and ``sha256`` name the saved system the values came from;
+    `kernel_from_dict` fills them in, so ``to_dict`` can be replayed.
+    """
 
     evaluator: "ExtendedKernel"
+    path: str | None = None
+    sha256: str | None = None
 
     @classmethod
     def from_system(cls, sys, bandwidth: float, exponent: float) -> "TabulatedKernel":
         return cls(evaluator=extend_kernel(sys, bandwidth, exponent))
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "type": "tabulated",
             "level": self.evaluator.level,
             "dim": self.evaluator.dim,
             "bandwidth": self.evaluator.bandwidth,
             "exponent": self.evaluator.exponent,
         }
+        if self.path is not None:
+            doc["path"] = self.path
+            doc["sha256"] = self.sha256
+        return doc
 
 
 def kernel_from_dict(doc: dict) -> KernelSpec:
@@ -459,8 +471,12 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
     if kind == "tabulated":
         from .discretize import load_system  # local import to avoid a cycle
 
-        sys = load_system(doc["path"])
-        return TabulatedKernel.from_system(sys, bandwidth=float(doc["bandwidth"]), exponent=float(doc["exponent"]))
+        path = str(doc["path"])
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        if doc.get("sha256", digest) != digest:
+            raise ValueError(f"tabulated kernel source {path!r} has sha256 {digest}, expected {doc['sha256']}")
+        evaluator = extend_kernel(load_system(path), float(doc["bandwidth"]), float(doc["exponent"]))
+        return TabulatedKernel(evaluator=evaluator, path=path, sha256=digest)
     raise ValueError(f"unknown kernel type {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,41 @@ def test_nested_kernel_and_measure_accepted():
     }
     cfg = validate_config(doc)
     assert cfg.system.kernel["base"]["s"] == 0.5
+
+
+ESCAPE = "().__class__.__mro__[1].__subclasses__().__len__() + 0*x"
+
+
+def _with_potential(where, potential):
+    doc = minimal_doc(flow=flow_doc())
+    if where == "kernel":
+        doc["system"]["kernel"] = {"type": "weighted", "potential": potential, "base": {"type": "constant", "c": 1.0}}
+        return doc, "system.kernel.potential.expr"
+    if where == "measure":
+        doc["system"]["measure"] = {"type": "mixed", "base": {"type": "gibbs", "potential": potential}, "epsilon": 0.1}
+        return doc, "system.measure.base.potential.expr"
+    doc["flow"]["initial"] = {"type": "gibbs", "potential": potential}
+    return doc, "flow.initial.potential.expr"
+
+
+@pytest.mark.parametrize("where", ["kernel", "measure", "density"])
+@pytest.mark.parametrize("expr", [ESCAPE, "__import__('os').getcwd()", "cos(2*pi*t)", "cos(2*pi*x"])
+def test_potential_expression_outside_whitelist_is_a_config_error(where, expr):
+    doc, path = _with_potential(where, {"expr": expr})
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        validate_config(doc)
+
+
+@pytest.mark.parametrize("where", ["kernel", "measure", "density"])
+def test_whitelisted_potential_expression_passes_validation(where):
+    doc, _ = _with_potential(where, {"expr": "800*(x>0.5) + sin(2*pi*x)"})
+    validate_config(doc)
+
+
+def test_tabulated_kernel_may_name_its_source_sha256():
+    doc = minimal_doc()
+    doc["system"]["kernel"] = {"type": "tabulated", "path": "sys.json", "sha256": "0" * 64, "bandwidth": 0.3, "exponent": 3.0}
+    assert validate_config(doc).system.kernel["sha256"] == "0" * 64
 
 
 @pytest.mark.parametrize(

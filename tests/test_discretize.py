@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad as scipy_quad
@@ -14,7 +17,9 @@ from nlw.discretize import (
     ZeroCellError,
     _active_pair_nd,
     _cutoff_geometry,
+    _inactive_batch,
     _pair_min_distance_sq,
+    _pair_representatives,
     _wrapped_signed,
     build_system,
     discretize_kernel,
@@ -27,11 +32,15 @@ from nlw.kernels import (
     ConstantKernel,
     FractionalKernel,
     GibbsMeasure,
+    MixedMeasure,
     PotentialSpec,
     QuadratureConfig,
+    TabulatedKernel,
     TabulatedMeasure,
     UniformMeasure,
+    WeightedKernel,
     eval_kernel,
+    extend_kernel,
     second_moment,
 )
 from nlw.torus import build_grid
@@ -266,11 +275,129 @@ def test_discretize_2d_matches_full_sub_lattice_build(monkeypatch):
     assert np.array_equal(eta, eta_ref)
 
 
+def test_discretize_2d_gibbs_matches_full_sub_lattice_build(monkeypatch):
+    # a Gibbs measure evaluates every pair, so each d >= 2 pair meets the oracle
+    grid = build_grid(2, 2)
+    spec = FractionalKernel(s=0.5)
+    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*sin(2*pi*x)*cos(2*pi*y)"), dim=2)
+    eta = discretize_kernel(spec, meas, grid)
+    monkeypatch.setattr(discretize, "_cutoff_geometry", full_lattice_geometry)
+    monkeypatch.setattr(discretize, "_active_pair_nd", lambda *a: _active_pair_nd(*a[:-1], {}))
+    eta_ref = discretize_kernel(spec, meas, grid)
+    assert np.array_equal(eta, eta_ref)
+
+
 def test_oversized_displacement_lattice_fails_early():
     grid = build_grid(3, 2)
     pair = (ConstantKernel(c=1.0), UniformMeasure(), grid.points[0], grid.points[1])
     with pytest.raises(QuadratureError, match="m=256"):
         _active_pair_nd(*pair, grid.cell_width, 0.5 * grid.cell_diameter, 256, 3, 4, {})
+
+
+def test_oversized_midpoint_rule_fails_early():
+    # one inactive pair at m=128 in 2D needs (1, 128^4, 2) point arrays: 4 GiB each
+    grid = build_grid(2, 4)
+    pair = (FractionalKernel(s=1.0), UniformMeasure(), grid.points[[0]], grid.points[[2]], grid.cell_width)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\].*4096 MiB per array at m=128"):
+            _inactive_batch(*pair, 128, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _inactive_batch(*pair, 8, 2)[0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# uniform measure: one pair integral per offset class {o, -o}
+# ---------------------------------------------------------------------------
+
+
+def offset_classes(grid):
+    """min(flat(k - j), flat(j - k)) for every cell pair, offsets taken mod n per axis."""
+    n, d = grid.level, grid.dim
+    idx = np.array([grid.index_tuple(j) for j in range(grid.n_points)])
+    fwd = ((idx[None, :, :] - idx[:, None, :]) % n) @ (n ** np.arange(d - 1, -1, -1))
+    return np.minimum(fwd, fwd.T), fwd == fwd.T
+
+
+@pytest.mark.parametrize(
+    "d, level, spec",
+    [
+        (1, 16, ConstantKernel(c=2.0)),
+        (1, 16, FractionalKernel(s=1.0)),
+        (2, 2, FractionalKernel(s=0.5)),
+        (2, 3, ConstantKernel(c=1.0)),
+        (2, 3, FractionalKernel(s=1.0)),
+        (2, 4, ConstantKernel(c=1.0)),
+    ],
+)
+def test_uniform_eta_is_exactly_circulant(d, level, spec):
+    grid = build_grid(d, level)
+    weights = pushforward_measure(UniformMeasure(), grid)
+    assert np.all(weights == weights[0])
+    eta = discretize_kernel(spec, UniformMeasure(), grid, weights=weights)
+    cls, self_inverse = offset_classes(grid)
+    off = ~np.eye(grid.n_points, dtype=bool)
+    assert np.array_equal(eta[off], eta[0, cls][off])
+    # even levels hold offsets o = -o, with components in {0, n/2}
+    assert np.any(self_inverse & off) == (level % 2 == 0)
+
+
+@pytest.mark.parametrize(
+    "d, level, spec",
+    [
+        (1, 16, ConstantKernel(c=2.0)),
+        (1, 16, FractionalKernel(s=1.0)),
+        (2, 2, FractionalKernel(s=0.5)),
+        (2, 3, FractionalKernel(s=1.0)),
+    ],
+)
+def test_uniform_build_agrees_with_per_pair_build(d, level, spec):
+    # the mixture has density exactly 1 but is not UniformMeasure, so every pair is evaluated
+    grid = build_grid(d, level)
+    per_pair = MixedMeasure(UniformMeasure(), 0.5)
+    assert np.all(per_pair.density(grid.points) == 1.0)
+    eta = discretize_kernel(spec, UniformMeasure(), grid)
+    eta_ref = discretize_kernel(spec, per_pair, grid)
+    assert np.allclose(eta, eta_ref, rtol=1e-12, atol=0.0)
+
+
+def test_uniform_build_evaluates_pair_zero_c_per_class(monkeypatch):
+    grid = build_grid(2, 3)
+    seen = []
+
+    def spy(spec, meas, cj, ck, *rest):
+        seen.append((grid.points.tolist().index(cj.tolist()), grid.points.tolist().index(ck.tolist())))
+        return _active_pair_nd(spec, meas, cj, ck, *rest)
+
+    monkeypatch.setattr(discretize, "_active_pair_nd", spy)
+    discretize_kernel(FractionalKernel(s=1.0), UniformMeasure(), grid)
+    # offsets (0,1), (1,0), (1,1), (1,2); their negatives are (0,2), (2,0), (2,2), (2,1)
+    assert sorted(set(seen)) == [(0, 1), (0, 3), (0, 4), (0, 5)]
+
+
+def test_offset_classes_only_for_uniform_translation_invariant_inputs():
+    grid = build_grid(2, 3)
+    jj, kk = np.triu_indices(grid.n_points, k=1)
+    cls, _ = offset_classes(grid)
+    for spec in (ConstantKernel(c=1.0), FractionalKernel(s=1.0)):
+        rep = _pair_representatives(spec, UniformMeasure(), grid, jj, kk)
+        assert np.array_equal(rep, cls[jj, kk] - 1)
+        assert np.array_equal(np.unique(rep), [0, 2, 3, 4])
+    tab_eta = np.ones((grid.n_points, grid.n_points)) - np.eye(grid.n_points)
+    tabulated = TabulatedKernel(evaluator=extend_kernel(SimpleNamespace(grid=grid, eta=tab_eta), 0.5, 3.0))
+    flat = PotentialSpec(expr="0*x")
+    for spec, meas in [
+        (FractionalKernel(s=1.0), GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"), dim=2)),
+        (FractionalKernel(s=1.0), MixedMeasure(UniformMeasure(), 0.5)),
+        (ConstantKernel(c=1.0), TabulatedMeasure(weights=np.ones(9), dim=2)),
+        (WeightedKernel(potential=flat, base=FractionalKernel(s=1.0)), UniformMeasure()),
+        (tabulated, UniformMeasure()),
+    ]:
+        rep = _pair_representatives(spec, meas, grid, jj, kk)
+        assert np.array_equal(rep, np.arange(jj.size))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import re
@@ -422,3 +423,32 @@ def test_extend_kernel_coverage_error_in_2d():
     # summed product distance 2*sqrt(2)/8 ~ 0.354 exceeds the bandwidth
     with pytest.raises(CoverageError):
         ext(np.array([0.125, 0.125]), np.array([0.125, 0.125]))
+
+
+def test_tabulated_kernel_provenance_round_trips(tmp_path):
+    from nlw.discretize import build_system, save_system
+
+    path = tmp_path / "source.json"
+    save_system(build_system(FractionalKernel(s=0.5), UniformMeasure(), build_grid(1, 8)), path)
+    doc = {"type": "tabulated", "path": str(path), "bandwidth": 0.3, "exponent": 3.0}
+    spec = kernel_from_dict(doc)
+    out = spec.to_dict()
+    assert out["path"] == str(path)
+    assert out["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    back = kernel_from_dict(json.loads(json.dumps(out)))
+    assert back.to_dict() == out
+    assert np.array_equal(back.evaluator.eta, spec.evaluator.eta)
+    rng = np.random.default_rng(3)
+    X, Y = rng.random((16, 1)), rng.random((16, 1))
+    assert np.array_equal(kernel_values(back, X, Y), kernel_values(spec, X, Y))
+
+
+def test_tabulated_kernel_rejects_a_changed_source(tmp_path):
+    from nlw.discretize import build_system, save_system
+
+    path = tmp_path / "source.json"
+    save_system(build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 4)), path)
+    out = kernel_from_dict({"type": "tabulated", "path": str(path), "bandwidth": 0.5, "exponent": 3.0}).to_dict()
+    save_system(build_system(ConstantKernel(c=2.0), UniformMeasure(), build_grid(1, 4)), path)
+    with pytest.raises(ValueError, match="sha256"):
+        kernel_from_dict(out)
