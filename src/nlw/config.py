@@ -28,7 +28,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .kernels import _checked_expr
+from .flow import IntegratorConfig
+from .kernels import QuadratureConfig, _checked_expr
+from .metric import MetricSolverConfig
 
 __all__ = [
     "ConfigError",
@@ -119,35 +121,13 @@ def _validate_measure(doc, path) -> dict:
     return doc
 
 
-_QUADRATURE_KEYS = {
-    "cell_points",
-    "pair_tol",
-    "cell_tol",
-    "max_doublings",
-    "panel_order",
-    "max_panels",
-    "ratio_cap",
-    "split_radius",
-    "outer_points",
-    "annulus_points",
-    "probe_factor",
-}
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
 
-_INTEGRATOR_KEYS = {"method", "T", "horizon", "dt", "rtol", "atol"}
 
-_SOLVER_KEYS = {
-    "barrier_init",
-    "barrier_min",
-    "barrier_factor",
-    "eps_polish",
-    "obj_tol",
-    "action_floor",
-    "max_iter",
-    "memory",
-    "armijo",
-    "max_backtracks",
-    "mix",
-}
+_QUADRATURE_KEYS = _field_names(QuadratureConfig)
+_INTEGRATOR_KEYS = _field_names(IntegratorConfig) | {"T"}  # "T" is the horizon's short name
+_SOLVER_KEYS = _field_names(MetricSolverConfig)
 
 
 def _validate_density(doc, path) -> dict:

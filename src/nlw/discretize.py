@@ -85,6 +85,7 @@ __all__ = [
     "build_system",
     "verify_moment_bound",
     "MomentBoundReport",
+    "system_document",
     "save_system",
     "load_system",
     "SYSTEM_SCHEMA",
@@ -620,9 +621,9 @@ def verify_moment_bound(sys: DiscreteSystem, continuum_sup: float, slack: float 
 # ---------------------------------------------------------------------------
 
 
-def save_system(sys: DiscreteSystem, path) -> None:
-    """Write the system as a self-describing JSON document."""
-    doc = {
+def system_document(sys: DiscreteSystem) -> dict:
+    """The system as a self-describing JSON-ready document."""
+    return {
         "schema": SYSTEM_SCHEMA,
         "dim": sys.grid.dim,
         "level": sys.grid.level,
@@ -631,7 +632,11 @@ def save_system(sys: DiscreteSystem, path) -> None:
         "eta": sys.eta.tolist(),
         "provenance": sys.provenance,
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def save_system(sys: DiscreteSystem, path) -> None:
+    """Write the system as a self-describing JSON document."""
+    Path(path).write_text(json.dumps(system_document(sys), indent=1, sort_keys=True) + "\n")
 
 
 def load_system(path) -> DiscreteSystem:

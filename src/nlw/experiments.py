@@ -38,7 +38,7 @@ from .discretize import (
     ZeroCellError,
     build_system,
     pushforward_measure,
-    save_system,
+    system_document,
 )
 from .flow import (
     DecayEstimate,
@@ -46,6 +46,7 @@ from .flow import (
     IntegratorError,
     Trajectory,
     decay_rate_estimate,
+    edi_report,
     solve,
 )
 from .functionals import DensityState
@@ -478,19 +479,7 @@ def run_config(
             ran.append("build")
             sys = build_system_from_config(cfg)
             result.system = sys
-            save_system(sys, os.path.join(out, "system.json"))
-            with open(os.path.join(out, "system.json"), "rb") as fh:
-                data = fh.read()
-            bundle.artifacts.append(
-                {
-                    "name": "system",
-                    "path": "system.json",
-                    "schema": SYSTEM_SCHEMA,
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                }
-            )
-            if not quiet:
-                print(f"wrote {os.path.join(out, 'system.json')}")
+            bundle.add_json("system", "system.json", SYSTEM_SCHEMA, system_document(sys))
 
         if "flow" in stages and cfg.flow is not None:
             if sys is None:
@@ -502,8 +491,6 @@ def run_config(
             if "csv" in fmts:
                 bundle.add_text("trajectory", "trajectory.csv", "nlw-trajectory-csv/v1", traj.to_csv())
             if "json" in fmts:
-                from .flow import edi_report
-
                 rep = edi_report(traj)
                 doc = {
                     "delta_h": rep.delta_h,

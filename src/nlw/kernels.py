@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -571,19 +571,7 @@ class QuadratureConfig:
     probe_factor: int = 4
 
     def to_dict(self) -> dict:
-        return {
-            "cell_points": self.cell_points,
-            "pair_tol": self.pair_tol,
-            "cell_tol": self.cell_tol,
-            "max_doublings": self.max_doublings,
-            "panel_order": self.panel_order,
-            "max_panels": self.max_panels,
-            "ratio_cap": self.ratio_cap,
-            "split_radius": self.split_radius,
-            "outer_points": self.outer_points,
-            "annulus_points": self.annulus_points,
-            "probe_factor": self.probe_factor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QuadratureConfig":

@@ -14,8 +14,9 @@ the two adjacent time levels (a midpoint rule).  Each objective
 evaluation computes the logarithmic mean and both of its partial
 derivatives in one pass over the edges, and scatters the action's
 sensitivity to the nodes with one ``np.bincount`` on the edge list.
-The endpoint constraint is linear, so it is eliminated exactly:
-least-norm total flux plus a basis of the divergence null space.
+The endpoint constraint is linear, so it is eliminated exactly with one
+Cholesky factor of the graph Laplacian: least-norm total flux plus the
+orthogonal projection of a free edge vector onto the divergence-free fluxes.
 What remains is a smooth convex program, solved by a limited-memory
 quasi-Newton descent with an Armijo backtracking search and a
 decreasing interior barrier that keeps intermediate densities positive.  A hand-rolled descent loop
@@ -31,7 +32,7 @@ as an infinite distance rather than a solver failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
@@ -191,13 +192,15 @@ def _support_edges(sys: DiscreteSystem):
     return np.column_stack([ei, ej]), q
 
 
-def _incidence(edges: np.ndarray, n_points: int) -> np.ndarray:
-    """Dense N x E incidence matrix: +1 at node i and -1 at node j of edge (i, j)."""
-    cols = np.arange(edges.shape[0])
-    D = np.zeros((n_points, edges.shape[0]))
-    D[edges[:, 0], cols] = 1.0
-    D[edges[:, 1], cols] = -1.0
-    return D
+def _graph_laplacian(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """D D^T for the incidence D (+1 at i, -1 at j of edge (i, j)) plus 1_c 1_c^T / n_c per component
+    c: positive definite even with isolated nodes, and D^T maps the added term to zero."""
+    n, ei, ej = labels.size, edges[:, 0], edges[:, 1]
+    lap = (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][None, :]
+    lap[np.diag_indices(n)] += np.bincount(edges.ravel(), minlength=n)
+    lap[ei, ej] -= 1.0
+    lap[ej, ei] -= 1.0
+    return lap
 
 
 def _scatter_index(edges: np.ndarray, n_steps: int, n_points: int) -> np.ndarray:
@@ -279,44 +282,44 @@ class _PathWorkspace:
         self.M = prob.n_steps
         self.dt = 1.0 / self.M
         self.edges, self.q = _support_edges(sys)
-        self.D = _incidence(self.edges, sys.n_points)
         self.n_edges = self.edges.shape[0]
         self.scatter = _scatter_index(self.edges, self.M, sys.n_points)
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
         self.g = (self.mu0 - self.muT) / self.dt
-        labels = _component_labels(sys)
-        self.labels = labels
+        self.labels = labels = _component_labels(sys)
         self.component_mismatch = max(
             (abs(float(np.sum(self.g[labels == c]))) for c in range(labels.max() + 1)),
             default=0.0,
         ) * self.dt
-        if self.n_edges:
-            self.s0 = np.linalg.lstsq(self.D, self.g, rcond=None)[0]
-            self.null = scipy.linalg.null_space(self.D)
-        else:
-            self.s0 = np.zeros(0)
-            self.null = np.zeros((0, 0))
-        self.n_null = self.null.shape[1]
+        self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(self.edges, labels))
+        self.s0 = self.least_norm(self.g)
         # barrier acts on nodes whose component carries mass
-        comp_mass = np.zeros(labels.max() + 1)
-        np.add.at(comp_mass, labels, 0.5 * (self.mu0 + self.muT))
-        self.barrier_nodes = comp_mass[labels] > 0.0
+        self.barrier_nodes = np.bincount(labels, 0.5 * (self.mu0 + self.muT))[labels] > 0.0
+
+    def least_norm(self, rhs: np.ndarray) -> np.ndarray:
+        """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero on each component."""
+        phi = scipy.linalg.cho_solve(self.laplacian, rhs.T, check_finite=False).T
+        return phi[..., self.edges[:, 0]] - phi[..., self.edges[:, 1]]
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of edge values onto the divergence-free ones."""
+        ei, ej, n = self.edges[:, 0], self.edges[:, 1], self.sys.n_points
+        return z - self.least_norm(np.bincount(ei, z, minlength=n) - np.bincount(ej, z, minlength=n))
 
     # -- packing ----------------------------------------------------------
 
     def unpack(self, p: np.ndarray) -> np.ndarray:
         M, E = self.M, self.n_edges
         y = p[: (M - 1) * E].reshape(M - 1, E)
-        c = p[(M - 1) * E :]
-        s = self.s0 + (self.null @ c if self.n_null else 0.0)
+        s = self.s0 + self.project(p[(M - 1) * E :])
         x = np.empty((M, E))
         x[: M - 1] = y
         x[M - 1] = s - y.sum(axis=0)
         return x
 
     def masses(self, x: np.ndarray) -> np.ndarray:
-        div = x @ self.D.T
+        div = _node_sums(self.scatter, (self.M, self.sys.n_points), x, -x)
         mu = np.empty((self.M + 1, self.sys.n_points))
         mu[0] = self.mu0
         mu[1:] = self.mu0[None, :] - self.dt * np.cumsum(div, axis=0)
@@ -341,11 +344,9 @@ class _PathWorkspace:
             bump = mix * 4.0 * (t * (1.0 - t))
             mu_target = np.vstack([self.mu0, (1.0 - bump) * mu_lin + bump * mu_unif, self.muT])
             # recover step fluxes for the bowed path, least-norm per step
-            for m in range(M):
-                rhs = (mu_target[m] - mu_target[m + 1]) / self.dt
-                x[m] = np.linalg.lstsq(self.D, rhs, rcond=None)[0]
+            x = self.least_norm((mu_target[:-1] - mu_target[1:]) / self.dt)
         y = x[: M - 1].ravel()
-        return np.concatenate([y, np.zeros(self.n_null)])
+        return np.concatenate([y, np.zeros(E)])
 
     # -- objective --------------------------------------------------------
 
@@ -383,10 +384,9 @@ class _PathWorkspace:
                 bar[:, active] = -beta / interior[:, active]
                 P = P + bar
             suffix = np.flip(np.cumsum(np.flip(P, axis=0), axis=0), axis=0)
-            grad_x[:-1] -= dt * (suffix @ self.D)
+            grad_x[:-1] -= dt * (suffix[:, ei] - suffix[:, ej])
         grad_y = (grad_x[: M - 1] - grad_x[M - 1][None, :]).ravel()
-        grad_c = self.null.T @ grad_x[M - 1] if self.n_null else np.zeros(0)
-        return f, np.concatenate([grad_y, grad_c])
+        return f, np.concatenate([grad_y, self.project(grad_x[M - 1])])
 
     def pure_action(self, p: np.ndarray) -> float:
         x = self.unpack(p)

@@ -9,13 +9,17 @@ time refinement.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nlw.discretize import DiscreteSystem
+from nlw.discretize import DiscreteSystem, build_system
 from nlw.flow import IntegratorConfig, solve
 from nlw.functionals import DensityState, fisher_information, log_mean
+from nlw.kernels import FractionalKernel, UniformMeasure
 from nlw.metric import (
     AxiomCheck,
     DiscretePath,
@@ -210,9 +214,19 @@ def test_objective_infinite_outside_positive_cone():
     assert f == np.inf and g is None
 
 
+def dense_incidence(edges, n_points):
+    """N x E incidence matrix D: +1 at node i and -1 at node j of edge (i, j)."""
+    cols = np.arange(edges.shape[0])
+    D = np.zeros((n_points, edges.shape[0]))
+    D[edges[:, 0], cols] = 1.0
+    D[edges[:, 1], cols] = -1.0
+    return D
+
+
 def value_and_grad_oracle(ws, p, beta, eps):
-    """The reduced objective as computed before the one-pass mean and the
-    bincount scatter: ``log_mean`` plus two partial calls and ``np.add.at``."""
+    """The reduced objective as computed before the one-pass mean, the
+    bincount scatter and the edge-list pullback: ``log_mean`` plus two
+    partial calls, ``np.add.at`` and a product with the dense incidence."""
     M, dt = ws.M, ws.dt
     x = ws.unpack(p)
     mu = ws.masses(x)
@@ -246,10 +260,9 @@ def value_and_grad_oracle(ws, p, beta, eps):
             bar[:, active] = -beta / interior[:, active]
             P = P + bar
         suffix = np.flip(np.cumsum(np.flip(P, axis=0), axis=0), axis=0)
-        grad_x[:-1] -= dt * (suffix @ ws.D)
+        grad_x[:-1] -= dt * (suffix @ dense_incidence(ws.edges, ws.sys.n_points))
     grad_y = (grad_x[: M - 1] - grad_x[M - 1][None, :]).ravel()
-    grad_c = ws.null.T @ grad_x[M - 1] if ws.n_null else np.zeros(0)
-    return f, np.concatenate([grad_y, grad_c])
+    return f, np.concatenate([grad_y, ws.project(grad_x[M - 1])])
 
 
 @pytest.mark.parametrize("same_ends", [False, True])
@@ -277,6 +290,51 @@ def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
             assert np.isfinite(f)
             assert f == f_ref
             assert np.array_equal(g, g_ref)
+
+
+def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
+    # a triangle {0, 1, 2}, an edge {3, 4} and the isolated node 5
+    eta = np.zeros((6, 6))
+    for i, j, v in ((0, 1, 1.0), (0, 2, 0.5), (1, 2, 2.0), (3, 4, 1.5)):
+        eta[i, j] = eta[j, i] = v
+    sys = make_system(6, eta=eta)
+    a = DensityState.uniform(sys)
+    ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
+    D = dense_incidence(ws.edges, 6)
+    basis = scipy.linalg.null_space(D)
+    assert basis.shape == (4, 1)  # E - N + 3 components: the triangle's cycle
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        z = rng.normal(size=ws.n_edges)
+        assert np.max(np.abs(ws.project(z) - basis @ (basis.T @ z))) < 1e-12
+    labels = np.array([0, 0, 0, 1, 1, 2])
+    g = rng.normal(size=(3, 6))
+    for c in range(3):
+        g[:, labels == c] -= g[:, labels == c].mean(axis=1, keepdims=True)
+    rows = ws.least_norm(g)
+    for k in range(3):
+        ref = np.linalg.lstsq(D, g[k], rcond=None)[0]
+        assert np.max(np.abs(ws.least_norm(g[k]) - ref)) < 1e-12
+        assert np.max(np.abs(rows[k] - ref)) < 1e-12
+
+
+def test_workspace_memory_at_128_points_stays_on_the_edge_list():
+    # the workspace stays O(M E); an E x (E - N + 1) null-space basis alone is ~0.5 GiB here
+    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 128))
+    x = sys.grid.points[:, 0]
+    a = DensityState.uniform(sys)
+    b = state(sys, 1.0 + 0.5 * np.cos(2 * np.pi * x))
+    tracemalloc.start()
+    try:
+        ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=16))
+        p0 = ws.initial_point(0.01)
+        f, g = ws.value_and_grad(p0, 1e-2, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.n_edges == 128 * 127 // 2
+    assert np.isfinite(f) and g.shape == p0.shape
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
