@@ -17,27 +17,27 @@ the respective cells makes the discrete truncated second moment
 at most 4x its continuum counterpart, uniformly in n; `verify_moment_bound`
 checks that inequality numerically.
 
-Quadrature.  Cell-pair integrals where the cutoff is inactive (the
-minimal distance between the two cells is >= delta_n/2, so the indicator
-is identically 1) use a tensor-product midpoint rule, with the per-axis
-subdivision count doubled until the relative change drops below
-``quad.pair_tol``.  Pairs where the cutoff cuts through the domain are
-integrated in displacement coordinates: with t = y - x the double
-integral becomes an integral over the displacement window of
-eta evaluated at radius |t| times an inner integral over the exact
-overlap segment/box; in d = 1 every breakpoint (overlap kink, cutoff
-radius, wrap-around) is located exactly and each smooth piece gets a
-Gauss rule, so adjacent-pair entries are accurate to near machine
-precision.  In d >= 2 the displacement box is handled by a midpoint
-lattice whose subcells get exact-geometry mask fractions from a fixed
-sub-lattice; accuracy there is the doubling tolerance, not machine
-precision.  The lattice and its mask fractions depend only on the
-wrapped centre offset and the lattice size, so one build computes them
-once per (offset, size) and reuses them for every pair and every measure
-value.  Only subcells in the cutoff band, whose centre radius lies within
-a half-diagonal of delta_n/2, evaluate their sub-lattice: the torus
-distance is 1-Lipschitz, so every other subcell is wholly kept or wholly
-cut.  A midpoint rule or lattice whose point arrays would exceed
+Quadrature.  Cell-pair integrals are taken in displacement coordinates:
+with t = y - x the double integral becomes an integral over the window
+s + [-w, w]^d around the wrapped centre offset s of eta at radius |t|
+times an inner integral over the exact overlap box.  Every d = 1 pair
+and every pair where the cutoff is inactive (the minimal distance
+between the two cells is >= delta_n/2) uses one Gauss rule: four panels
+of width w/2 per axis, whose boundaries hold every tent kink, wrap kink
+and (in d = 1) cutoff radius, and a tensor Gauss rule over the overlap
+box.  Its order starts at 2 and doubles until the relative change drops
+below ``quad.pair_tol``; the pieces are smooth, so the converged entries
+are accurate far beyond that tolerance.  In d >= 2 pairs where the
+cutoff cuts through the domain are handled by a midpoint lattice whose
+subcells get exact-geometry mask fractions from a fixed sub-lattice;
+accuracy there is the doubling tolerance, not machine precision.  The
+lattice and its mask fractions depend only on the wrapped centre offset
+and the lattice size, so one build computes them once per (offset, size)
+and reuses them for every pair and every measure value.  Only subcells
+in the cutoff band, whose centre radius lies within a half-diagonal of
+delta_n/2, evaluate their sub-lattice: the torus distance is
+1-Lipschitz, so every other subcell is wholly kept or wholly cut.  A
+Gauss rule or lattice whose point arrays would exceed
 ``_PAIR_BYTES_LIMIT`` raises QuadratureError before it is allocated.
 
 Offset classes.  On the uniform measure with a translation-invariant
@@ -71,8 +71,6 @@ from .kernels import (
     UniformMeasure,
     _gauss_nodes,
     _values_with_radius,
-    kernel_from_dict,
-    measure_from_dict,
 )
 from .torus import GridSpec, build_grid
 
@@ -273,104 +271,84 @@ def _pair_representatives(spec, pi, grid: GridSpec, jj: np.ndarray, kk: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Cutoff-inactive pairs: tensor midpoint over cell x cell
+# Gauss pair rule: every d = 1 pair and every cutoff-inactive pair
 # ---------------------------------------------------------------------------
 
 
-# Largest point array one pair quadrature may allocate: a chunk's
-# (P, q^2, d) arrays for inactive pairs, a (K, q, d) array for d >= 2 active
-# pairs; about five such arrays are alive at once.  Larger requests raise
-# QuadratureError up front instead of running out of memory.
+# Largest point array one pair quadrature may allocate: one pair's
+# ((4 order^2)^d, d) node array for the Gauss pair rule, a (K, q, d) array for
+# d >= 2 active pairs; about five such arrays are alive at once.  Larger
+# requests raise QuadratureError up front instead of running out of memory.
 _PAIR_BYTES_LIMIT = 2**30
 
 
-def _midpoint_offsets(w: float, m: int, d: int) -> np.ndarray:
-    g1 = ((np.arange(m) + 0.5) / m - 0.5) * w
-    return np.stack(np.meshgrid(*([g1] * d), indexing="ij"), axis=-1).reshape(-1, d)
+def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
+    """iint_{cell_j x cell_k} 1{r >= delta/2} eta rho rho for each pair (j, k).
 
-
-def _inactive_batch(spec, meas, centers_j, centers_k, w, m, d, chunk_bytes=2**25):
-    """Unmasked cell-pair integrals for a batch of pairs at m points/axis.
-
-    A chunk whose (P, q^2, d) point arrays would exceed ``_PAIR_BYTES_LIMIT``
-    raises QuadratureError before anything is allocated.
+    In displacement coordinates t = y - x each pair integrates over
+    s + [-w, w]^d, s the wrapped centre offset.  Every axis gets four Gauss
+    panels of width w/2 with breakpoints s_i + {-w, -w/2, 0, w/2, w}.
+    Centre offsets are whole multiples of w and 1/2 = (n/2) w, so the tent
+    kink t_i = s_i and the wrap kinks t_i = +-1/2 lie on panel boundaries;
+    in d = 1 so do the cutoffs +-delta/2 and +-(1 - delta/2), and dropping
+    each panel whose midpoint radius is below delta/2 is the exact cutoff.
+    For fixed tau = t - s, x runs over the overlap box of side w - |tau_i|
+    with an order^d tensor Gauss rule; its offsets from the centre of
+    cell j do not depend on the pair, so nodes and densities are built once
+    per cell of a chunk and gathered by j and k.  A pair whose node array
+    would exceed ``_PAIR_BYTES_LIMIT`` raises QuadratureError before
+    anything is allocated.
     """
-    q = m**d
-    rows_per_pair = q * q
-    chunk = max(1, int(chunk_bytes / (rows_per_pair * 8 * (d + 2))))
-    need = min(chunk, centers_j.shape[0]) * rows_per_pair * d * 8
+    d, w = grid.dim, grid.cell_width
+    dhalf = 0.5 * grid.cell_diameter
+    nodes = (4 * order * order) ** d
+    need = nodes * d * 8
     if need > _PAIR_BYTES_LIMIT:
         raise QuadratureError(
-            f"midpoint rule for cells at {centers_j[0].tolist()} and {centers_k[0].tolist()} needs about "
-            f"{need / 2**20:.0f} MiB per array at m={m} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
+            f"Gauss pair rule for cells {int(j[0])} and {int(k[0])} needs about {need / 2**20:.0f} MiB "
+            f"per array at order {order} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
         )
-    offs = _midpoint_offsets(w, m, d)
-    out = np.empty(centers_j.shape[0])
-    for lo in range(0, centers_j.shape[0], chunk):
-        hi = min(lo + chunk, centers_j.shape[0])
-        X = np.mod(centers_j[lo:hi, None, :] + offs[None, :, :], 1.0)  # (P, q, d)
-        Y = np.mod(centers_k[lo:hi, None, :] + offs[None, :, :], 1.0)
-        dx = meas.density(X.reshape(-1, d)).reshape(-1, q)
-        dy = meas.density(Y.reshape(-1, d)).reshape(-1, q)
-        XX = np.repeat(X, q, axis=1)  # (P, q*q, d): x varies slow
-        YY = np.tile(Y, (1, q, 1))  # y varies fast
-        P = hi - lo
-        flatX = XX.reshape(-1, d)
-        flatY = YY.reshape(-1, d)
-        diff = np.abs(flatX - flatY)
-        diff = np.minimum(diff, 1.0 - diff)
-        r = np.sqrt(np.sum(diff * diff, axis=1))
-        vals = _values_with_radius(spec, flatX, flatY, r).reshape(P, q, q)
-        out[lo:hi] = np.einsum("pab,pa,pb->p", vals, dx, dy) * (w / m) ** (2 * d)
+    edges = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * w
+    panels = [_gauss_nodes(a, b, order) for a, b in zip(edges, edges[1:])]
+    tau1 = np.concatenate([t for t, _ in panels])
+    mid1 = np.repeat(0.5 * (edges[:-1] + edges[1:]), order)
+    length1 = w - np.abs(tau1)
+    wt1 = np.concatenate([wt for _, wt in panels]) * length1
+    u1, wu1 = _gauss_nodes(0.0, 1.0, order)
+    x_off1 = -0.5 * tau1[:, None] + length1[:, None] * (u1[None, :] - 0.5)  # (4 order, order)
+    ti = np.indices((4 * order,) * d).reshape(d, -1).T  # (T, d) panel-node index per axis
+    ui = np.indices((order,) * d).reshape(d, -1).T  # (U, d)
+    tau, mid = tau1[ti], mid1[ti]
+    wt = np.prod(wt1[ti], axis=1)
+    wu = np.prod(wu1[ui], axis=1)
+    x_off = x_off1[ti[:, None, :], ui[None, :, :]]  # (T, U, d)
+    y_off = x_off + tau[:, None, :]
+
+    def radius(t):
+        a = np.abs(t)
+        a = np.minimum(a, 1.0 - a)
+        return np.sqrt(np.sum(a * a, axis=-1))
+
+    centres = grid.points
+    chunk = max(1, 2**25 // (nodes * 8 * (d + 2)))  # pairs per chunk: a 32 MiB working set
+    out = np.empty(j.size)
+    for lo in range(0, j.size, chunk):
+        jc, kc = j[lo : lo + chunk], k[lo : lo + chunk]
+        s = _wrapped_signed(centres[kc] - centres[jc])[:, None, :]
+        r = radius(s + tau)  # (P, T)
+        keep = radius(s + mid) >= dhalf
+        cj, ij = np.unique(jc, return_inverse=True)
+        ck, ik = np.unique(kc, return_inverse=True)
+        X = np.mod(centres[cj][:, None, None, :] + x_off, 1.0).reshape(cj.size, -1, d)
+        Y = np.mod(centres[ck][:, None, None, :] + y_off, 1.0).reshape(ck.size, -1, d)
+        dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
+        dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
+        vals = _values_with_radius(
+            spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, wu.size, axis=1).reshape(-1)
+        )
+        f = (vals.reshape(jc.size, -1) * dx[ij] * dy[ik]).reshape(jc.size, -1, wu.size)
+        out[lo : lo + chunk] = ((f @ wu) * keep) @ wt
     return out
-
-
-# ---------------------------------------------------------------------------
-# Cutoff-active pairs, d = 1: exact-breakpoint displacement integral
-# ---------------------------------------------------------------------------
-
-
-def _active_pair_1d(spec, meas, xj, xk, w, dhalf, order):
-    """iint_{cell_j x cell_k} 1{r >= dhalf} eta rho rho, exact piecewise form.
-
-    In displacement coordinates t = y - x the domain is the window
-    [s - w, s + w] around the wrapped center offset s; for fixed t the
-    x-integration runs over the exact overlap segment of length
-    w - |t - s|.  Breakpoints: overlap kink at t = s, cutoff at
-    |t| = dhalf and |t| = 1 - dhalf, wrap kink at |t| = 1/2.
-    """
-    s = float(_wrapped_signed(np.array([xk - xj]))[0])
-    lo, hi = s - w, s + w
-    cuts = {lo, hi, s}
-    for b in (dhalf, -dhalf, 0.5, -0.5, 1.0 - dhalf, -(1.0 - dhalf)):
-        if lo < b < hi:
-            cuts.add(b)
-    pts = sorted(cuts)
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        if b - a <= 1e-15:
-            continue
-        tm = 0.5 * (a + b)
-        r_mid = min(abs(tm), 1.0 - abs(tm))
-        if r_mid < dhalf:
-            continue  # masked out
-        t_nodes, t_wts = _gauss_nodes(a, b, order)
-        # x runs over cell_j intersected with (cell_k - t), an exact segment
-        a_x = xj + np.maximum(-0.5 * w, s - t_nodes - 0.5 * w)
-        b_x = xj + np.minimum(0.5 * w, s - t_nodes + 0.5 * w)
-        lengths = b_x - a_x
-        u_nodes, u_wts = _gauss_nodes(0.0, 1.0, order)  # reference segment
-        X = a_x[:, None] + lengths[:, None] * u_nodes[None, :]
-        T = np.broadcast_to(t_nodes[:, None], X.shape)
-        Y = X + T
-        r = np.minimum(np.abs(T), 1.0 - np.abs(T))
-        Xf = np.mod(X.reshape(-1, 1), 1.0)
-        Yf = np.mod(Y.reshape(-1, 1), 1.0)
-        vals = _values_with_radius(spec, Xf, Yf, r.reshape(-1))
-        dens = meas.density(Xf) * meas.density(Yf)
-        inner = (vals * dens).reshape(X.shape) @ u_wts  # integral over reference u
-        total += float(np.dot(t_wts, inner * lengths))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -478,36 +456,24 @@ def discretize_kernel(
     dhalf = 0.5 * grid.cell_diameter
     min_d2 = _pair_min_distance_sq(grid)
     jj, kk = np.triu_indices(N, k=1)
-    active = min_d2[jj, kk] < dhalf * dhalf
+    lattice = (min_d2[jj, kk] < dhalf * dhalf) & (d > 1)
     integrals = np.zeros(jj.shape[0])
     rep = _pair_representatives(spec, pi, grid, jj, kk)
     evaluated = rep == np.arange(rep.size)
 
-    # --- inactive pairs: tensor midpoint with doubling -------------------
-    pending = np.nonzero(~active & evaluated)[0]
-    m = quad.cell_points
-    prev_vals = {}
-    for step in range(quad.max_doublings + 1):
+    # --- d = 1 and cutoff-inactive pairs: Gauss pair rule with doubling ---
+    pending = np.nonzero(~lattice & evaluated)[0]
+    order, prev = 2, None
+    for _ in range(quad.max_doublings + 1):
         if pending.size == 0:
             break
-        cj = grid.points[jj[pending]]
-        ck = grid.points[kk[pending]]
-        vals = _inactive_batch(spec, pi, cj, ck, w, m, d)
-        if step == 0:
-            for i, p in enumerate(pending):
-                prev_vals[p] = vals[i]
-            m *= 2
-            continue
-        still = []
-        for i, p in enumerate(pending):
-            ref = max(abs(vals[i]), 1e-300)
-            if abs(vals[i] - prev_vals[p]) <= quad.pair_tol * ref:
-                integrals[p] = vals[i]
-            else:
-                prev_vals[p] = vals[i]
-                still.append(p)
-        pending = np.array(still, dtype=int)
-        m *= 2
+        vals = _pair_integrals(spec, pi, grid, jj[pending], kk[pending], order)
+        if prev is not None:
+            done = np.abs(vals - prev) <= quad.pair_tol * np.maximum(np.abs(vals), 1e-300)
+            integrals[pending[done]] = vals[done]
+            pending, vals = pending[~done], vals[~done]
+        prev = vals
+        order *= 2
     if pending.size:
         j0, k0 = jj[pending[0]], kk[pending[0]]
         raise QuadratureError(
@@ -515,37 +481,22 @@ def discretize_kernel(
             f"first offender ({j0}, {k0})"
         )
 
-    # --- active pairs: displacement coordinates --------------------------
+    # --- d >= 2 cutoff-active pairs: displacement lattice -----------------
     geometry = {}
-    for p in np.nonzero(active & evaluated)[0]:
+    frac_sub = 8 if d == 2 else 4
+    for p in np.nonzero(lattice & evaluated)[0]:
         j0, k0 = int(jj[p]), int(kk[p])
-        if d == 1:
-            prev = None
-            order = 16
-            for _ in range(quad.max_doublings + 1):
-                val = _active_pair_1d(spec, pi, grid.points[j0, 0], grid.points[k0, 0], w, dhalf, order)
-                if prev is not None and abs(val - prev) <= quad.pair_tol * max(abs(val), 1e-300):
-                    integrals[p] = val
-                    break
-                prev = val
-                order *= 2
-            else:
-                raise QuadratureError(f"adjacent-pair quadrature did not converge for cells ({j0}, {k0})")
+        prev = None
+        m2 = 8
+        for _ in range(quad.max_doublings + 1):
+            val = _active_pair_nd(spec, pi, grid.points[j0], grid.points[k0], w, dhalf, m2, d, frac_sub, geometry)
+            if prev is not None and abs(val - prev) <= quad.pair_tol * max(abs(val), 1e-300):
+                integrals[p] = val
+                break
+            prev = val
+            m2 *= 2
         else:
-            prev = None
-            m2 = 8
-            frac_sub = 8 if d == 2 else 4
-            for _ in range(quad.max_doublings + 1):
-                val = _active_pair_nd(
-                    spec, pi, grid.points[j0], grid.points[k0], w, dhalf, m2, d, frac_sub, geometry
-                )
-                if prev is not None and abs(val - prev) <= quad.pair_tol * max(abs(val), 1e-300):
-                    integrals[p] = val
-                    break
-                prev = val
-                m2 *= 2
-            else:
-                raise QuadratureError(f"adjacent-pair quadrature did not converge for cells ({j0}, {k0})")
+            raise QuadratureError(f"adjacent-pair quadrature did not converge for cells ({j0}, {k0})")
 
     integrals = integrals[rep]
     eta = np.zeros((N, N))

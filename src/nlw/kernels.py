@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .torus import GridSpec, as_point, axis_distances, build_grid
+from .torus import as_point, axis_distances, build_grid
 
 __all__ = [
     "KernelError",
@@ -542,9 +542,9 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 class QuadratureConfig:
     """Knobs for all kernel/measure quadratures.
 
-    cell_points      midpoint points per axis per cell (discretization base rule)
-    pair_tol         relative-change target when refining cell-pair integrals;
-                     cutoff-crossing (adjacent) pairs always refine to this
+    pair_tol         relative-change target when refining cell-pair integrals
+                     (Gauss order or, for d >= 2 cutoff-active pairs,
+                     displacement lattice size doubled until met)
     cell_tol         relative-change target for per-cell pushforward weights
     max_doublings    refinement budget for cell-pair integrals
     panel_order      Gauss order per radial panel in moment integrals
@@ -558,7 +558,6 @@ class QuadratureConfig:
     probe_factor     probe lattice oversampling for sups over x
     """
 
-    cell_points: int = 4
     pair_tol: float = 1e-4
     cell_tol: float = 1e-12
     max_doublings: int = 7

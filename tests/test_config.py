@@ -49,6 +49,13 @@ def test_typo_in_integrator_is_an_error():
         validate_config(doc)
 
 
+def test_removed_quadrature_knob_is_an_error():
+    doc = minimal_doc()
+    doc["system"]["quadrature"] = {"cell_points": 4}
+    with pytest.raises(ConfigError, match=r"system\.quadrature: unknown key\(s\) 'cell_points'"):
+        validate_config(doc)
+
+
 def test_missing_required_key():
     doc = minimal_doc()
     del doc["system"]["kernel"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import pairwise
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from nlw.discretize import (
     ZeroCellError,
     _active_pair_nd,
     _cutoff_geometry,
-    _inactive_batch,
+    _pair_integrals,
     _pair_min_distance_sq,
     _pair_representatives,
     _wrapped_signed,
@@ -120,20 +121,79 @@ def test_constant_adjacent_pair_n2():
     assert eta[0, 1] == pytest.approx(0.75, rel=1e-10)
 
 
-def test_fractional_far_pair_against_dblquad():
-    # independent 2-D adaptive quadrature of the same cell-pair integral
-    grid = build_grid(1, 8)
-    eta = discretize_kernel(FractionalKernel(s=1.0), UniformMeasure(), grid)
+def nested_quad_pair_1d(spec, meas, n, j, k):
+    """Oracle: iint_{cell_j x cell_k} 1{r >= delta/2} eta rho rho by nested adaptive quadrature.
+
+    The inner integral over y splits at every kink of the integrand
+    (y - x = m + 1/2 and m +- delta/2), the outer one wherever those kinks
+    cross the edges of cell k.
+    """
+    w, dhalf = 1.0 / n, 0.5 / n
+    cj = j * w
+    ck = cj + float(_wrapped_signed(np.array(k * w - cj)))  # cell k lifted next to cell j
+    kinks = [m + o for m in (-1, 0, 1) for o in (0.5, dhalf, -dhalf)]
+
+    def rho(x):
+        return float(meas.density(np.array([[x % 1.0]]))[0])
 
     def integrand(y, x):
-        r = abs(y - x)
-        r = min(r, 1.0 - r)
-        return r ** (-2.0)
+        a = abs(y - x) % 1.0
+        r = min(a, 1.0 - a)
+        return 0.0 if r < dhalf else eval_kernel(spec, x % 1.0, y % 1.0) * rho(x) * rho(y)
 
-    val, err = dblquad(integrand, -1 / 16, 1 / 16, lambda x: 7 / 16, lambda x: 9 / 16, epsabs=1e-12)
-    oracle = val * 64.0  # divide by pi_0 * pi_4 = 1/64
-    assert eta[0, 4] == pytest.approx(oracle, rel=5e-3)
-    assert eta[0, 4] == pytest.approx(oracle, rel=2e-4)  # doubling tol is 1e-4
+    def inner(x):
+        pts = [x + o for o in kinks if ck - w / 2 < x + o < ck + w / 2]
+        return scipy_quad(integrand, ck - w / 2, ck + w / 2, args=(x,), points=pts or None, epsabs=0, epsrel=1e-13)[0]
+
+    pts = [e - o for e in (ck - w / 2, ck + w / 2) for o in kinks if cj - w / 2 < e - o < cj + w / 2]
+    return scipy_quad(inner, cj - w / 2, cj + w / 2, points=pts or None, epsabs=0, epsrel=1e-12)[0]
+
+
+def tent_dblquad_2d(s_frac, w, s):
+    """Oracle for an inactive pair on the uniform measure in d = 2.
+
+    int r(t)^(-2-s_frac) (w - |t_1 - s_1|) (w - |t_2 - s_2|) over s + [-w, w]^2,
+    split at the tent kinks t_i = s_i and the wrap kinks t_i = +-1/2.
+    """
+
+    def cuts(c):
+        return sorted({c - w, c, c + w} | {b for b in (-0.5, 0.5) if c - w < b < c + w})
+
+    def integrand(t2, t1):
+        r1, r2 = (min(abs(t), 1.0 - abs(t)) for t in (t1, t2))
+        return (r1 * r1 + r2 * r2) ** (-1.0 - 0.5 * s_frac) * (w - abs(t1 - s[0])) * (w - abs(t2 - s[1]))
+
+    return sum(
+        dblquad(integrand, a1, b1, a2, b2, epsabs=0, epsrel=1e-13)[0]
+        for a1, b1 in pairwise(cuts(s[0]))
+        for a2, b2 in pairwise(cuts(s[1]))
+    )
+
+
+def test_fractional_far_pair_against_dblquad():
+    # independent adaptive quadrature of each cell-pair integral, split at its kinks
+    spec = FractionalKernel(s=1.0)
+    gibbs = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    cases = [
+        (8, 0, 4, UniformMeasure()),  # wrap kink t = -1/2 on the tent kink
+        (7, 0, 3, UniformMeasure()),  # wrap kink t = 1/2 on the breakpoint s + w/2
+        (8, 0, 1, UniformMeasure()),  # cutoff t = delta/2
+        (2, 0, 1, UniformMeasure()),  # both wrapped cutoffs
+        (8, 1, 3, gibbs),  # far pair on a non-uniform measure
+    ]
+    for n, j, k, meas in cases:
+        grid = build_grid(1, n)
+        weights = pushforward_measure(meas, grid)
+        eta = discretize_kernel(spec, meas, grid, weights=weights)
+        oracle = nested_quad_pair_1d(spec, meas, n, j, k) / (weights[j] * weights[k])
+        assert eta[j, k] == pytest.approx(oracle, rel=1e-9), (n, j, k)
+    # 2D level 4, cells at (0, 0) and (0, 0.5): cutoff inactive, wrap kink on the tent kink of axis 2
+    grid = build_grid(2, 4)
+    eta = discretize_kernel(spec, UniformMeasure(), grid)
+    s = _wrapped_signed(grid.points[2] - grid.points[0])
+    assert s.tolist() == [0.0, -0.5]
+    oracle = tent_dblquad_2d(1.0, grid.cell_width, s) * grid.n_points**2
+    assert eta[0, 2] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_eta_symmetric_zero_diagonal():
@@ -187,6 +247,10 @@ def test_build_2d_smoke():
     sup = second_moment(ConstantKernel(c=1.0), UniformMeasure(), np.array([0.0, 0.0]))
     rep = verify_moment_bound(sys, sup)
     assert rep.passes
+    # the singular kernel takes the Gauss pair rule for its inactive pairs
+    frac = FractionalKernel(s=1.0)
+    sys = build_system(frac, UniformMeasure(), grid)
+    assert verify_moment_bound(sys, second_moment(frac, UniformMeasure(), np.array([0.0, 0.0]))).passes
 
 
 def test_system_arrays_are_immutable():
@@ -294,19 +358,19 @@ def test_oversized_displacement_lattice_fails_early():
         _active_pair_nd(*pair, grid.cell_width, 0.5 * grid.cell_diameter, 256, 3, 4, {})
 
 
-def test_oversized_midpoint_rule_fails_early():
-    # one inactive pair at m=128 in 2D needs (1, 128^4, 2) point arrays: 4 GiB each
+def test_oversized_gauss_pair_rule_fails_early():
+    # one 2D pair at order 64 needs a ((4 * 64^2)^2, 2) node array: 4 GiB
     grid = build_grid(2, 4)
-    pair = (FractionalKernel(s=1.0), UniformMeasure(), grid.points[[0]], grid.points[[2]], grid.cell_width)
+    pair = (FractionalKernel(s=1.0), UniformMeasure(), grid, np.array([0]), np.array([2]))
     tracemalloc.start()
     try:
-        with pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\].*4096 MiB per array at m=128"):
-            _inactive_batch(*pair, 128, 2)
+        with pytest.raises(QuadratureError, match=r"cells 0 and 2 needs about 4096 MiB per array at order 64"):
+            _pair_integrals(*pair, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert _inactive_batch(*pair, 8, 2)[0] > 0.0
+    assert _pair_integrals(*pair, 8)[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +395,7 @@ def offset_classes(grid):
         (2, 3, ConstantKernel(c=1.0)),
         (2, 3, FractionalKernel(s=1.0)),
         (2, 4, ConstantKernel(c=1.0)),
+        (2, 4, FractionalKernel(s=1.0)),
     ],
 )
 def test_uniform_eta_is_exactly_circulant(d, level, spec):
