@@ -75,7 +75,6 @@ from .kernels import (
     ConstantKernel,
     FractionalKernel,
     GibbsMeasure,
-    QuadratureConfig,
     UniformMeasure,
     WeightedKernel,
     extend_kernel,

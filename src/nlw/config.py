@@ -3,10 +3,11 @@
 Configs are JSON documents with up to six sections::
 
     {
-      "system":  {"dim": 1, "level": 16, "kernel": {...}, "measure": {...},
-                  "quadrature": {...}},
-      "flow":    {"initial": {...}, "integrator": {...}, "output_times": [...]},
-      "metric":  {"endpoints": [{...}, {...}], "M": 32, "solver": {...},
+      "system":  {"dim": 1, "level": 16, "kernel": {...}, "measure": {...}},
+      "flow":    {"initial": {...},
+                  "integrator": {"method": "matrix_exponential", "T": 1.0, "dt": 0.01},
+                  "output_times": [...]},
+      "metric":  {"endpoints": [{...}, {...}], "M": 32, "solver": {"max_iter": 300},
                   "save_path": false},
       "sampler": {"n_paths": 100000, "seed": 0, "rate_convention": "target"},
       "refinement": {"levels": [8, 16, 32]},
@@ -15,7 +16,12 @@ Configs are JSON documents with up to six sections::
 
 Unknown keys anywhere in the tree are hard errors reported with their
 full field path — a silently ignored typo ("integator") costs far more
-debugging time than a strict parser costs up front.  Validation here is
+debugging time than a strict parser costs up front.  The numerical
+settings a config may carry are the integrator's ``method``, ``T`` and
+``dt`` and the transport solver's ``max_iter``; quadrature and the rest
+of the solver run at fixed module constants (``discretize``,
+``kernels``, ``metric``), so a config that names one of them is
+rejected like any other unknown key.  Validation here is
 structural, plus the whitelist that every potential expression must
 pass (the one `PotentialSpec` applies); numerical legality (positive
 step sizes and the like) is enforced by the objects each section
@@ -29,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 
 from .flow import IntegratorConfig
-from .kernels import QuadratureConfig, _checked_expr
+from .kernels import _checked_expr
 from .metric import MetricSolverConfig
 
 __all__ = [
@@ -125,8 +131,7 @@ def _field_names(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)}
 
 
-_QUADRATURE_KEYS = _field_names(QuadratureConfig)
-_INTEGRATOR_KEYS = _field_names(IntegratorConfig) | {"T"}  # "T" is the horizon's short name
+_INTEGRATOR_KEYS = _field_names(IntegratorConfig) - {"horizon"} | {"T"}  # configs spell the horizon "T"
 _SOLVER_KEYS = _field_names(MetricSolverConfig)
 
 
@@ -156,7 +161,6 @@ class SystemSection:
     level: int
     kernel: dict
     measure: dict = field(default_factory=lambda: {"type": "uniform"})
-    quadrature: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -231,16 +235,14 @@ def validate_config(doc: dict) -> ExperimentConfig:
     _check_keys(doc, {"system", "flow", "metric", "sampler", "refinement", "outputs"}, "config")
 
     sys_doc = _require(doc, "system", "config")
-    _check_keys(sys_doc, {"dim", "level", "kernel", "measure", "quadrature"}, "system")
+    _check_keys(sys_doc, {"dim", "level", "kernel", "measure"}, "system")
     dim = _int_at_least(_require(sys_doc, "dim", "system"), 1, "system.dim")
     if dim > 3:
         raise ConfigError("system.dim: only dimensions 1..3 are supported")
     level = _int_at_least(_require(sys_doc, "level", "system"), 2, "system.level")
     kernel = _validate_kernel(_require(sys_doc, "kernel", "system"), "system.kernel")
     measure = _validate_measure(sys_doc.get("measure", {"type": "uniform"}), "system.measure")
-    quadrature = sys_doc.get("quadrature", {})
-    _check_keys(quadrature, _QUADRATURE_KEYS, "system.quadrature")
-    system = SystemSection(dim=dim, level=level, kernel=kernel, measure=measure, quadrature=quadrature)
+    system = SystemSection(dim=dim, level=level, kernel=kernel, measure=measure)
 
     flow = None
     if "flow" in doc:
@@ -269,6 +271,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
         n_steps = _int_at_least(m_doc.get("M", 32), 2, "metric.M")
         solver = m_doc.get("solver", {})
         _check_keys(solver, _SOLVER_KEYS, "metric.solver")
+        if "max_iter" in solver:
+            _int_at_least(solver["max_iter"], 1, "metric.solver.max_iter")
         save_path = m_doc.get("save_path", False)
         if not isinstance(save_path, bool):
             raise ConfigError("metric.save_path: expected true or false")

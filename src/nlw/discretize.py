@@ -26,7 +26,7 @@ between the two cells is >= delta_n/2) uses one Gauss rule: four panels
 of width w/2 per axis, whose boundaries hold every tent kink, wrap kink
 and (in d = 1) cutoff radius, and a tensor Gauss rule over the overlap
 box.  Its order starts at 2 and doubles until the relative change drops
-below ``quad.pair_tol``; the pieces are smooth, so the converged entries
+below ``PAIR_TOL``; the pieces are smooth, so the converged entries
 are accurate far beyond that tolerance.  In d >= 2 pairs where the
 cutoff cuts through the domain are handled by a midpoint lattice whose
 subcells get exact-geometry mask fractions from a fixed sub-lattice;
@@ -67,7 +67,6 @@ from .kernels import (
     FractionalKernel,
     KernelSpec,
     MeasureSpec,
-    QuadratureConfig,
     UniformMeasure,
     _gauss_nodes,
     _values_with_radius,
@@ -90,6 +89,10 @@ __all__ = [
 ]
 
 SYSTEM_SCHEMA = "nlw-system/v1"
+
+PAIR_TOL = 1e-4  # relative change that stops the doubling of a cell-pair rule
+CELL_TOL = 1e-12  # relative change that stops the doubling of the per-cell pushforward rule
+MAX_DOUBLINGS = 7  # doublings allowed before either rule raises QuadratureError
 
 
 class QuadratureError(RuntimeError):
@@ -185,28 +188,26 @@ def _cell_nodes(grid: GridSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
 def pushforward_measure(
     pi: MeasureSpec,
     grid: GridSpec,
-    quad: QuadratureConfig | None = None,
     return_factor: bool = False,
 ):
     """Cell masses pi_n(j) = pi(cell_j), renormalized to sum exactly 1.
 
     Per-cell tensor Gauss quadrature of the density, with the order
     doubled until the weights stop moving (relative change below
-    ``quad.cell_tol``).  The renormalization factor must lie within
+    ``CELL_TOL``).  The renormalization factor must lie within
     1e-8 of 1 — a larger defect means the quadrature, not the measure,
     is wrong.  Weights below 1e-14 raise ZeroCellError.
     """
-    quad = quad or QuadratureConfig()
     order = 16 if grid.dim == 1 else (8 if grid.dim == 2 else 5)
     prev = None
     weights = None
-    for _ in range(quad.max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         nodes, wts = _cell_nodes(grid, order)
         dens = pi.density(nodes.reshape(-1, grid.dim)).reshape(grid.n_points, -1)
         weights = dens @ wts
         if prev is not None:
             scale = np.maximum(np.abs(weights), 1e-300)
-            if float(np.max(np.abs(weights - prev) / scale)) <= quad.cell_tol:
+            if float(np.max(np.abs(weights - prev) / scale)) <= CELL_TOL:
                 break
         prev = weights
         order *= 2
@@ -435,7 +436,6 @@ def discretize_kernel(
     spec: KernelSpec,
     pi: MeasureSpec,
     grid: GridSpec,
-    quad: QuadratureConfig | None = None,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cutoff cell-averaged kernel matrix eta_n.
@@ -447,9 +447,8 @@ def discretize_kernel(
     kernel only one pair per offset class {o, -o} is integrated (see
     `_pair_representatives`).
     """
-    quad = quad or QuadratureConfig()
     if weights is None:
-        weights = pushforward_measure(pi, grid, quad)
+        weights = pushforward_measure(pi, grid)
     if np.any(weights <= 0):
         raise ZeroCellError("kernel normalization requires strictly positive cell masses")
     N, d, w = grid.n_points, grid.dim, grid.cell_width
@@ -464,12 +463,12 @@ def discretize_kernel(
     # --- d = 1 and cutoff-inactive pairs: Gauss pair rule with doubling ---
     pending = np.nonzero(~lattice & evaluated)[0]
     order, prev = 2, None
-    for _ in range(quad.max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         if pending.size == 0:
             break
         vals = _pair_integrals(spec, pi, grid, jj[pending], kk[pending], order)
         if prev is not None:
-            done = np.abs(vals - prev) <= quad.pair_tol * np.maximum(np.abs(vals), 1e-300)
+            done = np.abs(vals - prev) <= PAIR_TOL * np.maximum(np.abs(vals), 1e-300)
             integrals[pending[done]] = vals[done]
             pending, vals = pending[~done], vals[~done]
         prev = vals
@@ -488,9 +487,9 @@ def discretize_kernel(
         j0, k0 = int(jj[p]), int(kk[p])
         prev = None
         m2 = 8
-        for _ in range(quad.max_doublings + 1):
+        for _ in range(MAX_DOUBLINGS + 1):
             val = _active_pair_nd(spec, pi, grid.points[j0], grid.points[k0], w, dhalf, m2, d, frac_sub, geometry)
-            if prev is not None and abs(val - prev) <= quad.pair_tol * max(abs(val), 1e-300):
+            if prev is not None and abs(val - prev) <= PAIR_TOL * max(abs(val), 1e-300):
                 integrals[p] = val
                 break
             prev = val
@@ -505,22 +504,11 @@ def discretize_kernel(
     return eta
 
 
-def build_system(
-    spec: KernelSpec,
-    pi: MeasureSpec,
-    grid: GridSpec,
-    quad: QuadratureConfig | None = None,
-) -> DiscreteSystem:
+def build_system(spec: KernelSpec, pi: MeasureSpec, grid: GridSpec) -> DiscreteSystem:
     """Assemble (pi_n, eta_n) into a validated DiscreteSystem."""
-    quad = quad or QuadratureConfig()
-    weights, factor = pushforward_measure(pi, grid, quad, return_factor=True)
-    eta = discretize_kernel(spec, pi, grid, quad, weights=weights)
-    provenance = {
-        "kernel": spec.to_dict(),
-        "measure": pi.to_dict(),
-        "quadrature": quad.to_dict(),
-        "renormalization": factor,
-    }
+    weights, factor = pushforward_measure(pi, grid, return_factor=True)
+    eta = discretize_kernel(spec, pi, grid, weights=weights)
+    provenance = {"kernel": spec.to_dict(), "measure": pi.to_dict(), "renormalization": factor}
     return DiscreteSystem(grid=grid, pi=weights, eta=eta, delta=grid.cell_diameter, provenance=provenance)
 
 

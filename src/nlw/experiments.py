@@ -54,7 +54,6 @@ from .kernels import (
     CoverageError,
     GibbsMeasure,
     KernelError,
-    QuadratureConfig,
     kernel_from_dict,
     measure_from_dict,
     potential_from_dict,
@@ -93,16 +92,10 @@ def build_system_from_config(cfg: ExperimentConfig) -> DiscreteSystem:
     grid = build_grid(sec.dim, sec.level)
     kernel = kernel_from_dict(sec.kernel)
     measure = measure_from_dict(sec.measure)
-    quad = QuadratureConfig.from_dict(sec.quadrature) if sec.quadrature else QuadratureConfig()
-    return build_system(kernel, measure, grid, quad)
+    return build_system(kernel, measure, grid)
 
 
-def density_from_spec(
-    spec: dict,
-    sys: DiscreteSystem,
-    base_grid: GridSpec | None = None,
-    quad: QuadratureConfig | None = None,
-) -> DensityState:
+def density_from_spec(spec: dict, sys: DiscreteSystem, base_grid: GridSpec | None = None) -> DensityState:
     """Realize a density spec on a concrete system.
 
     ``uniform`` is the pushforward of Lebesgue measure (u_j = (1/N)/pi_j,
@@ -128,7 +121,7 @@ def density_from_spec(
         return DensityState.point_mass(sys, index)
     elif kind == "gibbs":
         measure = GibbsMeasure(potential=potential_from_dict(spec["potential"]))
-        masses = pushforward_measure(measure, sys.grid, quad or QuadratureConfig())
+        masses = pushforward_measure(measure, sys.grid)
     elif kind == "table":
         values = np.asarray(spec["values"], dtype=float)
         if values.shape != (n,):
@@ -301,7 +294,6 @@ def refinement_study(cfg: ExperimentConfig, levels=None) -> RefinementReport:
     sec = cfg.system
     kernel = kernel_from_dict(sec.kernel)
     measure = measure_from_dict(sec.measure)
-    quad = QuadratureConfig.from_dict(sec.quadrature) if sec.quadrature else QuadratureConfig()
     icfg = IntegratorConfig.from_dict(dict(cfg.flow.integrator))
     out_times = np.asarray(cfg.flow.output_times, dtype=float) if cfg.flow.output_times else None
     base_grid = build_grid(sec.dim, sec.level)
@@ -311,8 +303,8 @@ def refinement_study(cfg: ExperimentConfig, levels=None) -> RefinementReport:
     for level in levels:
         try:
             grid = build_grid(sec.dim, level)
-            sys = build_system(kernel, measure, grid, quad)
-            u0 = density_from_spec(cfg.flow.initial, sys, base_grid=base_grid, quad=quad)
+            sys = build_system(kernel, measure, grid)
+            u0 = density_from_spec(cfg.flow.initial, sys, base_grid=base_grid)
             trajectories.append(solve(sys, u0, icfg, out_times))
             systems.append(sys)
         except NumericalFailure as exc:

@@ -18,12 +18,12 @@ solves the nonlocal continuity equation exactly and its kinetic action
 equals the Fisher information identically — the discrete form of the
 entropy-dissipation identity dH/dt = -I = -A.
 
-Three integrators: a dense matrix exponential (reference, N <= 512),
+Two integrators: a dense matrix exponential (reference, N <= 512) and
 backward Euler (an M-matrix solve per step, so positivity holds for any
-step size — the workhorse for stiff singular-kernel systems), and an
-adaptive explicit Runge-Kutta (scipy RK45) that merely asserts
-positivity.  Ill-conditioned choices surface as IntegratorError rather
-than being silently renormalized.
+step size — the workhorse for stiff singular-kernel systems and for
+every size).  An integrator is set by its method, its horizon (``T`` in
+configs) and its step ``dt``; nothing else.  Ill-conditioned choices
+surface as IntegratorError rather than being silently renormalized.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .discretize import DiscreteSystem
@@ -55,7 +54,7 @@ __all__ = [
 
 EXPM_MAX_POINTS = 512
 
-_METHODS = ("matrix_exponential", "backward_euler", "adaptive_rk")
+_METHODS = ("matrix_exponential", "backward_euler")
 
 
 class IntegratorError(RuntimeError):
@@ -64,18 +63,16 @@ class IntegratorError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method selection and step/tolerance knobs.
+    """Method, horizon and step.
 
-    ``dt`` is required for backward_euler, optional for
-    matrix_exponential (it only sets the output grid there), and ignored
-    by adaptive_rk, which uses (rtol, atol).
+    ``dt`` is required for backward_euler and optional for
+    matrix_exponential (it only sets the output grid there).  In config
+    documents the horizon is spelled ``T``.
     """
 
     method: str = "matrix_exponential"
     horizon: float = 1.0
     dt: float | None = None
-    rtol: float = 1e-8
-    atol: float = 1e-11
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -84,23 +81,17 @@ class IntegratorConfig:
             raise ValueError("horizon must be positive")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive when given")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
 
     def to_dict(self) -> dict:
         doc = {"method": self.method, "T": self.horizon}
         if self.dt is not None:
             doc["dt"] = self.dt
-        if self.method == "adaptive_rk":
-            doc["rtol"] = self.rtol
-            doc["atol"] = self.atol
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntegratorConfig":
         doc = dict(doc)
-        horizon = doc.pop("T", doc.pop("horizon", 1.0))
-        return cls(horizon=float(horizon), **doc)
+        return cls(horizon=float(doc.pop("T", 1.0)), **doc)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +234,12 @@ def _default_output_times(cfg: IntegratorConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.horizon, 129)
 
 
-def _clamp_roundoff_negatives(u: np.ndarray, floor: float, method: str) -> np.ndarray:
+def _clamp_roundoff_negatives(u: np.ndarray, method: str) -> np.ndarray:
     worst = float(u.min())
-    if worst < -floor:
+    if worst < -1e-13:
         raise IntegratorError(
-            f"{method} produced density {worst:.3e} below the positivity floor -{floor:.1e}; "
-            "reduce the step size or tolerances"
+            f"{method} produced density {worst:.3e} below the positivity floor -1.0e-13; "
+            "reduce the step size"
         )
     return np.where(u < 0.0, 0.0, u)
 
@@ -293,8 +284,8 @@ def solve(
             if key not in propagators:
                 propagators[key] = scipy.linalg.expm(K * gap)
             u = propagators[key] @ u
-            out[k + 1] = _clamp_roundoff_negatives(u, 1e-13, cfg.method)
-    elif cfg.method == "backward_euler":
+            out[k + 1] = _clamp_roundoff_negatives(u, cfg.method)
+    else:  # backward_euler
         if cfg.dt is None:
             raise ValueError("backward_euler requires dt")
         dt = cfg.dt
@@ -309,23 +300,8 @@ def solve(
         for step in range(1, n_steps + 1):
             u = scipy.linalg.lu_solve(lu, u)
             if next_out < times.shape[0] and step == idx[next_out]:
-                out[next_out] = _clamp_roundoff_negatives(u, 1e-13, cfg.method)
+                out[next_out] = _clamp_roundoff_negatives(u, cfg.method)
                 next_out += 1
-    else:  # adaptive_rk
-        sol = scipy.integrate.solve_ivp(
-            lambda t, y: K @ y,
-            (0.0, cfg.horizon),
-            u0.u,
-            method="RK45",
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            t_eval=times,
-        )
-        if not sol.success:
-            raise IntegratorError(f"adaptive step failed: {sol.message}")
-        floor = max(10.0 * cfg.atol, 1e-12)
-        for k in range(1, times.shape[0]):
-            out[k] = _clamp_roundoff_negatives(sol.y[:, k], floor, cfg.method)
 
     mass = out @ sys.pi
     drift = float(np.max(np.abs(mass - 1.0)))

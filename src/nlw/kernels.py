@@ -38,14 +38,16 @@ geometric extrapolation.  A measured ratio >= 1 means the refinement is
 not converging, which is reported as a divergence error.  In dimension
 1 this is accurate to near machine precision; in dimensions 2 and 3 the
 angular part is handled by masked midpoint lattices and results are
-diagnostics-grade (a relative percent or so).
+diagnostics-grade (a relative percent or so).  The panel order, panel
+budget, divergence ratio, lattice sizes and probe oversampling are the
+module constants below (``PANEL_ORDER`` ... ``PROBE_FACTOR``), not settings.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -68,7 +70,6 @@ __all__ = [
     "FractionalKernel",
     "WeightedKernel",
     "TabulatedKernel",
-    "QuadratureConfig",
     "eval_kernel",
     "kernel_values",
     "second_moment",
@@ -534,47 +535,16 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature configuration
+# Moment quadrature constants
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for all kernel/measure quadratures.
-
-    pair_tol         relative-change target when refining cell-pair integrals
-                     (Gauss order or, for d >= 2 cutoff-active pairs,
-                     displacement lattice size doubled until met)
-    cell_tol         relative-change target for per-cell pushforward weights
-    max_doublings    refinement budget for cell-pair integrals
-    panel_order      Gauss order per radial panel in moment integrals
-    max_panels       dyadic radial panels per moment integral
-    ratio_cap        measured panel ratio above which refinement is declared
-                     divergent
-    split_radius     d >= 2 only: radius separating the masked outer lattice
-                     from the annular treatment of the singularity
-    outer_points     d >= 2 only: outer midpoint lattice, points per axis
-    annulus_points   d >= 2 only: lattice resolution per dyadic annulus
-    probe_factor     probe lattice oversampling for sups over x
-    """
-
-    pair_tol: float = 1e-4
-    cell_tol: float = 1e-12
-    max_doublings: int = 7
-    panel_order: int = 16
-    max_panels: int = 64
-    ratio_cap: float = 0.9999
-    split_radius: float = 0.25
-    outer_points: int = 96
-    annulus_points: int = 24
-    probe_factor: int = 4
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "QuadratureConfig":
-        return cls(**doc)
+PANEL_ORDER = 16  # Gauss order per radial panel
+MAX_PANELS = 64  # dyadic radial panels per moment integral
+RATIO_CAP = 0.9999  # measured panel ratio at or above which refinement is divergent
+SPLIT_RADIUS = 0.25  # d >= 2: radius between the masked outer lattice and the dyadic annuli
+OUTER_POINTS = 96  # d = 2 outer midpoint lattice, points per axis (a quarter of it in d = 3)
+ANNULUS_POINTS = 24  # d >= 2: lattice points per axis on each dyadic annulus
+PROBE_FACTOR = 4  # probe lattice for sups over x: this many points per working-level cell
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -606,18 +576,18 @@ def _moment_integrand_1d(spec, pi, x, t):
     return t * t * vals
 
 
-def _dyadic_sum(panel, total: float, quad: QuadratureConfig, stop_tol: float, message: str) -> float:
+def _dyadic_sum(panel, total: float, stop_tol: float, message: str) -> float:
     """Add dyadic panel contributions to ``total`` and extrapolate the tail.
 
     ``panel(k)`` returns the contribution of panel k, or None for a panel
     that holds no nodes.  Summation stops once a contribution (from the
     third panel on) drops below ``stop_tol`` times the running total;
     otherwise the remainder under the last panel is extrapolated from the
-    measured ratio of the last two panels.  A ratio >= ``quad.ratio_cap``
+    measured ratio of the last two panels.  A ratio >= ``RATIO_CAP``
     raises KernelDivergenceError with ``message`` formatted with ``ratio``.
     """
     contributions = []
-    for k in range(quad.max_panels):
+    for k in range(MAX_PANELS):
         contrib = panel(k)
         if contrib is None:
             contributions.append(0.0)
@@ -630,12 +600,12 @@ def _dyadic_sum(panel, total: float, quad: QuadratureConfig, stop_tol: float, me
     if prev <= 0.0 or last <= 0.0:
         return total
     ratio = last / prev
-    if ratio >= quad.ratio_cap:
+    if ratio >= RATIO_CAP:
         raise KernelDivergenceError(message.format(ratio=ratio))
     return total + last * ratio / (1.0 - ratio)
 
 
-def _radial_moment_1d(spec, pi, x, hi: float, quad: QuadratureConfig) -> float:
+def _radial_moment_1d(spec, pi, x, hi: float) -> float:
     """int_{0 < |t| <= hi} t^2 eta(x, x+t) rho_pi(x+t) dt on the circle.
 
     Geometric dyadic panels [hi 2^{-k-1}, hi 2^{-k}] with a fixed Gauss
@@ -647,7 +617,7 @@ def _radial_moment_1d(spec, pi, x, hi: float, quad: QuadratureConfig) -> float:
 
     def panel(k):
         p_hi = hi * 0.5**k
-        nodes, weights = _gauss_nodes(p_hi * 0.5, p_hi, quad.panel_order)
+        nodes, weights = _gauss_nodes(p_hi * 0.5, p_hi, PANEL_ORDER)
         both = np.concatenate([nodes, -nodes])
         w_both = np.concatenate([weights, weights])
         return float(np.dot(w_both, _moment_integrand_1d(spec, pi, x, both)))
@@ -655,7 +625,6 @@ def _radial_moment_1d(spec, pi, x, hi: float, quad: QuadratureConfig) -> float:
     return _dyadic_sum(
         panel,
         0.0,
-        quad,
         1e-16,
         "second moment does not converge under radial refinement "
         "(panel ratio {ratio:.6f}); the kernel is too singular",
@@ -688,14 +657,14 @@ def _annulus(d: int, ma: int, r_hi: float) -> tuple[np.ndarray, np.ndarray, floa
     return _frozen(offs[sel]), _frozen(rr[sel]), (2 * r_hi / ma) ** d
 
 
-def _annulus_panel(spec, pi, x, radius, ma, cutoff):
+def _annulus_panel(spec, pi, x, radius, cutoff):
     """panel(k) for `_dyadic_sum`: the annulus radius 2^-k-1 .. radius 2^-k.
 
     The radial weight is min(1, r^2) with ``cutoff`` and r^2 without.
     """
 
     def panel(k):
-        offs, rr, vol = _annulus(x.shape[0], ma, radius * 0.5**k)
+        offs, rr, vol = _annulus(x.shape[0], ANNULUS_POINTS, radius * 0.5**k)
         if rr.size == 0:
             return None
         Y = np.mod(x[None, :] + offs, 1.0)
@@ -706,14 +675,14 @@ def _annulus_panel(spec, pi, x, radius, ma, cutoff):
     return panel
 
 
-def _moment_nd(spec, pi, x, quad: QuadratureConfig) -> float:
+def _moment_nd(spec, pi, x) -> float:
     """d >= 2 version: masked outer midpoint lattice + dyadic annuli.
 
-    Diagnostics-grade accuracy (mask boundaries are O(1/outer_points)).
+    Diagnostics-grade accuracy (mask boundaries are O(1/OUTER_POINTS)).
     """
     d = x.shape[0]
-    rho0 = min(quad.split_radius, 0.5)
-    m = quad.outer_points if d == 2 else max(24, quad.outer_points // 4)
+    rho0 = SPLIT_RADIUS
+    m = OUTER_POINTS if d == 2 else OUTER_POINTS // 4
     mesh = _outer_mesh(d, m)
     ad = axis_distances(mesh, x)
     r = np.sqrt(np.sum(ad * ad, axis=1))
@@ -726,21 +695,19 @@ def _moment_nd(spec, pi, x, quad: QuadratureConfig) -> float:
         total += float(np.sum(f)) / m**d
     # dyadic annuli down to the origin
     return _dyadic_sum(
-        _annulus_panel(spec, pi, x, rho0, quad.annulus_points, cutoff=True),
+        _annulus_panel(spec, pi, x, rho0, cutoff=True),
         total,
-        quad,
         1e-12,
         "second moment does not converge under radial refinement (panel ratio {ratio:.6f})",
     )
 
 
-def second_moment(spec: KernelSpec, pi: MeasureSpec, x, quad: QuadratureConfig | None = None) -> float:
+def second_moment(spec: KernelSpec, pi: MeasureSpec, x) -> float:
     """int_{T^d} (1 ^ |x-y|^2) eta(x, y) dpi(y).
 
     Raises KernelDivergenceError when the integral fails to converge
     under radial refinement (e.g. a fractional exponent s >= 2).
     """
-    quad = quad or QuadratureConfig()
     p = as_point(x)
     d = p.shape[0]
     if spec.singularity_exponent(d) <= -(d + 2):
@@ -749,38 +716,30 @@ def second_moment(spec: KernelSpec, pi: MeasureSpec, x, quad: QuadratureConfig |
             "second moment infinite (needs > -(d+2))"
         )
     if d == 1:
-        return _radial_moment_1d(spec, pi, p, 0.5, quad)
-    return _moment_nd(spec, pi, p, quad)
+        return _radial_moment_1d(spec, pi, p, 0.5)
+    return _moment_nd(spec, pi, p)
 
 
-def _probe_lattice(dim: int, quad: QuadratureConfig, working_level: int | None) -> np.ndarray:
+def _probe_lattice(dim: int, working_level: int | None) -> np.ndarray:
     if working_level is not None:
-        n = quad.probe_factor * working_level
+        n = PROBE_FACTOR * working_level
     else:
         n = {1: 64, 2: 12, 3: 5}[dim]
     n = max(2, min(n, {1: 512, 2: 24, 3: 8}[dim]))
     return build_grid(dim, n).points
 
 
-def c_eta(
-    spec: KernelSpec,
-    pi: MeasureSpec,
-    quad: QuadratureConfig | None = None,
-    dim: int = 1,
-    working_level: int | None = None,
-) -> float:
+def c_eta(spec: KernelSpec, pi: MeasureSpec, dim: int = 1, working_level: int | None = None) -> float:
     """Flux-bound constant sqrt(2 * sup_x second_moment).
 
     The sup is approximated by a max over a probe lattice (at
-    ``probe_factor`` times the working level when one is given), so the
-    value is a lower bound on the true constant; the probe resolution is
-    the caller's knob.
+    ``PROBE_FACTOR`` times the working level when one is given), so the
+    value is a lower bound on the true constant.
     """
-    quad = quad or QuadratureConfig()
-    probes = _probe_lattice(dim, quad, working_level)
+    probes = _probe_lattice(dim, working_level)
     best = 0.0
     for x in probes:
-        best = max(best, second_moment(spec, pi, x, quad))
+        best = max(best, second_moment(spec, pi, x))
     return float(np.sqrt(2.0 * best))
 
 
@@ -788,7 +747,6 @@ def tail_profile(
     spec: KernelSpec,
     pi: MeasureSpec,
     R: float,
-    quad: QuadratureConfig | None = None,
     dim: int = 1,
     working_level: int | None = None,
 ) -> float:
@@ -801,24 +759,22 @@ def tail_profile(
     """
     if R <= 1.0:
         raise ValueError("tail profile requires R > 1")
-    quad = quad or QuadratureConfig()
-    probes = _probe_lattice(dim, quad, working_level)
+    probes = _probe_lattice(dim, working_level)
     best = 0.0
     for x in probes:
         if dim == 1:
-            val = _radial_moment_1d(spec, pi, x, min(1.0 / R, 0.5), quad)
+            val = _radial_moment_1d(spec, pi, x, min(1.0 / R, 0.5))
         else:
-            val = _moment_nd_tail(spec, pi, x, min(1.0 / R, 0.5), quad)
+            val = _moment_nd_tail(spec, pi, x, min(1.0 / R, 0.5))
         best = max(best, val)
     return best
 
 
-def _moment_nd_tail(spec, pi, x, radius, quad):
+def _moment_nd_tail(spec, pi, x, radius):
     """Annuli-only variant of _moment_nd, integrating r < radius."""
     return _dyadic_sum(
-        _annulus_panel(spec, pi, x, radius, quad.annulus_points, cutoff=False),
+        _annulus_panel(spec, pi, x, radius, cutoff=False),
         0.0,
-        quad,
         1e-12,
         "tail integral does not converge under refinement (panel ratio {ratio:.6f})",
     )
@@ -853,14 +809,12 @@ class AdmissibilityReport:
 def check_assumptions(
     spec: KernelSpec,
     pi: MeasureSpec,
-    quad: QuadratureConfig | None = None,
     dim: int = 1,
     n_samples: int = 256,
     tail_ladder: tuple[float, ...] = (2.0, 5.0, 10.0, 100.0),
     seed: int = 0,
 ) -> AdmissibilityReport:
     """Evaluate symmetry, moment bound, tail decay and positivity."""
-    quad = quad or QuadratureConfig()
     rng = np.random.default_rng(seed)
     X = rng.random((n_samples, dim))
     Y = rng.random((n_samples, dim))
@@ -872,7 +826,7 @@ def check_assumptions(
     min_sampled = float(min(vals_xy.min(), vals_yx.min()))
 
     try:
-        moment = c_eta(spec, pi, quad, dim=dim) ** 2 / 2.0
+        moment = c_eta(spec, pi, dim=dim) ** 2 / 2.0
         moment_ok = np.isfinite(moment)
     except KernelDivergenceError:
         moment = float("inf")
@@ -881,7 +835,7 @@ def check_assumptions(
     tail: dict[float, float] = {}
     if moment_ok:
         for R in tail_ladder:
-            tail[R] = tail_profile(spec, pi, R, quad, dim=dim)
+            tail[R] = tail_profile(spec, pi, R, dim=dim)
         tvals = [tail[R] for R in tail_ladder]
         tail_monotone = all(a >= b - 1e-12 for a, b in zip(tvals, tvals[1:]))
     else:
@@ -905,7 +859,7 @@ def check_assumptions(
         min_sampled=min_sampled,
         continuous=True,
         shift_diagnostic=worst_shift,
-        probe_points=len(_probe_lattice(dim, quad, None)),
+        probe_points=len(_probe_lattice(dim, None)),
         passes=passes,
     )
 
@@ -913,6 +867,10 @@ def check_assumptions(
 # ---------------------------------------------------------------------------
 # Singular-kernel interpolation
 # ---------------------------------------------------------------------------
+
+
+# Target size of one (queries, N, N) array in ExtendedKernel.batch.
+_BATCH_BYTES = 2**23
 
 
 @dataclass
@@ -934,30 +892,49 @@ class ExtendedKernel:
     dim: int
 
     def __call__(self, x, y) -> float:
-        p, q = as_point(x), as_point(y)
-        dx = np.sqrt(np.sum(axis_distances(self.points, p) ** 2, axis=1))
-        dy = np.sqrt(np.sum(axis_distances(self.points, q) ** 2, axis=1))
-        z = dx[:, None] + dy[None, :]
-        np.fill_diagonal(z, np.inf)  # stored data lives off the diagonal
-        zeta = z / self.bandwidth
-        inside = zeta < 1.0
-        if not np.any(inside):
-            raise CoverageError(
-                f"no stored grid pair within bandwidth {self.bandwidth:g} of the query"
-            )
-        zmin = zeta[inside].min()
-        if zmin == 0.0:
-            j, k = np.unravel_index(np.argmin(np.where(inside, zeta, np.inf)), zeta.shape)
-            return float(self.eta[j, k])
-        # normalize by the smallest distance so the singular weight never overflows
-        rel = np.where(inside, zeta / zmin, np.inf)
-        w = rel ** (-self.exponent) * np.where(inside, 1.0 - zeta * zeta, 0.0)
-        return float(np.sum(w * self.eta) / np.sum(w))
+        return float(self.batch(as_point(x)[None, :], as_point(y)[None, :])[0])
 
     def batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        Y = np.atleast_2d(Y)
-        return np.array([self(x, y) for x, y in zip(X, Y)])
+        """eta~ at the paired rows of X and Y, (m, d) each.
+
+        Queries run in chunks whose (chunk, N, N) arrays stay near
+        ``_BATCH_BYTES`` (at least one query per chunk).  Raises
+        CoverageError if any query has no stored pair within the bandwidth.
+        """
+        X = np.mod(np.atleast_2d(np.asarray(X, dtype=float)), 1.0)
+        Y = np.mod(np.atleast_2d(np.asarray(Y, dtype=float)), 1.0)
+        n = self.points.shape[0]
+        chunk = max(1, _BATCH_BYTES // (8 * n * n))
+        out = np.empty(X.shape[0])
+        for lo in range(0, X.shape[0], chunk):
+            out[lo : lo + chunk] = self._chunk(X[lo : lo + chunk], Y[lo : lo + chunk])
+        return out
+
+    def _chunk(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        q, n = X.shape[0], self.points.shape[0]
+
+        def dist(P):  # (q, N) torus distances from each query point to every grid point
+            diff = np.abs(self.points[None, :, :] - P[:, None, :])
+            diff = np.minimum(diff, 1.0 - diff)
+            return np.sqrt(np.sum(diff**2, axis=2))
+
+        z = dist(X)[:, :, None] + dist(Y)[:, None, :]
+        z[:, np.arange(n), np.arange(n)] = np.inf  # stored data lives off the diagonal
+        zeta = (z / self.bandwidth).reshape(q, -1)
+        inside = zeta < 1.0
+        if not inside.any(axis=1).all():
+            raise CoverageError(f"no stored grid pair within bandwidth {self.bandwidth:g} of the query")
+        masked = np.where(inside, zeta, np.inf)
+        nearest = masked.argmin(axis=1)
+        zmin = masked[np.arange(q), nearest][:, None]
+        exact = zmin[:, 0] == 0.0
+        # normalize by the smallest distance so the singular weight never overflows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(inside, zeta / zmin, np.inf)
+        w = rel ** (-self.exponent) * np.where(inside, 1.0 - zeta * zeta, 0.0)
+        vals = np.sum(w * self.eta.reshape(1, -1), axis=1) / np.sum(w, axis=1)
+        vals[exact] = self.eta.reshape(-1)[nearest[exact]]
+        return vals
 
 
 def extend_kernel(sys, bandwidth: float, exponent: float) -> ExtendedKernel:

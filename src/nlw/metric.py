@@ -19,7 +19,10 @@ Cholesky factor of the graph Laplacian: least-norm total flux plus the
 orthogonal projection of a free edge vector onto the divergence-free fluxes.
 What remains is a smooth convex program, solved by a limited-memory
 quasi-Newton descent with an Armijo backtracking search and a
-decreasing interior barrier that keeps intermediate densities positive.  A hand-rolled descent loop
+decreasing interior barrier that keeps intermediate densities positive.
+The barrier schedule, stopping tests and line-search constants are
+module constants; ``MetricSolverConfig.max_iter``, the accepted steps
+per stage, is the one setting.  A hand-rolled descent loop
 is used instead of a library optimizer because the barrier makes the
 objective +inf outside the feasible cone and the line search must treat
 that as "reject the trial point", a convention library line searches do
@@ -32,6 +35,8 @@ as an infinite distance rather than a solver failure.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,37 +60,26 @@ __all__ = [
 ]
 
 
+# Barrier weights 1e-2, 1e-3, ..., 1e-10 of the descent stages, each the
+# previous one times 0.1 in floating point (so 1.0000000000000002e-06,
+# not 1e-6); the smoothing of the logarithmic mean follows the same
+# schedule.  A polish stage then runs with the barrier off and the
+# smoothing at EPS_POLISH.
+BARRIER_SCHEDULE = tuple(itertools.accumulate([1e-2] + [0.1] * 8, operator.mul))
+EPS_POLISH = 1e-12
+OBJ_TOL = 1e-9  # a stage stops when one step changes the objective by less, relatively
+ACTION_FLOOR = 1e-24  # ... or when the objective falls below this
+MEMORY = 10  # L-BFGS curvature pairs kept
+ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking search
+MAX_BACKTRACKS = 60  # step halvings before a stage gives up
+MIX = 1e-2  # bow of the initial path toward the uniform state when the straight one touches zero
+
+
 @dataclass(frozen=True)
 class MetricSolverConfig:
-    """Knobs for the path optimizer.
+    """The path optimizer's one setting: accepted steps per descent stage."""
 
-    The barrier weight sweeps from ``barrier_init`` down to
-    ``barrier_min`` by ``barrier_factor`` (the smoothing of the
-    logarithmic mean follows the same schedule), after which one polish
-    pass runs with the barrier off.  Within each stage the descent stops
-    on a relative objective change below ``obj_tol`` or after
-    ``max_iter`` accepted steps.
-    """
-
-    barrier_init: float = 1e-2
-    barrier_min: float = 1e-10
-    barrier_factor: float = 0.1
-    eps_polish: float = 1e-12
-    obj_tol: float = 1e-9
-    action_floor: float = 1e-24
     max_iter: int = 300
-    memory: int = 10
-    armijo: float = 1e-4
-    max_backtracks: int = 60
-    mix: float = 1e-2
-
-    def schedule(self) -> list[float]:
-        betas = []
-        b = self.barrier_init
-        while b >= self.barrier_min * (1.0 - 1e-12):
-            betas.append(b)
-            b *= self.barrier_factor
-        return betas
 
 
 @dataclass(frozen=True)
@@ -325,7 +319,7 @@ class _PathWorkspace:
         mu[1:] = self.mu0[None, :] - self.dt * np.cumsum(div, axis=0)
         return mu
 
-    def initial_point(self, mix: float) -> np.ndarray:
+    def initial_point(self) -> np.ndarray:
         """Linear interpolation of the masses, bowed slightly toward the
         componentwise uniform state when the straight path touches zero."""
         M, E = self.M, self.n_edges
@@ -333,7 +327,7 @@ class _PathWorkspace:
         mu_lin = (1.0 - t) * self.mu0[None, :] + t * self.muT[None, :]
         x = np.tile(self.s0 / M, (M, 1))
         active = self.barrier_nodes
-        if mix > 0.0 and M > 1 and np.any(mu_lin[:, active] <= 1e-9 * mu_lin.max()):
+        if M > 1 and np.any(mu_lin[:, active] <= 1e-9 * mu_lin.max()):
             labels = self.labels
             pi = self.sys.pi
             mu_unif = np.empty_like(mu_lin)
@@ -341,7 +335,7 @@ class _PathWorkspace:
                 sel = labels == c
                 pc = pi[sel].sum()
                 mu_unif[:, sel] = mu_lin[:, sel].sum(axis=1, keepdims=True) * (pi[sel] / pc)
-            bump = mix * 4.0 * (t * (1.0 - t))
+            bump = MIX * 4.0 * (t * (1.0 - t))
             mu_target = np.vstack([self.mu0, (1.0 - bump) * mu_lin + bump * mu_unif, self.muT])
             # recover step fluxes for the bowed path, least-norm per step
             x = self.least_norm((mu_target[:-1] - mu_target[1:]) / self.dt)
@@ -423,7 +417,7 @@ def action_of_path(path: DiscretePath, eps: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _descend(fun, p, cfg: MetricSolverConfig):
+def _descend(fun, p, max_iter: int):
     """L-BFGS two-loop recursion with Armijo backtracking.
 
     Non-finite trial values are treated as out-of-domain and rejected by
@@ -436,7 +430,7 @@ def _descend(fun, p, cfg: MetricSolverConfig):
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     converged = False
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         d = -g.copy()
         alphas = []
         for s_vec, y_vec, rho in reversed(pairs):
@@ -458,9 +452,9 @@ def _descend(fun, p, cfg: MetricSolverConfig):
             break
         t = 1.0
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             f_new, g_new = fun(p + t * d)
-            if np.isfinite(f_new) and f_new <= f + cfg.armijo * t * gd:
+            if np.isfinite(f_new) and f_new <= f + ARMIJO * t * gd:
                 accepted = True
                 break
             t *= 0.5
@@ -471,12 +465,12 @@ def _descend(fun, p, cfg: MetricSolverConfig):
         sy = step @ y_vec
         if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y_vec):
             pairs.append((step, y_vec, 1.0 / sy))
-            if len(pairs) > cfg.memory:
+            if len(pairs) > MEMORY:
                 pairs.pop(0)
         p = p + step
         f_prev, f, g = f, f_new, g_new
         hist.append(f)
-        if abs(f_prev - f) <= cfg.obj_tol * max(abs(f), 1e-30) or abs(f) <= cfg.action_floor:
+        if abs(f_prev - f) <= OBJ_TOL * max(abs(f), 1e-30) or abs(f) <= ACTION_FLOOR:
             converged = True
             break
     return p, f, hist, converged, it
@@ -520,17 +514,17 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
             objective_history=[],
             path=path,
         )
-    cfg = prob.solver
-    p = ws.initial_point(cfg.mix)
+    max_iter = prob.solver.max_iter
+    p = ws.initial_point()
     history: list[float] = []
     total_iters = 0
     converged = False
-    for beta in cfg.schedule():
-        p, _, hist, _, its = _descend(lambda q_: ws.value_and_grad(q_, beta, beta), p, cfg)
+    for beta in BARRIER_SCHEDULE:
+        p, _, hist, _, its = _descend(lambda q_: ws.value_and_grad(q_, beta, beta), p, max_iter)
         history.extend(hist)
         total_iters += its
     p, _, hist, converged, its = _descend(
-        lambda q_: ws.value_and_grad(q_, 0.0, cfg.eps_polish), p, cfg
+        lambda q_: ws.value_and_grad(q_, 0.0, EPS_POLISH), p, max_iter
     )
     history.extend(hist)
     total_iters += its

@@ -70,12 +70,6 @@ def axis_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.minimum(diff, 1.0 - diff)
 
 
-def wrapped_deltas(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean torus distances from each row of ``points`` to ``x``."""
-    ad = axis_distances(points, x)
-    return np.sqrt(np.sum(ad * ad, axis=1))
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform lattice on T^d at refinement level n.

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from nlw.config import ConfigError, load_config, validate_config
+from nlw.flow import IntegratorConfig
 
 
 def minimal_doc(**extra):
@@ -25,7 +26,7 @@ def flow_doc():
 def test_minimal_config_resolves_defaults():
     cfg = validate_config(minimal_doc())
     assert cfg.system.measure == {"type": "uniform"}
-    assert cfg.system.quadrature == {}
+    assert set(cfg.resolved()["system"]) == {"dim", "level", "kernel", "measure"}
     assert cfg.flow is None and cfg.metric is None and cfg.sampler is None
     assert cfg.outputs.formats == ("json",)
 
@@ -49,11 +50,56 @@ def test_typo_in_integrator_is_an_error():
         validate_config(doc)
 
 
-def test_removed_quadrature_knob_is_an_error():
-    doc = minimal_doc()
-    doc["system"]["quadrature"] = {"cell_points": 4}
-    with pytest.raises(ConfigError, match=r"system\.quadrature: unknown key\(s\) 'cell_points'"):
+def metric_doc(**solver):
+    return {"endpoints": [{"type": "uniform"}, {"type": "uniform"}], "solver": solver}
+
+
+# settings that are module constants now: (section path, key, the document that sets it)
+REMOVED_SETTINGS = [
+    ("system", "quadrature", lambda doc: doc["system"].update(quadrature={"pair_tol": 1e-6})),
+    *[
+        ("metric.solver", key, lambda doc, key=key, value=value: doc.update(metric=metric_doc(**{key: value})))
+        for key, value in [
+            ("barrier_init", 1e-2),
+            ("barrier_min", 1e-10),
+            ("barrier_factor", 0.1),
+            ("eps_polish", 1e-12),
+            ("obj_tol", 1e-9),
+            ("action_floor", 1e-24),
+            ("memory", 10),
+            ("armijo", 1e-4),
+            ("max_backtracks", 60),
+            ("mix", 1e-2),
+        ]
+    ],
+    # "horizon" next to "T" used to validate, and the run went to T without a word
+    *[
+        ("flow.integrator", key, lambda doc, key=key, value=value: doc["flow"]["integrator"].update({key: value}))
+        for key, value in [("rtol", 1e-8), ("atol", 1e-11), ("horizon", 2.0)]
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "path, key, setter", REMOVED_SETTINGS, ids=[f"{path}.{key}" for path, key, _ in REMOVED_SETTINGS]
+)
+def test_removed_quadrature_knob_is_an_error(path, key, setter):
+    doc = minimal_doc(flow=flow_doc())
+    setter(doc)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown key\(s\) '{key}'$"):
         validate_config(doc)
+
+
+def test_adaptive_rk_is_an_unknown_integrator():
+    with pytest.raises(ValueError, match="unknown integrator"):
+        IntegratorConfig(method="adaptive_rk")
+
+
+def test_solver_max_iter_still_validates():
+    cfg = validate_config(minimal_doc(metric=metric_doc(max_iter=1000)))
+    assert cfg.metric.solver == {"max_iter": 1000}
+    with pytest.raises(ConfigError, match=r"metric\.solver\.max_iter"):
+        validate_config(minimal_doc(metric=metric_doc(max_iter=0)))
 
 
 def test_missing_required_key():

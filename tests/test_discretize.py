@@ -35,7 +35,6 @@ from nlw.kernels import (
     GibbsMeasure,
     MixedMeasure,
     PotentialSpec,
-    QuadratureConfig,
     TabulatedKernel,
     TabulatedMeasure,
     UniformMeasure,
@@ -514,7 +513,7 @@ def test_refinement_consistency_at_fixed_far_pair():
 def test_save_load_round_trip(tmp_path):
     grid = build_grid(1, 8)
     meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
-    sys = build_system(FractionalKernel(s=1.5), meas, grid, QuadratureConfig())
+    sys = build_system(FractionalKernel(s=1.5), meas, grid)
     path = tmp_path / "sys.json"
     save_system(sys, path)
     back = load_system(path)

@@ -346,6 +346,26 @@ def test_run_config_is_bit_reproducible(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_config_tabulated_kernel_end_to_end(tmp_path):
+    from nlw.discretize import save_system
+    from nlw.kernels import FractionalKernel
+
+    source = tmp_path / "source.json"
+    save_system(build_system(FractionalKernel(s=0.5), UniformMeasure(), build_grid(1, 8)), source)
+    kernel = {"type": "tabulated", "path": str(source), "bandwidth": 0.3, "exponent": 3.0}
+    hashes = []
+    for name in ("a", "b"):
+        doc = base_doc(flow=flow_doc({"type": "point_mass", "index": 2}, T=0.5, dt=0.1))
+        doc["system"]["kernel"] = dict(kernel)
+        doc["outputs"]["directory"] = str(tmp_path / name)
+        result = run_config(validate_config(doc), stages=("build", "flow", "certify"))
+        assert result.failure is None
+        assert result.system.provenance["kernel"]["sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
+        hashes.append([(a["name"], a["sha256"]) for a in result.artifacts])
+    assert [name for name, _ in hashes[0]] == ["system", "trajectory", "edi", "certificate"]
+    assert hashes[0] == hashes[1]
+
+
 def test_run_config_stage_subset(tmp_path):
     cfg = validate_config(full_doc(tmp_path / "sub"))
     result = run_config(cfg, stages=("build", "flow"))

@@ -175,7 +175,6 @@ def test_equilibrium_is_fixed_point_for_all_methods():
     for cfg in (
         IntegratorConfig(method="matrix_exponential", horizon=0.5, dt=0.1),
         IntegratorConfig(method="backward_euler", horizon=0.5, dt=0.05),
-        IntegratorConfig(method="adaptive_rk", horizon=0.5),
     ):
         traj = solve(sys, u0, cfg)
         assert np.max(np.abs(traj.u - 1.0)) < 1e-12
@@ -195,18 +194,6 @@ def test_backward_euler_is_first_order():
     e_coarse, e_fine = final_error(1e-2), final_error(1e-3)
     assert e_fine < 2e-4
     assert 8.0 < e_coarse / e_fine < 12.0  # O(dt) convergence
-
-
-def test_adaptive_rk_matches_expm():
-    rng = np.random.default_rng(30)
-    sys = random_system(rng, n=8)
-    u0 = random_state(rng, sys)
-    times = np.linspace(0.0, 2.0, 9)
-    ref = solve(sys, u0, IntegratorConfig(method="matrix_exponential", horizon=2.0), times)
-    rk = solve(
-        sys, u0, IntegratorConfig(method="adaptive_rk", horizon=2.0, rtol=1e-10, atol=1e-13), times
-    )
-    assert np.max(np.abs(ref.u - rk.u)) < 1e-8
 
 
 def test_semigroup_property():
@@ -239,7 +226,6 @@ def test_invariants_on_random_system():
     for cfg in (
         IntegratorConfig(method="matrix_exponential", horizon=2.0, dt=0.05),
         IntegratorConfig(method="backward_euler", horizon=2.0, dt=0.02),
-        IntegratorConfig(method="adaptive_rk", horizon=2.0),
     ):
         traj = solve(sys, u0, cfg)
         assert np.max(np.abs(traj.mass - 1.0)) <= 1e-10
@@ -326,6 +312,8 @@ def test_integrator_config_validation():
     cfg = IntegratorConfig.from_dict({"method": "backward_euler", "T": 2.0, "dt": 0.1})
     assert cfg.horizon == 2.0 and cfg.dt == 0.1
     assert IntegratorConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(TypeError, match="horizon"):  # the horizon is spelled "T" only
+        IntegratorConfig.from_dict({"T": 1.0, "horizon": 2.0})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Source hygiene of ``src/nlw``, checked with the standard library alone.
+
+Two kinds of dead code fail here:
+
+* a name a module imports but neither uses nor re-exports (a package
+  ``__init__`` re-exports everything it imports; other modules re-export
+  the names their ``__all__`` lists);
+* a module-level function or class that no code under ``src/``,
+  ``tests/`` or ``perfbench/`` references and no ``__all__`` lists.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nlw"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _dunder_all(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name read as a variable or attribute, also inside quoted annotations."""
+    used = set()
+    quoted = [
+        ast.parse(node.value, mode="eval")
+        for ann in _annotations(tree)
+        for node in ast.walk(ann)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    for root in [tree, *quoted]:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for each import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _modules():
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def test_every_import_is_used_or_reexported():
+    unused = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        keep = _used_names(tree) | _dunder_all(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in keep]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_module_level_definition_is_referenced_or_exported():
+    referenced = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            tree = _parse(path)
+            referenced |= _used_names(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    referenced |= {alias.name for alias in node.names}
+    dead = []
+    for path in _modules():
+        tree = _parse(path)
+        exported = _dunder_all(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name not in exported and node.name not in referenced:
+                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, "unreferenced definitions: " + ", ".join(dead)

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import i0
 
+import nlw.kernels
 from nlw.kernels import (
     _EXPR_NAMESPACE,
     AdmissibilityReport,
@@ -24,7 +25,6 @@ from nlw.kernels import (
     KernelError,
     MixedMeasure,
     PotentialSpec,
-    QuadratureConfig,
     TabulatedMeasure,
     UniformMeasure,
     WeightedKernel,
@@ -261,7 +261,7 @@ def test_refinement_detects_divergence_without_exponent_hint():
             return 0.0
 
     with pytest.raises(KernelDivergenceError):
-        _radial_moment_1d(OpaqueFractional(s=2.5), UniformMeasure(), np.array([0.0]), 0.5, QuadratureConfig())
+        _radial_moment_1d(OpaqueFractional(s=2.5), UniformMeasure(), np.array([0.0]), 0.5)
 
 
 def test_refinement_detects_divergence_in_2d():
@@ -271,9 +271,9 @@ def test_refinement_detects_divergence_in_2d():
 
     x = np.array([0.3, 0.6])
     with pytest.raises(KernelDivergenceError, match="second moment .*panel ratio"):
-        _moment_nd(OpaqueFractional(s=2.5), UniformMeasure(), x, QuadratureConfig())
+        _moment_nd(OpaqueFractional(s=2.5), UniformMeasure(), x)
     with pytest.raises(KernelDivergenceError, match="tail integral .*panel ratio"):
-        _moment_nd_tail(OpaqueFractional(s=2.5), UniformMeasure(), x, 0.1, QuadratureConfig())
+        _moment_nd_tail(OpaqueFractional(s=2.5), UniformMeasure(), x, 0.1)
 
 
 def test_probe_independent_lattices_are_shared_read_only():
@@ -421,8 +421,66 @@ def test_extend_kernel_coverage_error_in_2d():
     ext = extend_kernel(sys, bandwidth=0.26, exponent=3.0)
     # the cell-corner diagonal sits sqrt(2)/8 from every grid point, so the
     # summed product distance 2*sqrt(2)/8 ~ 0.354 exceeds the bandwidth
+    corner = np.array([0.125, 0.125])
     with pytest.raises(CoverageError):
-        ext(np.array([0.125, 0.125]), np.array([0.125, 0.125]))
+        ext(corner, corner)
+    # one uncovered query fails a whole batch; covered ones alone pass
+    X = np.array([grid.points[0], corner, grid.points[3]])
+    Y = np.array([grid.points[1], corner, grid.points[2]])
+    with pytest.raises(CoverageError, match="bandwidth 0.26"):
+        ext.batch(X, Y)
+    assert np.array_equal(ext.batch(X[[0, 2]], Y[[0, 2]]), [1.0, 1.0])
+
+
+def scalar_extension(ext, x, y):
+    """Oracle: the one-query formula ExtendedKernel used before it was vectorized."""
+    p, q = np.mod(np.atleast_1d(x), 1.0), np.mod(np.atleast_1d(y), 1.0)
+    ax = np.abs(ext.points - p)
+    ay = np.abs(ext.points - q)
+    dx = np.sqrt(np.sum(np.minimum(ax, 1.0 - ax) ** 2, axis=1))
+    dy = np.sqrt(np.sum(np.minimum(ay, 1.0 - ay) ** 2, axis=1))
+    z = dx[:, None] + dy[None, :]
+    np.fill_diagonal(z, np.inf)
+    zeta = z / ext.bandwidth
+    inside = zeta < 1.0
+    if not np.any(inside):
+        raise CoverageError("no stored grid pair within the bandwidth")
+    zmin = zeta[inside].min()
+    if zmin == 0.0:
+        j, k = np.unravel_index(np.argmin(np.where(inside, zeta, np.inf)), zeta.shape)
+        return float(ext.eta[j, k])
+    rel = np.where(inside, zeta / zmin, np.inf)
+    w = rel ** (-ext.exponent) * np.where(inside, 1.0 - zeta * zeta, 0.0)
+    return float(np.sum(w * ext.eta) / np.sum(w))
+
+
+def _toy_system_2d(n=4, seed=0):
+    grid = build_grid(2, n)
+    a = np.random.default_rng(seed).random((grid.n_points, grid.n_points)) + 0.5
+    eta = 0.5 * (a + a.T)
+    np.fill_diagonal(eta, 0.0)
+    return SimpleNamespace(grid=grid, eta=eta)
+
+
+@pytest.mark.parametrize("sys, bandwidth", [(_toy_system(seed=2), 0.3), (_toy_system_2d(), 0.45)], ids=["1d", "2d"])
+def test_extend_kernel_batch_matches_scalar_formula(sys, bandwidth, monkeypatch):
+    ext = extend_kernel(sys, bandwidth=bandwidth, exponent=3.0)
+    rng = np.random.default_rng(17)
+    d, pts = sys.grid.dim, sys.grid.points
+    X, Y = rng.random((200, d)), rng.random((200, d))
+    # exact grid pairs, then the same pairs shifted by whole turns of the torus
+    j = np.arange(8)
+    k = (j + 3) % len(pts)
+    X[:8], Y[:8] = pts[j], pts[k]
+    X[8:16], Y[8:16] = pts[j] + 1.0, pts[k] - 2.0
+    oracle = np.array([scalar_extension(ext, x, y) for x, y in zip(X, Y)])
+    values = ext.batch(X, Y)
+    assert np.allclose(values, oracle, rtol=1e-13, atol=0.0)
+    assert np.array_equal(values[:16], np.tile(sys.eta[j, k], 2))
+    assert all(ext(x, y) == v for x, y, v in zip(X[:50], Y[:50], values[:50]))
+    # chunks of three queries give the same values as one chunk
+    monkeypatch.setattr(nlw.kernels, "_BATCH_BYTES", 3 * 8 * len(pts) ** 2)
+    assert np.array_equal(ext.batch(X, Y), values)
 
 
 def test_tabulated_kernel_provenance_round_trips(tmp_path):

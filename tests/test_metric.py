@@ -21,9 +21,9 @@ from nlw.flow import IntegratorConfig, solve
 from nlw.functionals import DensityState, fisher_information, log_mean
 from nlw.kernels import FractionalKernel, UniformMeasure
 from nlw.metric import (
+    BARRIER_SCHEDULE,
     AxiomCheck,
     DiscretePath,
-    MetricSolverConfig,
     PathProblem,
     _log_mean_and_partials,
     _PathWorkspace,
@@ -188,7 +188,7 @@ def test_objective_gradient_matches_finite_differences():
     a = state(sys, [2.0, 0.8, 0.7, 0.5])
     b = state(sys, [0.5, 1.1, 1.2, 1.2])
     ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=5))
-    p0 = ws.initial_point(0.01)
+    p0 = ws.initial_point()
     p0 = p0 + rng.normal(scale=0.01, size=p0.size)
     h = 1e-6
     for beta, eps in ((1e-2, 1e-2), (0.0, 1e-12)):
@@ -208,7 +208,7 @@ def test_objective_infinite_outside_positive_cone():
     sys = two_state()
     a = state(sys, [1.6, 0.4])
     ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
-    p = ws.initial_point(0.0)
+    p = ws.initial_point()
     p[0] = 50.0  # huge first-step flux drains node 0 negative
     f, g = ws.value_and_grad(p, 1e-2, 1e-2)
     assert f == np.inf and g is None
@@ -280,7 +280,7 @@ def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
     raw = rng.uniform(0.2, 2.0, size=n)
     b = a if same_ends else state(sys, raw / (raw @ pi))
     ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=6))
-    p0 = ws.initial_point(0.01)
+    p0 = ws.initial_point()
     # tiny fluxes keep same-end midpoints within the series branch of the mean
     for scale in (0.0, 1e-10, 1e-3):
         p = p0 + rng.normal(scale=scale, size=p0.size)
@@ -327,7 +327,7 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
     tracemalloc.start()
     try:
         ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=16))
-        p0 = ws.initial_point(0.01)
+        p0 = ws.initial_point()
         f, g = ws.value_and_grad(p0, 1e-2, 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -506,11 +506,19 @@ def test_path_problem_validation():
 
 
 def test_solver_config_schedule():
-    sched = MetricSolverConfig().schedule()
+    sched = BARRIER_SCHEDULE
     assert sched[0] == pytest.approx(1e-2)
     assert sched[-1] == pytest.approx(1e-10)
     assert len(sched) == 9
     assert all(b2 < b1 for b1, b2 in zip(sched, sched[1:]))
+    # bit for bit the weights of a loop that multiplies by 0.1 from 1e-2
+    # down to 1e-10, not the decimal literals 1e-3, ..., 1e-10
+    betas, b = [], 1e-2
+    while b >= 1e-10 * (1.0 - 1e-12):
+        betas.append(b)
+        b *= 0.1
+    assert sched == tuple(betas)
+    assert sched[4] == 1.0000000000000002e-06 != 1e-6
 
 
 # ---------------------------------------------------------------------------
