@@ -287,6 +287,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
             seed=_int_at_least(s_doc.get("seed", 0), 0, "sampler.seed"),
             rate_convention=s_doc.get("rate_convention", "target"),
         )
+        if sampler.seed >= 2**64:
+            raise ConfigError(f"sampler.seed: expected an integer below 2**64, got {sampler.seed!r}")
         if sampler.rate_convention not in ("target", "source"):
             raise ConfigError("sampler.rate_convention: must be 'target' or 'source'")
 

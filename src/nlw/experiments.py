@@ -561,6 +561,7 @@ def run_config(
                     "passes": comparison.passes,
                     "z_scores": [float(z) for z in comparison.z_scores],
                     "n_paths": sample.n_paths,
+                    "n_jumps": sample.n_jumps,
                     "horizon": scfg.horizon,
                     "seed": scfg.seed,
                     "rate_convention": scfg.rate_convention,

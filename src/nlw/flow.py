@@ -90,8 +90,11 @@ class IntegratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntegratorConfig":
-        doc = dict(doc)
-        return cls(horizon=float(doc.pop("T", 1.0)), **doc)
+        unknown = sorted(set(doc) - {"method", "T", "dt"})
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise ValueError(f"unknown integrator key(s) {names}; the horizon is spelled 'T'")
+        return cls(method=doc.get("method", cls.method), horizon=float(doc.get("T", cls.horizon)), dt=doc.get("dt"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,18 @@ q_ij = eta_ij pi_i satisfies detailed balance for the wrong measure and
 is kept available behind ``rate_convention="source"`` purely so tests
 can demonstrate that it fails marginal comparisons on non-uniform pi.
 
-Paths are simulated by Gillespie's algorithm.  Randomness comes from a
-counter-based Philox generator keyed by the seed and jumped once per
-path index, so path p's draws are a fixed function of (seed, p): results
-are bit-reproducible and independent of batching.
+Paths are simulated by Gillespie's algorithm, all paths of a chunk in
+lockstep.  Randomness comes from Philox4x32-10 (Salmon, Moraes, Dror and
+Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011), a
+counter-based generator: block k of path p is the Philox image of the
+counter (k, 0, p mod 2**32, p div 2**32) under the 64-bit seed as key.
+Each block gives two 53-bit uniforms.  Block 0 picks the start cell
+(first uniform); block k >= 1 gives the k-th holding time (first
+uniform, -log1p(-u) / rate) and, if the path is still inside the
+horizon, the k-th target (second uniform).  Path p's endpoint and jump
+count are therefore a fixed function of (seed, p), whatever the number
+of paths or the chunking: results are bit-reproducible and independent
+of batching.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64): it is the 64-bit Philox key")
         if not (np.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError("horizon must be nonnegative")
         if self.rate_convention not in _CONVENTIONS:
@@ -99,6 +109,41 @@ class SampleResult:
         return None
 
 
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_MASK32 = 0xFFFFFFFF
+
+# Bound on the bytes of one chunk's (paths, N) temporaries in ``simulate``.
+_CHUNK_BYTES = 2**23
+
+
+def philox4x32(counter, key) -> tuple:
+    """Philox4x32-10: the four output words for a four-word counter and a two-word key.
+
+    Counter words are integers or uint64 arrays of values below 2**32
+    (broadcast together); key words are ints below 2**32.  Each round's
+    32x32 -> 64-bit products are exact in uint64, and their high and low
+    halves become the next words.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = key
+    for _ in range(10):
+        p0 = c0 * _PHILOX_M[0]
+        p1 = c2 * _PHILOX_M[1]
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+        k0 = (k0 + _PHILOX_W[0]) & _MASK32
+        k1 = (k1 + _PHILOX_W[1]) & _MASK32
+    return c0, c1, c2, c3
+
+
+def _uniforms(seed: int, k: int, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two 53-bit uniforms in [0, 1) of block k of each path (a uint64 array)."""
+    w0, w1, w2, w3 = philox4x32((k, 0, paths & _MASK32, paths >> 32), (seed & _MASK32, seed >> 32))
+    first = ((w0 >> 5) << 26 | w1 >> 6) * 2.0**-53
+    second = ((w2 >> 5) << 26 | w3 >> 6) * 2.0**-53
+    return first, second
+
+
 def _jump_rates(sys: DiscreteSystem, convention: str) -> np.ndarray:
     if convention == "target":
         q = sys.eta * sys.pi[None, :]
@@ -108,40 +153,62 @@ def _jump_rates(sys: DiscreteSystem, convention: str) -> np.ndarray:
     return q
 
 
+def _last_positive(weights: np.ndarray) -> np.ndarray:
+    """Per row, the last column with a positive weight (n - 1 for an all-zero row)."""
+    n = weights.shape[1]
+    return n - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
+
+
+def _pick_targets(cum, total, last, rows, u) -> np.ndarray:
+    """For each path, the first column j of cum[row] with cum[row, j] > u * total[row].
+
+    ``cum`` holds cumulative rates, ``total`` the total rate of each
+    row and ``last`` its last column with a positive rate.  When a
+    row's cumulative sum ends below its total (the two are summed in a
+    different order), a u near 1 finds no column; the pick is clamped
+    to ``last`` so it stays a cell the row can jump to.
+    """
+    below = cum[rows] <= (u * total[rows])[:, None]
+    return np.minimum(np.count_nonzero(below, axis=1), last[rows])
+
+
 def simulate(sys: DiscreteSystem, rho0: DensityState, config: SamplerConfig) -> SampleResult:
     """Run independent Gillespie paths and histogram their endpoints.
 
-    The initial node of path p and all its jump decisions are drawn
-    from a dedicated Philox stream (seed jumped p times), so the result
-    is a pure function of (system, rho0, config).
+    Every live path of a chunk takes its k-th step at once, from its own
+    Philox block (seed, p, k), so the result is a pure function of
+    (system, rho0, config) and does not depend on ``_CHUNK_BYTES``.
     """
     n = sys.n_points
     q = _jump_rates(sys, config.rate_convention)
+    cum = np.cumsum(q, axis=1)
     total = q.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cum = np.cumsum(q, axis=1)
-        cum /= np.where(total > 0.0, total, 1.0)[:, None]
-    mu0 = rho0.masses
-    cum0 = np.cumsum(mu0)
-    cum0 /= cum0[-1]
+    last = _last_positive(q)
+    mu0 = rho0.masses[None, :]
+    cum0 = np.cumsum(mu0, axis=1)
+    last0 = _last_positive(mu0)
     counts = np.zeros(n, dtype=np.int64)
     n_jumps = 0
-    base = np.random.Philox(key=config.seed)
-    horizon = config.horizon
-    for p in range(config.n_paths):
-        rng = np.random.Generator(base.jumped(p))
-        node = int(np.searchsorted(cum0, rng.random(), side="right"))
-        t = 0.0
+    chunk = max(1, _CHUNK_BYTES // (8 * n))
+    for first in range(0, config.n_paths, chunk):
+        paths = np.arange(first, min(first + chunk, config.n_paths), dtype=np.uint64)
+        u, _ = _uniforms(config.seed, 0, paths)
+        node = _pick_targets(cum0, cum0[:, -1], last0, np.zeros(paths.size, dtype=np.intp), u)
+        t = np.zeros(paths.size)
+        alive = total[node] > 0.0
+        k = 0
         while True:
-            rate = total[node]
-            if rate <= 0.0:
+            counts += np.bincount(node[~alive], minlength=n)
+            paths, node, t = paths[alive], node[alive], t[alive]
+            if paths.size == 0:
                 break
-            t += rng.exponential(1.0 / rate)
-            if t > horizon:
-                break
-            node = int(np.searchsorted(cum[node], rng.random(), side="right"))
-            n_jumps += 1
-        counts[node] += 1
+            k += 1
+            u_hold, u_pick = _uniforms(config.seed, k, paths)
+            t += -np.log1p(-u_hold) / total[node]
+            jumps = t <= config.horizon
+            node[jumps] = _pick_targets(cum, total, last, node[jumps], u_pick[jumps])
+            n_jumps += int(np.count_nonzero(jumps))
+            alive = jumps & (total[node] > 0.0)
     return SampleResult(counts=counts, config=config, n_jumps=n_jumps)
 
 

@@ -238,6 +238,12 @@ def test_sampler_rate_convention_checked():
         validate_config(doc)
 
 
+def test_sampler_seed_must_fit_the_64_bit_key():
+    assert validate_config(minimal_doc(flow=flow_doc(), sampler={"seed": 2**64 - 1})).sampler.seed == 2**64 - 1
+    with pytest.raises(ConfigError, match=r"sampler\.seed"):
+        validate_config(minimal_doc(flow=flow_doc(), sampler={"seed": 2**64}))
+
+
 def test_refinement_levels_strictly_increasing():
     doc = minimal_doc(refinement={"levels": [8, 8]})
     with pytest.raises(ConfigError, match="strictly increasing"):

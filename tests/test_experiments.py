@@ -20,6 +20,7 @@ from nlw.experiments import (
 from nlw.flow import IntegratorConfig, solve
 from nlw.functionals import DensityState, relative_entropy
 from nlw.kernels import ConstantKernel, GibbsMeasure, UniformMeasure, potential_from_dict
+from nlw.sampler import SamplerConfig, simulate
 from nlw.torus import build_grid
 
 
@@ -344,6 +345,15 @@ def test_run_config_is_bit_reproducible(tmp_path):
             assert a["artifacts"] == b["artifacts"]
         else:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_comparison_json_records_the_jump_count(tmp_path):
+    cfg = validate_config(full_doc(tmp_path / "n"))
+    result = run_config(cfg, stages=("build", "flow", "sample"))
+    doc = json.loads((tmp_path / "n" / "comparison.json").read_text())
+    u0 = density_from_spec(cfg.flow.initial, result.system)
+    sample = simulate(result.system, u0, SamplerConfig(n_paths=2000, horizon=1.0, seed=11))
+    assert doc["n_jumps"] == sample.n_jumps > 0
 
 
 def test_run_config_tabulated_kernel_end_to_end(tmp_path):

@@ -312,8 +312,10 @@ def test_integrator_config_validation():
     cfg = IntegratorConfig.from_dict({"method": "backward_euler", "T": 2.0, "dt": 0.1})
     assert cfg.horizon == 2.0 and cfg.dt == 0.1
     assert IntegratorConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(TypeError, match="horizon"):  # the horizon is spelled "T" only
+    with pytest.raises(ValueError, match="'horizon'"):  # the horizon is spelled "T" only
         IntegratorConfig.from_dict({"T": 1.0, "horizon": 2.0})
+    with pytest.raises(ValueError, match="'rtol'"):
+        IntegratorConfig.from_dict({"method": "matrix_exponential", "rtol": 1e-8})
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,20 @@ import pytest
 from scipy.stats import norm
 
 import nlw
-from nlw.discretize import DiscreteSystem
+import nlw.sampler
+from nlw.discretize import DiscreteSystem, build_system
 from nlw.flow import IntegratorConfig, solve
 from nlw.functionals import DensityState
-from nlw.sampler import MarginalReport, SampleResult, SamplerConfig, compare_marginals, simulate
+from nlw.kernels import FractionalKernel, GibbsMeasure, PotentialSpec
+from nlw.sampler import (
+    MarginalReport,
+    SampleResult,
+    SamplerConfig,
+    _pick_targets,
+    compare_marginals,
+    philox4x32,
+    simulate,
+)
 from nlw.torus import build_grid
 
 
@@ -61,6 +71,135 @@ def test_different_seeds_differ():
     a = simulate(sys, u0, SamplerConfig(n_paths=4000, horizon=1.0, seed=1))
     b = simulate(sys, u0, SamplerConfig(n_paths=4000, horizon=1.0, seed=2))
     assert not np.array_equal(a.counts, b.counts)
+
+
+# ---------------------------------------------------------------------------
+# the counter-based stream and the lockstep loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "counter, key, expected",
+    [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        (
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xA4093822, 0x299F31D0),
+            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+        ),
+    ],
+    ids=["zeros", "ones", "pi_digits"],
+)
+def test_philox4x32_10_known_answers(counter, key, expected):
+    # Random123's known-answer vectors for philox4x32 with 10 rounds
+    assert tuple(int(w) for w in philox4x32(counter, key)) == expected
+
+
+def oracle_block(seed, p, k):
+    """The two uniforms of Philox block (seed, p, k), for one path."""
+    w = [int(x) for x in philox4x32((k, 0, p & 0xFFFFFFFF, p >> 32), (seed & 0xFFFFFFFF, seed >> 32))]
+    return ((w[0] >> 5) * 2**26 + (w[1] >> 6)) * 2.0**-53, ((w[2] >> 5) * 2**26 + (w[3] >> 6)) * 2.0**-53
+
+
+def oracle_pick(weights, total, u):
+    """First index whose running sum of weights exceeds u * total, else the last positive weight."""
+    x, running = u * total, 0.0
+    for j, w in enumerate(weights):
+        running += w
+        if running > x:
+            return j
+    return max(j for j, w in enumerate(weights) if w > 0.0)
+
+
+def oracle_paths(sys, rho0, cfg):
+    """Endpoint and jump count of each path, one path and one jump at a time."""
+    if cfg.rate_convention == "target":
+        q = sys.eta * sys.pi[None, :]
+    else:
+        q = sys.eta * sys.pi[:, None]
+    np.fill_diagonal(q, 0.0)
+    total = q.sum(axis=1)
+    mu0 = rho0.masses
+    out = []
+    for p in range(cfg.n_paths):
+        node = oracle_pick(mu0, np.cumsum(mu0)[-1], oracle_block(cfg.seed, p, 0)[0])
+        t, jumps = 0.0, 0
+        while total[node] > 0.0:
+            u_hold, u_pick = oracle_block(cfg.seed, p, jumps + 1)
+            t += -np.log1p(-np.float64(u_hold)) / total[node]
+            if not t <= cfg.horizon:
+                break
+            node = oracle_pick(q[node], total[node], u_pick)
+            jumps += 1
+        out.append((node, jumps))
+    return out
+
+
+def gibbs_system():
+    measure = GibbsMeasure(potential=PotentialSpec(expr="1.5*cos(2*pi*x)"))
+    return build_system(FractionalKernel(s=1.0), measure, build_grid(1, 8))
+
+
+def absorbing_system():
+    # cell 5 has pi = 0: under source-weighted rates its row is zero, so it
+    # absorbs every path that reaches it; cell 2 is isolated from the start
+    rng = np.random.default_rng(4)
+    mat = rng.uniform(0.5, 2.0, size=(6, 6))
+    eta = mat + mat.T
+    np.fill_diagonal(eta, 0.0)
+    eta[2, :] = eta[:, 2] = 0.0
+    return make_system(6, pi=np.array([0.3, 0.2, 0.2, 0.15, 0.15, 0.0]), eta=eta)
+
+
+@pytest.mark.parametrize(
+    "make, convention, seed",
+    [(gibbs_system, "target", 11), (gibbs_system, "target", 2**40 + 3), (absorbing_system, "source", 6)],
+    ids=["gibbs", "gibbs_high_key", "absorbing"],
+)
+def test_lockstep_paths_equal_the_scalar_oracle(make, convention, seed):
+    sys = make()
+    u0 = DensityState.uniform(sys)
+    cfg = SamplerConfig(n_paths=40, horizon=1.0, seed=seed, rate_convention=convention)
+    expected = oracle_paths(sys, u0, cfg)
+    assert sum(j for _, j in expected) > 0
+    counts, n_jumps = np.zeros(sys.n_points, dtype=np.int64), 0
+    for p, (node, jumps) in enumerate(expected):
+        # path p is the only difference between the first p and the first p + 1 paths
+        res = simulate(sys, u0, SamplerConfig(n_paths=p + 1, horizon=1.0, seed=seed, rate_convention=convention))
+        counts[node] += 1
+        n_jumps += jumps
+        assert np.array_equal(res.counts, counts), p
+        assert res.n_jumps == n_jumps, p
+    if convention == "source":
+        assert counts[5] > 0 and counts[2] > 0
+
+
+def test_chunking_does_not_change_the_result(monkeypatch):
+    sys = gibbs_system()
+    u0 = DensityState.point_mass(sys, 3)
+    cfg = SamplerConfig(n_paths=300, horizon=1.0, seed=21)
+    whole = simulate(sys, u0, cfg)
+    monkeypatch.setattr(nlw.sampler, "_CHUNK_BYTES", 8 * sys.n_points * 7)  # 7 paths per chunk
+    chunked = simulate(sys, u0, cfg)
+    assert np.array_equal(whole.counts, chunked.counts)
+    assert whole.n_jumps == chunked.n_jumps > 0
+
+
+def test_pick_stays_in_range_when_the_cumulative_sum_ends_below_the_total():
+    # find a rate row whose sequential cumsum ends below its pairwise sum, the
+    # last entry being the row's own zero diagonal
+    rng = np.random.default_rng(0)
+    while True:
+        row = rng.uniform(0.0, 3.0, size=40)
+        row[-1] = 0.0
+        cum, total = np.cumsum(row)[None, :], row.sum(keepdims=True)
+        if cum[0, -1] < total[0]:
+            break
+    u = np.array([np.nextafter(1.0, 0.0)])
+    assert np.searchsorted(cum[0] / total[0], u[0], side="right") == row.size  # the unclamped pick
+    (j,) = _pick_targets(cum, total, np.array([row.size - 2]), np.array([0]), u)
+    assert 0 <= j < row.size and row[j] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +370,9 @@ def test_sampler_config_validation():
         SamplerConfig(n_paths=0)
     with pytest.raises(ValueError, match="horizon"):
         SamplerConfig(horizon=-1.0)
+    with pytest.raises(ValueError, match="seed"):
+        SamplerConfig(seed=2**64)
+    assert SamplerConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_marginal_report_is_frozen():
