@@ -50,15 +50,20 @@ evaluates each pair on the same code path.
 
 All cell-pair integrals are independent; they are evaluated in batches
 with a deterministic write order, so two builds from the same config are
-bit-identical.  Systems serialize to a self-describing JSON document
-(schema "nlw-system/v1") with arrays in row-major order.
+bit-identical.  A built system owns one list of its cell pairs i < j with
+conductances eta_ij pi_i pi_j (``DiscreteSystem.pairs``); the pairwise
+functionals and the transport solver's edge list both read it.  Systems
+serialize to a self-describing JSON document (schema "nlw-system/v1")
+with arrays in row-major order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +80,7 @@ from .torus import GridSpec, build_grid
 
 __all__ = [
     "DiscreteSystem",
+    "CellPairs",
     "QuadratureError",
     "ZeroCellError",
     "pushforward_measure",
@@ -93,6 +99,7 @@ SYSTEM_SCHEMA = "nlw-system/v1"
 PAIR_TOL = 1e-4  # relative change that stops the doubling of a cell-pair rule
 CELL_TOL = 1e-12  # relative change that stops the doubling of the per-cell pushforward rule
 MAX_DOUBLINGS = 7  # doublings allowed before either rule raises QuadratureError
+_PAIR_BLOCK = 1 << 14  # pairs per block of CellPairs.blocks
 
 
 class QuadratureError(RuntimeError):
@@ -111,6 +118,30 @@ class ZeroCellError(ValueError):
 # ---------------------------------------------------------------------------
 # Discrete system container
 # ---------------------------------------------------------------------------
+
+
+class CellPairs(NamedTuple):
+    """Every cell pair i < j, in ``np.triu_indices`` order, with its conductance.
+
+    ``w = eta[i, j] * pi[i] * pi[j]``, evaluated left to right.  Pairs
+    with eta = 0 stay in the list with w = 0, so a flux on any pair has
+    a slot.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+    def blocks(self) -> list[slice]:
+        """Consecutive slices of at most ``_PAIR_BLOCK`` pairs covering the list.
+
+        Pairwise sums run block by block: temporaries over the whole list
+        (1 MiB each at N = 512) go back to the operating system when freed
+        and are page-faulted in again on the next call, which costs more
+        than the arithmetic, while block temporaries stay in cache and in
+        the allocator's free lists.
+        """
+        return [slice(a, a + _PAIR_BLOCK) for a in range(0, self.w.size, _PAIR_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -157,6 +188,15 @@ class DiscreteSystem:
     @property
     def n_points(self) -> int:
         return self.grid.n_points
+
+    @cached_property
+    def pairs(self) -> CellPairs:
+        """The cell pairs i < j and their conductances, built once per system."""
+        i, j = np.triu_indices(self.n_points, k=1)
+        w = self.eta[i, j] * self.pi[i] * self.pi[j]
+        for arr in (i, j, w):
+            arr.setflags(write=False)
+        return CellPairs(i, j, w)
 
     @classmethod
     def from_arrays(cls, grid: GridSpec, pi, eta, delta=None, provenance=None) -> "DiscreteSystem":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -352,6 +352,11 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _result_document(result, omit: str) -> dict:
+    """The fields of a result dataclass but one, as the body of its JSON artifact."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name != omit}
+
+
 @dataclass
 class RunResult:
     """Objects and files produced by one config run."""
@@ -483,18 +488,7 @@ def run_config(
             if "csv" in fmts:
                 bundle.add_text("trajectory", "trajectory.csv", "nlw-trajectory-csv/v1", traj.to_csv())
             if "json" in fmts:
-                rep = edi_report(traj)
-                doc = {
-                    "delta_h": rep.delta_h,
-                    "int_fisher": rep.int_fisher,
-                    "int_action": rep.int_action,
-                    "defect": rep.defect,
-                    "defect_production": rep.defect_production,
-                    "start_time": rep.start_time,
-                    "infinite_start": rep.infinite_start,
-                    "valid": rep.valid,
-                    "note": rep.note,
-                }
+                doc = _result_document(edi_report(traj), omit="start_index")
                 bundle.add_json("edi", "edi.json", "nlw-edi/v1", doc)
 
         if "certify" in stages:
@@ -517,17 +511,7 @@ def run_config(
             mres = nlw_distance(PathProblem(sys, a, b, n_steps=cfg.metric.n_steps, solver=solver))
             result.metric = mres
             if "json" in fmts:
-                doc = {
-                    "w": mres.w,
-                    "n_steps": mres.n_steps,
-                    "iterations": mres.iterations,
-                    "converged": mres.converged,
-                    "constraint_residual": mres.constraint_residual,
-                    "infeasible": mres.infeasible,
-                    "reason": mres.reason,
-                    "objective_history": [float(v) for v in mres.objective_history],
-                }
-                bundle.add_json("metric", "metric.json", "nlw-metric/v1", doc)
+                bundle.add_json("metric", "metric.json", "nlw-metric/v1", _result_document(mres, omit="path"))
             if "csv" in fmts and cfg.metric.save_path and mres.path is not None:
                 header = "t," + ",".join(f"u{i}" for i in range(sys.n_points))
                 rows = [header]

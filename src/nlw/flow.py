@@ -119,17 +119,17 @@ def generator_apply(rho: DensityState) -> np.ndarray:
 
 
 def tangent_flux(rho: DensityState) -> FluxField:
-    """The flux v_ij = -(u_j - u_i) eta_ij pi_i pi_j carried by the flow.
+    """The flux v_ij = (u_i - u_j) eta_ij pi_i pi_j carried by the flow.
 
-    Computed so that antisymmetry is exact in floating point: the
-    density difference and the symmetric factors are formed once and
-    multiplied elementwise (IEEE products commute, and x - y is the
-    exact negative of y - x).
+    Written on the system's pair list, v = (u_i - u_j) * w per pair
+    i < j, so antisymmetry is exact by construction.
     """
-    sys = rho.system
+    pairs = rho.system.pairs
     u = rho.u
-    du_eta = (u[:, None] - u[None, :]) * sys.eta
-    return FluxField(du_eta * (sys.pi[:, None] * sys.pi[None, :]))
+    values = np.empty(pairs.w.shape)
+    for b in pairs.blocks():
+        values[b] = (u[pairs.i[b]] - u[pairs.j[b]]) * pairs.w[b]
+    return FluxField.on_pairs(rho.system.n_points, values)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,9 @@ class EDIReport:
     state), the quadrature starts at the first positive output time and
     ``infinite_start`` records the convention; the flow is strictly
     positive for t > 0, so every later value is finite.  A defect claim
-    is only made when ``valid`` is true.
+    is only made when ``valid`` is true: it is false when a later I is
+    infinite (integrals inf) and when fewer than two output times remain
+    to integrate over (integrals nan).
     """
 
     delta_h: float
@@ -361,17 +363,23 @@ def edi_report(traj: Trajectory) -> EDIReport:
         start = 1
         infinite_start = True
     if not np.all(np.isfinite(I[start:])):
+        integral, no_claim = float("inf"), "Fisher information infinite beyond the initial time"
+    elif traj.n_times - start < 2:
+        integral, no_claim = float("nan"), "I infinite at t=0 leaves a single output time to integrate over"
+    else:
+        no_claim = ""
+    if no_claim:
         return EDIReport(
             delta_h=float("nan"),
-            int_fisher=float("inf"),
-            int_action=float("inf"),
+            int_fisher=integral,
+            int_action=integral,
             defect=float("nan"),
             defect_production=float("nan"),
             start_index=start,
             start_time=float(traj.times[start]),
             infinite_start=infinite_start,
             valid=False,
-            note="Fisher information infinite beyond the initial time; no defect claim",
+            note=no_claim + "; no defect claim",
         )
     A = np.empty(traj.n_times - start)
     for k in range(start, traj.n_times):

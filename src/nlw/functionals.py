@@ -4,16 +4,23 @@ Everything here acts on a DiscreteSystem (grid, pi, eta) together with a
 relative density u = drho/dpi.  The central objects:
 
   H(rho|pi)   = sum_i u_i log u_i pi_i                     relative entropy
-  I(rho|pi)   = 1/2 sum_{i != j} (u_i - u_j)(log u_i - log u_j) eta_ij pi_i pi_j
-  A(rho, v)   = sum_{i != j} v_ij^2 / (2 theta(u_i, u_j) eta_ij pi_i pi_j)
+  I(rho|pi)   = sum_{i < j} (u_i - u_j)(log u_i - log u_j) w_ij
+  A(rho, v)   = sum_{i < j} v_ij^2 / (theta(u_i, u_j) w_ij)
 
-with theta the logarithmic mean.  The identity theta(a,b) * (log a - log b)
-= a - b turns the action of the tangent flux v_ij = -(u_j - u_i) eta_ij
-pi_i pi_j into the Fisher information exactly: each edge term becomes
-(u_i - u_j)^2 / (2 theta) * eta pi pi = (u_i - u_j)(log u_i - log u_j)/2
-* eta pi pi.  That exact cancellation is what makes the heat flow the
-gradient flow of the entropy in this geometry, and the test suite pins
-it at relative 1e-12.
+with w_ij = eta_ij pi_i pi_j the conductance of the pair and theta the
+logarithmic mean.  The identity theta(a,b) * (log a - log b) = a - b
+turns the action of the tangent flux v_ij = (u_i - u_j) w_ij into the
+Fisher information exactly: each pair term becomes
+(u_i - u_j)^2 / theta * w = (u_i - u_j)(log u_i - log u_j) * w.  That
+exact cancellation is what makes the heat flow the gradient flow of the
+entropy in this geometry, and the test suite pins it at relative 1e-12.
+The two sides are computed independently (theta from ``log_mean``, the
+Fisher side from log u), so the audit tests that identity.
+
+Pair sums run over the system's cached pair list ``DiscreteSystem.pairs``
+(every i < j in ``np.triu_indices`` order, with w), block by block, so
+no N x N temporary is formed.  A sum over i < j equals the ordered-pair
+sum 1/2 sum_{i != j} of the same symmetric term.
 
 Conventions for degenerate values follow the variational definitions:
 0 log 0 = 0 in the entropy; r (log r - log 0) = +infinity in the Fisher
@@ -21,11 +28,6 @@ information (an absolutely-continuous state with mass next to a hole has
 infinite slope); in the action 0^2/0 = 0 and v^2/0 = +infinity for
 v != 0.  Infinities are ordinary IEEE inf values propagated through
 sums, never exceptions.
-
-All double sums run over ordered pairs (i, j), i != j, which double-counts
-each undirected edge; `FluxField.from_upper_triangle` accepts "physicist"
-i < j data and the tests assert the two bookkeepings agree (ordered sum
-= twice the i < j sum).
 """
 
 from __future__ import annotations
@@ -65,26 +67,28 @@ def log_mean(r, s):
     expansion theta = m - (r-s)^2/(12 m) around the midpoint m is used
     (the next term is O((r-s)^4/m^3), far below double precision there).
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(r_arr < 0.0) or np.any(s_arr < 0.0):
+    rb, sb = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    )
+    if np.any(rb < 0.0) or np.any(sb < 0.0):
         raise ValueError("log mean requires nonnegative arguments")
-    rb, sb = np.broadcast_arrays(r_arr, s_arr)
-    out = np.zeros(rb.shape)
-    pos = (rb > 0.0) & (sb > 0.0)
-    near = pos & (np.abs(rb - sb) <= 1e-8 * np.maximum(rb, sb))
-    far = pos & ~near
-    if np.any(near):
-        m = 0.5 * (rb[near] + sb[near])
-        d = rb[near] - sb[near]
-        out[near] = m - d * d / (12.0 * m)
-    if np.any(far):
-        # log r - log s as log1p((r-s)/s): full relative precision even
-        # for moderately close arguments, where the raw difference of
-        # logs would amplify roundoff by max(r,s)/|r-s|
-        rr, ss = rb[far], sb[far]
-        d = rr - ss
-        out[far] = d / np.log1p(d / ss)
+    d = rb - sb
+    # the far branch on every entry, then the series on the near ones
+    # (theta(0, 0) among them); zero-argument entries are overwritten
+    # last, so the inf/nan either branch leaves there never escape.
+    # log r - log s as log1p((r-s)/s) keeps full relative precision for
+    # moderately close arguments, where the raw difference of logs would
+    # amplify roundoff by max(r,s)/|r-s|.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = d / np.log1p(d / sb)
+        near = np.abs(d) <= 1e-8 * np.maximum(rb, sb)
+        if near.any():
+            m = 0.5 * (rb[near] + sb[near])
+            dn = d[near]
+            out[near] = m - dn * dn / (12.0 * m)
+    zero = (rb == 0.0) | (sb == 0.0)
+    if zero.any():
+        out[zero] = 0.0
     if np.isscalar(r) and np.isscalar(s):
         return float(out[0])
     return out.reshape(np.broadcast_shapes(np.shape(r), np.shape(s)))
@@ -168,26 +172,59 @@ class DensityState:
         return cls(system, mu / system.pi)
 
 
-@dataclass(frozen=True)
 class FluxField:
-    """An antisymmetric edge flux v_ij = -v_ji (exactly, in floating point)."""
+    """An antisymmetric edge flux v_ij = -v_ji, stored once per cell pair.
 
-    v: np.ndarray
+    ``values`` holds v_ij for the pairs i < j in ``np.triu_indices``
+    order, the order of ``DiscreteSystem.pairs``, so antisymmetry holds
+    by construction; ``v`` builds the dense matrix on demand.
+    ``FluxField(matrix)`` accepts a square, finite, exactly antisymmetric
+    matrix; ``on_pairs`` takes the pair values directly.
+    """
 
-    def __post_init__(self):
-        v = np.array(self.v, dtype=float)
+    def __init__(self, v):
+        v = np.asarray(v, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("flux must be a square matrix")
         if not np.all(np.isfinite(v)):
             raise ValueError("flux entries must be finite")
         if not np.array_equal(v, -v.T):
             raise ValueError("flux must be exactly antisymmetric")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        self._set(v.shape[0], v[np.triu_indices(v.shape[0], k=1)])
+
+    def _set(self, n: int, values: np.ndarray) -> None:
+        values.setflags(write=False)
+        self.n_points = n
+        self.values = values
+
+    @classmethod
+    def on_pairs(cls, n: int, values) -> "FluxField":
+        """The flux with v_ij = values[k] on the k-th pair i < j of ``np.triu_indices(n, 1)``.
+
+        ``values`` is not copied; the flux holds a read-only view of it.
+        """
+        values = np.asarray(values, dtype=float).view()
+        if values.shape != (n * (n - 1) // 2,):
+            raise ValueError(f"{values.shape} pair values for {n} points")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("flux entries must be finite")
+        flux = cls.__new__(cls)
+        flux._set(n, values)
+        return flux
+
+    @property
+    def v(self) -> np.ndarray:
+        """The dense antisymmetric matrix, built on each access."""
+        n = self.n_points
+        i, j = np.triu_indices(n, k=1)
+        v = np.zeros((n, n))
+        v[i, j] = self.values
+        v[j, i] = -self.values
+        return v
 
     @classmethod
     def zero(cls, n: int) -> "FluxField":
-        return cls(np.zeros((n, n)))
+        return cls.on_pairs(n, np.zeros(n * (n - 1) // 2))
 
     @classmethod
     def from_upper_triangle(cls, upper: np.ndarray) -> "FluxField":
@@ -197,8 +234,10 @@ class FluxField:
         convention where each undirected edge is stated once.
         """
         upper = np.asarray(upper, dtype=float)
-        tri = np.triu(upper, k=1)
-        return cls(tri - tri.T)
+        if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
+            raise ValueError("flux must be a square matrix")
+        n = upper.shape[0]
+        return cls.on_pairs(n, upper[np.triu_indices(n, k=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +258,27 @@ def relative_entropy(rho: DensityState) -> float:
 def fisher_information(rho: DensityState) -> float:
     """Nonlocal Fisher information; +inf when mass sits next to a hole.
 
-    1/2 sum_{i != j} (u_i - u_j)(log u_i - log u_j) eta_ij pi_i pi_j,
-    with r (log r - log 0) = +inf for r > 0 and 0 (log 0 - log 0) = 0.
+    sum_{i < j} (u_i - u_j)(log u_i - log u_j) w_ij over the system's
+    pair list, with r (log r - log 0) = +inf for r > 0 across a pair with
+    eta > 0 and 0 (log 0 - log 0) = 0.
     """
     u = rho.u
     sys = rho.system
+    pairs = sys.pairs
     pos = u > 0.0
     if not np.all(pos):
-        zero = ~pos
-        if np.any(sys.eta[np.ix_(pos, zero)] > 0.0):
+        mixed = pos[pairs.i] != pos[pairs.j]
+        if np.any(sys.eta[pairs.i[mixed], pairs.j[mixed]] > 0.0):
             return float("inf")
-    safe_log = np.where(pos, np.log(np.where(pos, u, 1.0)), 0.0)
-    du = u[:, None] - u[None, :]
-    dlog = safe_log[:, None] - safe_log[None, :]
-    pipj = sys.pi[:, None] * sys.pi[None, :]
-    return 0.5 * float(np.sum(du * dlog * sys.eta * pipj))
+    # u and log u side by side, so one gather per pair end fetches both;
+    # log 0 is set to 0: a pair still touching a hole is empty at both
+    # ends or has eta = 0, so its term is 0
+    ul = np.column_stack([u, np.log(np.where(pos, u, 1.0))])
+    total = 0.0
+    for b in pairs.blocks():
+        diff = np.take(ul, pairs.i[b], axis=0) - np.take(ul, pairs.j[b], axis=0)
+        total += float(np.sum(diff[:, 0] * diff[:, 1] * pairs.w[b]))
+    return total
 
 
 def nonlocal_gradient(phi: np.ndarray) -> np.ndarray:
@@ -245,25 +290,31 @@ def nonlocal_gradient(phi: np.ndarray) -> np.ndarray:
 def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
     """Kinetic action of a density/flux pair.
 
-    sum over ordered pairs i != j of v_ij^2 / (2 theta(u_i,u_j) eta_ij
-    pi_i pi_j).  Degenerate edges follow 0/0 = 0 and c/0 = +inf for
-    c > 0: flux across a closed or empty edge costs infinitely much.
-    ``theta_fn`` defaults to the logarithmic mean; passing
-    ``arithmetic_mean`` gives the negative-control geometry.
+    sum over the pairs i < j of v_ij^2 / (theta(u_i,u_j) w_ij), which
+    equals the ordered-pair sum of v_ij^2 / (2 theta eta_ij pi_i pi_j).
+    Degenerate pairs follow 0/0 = 0 and c/0 = +inf for c > 0: flux
+    across a closed or empty pair costs infinitely much.  ``theta_fn``
+    defaults to the logarithmic mean; passing ``arithmetic_mean`` gives
+    the negative-control geometry.
     """
     u = rho.u
     sys = rho.system
-    v = flux.v
-    if v.shape != sys.eta.shape:
+    if flux.n_points != sys.n_points:
         raise ValueError("flux shape does not match the system")
-    theta = theta_fn(u[:, None], u[None, :])
-    den = 2.0 * theta * sys.eta * (sys.pi[:, None] * sys.pi[None, :])
-    num = v * v
-    zero_den = den == 0.0
-    if np.any(zero_den & (num > 0.0)):
-        return float("inf")
-    terms = np.divide(num, den, out=np.zeros_like(num), where=~zero_den)
-    return float(np.sum(terms))
+    pairs = sys.pairs
+    total = 0.0
+    for b in pairs.blocks():
+        den = theta_fn(u[pairs.i[b]], u[pairs.j[b]]) * pairs.w[b]
+        num = flux.values[b] * flux.values[b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = num / den
+        zero_den = den == 0.0
+        if zero_den.any():
+            if np.any(num[zero_den] > 0.0):
+                return float("inf")
+            terms[zero_den] = 0.0
+        total += float(np.sum(terms))
+    return total
 
 
 def continuity_residual(mu_dot: np.ndarray, flux: FluxField) -> float:
@@ -275,6 +326,6 @@ def continuity_residual(mu_dot: np.ndarray, flux: FluxField) -> float:
     solves the equation.
     """
     mu_dot = np.asarray(mu_dot, dtype=float)
-    if mu_dot.shape[0] != flux.v.shape[0]:
+    if mu_dot.shape[0] != flux.n_points:
         raise ValueError("shape mismatch between mu_dot and flux")
     return float(np.max(np.abs(mu_dot + flux.v.sum(axis=1))))

@@ -178,12 +178,10 @@ class MetricResult:
 
 
 def _support_edges(sys: DiscreteSystem):
-    """Edge list (i < j with eta > 0) and conductances eta_ij pi_i pi_j."""
-    iu, ju = np.triu_indices(sys.n_points, k=1)
-    keep = sys.eta[iu, ju] > 0.0
-    ei, ej = iu[keep], ju[keep]
-    q = sys.eta[ei, ej] * sys.pi[ei] * sys.pi[ej]
-    return np.column_stack([ei, ej]), q
+    """Edge list (i < j with eta > 0) and conductances eta_ij pi_i pi_j: the eta > 0 part of ``sys.pairs``."""
+    pairs = sys.pairs
+    keep = sys.eta[pairs.i, pairs.j] > 0.0
+    return np.column_stack([pairs.i[keep], pairs.j[keep]]), pairs.w[keep]
 
 
 def _graph_laplacian(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:

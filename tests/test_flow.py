@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nlw.discretize import DiscreteSystem
+from nlw.discretize import DiscreteSystem, build_system
 from nlw.flow import (
     DecayEstimate,
     EXPM_MAX_POINTS,
@@ -36,7 +36,9 @@ from nlw.functionals import (
     fisher_information,
     relative_entropy,
 )
+from nlw.kernels import FractionalKernel, UniformMeasure, measure_from_dict
 from nlw.torus import build_grid
+from test_functionals import dense_action, dense_tangent_flux
 
 
 def make_system(n=4, eta_value=1.0, pi=None, eta=None):
@@ -416,6 +418,29 @@ def test_edi_infinite_start_convention():
     # is only first order on the leading panels: expect ~dt-sized defect
     assert rep.defect_production <= 2e-4 * rep.delta_h
     assert "first output time" in rep.note
+
+
+def test_edi_makes_no_claim_on_a_single_finite_point():
+    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 8))
+    u0 = DensityState.point_mass(sys, 3)
+    traj = solve(sys, u0, IntegratorConfig(horizon=0.5), output_times=np.array([0.0, 0.5]))
+    assert traj.fisher[0] == np.inf and np.isfinite(traj.fisher[1])
+    rep = edi_report(traj)
+    assert not rep.valid
+    assert rep.infinite_start and rep.start_index == 1
+    assert np.isnan(rep.int_fisher) and np.isnan(rep.int_action) and np.isnan(rep.defect)
+    assert "single output time" in rep.note
+
+
+def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action():
+    gibbs = measure_from_dict({"type": "gibbs", "potential": {"expr": "cos(2*pi*x)"}})
+    sys = build_system(FractionalKernel(s=1.0), gibbs, build_grid(1, 64))
+    traj = solve(sys, DensityState.point_mass(sys, 5), IntegratorConfig(horizon=0.5, dt=0.01))
+    rep = edi_report(traj)
+    assert rep.valid and rep.start_index == 1
+    states = [traj.state(k) for k in range(rep.start_index, traj.n_times)]
+    oracle = [dense_action(s, dense_tangent_flux(s)) for s in states]
+    assert rep.int_action == pytest.approx(np.trapezoid(oracle, traj.times[1:]), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nlw.discretize import DiscreteSystem
+from nlw.flow import tangent_flux
 from nlw.functionals import (
     DensityState,
     FluxField,
@@ -350,3 +353,210 @@ def test_continuity_residual_exact_solution_and_perturbation():
     pert[1, 0] -= eps
     res = continuity_residual(mu_dot, FluxField(pert))
     assert res == pytest.approx(eps, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: the N x N bodies the pair-list functionals replaced
+# ---------------------------------------------------------------------------
+
+
+def masked_log_mean(r, s):
+    """The boolean-masked logarithmic mean, branch by branch."""
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(r_arr < 0.0) or np.any(s_arr < 0.0):
+        raise ValueError("log mean requires nonnegative arguments")
+    rb, sb = np.broadcast_arrays(r_arr, s_arr)
+    out = np.zeros(rb.shape)
+    pos = (rb > 0.0) & (sb > 0.0)
+    near = pos & (np.abs(rb - sb) <= 1e-8 * np.maximum(rb, sb))
+    far = pos & ~near
+    if np.any(near):
+        m = 0.5 * (rb[near] + sb[near])
+        d = rb[near] - sb[near]
+        out[near] = m - d * d / (12.0 * m)
+    if np.any(far):
+        rr, ss = rb[far], sb[far]
+        d = rr - ss
+        out[far] = d / np.log1p(d / ss)
+    if np.isscalar(r) and np.isscalar(s):
+        return float(out[0])
+    return out.reshape(np.broadcast_shapes(np.shape(r), np.shape(s)))
+
+
+def dense_fisher(rho):
+    u = rho.u
+    sys = rho.system
+    pos = u > 0.0
+    if not np.all(pos):
+        zero = ~pos
+        if np.any(sys.eta[np.ix_(pos, zero)] > 0.0):
+            return float("inf")
+    safe_log = np.where(pos, np.log(np.where(pos, u, 1.0)), 0.0)
+    du = u[:, None] - u[None, :]
+    dlog = safe_log[:, None] - safe_log[None, :]
+    pipj = sys.pi[:, None] * sys.pi[None, :]
+    return 0.5 * float(np.sum(du * dlog * sys.eta * pipj))
+
+
+def dense_tangent_flux(rho):
+    sys = rho.system
+    u = rho.u
+    du_eta = (u[:, None] - u[None, :]) * sys.eta
+    return du_eta * (sys.pi[:, None] * sys.pi[None, :])
+
+
+def dense_action(rho, v, theta_fn=masked_log_mean):
+    u = rho.u
+    sys = rho.system
+    theta = theta_fn(u[:, None], u[None, :])
+    den = 2.0 * theta * sys.eta * (sys.pi[:, None] * sys.pi[None, :])
+    num = v * v
+    zero_den = den == 0.0
+    if np.any(zero_den & (num > 0.0)):
+        return float("inf")
+    terms = np.divide(num, den, out=np.zeros_like(num), where=~zero_den)
+    return float(np.sum(terms))
+
+
+def assert_matches_oracle(got, want):
+    """inf and 0.0 exactly where the oracle has them, rtol 1e-13 elsewhere."""
+    if want == np.inf or want == 0.0:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_log_mean_equals_the_masked_oracle_bit_for_bit():
+    tiny = np.finfo(float).tiny
+    # (r, s): far, near, just outside the series cut, zeros, subnormals, extremes
+    cases = [
+        (1.0, 1.0), (4.0, 1.0), (0.3, 2.7), (1.0, 1.0 + 5e-9), (1.0, 1.0 - 1e-8),
+        (1.0 + 1e-8, 1.0), (1.0, 1.0 + 1.0000001e-8), (1.0, 1.0 + 2e-8), (2.0, 2.0 * (1 + 1e-12)),
+        (0.0, 0.0), (0.0, 3.0), (5.0, 0.0), (1e-310, 1.1e-310), (3e-320, 3e-320),
+        (tiny, 2 * tiny), (7.0, 7.0 * (1 + 1e-15)), (1e300, 2e300),
+    ]
+    r, s = np.array(cases).T
+    rng = np.random.default_rng(31)
+    far = rng.random(200) * 10.0
+    near = far * (1.0 + rng.uniform(-2e-8, 2e-8, 200))  # both sides of the series cut
+    r = np.concatenate([r, far, near, far])
+    s = np.concatenate([s, near, far, np.where(rng.random(200) < 0.2, 0.0, far[::-1])])
+    assert np.array_equal(log_mean(r, s), masked_log_mean(r, s))
+    assert np.array_equal(log_mean(s, r), masked_log_mean(s, r))
+    u = r[:40]
+    with np.errstate(over="ignore", divide="ignore"):  # ratios beyond the float range, in both
+        assert np.array_equal(log_mean(u[:, None], u[None, :]), masked_log_mean(u[:, None], u[None, :]))
+    for a, b in [(4.0, 1.0), (1.0, 1.0 + 5e-9), (0.0, 2.0), (0.0, 0.0), (3.0, 3.0)]:
+        got = log_mean(a, b)
+        assert type(got) is float and got == masked_log_mean(a, b)
+
+
+def random_pair_system(rng, n, closed=0.3):
+    """Random pi and eta with a fraction of closed (eta = 0) pairs."""
+    mat = rng.uniform(0.1, 2.0, size=(n, n)) * (rng.random((n, n)) >= closed)
+    eta = np.triu(mat, k=1)
+    eta = eta + eta.T
+    pi = rng.uniform(0.2, 1.0, size=n)
+    return make_system(n, pi=pi / pi.sum(), eta=eta)
+
+
+def oracle_states(rng, sys):
+    """Positive, near-diagonal, uniform and holed states of ``sys``."""
+    n = sys.n_points
+    raw = [
+        rng.uniform(0.05, 2.0, size=n),
+        1.0 + 1e-10 * rng.standard_normal(n),
+        1.0 + 3e-9 * rng.standard_normal(n),  # straddles the log-mean series cut
+        np.ones(n),
+    ]
+    holed = rng.uniform(0.05, 2.0, size=n)
+    holed[rng.choice(n, size=n // 3, replace=False)] = 0.0
+    raw.append(holed)
+    # holes whose every pair to the mass is closed: finite Fisher information
+    open_to_mass = (sys.eta[:, holed > 0.0] > 0.0).any(axis=1)
+    raw.append(np.where(open_to_mass, holed + 0.5, 0.0))
+    return [DensityState(sys, u / (u @ sys.pi)) for u in raw]
+
+
+def oracle_fluxes(rng, rho):
+    """Tangent, zero, random (some on eta = 0 pairs) and support-restricted fluxes."""
+    sys = rho.system
+    n = sys.n_points
+    upper = np.triu(rng.standard_normal((n, n)), k=1)
+    supported = upper * (sys.eta > 0.0) * ((rho.u[:, None] > 0.0) & (rho.u[None, :] > 0.0))
+    return [dense_tangent_flux(rho), np.zeros((n, n)), upper - upper.T, supported - supported.T]
+
+
+@pytest.fixture(params=["one_block", "blocks_of_7"])
+def block_size(request, monkeypatch):
+    if request.param == "blocks_of_7":
+        monkeypatch.setattr("nlw.discretize._PAIR_BLOCK", 7)
+
+
+@pytest.mark.parametrize("n", [5, 13, 40])
+def test_pair_functionals_match_the_dense_oracles(n, block_size):
+    rng = np.random.default_rng(100 + n)
+    seen_inf = seen_zero = 0
+    for _ in range(3):
+        sys = random_pair_system(rng, n)
+        for rho in oracle_states(rng, sys):
+            want = dense_fisher(rho)
+            assert_matches_oracle(fisher_information(rho), want)
+            seen_inf += want == np.inf
+            np.testing.assert_allclose(tangent_flux(rho).v, dense_tangent_flux(rho), rtol=1e-13, atol=0.0)
+            for v in oracle_fluxes(rng, rho):
+                want = dense_action(rho, v)
+                assert_matches_oracle(action(rho, FluxField(v)), want)
+                assert_matches_oracle(
+                    action(rho, FluxField(v), theta_fn=arithmetic_mean), dense_action(rho, v, arithmetic_mean)
+                )
+                seen_inf += want == np.inf
+                seen_zero += want == 0.0
+    assert seen_inf and seen_zero
+
+
+def test_flux_field_on_pairs_round_trip_and_validation():
+    rng = np.random.default_rng(41)
+    upper = np.triu(rng.standard_normal((6, 6)), k=1)
+    v = upper - upper.T
+    f = FluxField(v)
+    assert np.array_equal(f.v, v)
+    assert np.array_equal(f.values, upper[np.triu_indices(6, k=1)])
+    assert not f.values.flags.writeable
+    g = FluxField.on_pairs(6, f.values)
+    assert np.array_equal(g.v, v)
+    with pytest.raises(ValueError):
+        FluxField.on_pairs(6, np.zeros(14))
+    with pytest.raises(ValueError):
+        FluxField.on_pairs(2, np.array([np.nan]))
+    with pytest.raises(ValueError):
+        FluxField.from_upper_triangle(np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        action(DensityState.uniform(make_system(4)), FluxField.zero(5))
+
+
+def test_pair_list_audit_peak_memory_at_1024_points():
+    n = 1024
+    x = np.arange(n) / n
+    pi = np.exp(-np.cos(2.0 * np.pi * x))
+    dist = np.abs(x[:, None] - x[None, :])
+    dist = np.minimum(dist, 1.0 - dist)
+    eta = 1.0 / np.maximum(dist, 0.5 / n) ** 2
+    np.fill_diagonal(eta, 0.0)
+    sys = make_system(n, pi=pi / pi.sum(), eta=eta)
+    u = 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
+    rho = DensityState(sys, u / (u @ sys.pi))
+    fisher_information(rho)  # builds the system's pair list before the measurement
+    pair_bytes = 8 * (n * (n - 1) // 2)  # one float per pair i < j
+    tracemalloc.start()
+    try:
+        fisher = fisher_information(rho)
+        act = action(rho, tangent_flux(rho))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pair-value array (the flux) plus block temporaries; the dense
+    # N x N bodies peaked at about 59 MiB here, 15 pair-value arrays
+    assert peak < 2 * pair_bytes, f"peak {peak / 2**20:.2f} MiB"
+    assert act == pytest.approx(fisher, rel=1e-12)
