@@ -65,7 +65,6 @@ from .functionals import (
     DensityState,
     FluxField,
     action,
-    continuity_residual,
     fisher_information,
     log_mean,
     relative_entropy,

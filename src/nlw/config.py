@@ -17,8 +17,10 @@ Configs are JSON documents with up to six sections::
 Unknown keys anywhere in the tree are hard errors reported with their
 full field path — a silently ignored typo ("integator") costs far more
 debugging time than a strict parser costs up front.  The numerical
-settings a config may carry are the integrator's ``method``, ``T`` and
-``dt`` and the transport solver's ``max_iter``; quadrature and the rest
+settings a config may carry are the integrator's ``method`` (only
+``matrix_exponential``: the exact spectral propagator), ``T`` and ``dt``
+(which sets only the default output grid) and the transport solver's
+``max_iter``; quadrature and the rest
 of the solver run at fixed module constants (``discretize``,
 ``kernels``, ``metric``), so a config that names one of them is
 rejected like any other unknown key.  Validation here is

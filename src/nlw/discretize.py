@@ -89,6 +89,7 @@ __all__ = [
     "verify_moment_bound",
     "MomentBoundReport",
     "system_document",
+    "canonical_json",
     "save_system",
     "load_system",
     "SYSTEM_SCHEMA",
@@ -613,9 +614,18 @@ def system_document(sys: DiscreteSystem) -> dict:
     }
 
 
+def canonical_json(doc) -> str:
+    """The text of every JSON artifact: sorted keys, no indent, one final newline.
+
+    Without an indent ``json`` keeps to its C encoder; an indent sends it
+    to the pure-Python one, about twice as slow on a 512-point system.
+    """
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def save_system(sys: DiscreteSystem, path) -> None:
     """Write the system as a self-describing JSON document."""
-    Path(path).write_text(json.dumps(system_document(sys), indent=1, sort_keys=True) + "\n")
+    Path(path).write_text(canonical_json(system_document(sys)))
 
 
 def load_system(path) -> DiscreteSystem:

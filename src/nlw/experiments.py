@@ -24,9 +24,8 @@ integrate the same initial-value problem.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .discretize import (
     QuadratureError,
     ZeroCellError,
     build_system,
+    canonical_json,
     pushforward_measure,
     system_document,
 )
@@ -167,26 +167,6 @@ class LSICertificate:
     certified: bool
     decay: DecayEstimate | None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        doc = {
-            "c": self.c,
-            "pointwise_ok": self.pointwise_ok,
-            "pointwise_slack": self.pointwise_slack,
-            "envelope_ok": self.envelope_ok,
-            "envelope_slack": self.envelope_slack,
-            "certified": self.certified,
-            "note": self.note,
-            "decay": None,
-        }
-        if self.decay is not None:
-            doc["decay"] = {
-                "rate": self.decay.rate,
-                "residual": self.decay.residual,
-                "n_points": self.decay.n_points,
-                "t_start": self.decay.t_start,
-            }
-        return doc
 
 
 def lsi_certify(sys: DiscreteSystem, traj: Trajectory, tol: float = 1e-8) -> LSICertificate:
@@ -348,10 +328,6 @@ def refinement_study(cfg: ExperimentConfig, levels=None) -> RefinementReport:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def _result_document(result, omit: str) -> dict:
     """The fields of a result dataclass but one, as the body of its JSON artifact."""
     return {f.name: getattr(result, f.name) for f in fields(result) if f.name != omit}
@@ -413,7 +389,7 @@ class _Bundle:
             print(f"wrote {path}")
 
     def add_json(self, name: str, filename: str, schema: str, doc: dict) -> None:
-        self.add_text(name, filename, schema, _canonical_json({"schema": schema, **doc}))
+        self.add_text(name, filename, schema, canonical_json({"schema": schema, **doc}))
 
     def write_manifest(self, stages: list, failure: dict | None) -> str:
         doc = {
@@ -425,7 +401,7 @@ class _Bundle:
         }
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w") as fh:
-            fh.write(_canonical_json(doc))
+            fh.write(canonical_json(doc))
         if not self.quiet:
             print(f"wrote {path}")
         return path
@@ -498,7 +474,7 @@ def run_config(
             cert = lsi_certify(sys, traj)
             result.certificate = cert
             if "json" in fmts:
-                bundle.add_json("certificate", "certificate.json", "nlw-certificate/v1", cert.to_dict())
+                bundle.add_json("certificate", "certificate.json", "nlw-certificate/v1", asdict(cert))
 
         if "metric" in stages and cfg.metric is not None:
             if sys is None:
@@ -539,11 +515,8 @@ def run_config(
                 bundle.add_text("histogram", "histogram.csv", "nlw-histogram-csv/v1", sample.to_csv())
             if "json" in fmts:
                 doc = {
-                    "max_abs_z": comparison.max_abs_z,
-                    "threshold": comparison.threshold,
-                    "tv_distance": comparison.tv_distance,
-                    "passes": comparison.passes,
-                    "z_scores": [float(z) for z in comparison.z_scores],
+                    **asdict(comparison),
+                    "z_scores": comparison.z_scores.tolist(),
                     "n_paths": sample.n_paths,
                     "n_jumps": sample.n_jumps,
                     "horizon": scfg.horizon,

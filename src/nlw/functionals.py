@@ -47,9 +47,7 @@ __all__ = [
     "FluxField",
     "relative_entropy",
     "fisher_information",
-    "nonlocal_gradient",
     "action",
-    "continuity_residual",
 ]
 
 
@@ -66,6 +64,9 @@ def log_mean(r, s):
     digit to cancellation, so for |r - s| <= 1e-8 max(r, s) the series
     expansion theta = m - (r-s)^2/(12 m) around the midpoint m is used
     (the next term is O((r-s)^4/m^3), far below double precision there).
+    Where (r - s)/s overflows (r/s above the float range) or rounds to -1
+    (r/s below about 1e-16), log1p has nothing left to work with and the
+    plain log r - log s is used on those entries.
     """
     rb, sb = np.broadcast_arrays(
         np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
@@ -79,8 +80,12 @@ def log_mean(r, s):
     # log r - log s as log1p((r-s)/s) keeps full relative precision for
     # moderately close arguments, where the raw difference of logs would
     # amplify roundoff by max(r,s)/|r-s|.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = d / np.log1p(d / sb)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ell = np.log1p(d / sb)
+        if not np.isfinite(ell).all():
+            wide = ~np.isfinite(ell)
+            ell[wide] = np.log(rb[wide]) - np.log(sb[wide])
+        out = np.divide(d, ell, out=ell)
         near = np.abs(d) <= 1e-8 * np.maximum(rb, sb)
         if near.any():
             m = 0.5 * (rb[near] + sb[near])
@@ -281,12 +286,6 @@ def fisher_information(rho: DensityState) -> float:
     return total
 
 
-def nonlocal_gradient(phi: np.ndarray) -> np.ndarray:
-    """Discrete nonlocal gradient G_ij = phi_j - phi_i (antisymmetric)."""
-    phi = np.asarray(phi, dtype=float)
-    return phi[None, :] - phi[:, None]
-
-
 def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
     """Kinetic action of a density/flux pair.
 
@@ -315,17 +314,3 @@ def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
             terms[zero_den] = 0.0
         total += float(np.sum(terms))
     return total
-
-
-def continuity_residual(mu_dot: np.ndarray, flux: FluxField) -> float:
-    """Max-norm defect of the discrete nonlocal continuity equation.
-
-    For masses mu_i = u_i pi_i the equation reads
-    d/dt mu_i + sum_j v_ij = 0, so the residual is
-    max_i |mu_dot_i + sum_j v_ij|.  Zero exactly when (mu_dot, v)
-    solves the equation.
-    """
-    mu_dot = np.asarray(mu_dot, dtype=float)
-    if mu_dot.shape[0] != flux.n_points:
-        raise ValueError("shape mismatch between mu_dot and flux")
-    return float(np.max(np.abs(mu_dot + flux.v.sum(axis=1))))

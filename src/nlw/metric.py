@@ -239,9 +239,15 @@ def _log_mean_and_partials(r, s):
     near = pos & (np.abs(d) <= 1e-8 * np.maximum(r, s))
     # the far-branch formulas on every entry; near and boundary entries
     # are overwritten below, so their inf/nan here never escape
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ell_r = np.log1p(d / s)
         ell_s = np.log1p(-d / r)
+        if not np.isfinite(ell_r + ell_s).all():
+            # where the log1p argument overflows or rounds to -1: the plain
+            # difference of logs, as in log_mean
+            for ell, a, b in ((ell_r, r, s), (ell_s, s, r)):
+                wide = pos & ~np.isfinite(ell)
+                ell[wide] = np.log(a[wide]) - np.log(b[wide])
         theta = d / ell_r
         dr = (1.0 - theta / r) / ell_r
         ds = (1.0 - (-d / ell_s) / s) / ell_s

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from nlw.config import validate_config
-from nlw.discretize import DiscreteSystem, ZeroCellError, build_system, pushforward_measure
+from nlw.discretize import DiscreteSystem, ZeroCellError, build_system, canonical_json, pushforward_measure
 from nlw.experiments import (
     build_system_from_config,
     density_from_spec,
@@ -203,8 +204,7 @@ def test_certificate_tolerates_infinite_initial_fisher():
 
 def test_certificate_serializes():
     sys, traj = certify_setup()
-    doc = lsi_certify(sys, traj).to_dict()
-    json.dumps(doc)
+    doc = json.loads(canonical_json(asdict(lsi_certify(sys, traj))))
     assert doc["certified"] is True
     assert doc["decay"]["rate"] > 0
 

@@ -1,12 +1,14 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Two kinds of dead code fail here:
+Three kinds of dead code fail here:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
   the names their ``__all__`` lists);
 * a module-level function or class that no code under ``src/``,
-  ``tests/`` or ``perfbench/`` references and no ``__all__`` lists.
+  ``tests/`` or ``perfbench/`` references and no ``__all__`` lists;
+* a name in a module's ``__all__`` that the module neither defines nor
+  imports (a stale export of something deleted).
 """
 
 from __future__ import annotations
@@ -69,6 +71,20 @@ def _imported_names(tree: ast.Module):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level: definitions, assignments and imports."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {name for name, _ in _imported_names(node)}
+    return bound
+
+
 def _modules():
     return sorted(PACKAGE.glob("*.py"))
 
@@ -102,3 +118,11 @@ def test_every_module_level_definition_is_referenced_or_exported():
                 if node.name not in exported and node.name not in referenced:
                     dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_every_exported_name_is_bound_in_its_module():
+    stale = []
+    for path in _modules():
+        tree = _parse(path)
+        stale += [f"{path.name} {name}" for name in sorted(_dunder_all(tree) - _bound_names(tree))]
+    assert not stale, "__all__ lists names the module does not bind: " + ", ".join(stale)

@@ -128,6 +128,21 @@ def test_log_mean_and_partials_equal_the_separate_formulas(name):
     assert np.array_equal(ds, log_mean_partial_oracle(s, r).reshape(shape))
 
 
+def test_log_mean_and_partials_at_extreme_ratios():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for r, s in ((1.0, 1e-17), (1e-17, 1.0), (3.0, 1e-300)):
+        R, S = mp.mpf(r), mp.mpf(s)
+        ell = mp.log(R) - mp.log(S)
+        theta = (R - S) / ell
+        got = _log_mean_and_partials(r, s)
+        assert got[0][0] == log_mean(r, s) == pytest.approx(float(theta), rel=1e-14)
+        assert got[1][0] == pytest.approx(float((1 - theta / R) / ell), rel=1e-12)
+        assert got[2][0] == pytest.approx(float((theta / S - 1) / ell), rel=1e-12)
+    theta, dr, ds = _log_mean_and_partials(1.0, 3e-320)
+    assert theta[0] == log_mean(1.0, 3e-320) > 1e-3 and dr[0] > 1e-3 and ds[0] == np.inf
+
+
 def test_log_mean_and_partials_reject_negative_arguments():
     with pytest.raises(ValueError, match="nonnegative"):
         _log_mean_and_partials(np.array([1.0, -1e-300]), np.array([1.0, 1.0]))
