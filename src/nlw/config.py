@@ -20,7 +20,7 @@ debugging time than a strict parser costs up front.  The numerical
 settings a config may carry are the integrator's ``method`` (only
 ``matrix_exponential``: the exact spectral propagator), ``T`` and ``dt``
 (which sets only the default output grid) and the transport solver's
-``max_iter``; quadrature and the rest
+``max_iter``, the cap on Newton steps per barrier stage; quadrature and the rest
 of the solver run at fixed module constants (``discretize``,
 ``kernels``, ``metric``), so a config that names one of them is
 rejected like any other unknown key.  Validation here is

@@ -64,9 +64,12 @@ def log_mean(r, s):
     digit to cancellation, so for |r - s| <= 1e-8 max(r, s) the series
     expansion theta = m - (r-s)^2/(12 m) around the midpoint m is used
     (the next term is O((r-s)^4/m^3), far below double precision there).
-    Where (r - s)/s overflows (r/s above the float range) or rounds to -1
-    (r/s below about 1e-16), log1p has nothing left to work with and the
-    plain log r - log s is used on those entries.
+    Away from it log r - log s is log1p of |r - s| / min(r, s), the ratio
+    oriented to be >= 0, with the sign of r - s: log1p((r-s)/s) for r < s
+    would evaluate log1p next to -1 and lose digits as r/s falls (2.7e-10
+    relative at r/s = 1e-8).  Where |r - s| / min(r, s) overflows (the
+    ratio above the float range) the plain log r - log s is used on those
+    entries.
     """
     rb, sb = np.broadcast_arrays(
         np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
@@ -77,11 +80,11 @@ def log_mean(r, s):
     # the far branch on every entry, then the series on the near ones
     # (theta(0, 0) among them); zero-argument entries are overwritten
     # last, so the inf/nan either branch leaves there never escape.
-    # log r - log s as log1p((r-s)/s) keeps full relative precision for
+    # log r - log s through log1p keeps full relative precision for
     # moderately close arguments, where the raw difference of logs would
     # amplify roundoff by max(r,s)/|r-s|.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell = np.log1p(d / sb)
+        ell = np.copysign(np.log1p(np.abs(d) / np.minimum(rb, sb)), d)
         if not np.isfinite(ell).all():
             wide = ~np.isfinite(ell)
             ell[wide] = np.log(rb[wide]) - np.log(sb[wide])

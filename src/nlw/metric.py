@@ -7,26 +7,38 @@ path connecting them through the continuity equation:
                               mu_dot + div v = 0, rho_0 = rho_a, rho_1 = rho_b }
 
 with A the flux action built on the logarithmic mean (see
-``functionals``).  Time is cut into M uniform steps; the unknowns are
-one flux value per support edge per step, densities are recovered by
-summing divergences, and the action weight uses the logarithmic mean of
-the two adjacent time levels (a midpoint rule).  Each objective
-evaluation computes the logarithmic mean and both of its partial
-derivatives in one pass over the edges, and scatters the action's
-sensitivity to the nodes with one ``np.bincount`` on the edge list.
-The endpoint constraint is linear, so it is eliminated exactly with one
-Cholesky factor of the graph Laplacian: least-norm total flux plus the
-orthogonal projection of a free edge vector onto the divergence-free fluxes.
-What remains is a smooth convex program, solved by a limited-memory
-quasi-Newton descent with an Armijo backtracking search and a
-decreasing interior barrier that keeps intermediate densities positive.
-The barrier schedule, stopping tests and line-search constants are
-module constants; ``MetricSolverConfig.max_iter``, the accepted steps
-per stage, is the one setting.  A hand-rolled descent loop
-is used instead of a library optimizer because the barrier makes the
-objective +inf outside the feasible cone and the line search must treat
-that as "reject the trial point", a convention library line searches do
-not reliably follow.
+``functionals``).  Time is cut into M uniform steps.  The unknowns are
+one flux per support edge per step and the masses of the M - 1 interior
+time levels, tied by the linear continuity rows
+mu^{m+1} - mu^m + dt div x^m = 0; the action weight uses the
+logarithmic mean of the two adjacent time levels (a midpoint rule).  The
+result is a smooth convex program with linear constraints, solved by a
+feasible-start Newton barrier method (Boyd & Vandenberghe, *Convex
+Optimization*, sections 10.2 and 11.3): nine stages with a decreasing
+log-barrier on the interior masses, then a polish stage without it.
+
+Each Newton step solves the KKT system of the stage objective.  The flux
+block of the Hessian is diagonal, so the fluxes are eliminated edge by
+edge; what an edge leaves in its two midpoint densities is
+-(x^2/theta^2) times the Hessian of the logarithmic mean, positive
+semidefinite because the mean is concave (Erbar, Rumpf, Schmitzer &
+Simon, Numer. Math. 2020, use this action on graphs).  The continuity
+multipliers are eliminated next with one dense factorization per step of
+the graph Laplacian with conductances theta * eta_ij pi_i pi_j.  What is
+left is a system in the mass increments, restricted to those that keep
+each component's mass: symmetric positive definite and block tridiagonal
+in time with dense N x N blocks, solved by block Cholesky elimination, so
+a step costs O(M N^3) plus O(M E).  The step is cut to stay inside the
+positive masses (fraction to the boundary) and halved until the Armijo
+test holds.  The barrier schedule, stopping test and line-search
+constants are module constants; ``MetricSolverConfig.max_iter``, the
+Newton steps per stage, is the one setting.
+
+The returned path is rebuilt from the final fluxes alone: their total
+over all steps is replaced by the least-norm total between the endpoints
+(one Cholesky factor of the graph Laplacian) plus the divergence-free
+part of the computed total, so the endpoint constraint holds to rounding
+and ``w`` is the pure action of exactly that path.
 
 Infeasible endpoints (mass distributed differently across disconnected
 components of the support graph) are recognized up front and reported
@@ -60,16 +72,16 @@ __all__ = [
 ]
 
 
-# Barrier weights 1e-2, 1e-3, ..., 1e-10 of the descent stages, each the
+# Barrier weights 1e-2, 1e-3, ..., 1e-10 of the Newton stages, each the
 # previous one times 0.1 in floating point (so 1.0000000000000002e-06,
 # not 1e-6); the smoothing of the logarithmic mean follows the same
 # schedule.  A polish stage then runs with the barrier off and the
 # smoothing at EPS_POLISH.
 BARRIER_SCHEDULE = tuple(itertools.accumulate([1e-2] + [0.1] * 8, operator.mul))
 EPS_POLISH = 1e-12
-OBJ_TOL = 1e-9  # a stage stops when one step changes the objective by less, relatively
-ACTION_FLOOR = 1e-24  # ... or when the objective falls below this
-MEMORY = 10  # L-BFGS curvature pairs kept
+NEWTON_TOL = 1e-12  # a stage stops when half the squared Newton decrement falls below this times |objective|
+ACTION_FLOOR = 1e-24  # ... or when the objective falls below this (a path between equal ends)
+TO_BOUNDARY = 0.99  # largest share of the step to the first vanishing interior mass that a step may take
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking search
 MAX_BACKTRACKS = 60  # step halvings before a stage gives up
 MIX = 1e-2  # bow of the initial path toward the uniform state when the straight one touches zero
@@ -77,7 +89,7 @@ MIX = 1e-2  # bow of the initial path toward the uniform state when the straight
 
 @dataclass(frozen=True)
 class MetricSolverConfig:
-    """The path optimizer's one setting: accepted steps per descent stage."""
+    """The path optimizer's one setting: Newton steps per barrier stage."""
 
     max_iter: int = 300
 
@@ -159,11 +171,14 @@ class MetricResult:
 
     ``w`` is the square root of the pure (unsmoothed) action of the
     returned path; infeasible endpoint pairs get w = inf and no path.
+    ``stage_iterations`` counts the Newton steps of each barrier stage and
+    of the polish stage; ``iterations`` is their sum.
     """
 
     w: float
     n_steps: int
     iterations: int
+    stage_iterations: list
     converged: bool
     constraint_residual: float
     objective_history: list
@@ -184,11 +199,16 @@ def _support_edges(sys: DiscreteSystem):
     return np.column_stack([pairs.i[keep], pairs.j[keep]]), pairs.w[keep]
 
 
+def _component_mean(labels: np.ndarray) -> np.ndarray:
+    """The sum of 1_c 1_c^T / n_c over the components c: the projection onto per-component constants."""
+    return (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][None, :]
+
+
 def _graph_laplacian(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """D D^T for the incidence D (+1 at i, -1 at j of edge (i, j)) plus 1_c 1_c^T / n_c per component
-    c: positive definite even with isolated nodes, and D^T maps the added term to zero."""
+    """D D^T for the incidence D (+1 at i, -1 at j of edge (i, j)) plus ``_component_mean``:
+    positive definite even with isolated nodes, and D^T maps the added term to zero."""
     n, ei, ej = labels.size, edges[:, 0], edges[:, 1]
-    lap = (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][None, :]
+    lap = _component_mean(labels)
     lap[np.diag_indices(n)] += np.bincount(edges.ravel(), minlength=n)
     lap[ei, ej] -= 1.0
     lap[ej, ei] -= 1.0
@@ -219,15 +239,14 @@ def _component_labels(sys: DiscreteSystem) -> np.ndarray:
 def _log_mean_and_partials(r, s):
     """theta(r, s), d theta / d r and d theta / d s, elementwise, in one pass.
 
-    Each value is computed with the same arithmetic as ``log_mean`` and
-    the mirrored derivative formulas: away from the diagonal
-    theta = d / log1p(d/s) with d = r - s, d theta/d r = (1 - theta/r)/ell
-    with ell = log1p(d/s), and d theta/d s the same with r and s swapped
-    (ell = log1p(-d/r)); near it the series 0.5 -/+ d/(6m) around the
-    midpoint m.  On the boundary (either argument zero) the mean is
-    identically zero along the ray, so all three are reported as 0; the
-    interior barrier keeps optimization paths away from that edge anyway.
-    Scalars come back as arrays of shape (1,).
+    Each value is computed with the same arithmetic as ``log_mean``: away
+    from the diagonal ell = log(r/s) is log1p(|d| / min(r, s)) with the
+    sign of d = r - s, theta = d / ell, d theta/d r = (1 - theta/r)/ell and
+    d theta/d s = (theta/s - 1)/ell; near it the series 0.5 -/+ d/(6m)
+    around the midpoint m.  On the boundary (either argument zero) the
+    mean is identically zero along the ray, so all three are reported as
+    0; the interior barrier keeps optimization paths away from that edge
+    anyway.  Scalars come back as arrays of shape (1,).
     """
     r, s = np.broadcast_arrays(
         np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
@@ -240,17 +259,15 @@ def _log_mean_and_partials(r, s):
     # the far-branch formulas on every entry; near and boundary entries
     # are overwritten below, so their inf/nan here never escape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell_r = np.log1p(d / s)
-        ell_s = np.log1p(-d / r)
-        if not np.isfinite(ell_r + ell_s).all():
-            # where the log1p argument overflows or rounds to -1: the plain
-            # difference of logs, as in log_mean
-            for ell, a, b in ((ell_r, r, s), (ell_s, s, r)):
-                wide = pos & ~np.isfinite(ell)
-                ell[wide] = np.log(a[wide]) - np.log(b[wide])
-        theta = d / ell_r
-        dr = (1.0 - theta / r) / ell_r
-        ds = (1.0 - (-d / ell_s) / s) / ell_s
+        ell = np.copysign(np.log1p(np.abs(d) / np.minimum(r, s)), d)
+        if not np.isfinite(ell).all():
+            # where the oriented ratio overflows: the plain difference of
+            # logs, as in log_mean
+            wide = pos & ~np.isfinite(ell)
+            ell[wide] = np.log(r[wide]) - np.log(s[wide])
+        theta = d / ell
+        dr = (1.0 - theta / r) / ell
+        ds = (theta / s - 1.0) / ell
     if not pos.all():
         off = ~pos
         theta[off] = 0.0
@@ -266,13 +283,71 @@ def _log_mean_and_partials(r, s):
     return theta, dr, ds
 
 
+# 6 m theta_rs as a series in t = (r - s)/(r + s), m the midpoint; the
+# next term, 0.38 t^10, is below 4e-14 where it is used (|t| <= 0.05)
+_CROSS_SERIES = (21116.0 / 51975.0, 2084.0 / 4725.0, 52.0 / 105.0, 3.0 / 5.0, 1.0)
+
+
+def _log_mean_second_partials(r, s, theta):
+    """theta_rr, theta_rs and theta_ss of the logarithmic mean at (r, s), given theta = log_mean(r, s).
+
+    theta is 1-homogeneous, so its first partials are 0-homogeneous:
+    r theta_rr + s theta_rs = 0 = r theta_rs + s theta_ss.  Differentiating
+    d theta/d r = (1 - theta/r)/log(r/s) in s gives
+    theta_rs = (r + s - 2 theta) / (r s log(r/s)^2).  Its numerator cancels
+    near the diagonal, so for |r - s| <= 0.05 (r + s) the series of
+    ``_CROSS_SERIES`` is used instead.  All three are 0 on the boundary.
+    """
+    r, s = np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(s))
+    pos = (r > 0.0) & (s > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (r - s) / (r + s)
+        ell = (r - s) / theta
+        rs = (r + s - 2.0 * theta) / (r * s * ell * ell)
+    near = pos & (np.abs(t) <= 0.05)
+    if near.any():
+        tn = t[near] * t[near]
+        rs[near] = np.polyval(_CROSS_SERIES, tn) / (3.0 * (r[near] + s[near]))
+    rs = np.where(pos, rs, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rr = np.where(pos, -(s / r) * rs, 0.0)
+        ss = np.where(pos, -(r / s) * rs, 0.0)
+    return rr, rs, ss
+
+
+def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite block tridiagonal system by block Cholesky elimination.
+
+    ``diag`` (K, n, n) holds the diagonal blocks, ``upper[k]`` the block at
+    (k, k+1) (its transpose sits at (k+1, k)) and ``rhs`` (K, n) the right
+    side.
+    """
+    K, n = rhs.shape
+    gain = np.empty_like(upper)  # pivot^-1 upper[k]
+    z = np.empty_like(rhs)
+    for k in range(K):
+        pivot, y = diag[k], rhs[k]
+        if k:
+            pivot = pivot - upper[k - 1].T @ gain[k - 1]
+            y = y - upper[k - 1].T @ z[k - 1]
+        factor = scipy.linalg.cho_factor(pivot, check_finite=False)
+        if k < K - 1:
+            sol = scipy.linalg.cho_solve(factor, np.column_stack([upper[k], y]), check_finite=False)
+            gain[k], z[k] = sol[:, :n], sol[:, n]
+        else:
+            z[k] = scipy.linalg.cho_solve(factor, y, check_finite=False)
+    for k in range(K - 2, -1, -1):
+        z[k] -= gain[k] @ z[k + 1]
+    return z
+
+
 # ---------------------------------------------------------------------------
-# objective and gradient in the reduced variables
+# the discrete problem: reduced flux coordinates, barrier objective, Newton step
 # ---------------------------------------------------------------------------
 
 
 class _PathWorkspace:
-    """Everything fixed across optimizer iterations for one problem."""
+    """Everything fixed across Newton steps for one problem."""
 
     def __init__(self, prob: PathProblem):
         sys = prob.system
@@ -293,7 +368,23 @@ class _PathWorkspace:
         self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(self.edges, labels))
         self.s0 = self.least_norm(self.g)
         # barrier acts on nodes whose component carries mass
-        self.barrier_nodes = np.bincount(labels, 0.5 * (self.mu0 + self.muT))[labels] > 0.0
+        self.barrier_nodes = charged = np.bincount(labels, 0.5 * (self.mu0 + self.muT))[labels] > 0.0
+        n = sys.n_points
+        self.component_mean = _component_mean(labels)
+        # Newton steps keep each component's mass and leave massless
+        # components at zero: an orthonormal basis of the excluded mass
+        # increments, one column per charged component and one per node of
+        # an uncharged one
+        comps = np.unique(labels[charged])
+        spread = (labels[:, None] == comps[None, :]) / np.sqrt(np.bincount(labels)[comps])
+        self.fixed = np.hstack([spread, np.eye(n)[:, ~charged]])
+        # flat bins of the per-step (M, N, N) node matrices: the (i, i),
+        # (j, j), (i, j) and (j, i) entries of every edge
+        ei, ej = self.edges[:, 0], self.edges[:, 1]
+        rows = np.arange(self.M)[:, None] * (n * n)
+        self.pattern = np.concatenate(
+            [(rows + k * n + l).ravel() for k, l in ((ei, ei), (ej, ej), (ei, ej), (ej, ei))]
+        )
 
     def least_norm(self, rhs: np.ndarray) -> np.ndarray:
         """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero on each component."""
@@ -346,45 +437,116 @@ class _PathWorkspace:
         y = x[: M - 1].ravel()
         return np.concatenate([y, np.zeros(E)])
 
-    # -- objective --------------------------------------------------------
+    # -- barrier objective and Newton step --------------------------------
 
-    def value_and_grad(self, p: np.ndarray, beta: float, eps: float):
-        M, E, dt = self.M, self.n_edges, self.dt
-        x = self.unpack(p)
-        mu = self.masses(x)
-        interior = mu[1:-1]
-        active = self.barrier_nodes
-        if beta > 0.0:
-            if interior.size and interior[:, active].min() <= 0.0:
-                return np.inf, None
-        elif interior.size and interior[:, active].min() < 0.0:
-            return np.inf, None
+    def objective(self, x: np.ndarray, mu: np.ndarray, beta: float, eps: float) -> float:
+        """Action of fluxes ``x`` with all M + 1 mass levels ``mu``, smoothed by ``eps``, minus
+        ``beta`` times the log-barrier of the interior masses; inf once a charged interior mass
+        is not positive."""
         u = mu / self.sys.pi[None, :]
-        ut = 0.5 * (u[:-1] + u[1:])
-        ei, ej = self.edges[:, 0], self.edges[:, 1]
-        theta, dtheta_dr, dtheta_ds = _log_mean_and_partials(ut[:, ei], ut[:, ej])
-        theta += eps
-        w = 1.0 / (theta * self.q[None, :])
-        f = dt * float(np.sum(x * x * w))
+        inner = u[1:-1][:, self.barrier_nodes]
+        if inner.size and inner.min() <= 0.0:
+            return np.inf
+        f = _action_from_arrays(self.sys, u, x, self.edges, self.q, eps)
         if beta > 0.0:
-            f -= beta * float(np.sum(np.log(u[1:-1][:, active])))
-        if not np.isfinite(f):
-            return np.inf, None
+            f -= beta * float(np.sum(np.log(inner)))
+        return f if np.isfinite(f) else np.inf
 
-        grad_x = 2.0 * dt * x * w
-        # action sensitivity to the midpoint densities, scattered to nodes
-        coef = -dt * x * x * w / theta  # dF/dtheta_e, shape (M, E)
-        G = _node_sums(self.scatter, (M, self.sys.n_points), coef * dtheta_dr, coef * dtheta_ds)
-        if M > 1:
-            P = (G[:-1] + G[1:]) / (2.0 * self.sys.pi[None, :])
-            if beta > 0.0:
-                bar = np.zeros_like(interior)
-                bar[:, active] = -beta / interior[:, active]
-                P = P + bar
-            suffix = np.flip(np.cumsum(np.flip(P, axis=0), axis=0), axis=0)
-            grad_x[:-1] -= dt * (suffix[:, ei] - suffix[:, ej])
-        grad_y = (grad_x[: M - 1] - grad_x[M - 1][None, :]).ravel()
-        return f, np.concatenate([grad_y, self.project(grad_x[M - 1])])
+    def _node_matrices(self, at_ii, at_jj, at_ij, at_ji) -> np.ndarray:
+        """Per-step N x N matrices from edge values (M, E) at the (i, i), (j, j), (i, j) and (j, i) entries."""
+        n = self.sys.n_points
+        weights = np.concatenate([w.ravel() for w in (at_ii, at_jj, at_ij, at_ji)])
+        return np.bincount(self.pattern, weights, minlength=self.M * n * n).reshape(self.M, n, n)
+
+    def _restrict(self, blocks: np.ndarray) -> np.ndarray:
+        """P B P for each block B, P the projection onto the mass increments a step may take."""
+        Z = self.fixed
+        BZ = blocks @ Z
+        return blocks - Z @ (Z.T @ blocks) - BZ @ Z.T + Z @ (Z.T @ BZ) @ Z.T
+
+    def newton_step(self, x: np.ndarray, mu: np.ndarray, beta: float, eps: float):
+        """Gradient (g_x, g_mu) and Newton direction (dx, dmu) of the stage objective at (x, mu).
+
+        ``mu`` holds all M + 1 mass levels; ``g_mu`` and ``dmu`` refer to the
+        M - 1 interior ones.  The direction solves the KKT system of the
+        continuity rows mu^{m+1} - mu^m + dt D x^m = 0, with their residual
+        on the right side so that rounding drift is pulled back.
+
+        The action dt x^2/(theta q) of an edge has flux curvature
+        2 dt/(theta q), so each flux is eliminated on its own:
+        dx = y - x - (theta q / 2)(lam_i - lam_j), with y = alpha da + gamma db
+        the flux response to the increments of the midpoint densities
+        (alpha = x theta_a/theta, gamma = x theta_b/theta), and what the edge
+        leaves in (a, b) is ``coef`` times the Hessian of theta (``R``).
+        The multipliers of step m then solve L_m lam^m = B_m dmu - rho_m, with
+        L_m = dt/2 D diag(theta q) D^T plus the component means (which D^T
+        annihilates), B_m dmu = (I + Kp_m) dmu^{m+1} - (I - Kp_m) dmu^m,
+        Kp_m dmu = dt D y for the midpoint increment (dmu^m + dmu^{m+1})/2,
+        and rho_m = mu^m - mu^{m+1}.  Eliminating them leaves
+
+            (R + barrier Hessian + B^T L^-1 B) dmu = act + bar + B^T L^-1 rho
+
+        on the increments that keep each component's mass: block
+        tridiagonal in time with N x N blocks.
+        """
+        M, n, dt = self.M, self.sys.n_points, self.dt
+        pi, ei, ej = self.sys.pi, self.edges[:, 0], self.edges[:, 1]
+        charged = self.barrier_nodes
+        u = mu / pi[None, :]
+        ut = 0.5 * (u[:-1] + u[1:])
+        a, b = ut[:, ei], ut[:, ej]
+        theta, th_a, th_b = _log_mean_and_partials(a, b)
+        th_aa, th_ab, th_bb = _log_mean_second_partials(a, b, theta)
+        theta += eps
+        cond = theta * self.q[None, :]
+        inner = mu[1:-1]
+        bar = np.zeros_like(inner)  # minus the barrier gradient
+        bar[:, charged] = beta / inner[:, charged]
+
+        # gradient; an interior mass enters the two midpoints next to it
+        coef = -dt * x * x / (cond * theta)  # d(action)/d theta
+        G = _node_sums(self.scatter, (M, n), coef * th_a, coef * th_b)
+        act = (G[:-1] + G[1:]) / (2.0 * pi[None, :])
+        g_x = 2.0 * dt * x / cond
+        g_mu = act - bar
+
+        # flux eliminated: Hessian in the masses, and flux response
+        pii, pjj = pi[ei][None, :], pi[ej][None, :]
+        cross = coef * th_ab / (pii * pjj)
+        R = 0.25 * self._node_matrices(coef * th_aa / pii**2, coef * th_bb / pjj**2, cross, cross)
+        alpha, gamma = x * th_a / theta, x * th_b / theta
+        Kp = (0.5 * dt) * self._node_matrices(alpha, -gamma, gamma, -alpha) / pi[None, None, :]
+        lap = (0.5 * dt) * self._node_matrices(cond, cond, -cond, -cond) + self.component_mean
+        sol = np.linalg.solve(lap, np.concatenate([np.broadcast_to(np.eye(n), lap.shape), Kp], axis=2))
+        Linv, LK = sol[..., :n], sol[..., n:]
+        LKt = np.swapaxes(LK, 1, 2)
+        KLK = np.swapaxes(Kp, 1, 2) @ LK
+        rho = mu[:-1] - mu[1:]
+        lr = np.einsum("mij,mj->mi", Linv, rho)
+        klr = np.einsum("mji,mj->mi", Kp, lr)
+
+        # (I + Kp)^T L^-1 (I + Kp), (I - Kp)^T L^-1 (I - Kp) and (I - Kp)^T L^-1 (I + Kp)
+        UU = Linv + LK + LKt + KLK
+        VV = Linv - LK - LKt + KLK
+        VU = Linv + LK - LKt - KLK
+        diag = R[:-1] + R[1:] + UU[:-1] + VV[1:]
+        diag[:, np.arange(n), np.arange(n)] += bar / np.where(charged, inner, 1.0)
+        Z = self.fixed
+        rhs = act + bar + (lr + klr)[:-1] - (lr - klr)[1:]
+        dmu = _block_tridiagonal_solve(
+            self._restrict(diag) + Z @ Z.T,
+            self._restrict(R[1:-1] - VU[1:-1]),
+            rhs - (rhs @ Z) @ Z.T,
+        )
+
+        full = np.zeros_like(mu)
+        full[1:-1] = dmu
+        dbar = (full[:-1] + full[1:]) / (2.0 * pi[None, :])
+        y = alpha * dbar[:, ei] + gamma * dbar[:, ej]
+        B_dmu = np.diff(full, axis=0) + dt * _node_sums(self.scatter, (M, n), y, -y)
+        lam = np.einsum("mij,mj->mi", Linv, B_dmu - rho)
+        dx = y - x - 0.5 * cond * (lam[:, ei] - lam[:, ej])
+        return g_x, g_mu, dx, dmu
 
     def pure_action(self, p: np.ndarray) -> float:
         x = self.unpack(p)
@@ -417,67 +579,45 @@ def action_of_path(path: DiscretePath, eps: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quasi-Newton descent
+# damped Newton stages
 # ---------------------------------------------------------------------------
 
 
-def _descend(fun, p, max_iter: int):
-    """L-BFGS two-loop recursion with Armijo backtracking.
+def _newton(ws: _PathWorkspace, x, mu, beta: float, eps: float, max_iter: int):
+    """Damped Newton steps on one stage of the barrier objective, from a strictly feasible (x, mu).
 
-    Non-finite trial values are treated as out-of-domain and rejected by
-    shrinking the step.  Returns (p, f, history, converged, n_iters).
+    Each step is cut to TO_BOUNDARY of the way to the first vanishing
+    charged interior mass and then halved until the Armijo test holds.
+    Returns (x, mu, objective history, converged, steps).
     """
-    f, g = fun(p)
+    charged = ws.barrier_nodes
+    f = ws.objective(x, mu, beta, eps)
     if not np.isfinite(f):
-        raise RuntimeError("optimizer started outside the feasible domain")
-    hist = [f]
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        d = -g.copy()
-        alphas = []
-        for s_vec, y_vec, rho in reversed(pairs):
-            a = rho * (s_vec @ d)
-            d -= a * y_vec
-            alphas.append(a)
-        if pairs:
-            s_vec, y_vec, _ = pairs[-1]
-            d *= (s_vec @ y_vec) / (y_vec @ y_vec)
-        for (s_vec, y_vec, rho), a in zip(pairs, reversed(alphas)):
-            b = rho * (y_vec @ d)
-            d += (a - b) * s_vec
-        gd = g @ d
-        if gd >= 0.0:  # stale curvature; fall back to steepest descent
-            d = -g
-            gd = g @ d
-        if gd == 0.0:
-            converged = True
+        raise RuntimeError("Newton stage started outside the feasible domain")
+    history = [f]
+    for steps in range(max_iter + 1):
+        g_x, g_mu, dx, dmu = ws.newton_step(x, mu, beta, eps)
+        slope = float(np.sum(g_x * dx) + np.sum(g_mu * dmu))  # minus the squared Newton decrement
+        if -0.5 * slope <= NEWTON_TOL * abs(f) or abs(f) <= ACTION_FLOOR:
+            return x, mu, history, True, steps
+        if steps == max_iter:
             break
-        t = 1.0
-        accepted = False
+        inner, down = mu[1:-1][:, charged], dmu[:, charged]
+        shrink = down < 0.0
+        t = min(1.0, TO_BOUNDARY * float(np.min(inner[shrink] / -down[shrink], initial=np.inf)))
         for _ in range(MAX_BACKTRACKS):
-            f_new, g_new = fun(p + t * d)
-            if np.isfinite(f_new) and f_new <= f + ARMIJO * t * gd:
-                accepted = True
+            x_new = x + t * dx
+            mu_new = mu.copy()
+            mu_new[1:-1] += t * dmu
+            f_new = ws.objective(x_new, mu_new, beta, eps)
+            if f_new <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
-        step = t * d
-        y_vec = g_new - g
-        sy = step @ y_vec
-        if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y_vec):
-            pairs.append((step, y_vec, 1.0 / sy))
-            if len(pairs) > MEMORY:
-                pairs.pop(0)
-        p = p + step
-        f_prev, f, g = f, f_new, g_new
-        hist.append(f)
-        if abs(f_prev - f) <= OBJ_TOL * max(abs(f), 1e-30) or abs(f) <= ACTION_FLOOR:
-            converged = True
-            break
-    return p, f, hist, converged, it
+        x, mu, f = x_new, mu_new, f_new
+        history.append(f)
+    return x, mu, history, False, steps
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +638,7 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
             w=float("inf"),
             n_steps=prob.n_steps,
             iterations=0,
+            stage_iterations=[],
             converged=True,
             constraint_residual=ws.component_mismatch,
             objective_history=[],
@@ -513,32 +654,33 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
             w=0.0,
             n_steps=prob.n_steps,
             iterations=0,
+            stage_iterations=[],
             converged=True,
             constraint_residual=float(np.max(np.abs(ws.mu0 - ws.muT))),
             objective_history=[],
             path=path,
         )
-    max_iter = prob.solver.max_iter
-    p = ws.initial_point()
+    x = ws.unpack(ws.initial_point())
+    mu = ws.masses(x)
+    mu[-1] = ws.muT
     history: list[float] = []
-    total_iters = 0
-    converged = False
-    for beta in BARRIER_SCHEDULE:
-        p, _, hist, _, its = _descend(lambda q_: ws.value_and_grad(q_, beta, beta), p, max_iter)
+    stage_iterations: list[int] = []
+    stages = [(beta, beta) for beta in BARRIER_SCHEDULE] + [(0.0, EPS_POLISH)]
+    for beta, eps in stages:
+        x, mu, hist, converged, steps = _newton(ws, x, mu, beta, eps, prob.solver.max_iter)
         history.extend(hist)
-        total_iters += its
-    p, _, hist, converged, its = _descend(
-        lambda q_: ws.value_and_grad(q_, 0.0, EPS_POLISH), p, max_iter
-    )
-    history.extend(hist)
-    total_iters += its
+        stage_iterations.append(steps)
+    # back to the reduced coordinates, whose last block fixes the total
+    # flux exactly: the path's masses are rebuilt from the fluxes alone
+    p = np.concatenate([x[:-1].ravel(), x.sum(axis=0) - ws.s0])
     path = ws.build_path(p)
     residual = float(np.max(np.abs(path.u[-1] * ws.sys.pi - ws.muT)))
     w = float(np.sqrt(max(ws.pure_action(p), 0.0)))
     return MetricResult(
         w=w,
         n_steps=prob.n_steps,
-        iterations=total_iters,
+        iterations=sum(stage_iterations),
+        stage_iterations=stage_iterations,
         converged=bool(converged and residual < 1e-8),
         constraint_residual=residual,
         objective_history=history,

@@ -401,7 +401,7 @@ def masked_log_mean(r, s):
         rr, ss = rb[far], sb[far]
         d = rr - ss
         with np.errstate(over="ignore", divide="ignore"):
-            ell = np.log1p(d / ss)
+            ell = np.copysign(np.log1p(np.abs(d) / np.minimum(rr, ss)), d)  # log(r/s), ratio oriented >= 1
         wide = ~np.isfinite(ell)  # r/s beyond the float range
         ell[wide] = np.log(rr[wide]) - np.log(ss[wide])
         out[far] = d / ell

@@ -5,8 +5,9 @@ Three kinds of dead code fail here:
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
   the names their ``__all__`` lists);
-* a module-level function or class that no code under ``src/``,
-  ``tests/`` or ``perfbench/`` references and no ``__all__`` lists;
+* a module-level function, class or UPPER_CASE constant that no code
+  under ``src/``, ``tests/`` or ``perfbench/`` reads and no ``__all__``
+  lists;
 * a name in a module's ``__all__`` that the module neither defines nor
   imports (a stale export of something deleted).
 """
@@ -14,6 +15,7 @@ Three kinds of dead code fail here:
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,7 +45,10 @@ def _annotations(tree: ast.AST):
 
 
 def _used_names(tree: ast.AST) -> set[str]:
-    """Every name read as a variable or attribute, also inside quoted annotations."""
+    """Every name read as a variable or attribute, also inside quoted annotations.
+
+    Assignment targets do not count, so a constant is not its own reader.
+    """
     used = set()
     quoted = [
         ast.parse(node.value, mode="eval")
@@ -53,7 +58,7 @@ def _used_names(tree: ast.AST) -> set[str]:
     ]
     for root in [tree, *quoted]:
         for node in ast.walk(root):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -83,6 +88,9 @@ def _bound_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             bound |= {name for name, _ in _imported_names(node)}
     return bound
+
+
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")  # UPPER_CASE module constants; dunders like __all__ do not match
 
 
 def _modules():
@@ -115,8 +123,14 @@ def test_every_module_level_definition_is_referenced_or_exported():
         exported = _dunder_all(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name not in exported and node.name not in referenced:
-                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                names = [name for name in names if _CONSTANT.fullmatch(name)]
+            else:
+                continue
+            dead += [f"{path.name}:{node.lineno} {name}" for name in names if name not in exported | referenced]
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
 
 

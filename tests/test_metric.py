@@ -17,15 +17,18 @@ import pytest
 import scipy.linalg
 
 from nlw.discretize import DiscreteSystem, build_system
+from nlw.experiments import density_from_spec
 from nlw.flow import IntegratorConfig, solve
 from nlw.functionals import DensityState, fisher_information, log_mean
-from nlw.kernels import FractionalKernel, UniformMeasure
+from nlw.kernels import FractionalKernel, GibbsMeasure, PotentialSpec, UniformMeasure
 from nlw.metric import (
     BARRIER_SCHEDULE,
     AxiomCheck,
     DiscretePath,
+    MetricSolverConfig,
     PathProblem,
     _log_mean_and_partials,
+    _log_mean_second_partials,
     _PathWorkspace,
     action_of_path,
     check_metric_axioms,
@@ -60,7 +63,8 @@ def state(sys, u):
 
 def log_mean_partial_oracle(r, s):
     """d theta / d r, elementwise: the masked two-pass formula the solver
-    used before the mean and both partials came from one helper."""
+    used before the mean and both partials came from one helper, with
+    log(r/s) taken through the ratio oriented to be >= 1."""
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     out = np.zeros(np.broadcast_shapes(r.shape, s.shape))
@@ -74,7 +78,7 @@ def log_mean_partial_oracle(r, s):
     with np.errstate(divide="ignore", invalid="ignore"):
         mn = np.where(m > 0, m, 1.0)
         out[near] = (0.5 - d / (6.0 * mn))[near]
-        ell = np.log1p(np.where(far, d, 0.0) / np.where(far, sb, 1.0))
+        ell = np.copysign(np.log1p(np.where(far, np.abs(d), 0.0) / np.where(far, np.minimum(rb, sb), 1.0)), d)
         theta = np.where(ell != 0.0, d / np.where(ell != 0.0, ell, 1.0), m)
         out[far] = ((1.0 - theta / np.where(rb > 0, rb, 1.0)) / np.where(ell != 0, ell, 1.0))[far]
     return out
@@ -143,6 +147,51 @@ def test_log_mean_and_partials_at_extreme_ratios():
     assert theta[0] == log_mean(1.0, 3e-320) > 1e-3 and dr[0] > 1e-3 and ds[0] == np.inf
 
 
+def _mp_log_mean(r, s):
+    R, S = mp.mpf(r), mp.mpf(s)
+    ell = mp.log(R) - mp.log(S)
+    theta = (R - S) / ell
+    # theta_rs = (r + s - 2 theta) / (r s ell^2), from differentiating (1 - theta/r)/ell in s
+    cross = (R + S - 2 * theta) / (R * S * ell**2)
+    return theta, (1 - theta / R) / ell, (theta / S - 1) / ell, -(S / R) * cross, cross, -(R / S) * cross
+
+
+def test_log_mean_keeps_its_digits_when_the_first_argument_is_much_smaller():
+    # log1p((r - s)/s) sits next to log1p(-1) here: 2.7e-10 off at r = 1e-8, 2.5e-5 at 1e-14
+    mp.mp.dps = 50
+    for r in (1e-4, 1e-8, 1e-12, 1e-14, 1e-17):
+        for a, b in ((r, 1.0), (1.0, r), (3.0 * r, 2.5)):
+            want = _mp_log_mean(a, b)
+            got = _log_mean_and_partials(a, b)
+            assert log_mean(a, b) == got[0][0]
+            for value, ref in zip(got, want[:3]):
+                assert value[0] == pytest.approx(float(ref), rel=4e-16)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1.0, 1.0), (2.0, 2.0 * (1 + 1e-12)), (1.0, 1.0 + 1e-6), (3.0, 3.03), (1.0, 1.1)],  # near
+        [(1.0, 1.2), (2.0, 0.5), (0.3, 7.0), (5.0, 1.0)],  # far
+        [(1.0, 1e-8), (1e-14, 1.0), (1.0, 1e-300), (4e-200, 3.0)],  # extreme ratios
+    ],
+    ids=["near", "far", "extreme"],
+)
+def test_log_mean_second_partials_against_mpmath(pairs):
+    mp.mp.dps = 60
+    r, s = (np.array(v) for v in zip(*pairs))
+    rr, rs, ss = _log_mean_second_partials(r, s, _log_mean_and_partials(r, s)[0])
+    for k, (a, b) in enumerate(pairs):
+        if a == b:
+            want = (-1 / (6 * a), 1 / (6 * a), -1 / (6 * a))
+        else:
+            want = [float(v) for v in _mp_log_mean(a, b)[3:]]
+        for got, ref in zip((rr[k], rs[k], ss[k]), want):
+            assert got == pytest.approx(ref, rel=2e-13)
+    # boundary entries are zero, like the first partials
+    assert all(v[0] == 0.0 for v in _log_mean_second_partials(np.array([0.0]), np.array([1.0]), np.array([0.0])))
+
+
 def test_log_mean_and_partials_reject_negative_arguments():
     with pytest.raises(ValueError, match="nonnegative"):
         _log_mean_and_partials(np.array([1.0, -1e-300]), np.array([1.0, 1.0]))
@@ -193,40 +242,106 @@ def test_oracle_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# reduced objective: gradient correctness
+# barrier objective: gradient, Hessian and Newton step
 # ---------------------------------------------------------------------------
 
 
+def random_system(n, seed):
+    """n points, random pi and eta, one missing edge: not a complete graph."""
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.5, 1.5, size=n)
+    pi /= pi.sum()
+    eta = rng.uniform(0.2, 2.0, size=(n, n))
+    eta = eta + eta.T
+    eta[0, n - 1] = eta[n - 1, 0] = 0.0
+    np.fill_diagonal(eta, 0.0)
+    return make_system(n, pi=pi, eta=eta)
+
+
+def random_interior_point(n, n_steps, seed):
+    """A workspace and a point (x, mu) off the feasible set, with every interior level at the right mass."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(n, seed)
+    raw = rng.uniform(0.2, 2.0, size=(2, n))
+    a, b = (state(sys, v / (v @ sys.pi)) for v in raw)
+    ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=n_steps))
+    x = ws.unpack(ws.initial_point())
+    mu = ws.masses(x)
+    mu[-1] = ws.muT
+    mu[1:-1] *= rng.uniform(0.8, 1.2, size=mu[1:-1].shape)
+    mu[1:-1] *= (ws.mu0.sum() / mu[1:-1].sum(axis=1))[:, None]
+    x = x + rng.normal(scale=0.05 * np.abs(x).max(), size=x.shape)
+    return ws, x, mu
+
+
+def _split(ws, z):
+    x = z[: ws.M * ws.n_edges].reshape(ws.M, ws.n_edges)
+    mu = np.vstack([ws.mu0, z[ws.M * ws.n_edges :].reshape(ws.M - 1, -1), ws.muT])
+    return x, mu
+
+
+def _gradient(ws, z, beta, eps):
+    x, mu = _split(ws, z)
+    g_x, g_mu, _, _ = ws.newton_step(x, mu, beta, eps)
+    return np.concatenate([g_x.ravel(), g_mu.ravel()])
+
+
 def test_objective_gradient_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    sys = make_system(4)
-    a = state(sys, [2.0, 0.8, 0.7, 0.5])
-    b = state(sys, [0.5, 1.1, 1.2, 1.2])
-    ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=5))
-    p0 = ws.initial_point()
-    p0 = p0 + rng.normal(scale=0.01, size=p0.size)
     h = 1e-6
-    for beta, eps in ((1e-2, 1e-2), (0.0, 1e-12)):
-        f, g = ws.value_and_grad(p0, beta, eps)
-        assert np.isfinite(f)
-        fd = np.empty_like(p0)
-        for k in range(p0.size):
-            step = np.zeros_like(p0)
-            step[k] = h
-            fp, _ = ws.value_and_grad(p0 + step, beta, eps)
-            fm, _ = ws.value_and_grad(p0 - step, beta, eps)
-            fd[k] = (fp - fm) / (2 * h)
-        assert np.max(np.abs(g - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+    for n, n_steps in ((3, 4), (8, 3)):
+        ws, x, mu = random_interior_point(n, n_steps, seed=n)
+        z = np.concatenate([x.ravel(), mu[1:-1].ravel()])
+        for beta, eps in ((1e-2, 1e-2), (0.0, 1e-12)):
+            fd = np.empty_like(z)
+            for k in range(z.size):
+                step = np.zeros_like(z)
+                step[k] = h
+                plus = ws.objective(*_split(ws, z + step), beta, eps)
+                fd[k] = (plus - ws.objective(*_split(ws, z - step), beta, eps)) / (2 * h)
+            g = _gradient(ws, z, beta, eps)
+            assert np.max(np.abs(g - fd)) < 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("n, n_steps", [(3, 4), (8, 3)])
+@pytest.mark.parametrize("beta, eps", [(1e-2, 1e-2), (0.0, 1e-12)])
+def test_newton_step_solves_the_kkt_system_of_the_finite_difference_hessian(n, n_steps, beta, eps):
+    ws, x, mu = random_interior_point(n, n_steps, seed=n)
+    M, E, dt = ws.M, ws.n_edges, ws.dt
+    z = np.concatenate([x.ravel(), mu[1:-1].ravel()])
+    h = 1e-6
+    H = np.empty((z.size, z.size))
+    for k in range(z.size):
+        step = np.zeros_like(z)
+        step[k] = h
+        H[:, k] = (_gradient(ws, z + step, beta, eps) - _gradient(ws, z - step, beta, eps)) / (2 * h)
+    H = 0.5 * (H + H.T)
+    # continuity rows mu^{m+1} - mu^m + dt D x^m = 0, m = 0 .. M-1, and their residual
+    D = dense_incidence(ws.edges, n)
+    A = np.zeros((M * n, z.size))
+    for m in range(M):
+        A[m * n : (m + 1) * n, m * E : (m + 1) * E] = dt * D
+        if m + 1 < M:
+            A[m * n : (m + 1) * n, M * E + m * n : M * E + (m + 1) * n] += np.eye(n)
+        if m > 0:
+            A[m * n : (m + 1) * n, M * E + (m - 1) * n : M * E + m * n] -= np.eye(n)
+    residual = np.diff(mu, axis=0) + dt * x @ D.T
+    kkt = np.block([[H, A.T], [A, np.zeros((M * n, M * n))]])
+    rhs = -np.concatenate([_gradient(ws, z, beta, eps), residual.ravel()])
+    want = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: z.size]
+    _, _, dx, dmu = ws.newton_step(x, mu, beta, eps)
+    got = np.concatenate([dx.ravel(), dmu.ravel()])
+    assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(want))
 
 
 def test_objective_infinite_outside_positive_cone():
     sys = two_state()
     a = state(sys, [1.6, 0.4])
     ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
-    p = ws.initial_point()
-    p[0] = 50.0  # huge first-step flux drains node 0 negative
-    f, g = ws.value_and_grad(p, 1e-2, 1e-2)
-    assert f == np.inf and g is None
+    x = ws.unpack(ws.initial_point())
+    assert np.isfinite(ws.objective(x, ws.masses(x), 1e-2, 1e-2))
+    x[0, 0] = 50.0  # huge first-step flux drains node 0 negative
+    for beta, eps in ((1e-2, 1e-2), (0.0, 1e-12)):
+        assert ws.objective(x, ws.masses(x), beta, eps) == np.inf
 
 
 def dense_incidence(edges, n_points):
@@ -238,46 +353,28 @@ def dense_incidence(edges, n_points):
     return D
 
 
-def value_and_grad_oracle(ws, p, beta, eps):
-    """The reduced objective as computed before the one-pass mean, the
-    bincount scatter and the edge-list pullback: ``log_mean`` plus two
-    partial calls, ``np.add.at`` and a product with the dense incidence."""
-    M, dt = ws.M, ws.dt
-    x = ws.unpack(p)
-    mu = ws.masses(x)
+def gradient_oracle(ws, x, mu, beta, eps):
+    """The objective and its gradient as computed before the one-pass mean and the
+    bincount scatter: ``log_mean`` plus two partial calls and ``np.add.at``."""
+    dt = ws.dt
     interior = mu[1:-1]
     active = ws.barrier_nodes
-    if beta > 0.0:
-        if interior.size and interior[:, active].min() <= 0.0:
-            return np.inf, None
-    elif interior.size and interior[:, active].min() < 0.0:
-        return np.inf, None
     u = mu / ws.sys.pi[None, :]
     ut = 0.5 * (u[:-1] + u[1:])
     ei, ej = ws.edges[:, 0], ws.edges[:, 1]
     r, s = ut[:, ei], ut[:, ej]
     theta = np.asarray(log_mean(r, s)) + eps
-    w = 1.0 / (theta * ws.q[None, :])
-    f = dt * float(np.sum(x * x * w))
+    cond = theta * ws.q[None, :]
+    f = dt * float(np.sum(x * x / cond))
+    bar = np.zeros_like(interior)
     if beta > 0.0:
         f -= beta * float(np.sum(np.log(u[1:-1][:, active])))
-    if not np.isfinite(f):
-        return np.inf, None
-    grad_x = 2.0 * dt * x * w
-    coef = -dt * x * x * w / theta
-    G = np.zeros((M, ws.sys.n_points))
+        bar[:, active] = beta / interior[:, active]
+    coef = -dt * x * x / (cond * theta)
+    G = np.zeros((ws.M, ws.sys.n_points))
     np.add.at(G, (slice(None), ei), coef * log_mean_partial_oracle(r, s))
     np.add.at(G, (slice(None), ej), coef * log_mean_partial_oracle(s, r))
-    if M > 1:
-        P = (G[:-1] + G[1:]) / (2.0 * ws.sys.pi[None, :])
-        if beta > 0.0:
-            bar = np.zeros_like(interior)
-            bar[:, active] = -beta / interior[:, active]
-            P = P + bar
-        suffix = np.flip(np.cumsum(np.flip(P, axis=0), axis=0), axis=0)
-        grad_x[:-1] -= dt * (suffix @ dense_incidence(ws.edges, ws.sys.n_points))
-    grad_y = (grad_x[: M - 1] - grad_x[M - 1][None, :]).ravel()
-    return f, np.concatenate([grad_y, ws.project(grad_x[M - 1])])
+    return f, 2.0 * dt * x / cond, (G[:-1] + G[1:]) / (2.0 * ws.sys.pi[None, :]) - bar
 
 
 @pytest.mark.parametrize("same_ends", [False, True])
@@ -298,13 +395,16 @@ def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
     p0 = ws.initial_point()
     # tiny fluxes keep same-end midpoints within the series branch of the mean
     for scale in (0.0, 1e-10, 1e-3):
-        p = p0 + rng.normal(scale=scale, size=p0.size)
+        x = ws.unpack(p0 + rng.normal(scale=scale, size=p0.size))
+        mu = ws.masses(x)
         for beta, eps in ((1e-2, 1e-2), (1e-6, 1e-6), (0.0, 1e-12)):
-            f, g = ws.value_and_grad(p, beta, eps)
-            f_ref, g_ref = value_and_grad_oracle(ws, p, beta, eps)
+            f = ws.objective(x, mu, beta, eps)
+            g_x, g_mu, _, _ = ws.newton_step(x, mu, beta, eps)
+            f_ref, gx_ref, gmu_ref = gradient_oracle(ws, x, mu, beta, eps)
             assert np.isfinite(f)
             assert f == f_ref
-            assert np.array_equal(g, g_ref)
+            assert np.array_equal(g_x, gx_ref)
+            assert np.array_equal(g_mu, gmu_ref)
 
 
 def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
@@ -333,8 +433,22 @@ def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
         assert np.max(np.abs(rows[k] - ref)) < 1e-12
 
 
+def test_newton_steps_stay_flat_as_the_grid_refines():
+    # the transport benchmark problem: Gibbs measure of cos(2 pi x), uniform -> Gibbs state of sin(2 pi x);
+    # the quasi-Newton descent this solver replaced took 1,146 or more iterations from N = 8 on
+    measure = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    for n in (8, 16, 32, 64):
+        sys = build_system(FractionalKernel(s=1.0), measure, build_grid(1, n))
+        a = density_from_spec({"type": "uniform"}, sys)
+        b = density_from_spec({"type": "gibbs", "potential": {"expr": "sin(2*pi*x)"}}, sys)
+        res = nlw_distance(PathProblem(sys, a, b, n_steps=16, solver=MetricSolverConfig(max_iter=1000)))
+        assert res.converged and res.constraint_residual < 1e-12
+        assert res.iterations <= 40, (n, res.stage_iterations)
+
+
 def test_workspace_memory_at_128_points_stays_on_the_edge_list():
-    # the workspace stays O(M E); an E x (E - N + 1) null-space basis alone is ~0.5 GiB here
+    # the workspace and one Newton step stay O(M E + M N^2); an E x (E - N + 1)
+    # null-space basis alone is ~0.5 GiB here
     sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 128))
     x = sys.grid.points[:, 0]
     a = DensityState.uniform(sys)
@@ -342,13 +456,15 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
     tracemalloc.start()
     try:
         ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=16))
-        p0 = ws.initial_point()
-        f, g = ws.value_and_grad(p0, 1e-2, 1e-2)
+        x = ws.unpack(ws.initial_point())
+        mu = ws.masses(x)
+        f = ws.objective(x, mu, 1e-2, 1e-2)
+        _, _, dx, dmu = ws.newton_step(x, mu, 1e-2, 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ws.n_edges == 128 * 127 // 2
-    assert np.isfinite(f) and g.shape == p0.shape
+    assert np.isfinite(f) and dx.shape == x.shape and dmu.shape == (15, 128)
     assert peak < 64 * 2**20
 
 
@@ -426,6 +542,9 @@ def test_result_document_fields():
     res = nlw_distance(PathProblem(sys, a, b, n_steps=8))
     assert res.n_steps == 8
     assert res.iterations > 0
+    assert len(res.stage_iterations) == len(BARRIER_SCHEDULE) + 1  # the barrier stages and the polish
+    assert all(isinstance(k, int) and k >= 0 for k in res.stage_iterations)
+    assert sum(res.stage_iterations) == res.iterations
     assert len(res.objective_history) > 0
     assert np.all(np.isfinite(res.objective_history))
     # the history ends on the polish stage, whose objective is the
@@ -466,6 +585,19 @@ def test_feasible_across_disconnected_components():
     res = nlw_distance(PathProblem(sys, a, b, n_steps=16))
     assert res.converged and np.isfinite(res.w)
     assert res.constraint_residual < 1e-12
+
+
+def test_massless_component_stays_empty():
+    sys = _two_clique_system()  # pi = 1/4, eta = 1 on each clique
+    a = state(sys, [4.0, 0.0, 0.0, 0.0])
+    b = state(sys, [1.0, 3.0, 0.0, 0.0])  # the clique {2, 3} carries no mass at either end
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=16))
+    assert res.converged and res.constraint_residual < 1e-12
+    assert np.all(res.path.u[:, 2:] == 0.0) and np.all(res.path.fluxes[:, 1] == 0.0)
+    # the same masses on pi = 1/2 double the mean and need eta = 1/2 for the same action
+    pair = two_state(eta12=0.5)
+    ref = nlw_distance(PathProblem(pair, state(pair, [2.0, 0.0]), state(pair, [0.5, 1.5]), n_steps=16))
+    assert res.w == pytest.approx(ref.w, rel=1e-9)
 
 
 def test_empty_support_graph():
