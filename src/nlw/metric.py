@@ -342,7 +342,7 @@ def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# the discrete problem: reduced flux coordinates, barrier objective, Newton step
+# the discrete problem: fluxes and masses, barrier objective, Newton step
 # ---------------------------------------------------------------------------
 
 
@@ -396,16 +396,13 @@ class _PathWorkspace:
         ei, ej, n = self.edges[:, 0], self.edges[:, 1], self.sys.n_points
         return z - self.least_norm(np.bincount(ei, z, minlength=n) - np.bincount(ej, z, minlength=n))
 
-    # -- packing ----------------------------------------------------------
-
-    def unpack(self, p: np.ndarray) -> np.ndarray:
-        M, E = self.M, self.n_edges
-        y = p[: (M - 1) * E].reshape(M - 1, E)
-        s = self.s0 + self.project(p[(M - 1) * E :])
-        x = np.empty((M, E))
-        x[: M - 1] = y
-        x[M - 1] = s - y.sum(axis=0)
-        return x
+    def close_total(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with its last step replaced so that the total flux over all
+        steps is s0 plus the divergence-free part of x's total: the masses
+        built from it then end at the end state to rounding."""
+        closed = x.copy()
+        closed[-1] = self.s0 + self.project(x.sum(axis=0) - self.s0) - x[:-1].sum(axis=0)
+        return closed
 
     def masses(self, x: np.ndarray) -> np.ndarray:
         div = _node_sums(self.scatter, (self.M, self.sys.n_points), x, -x)
@@ -415,9 +412,9 @@ class _PathWorkspace:
         return mu
 
     def initial_point(self) -> np.ndarray:
-        """Linear interpolation of the masses, bowed slightly toward the
-        componentwise uniform state when the straight path touches zero."""
-        M, E = self.M, self.n_edges
+        """Fluxes (M, E) of the linear interpolation of the masses, bowed slightly
+        toward the componentwise uniform state when the straight path touches zero."""
+        M = self.M
         t = np.arange(1, M)[:, None] / M
         mu_lin = (1.0 - t) * self.mu0[None, :] + t * self.muT[None, :]
         x = np.tile(self.s0 / M, (M, 1))
@@ -434,8 +431,8 @@ class _PathWorkspace:
             mu_target = np.vstack([self.mu0, (1.0 - bump) * mu_lin + bump * mu_unif, self.muT])
             # recover step fluxes for the bowed path, least-norm per step
             x = self.least_norm((mu_target[:-1] - mu_target[1:]) / self.dt)
-        y = x[: M - 1].ravel()
-        return np.concatenate([y, np.zeros(E)])
+        x[-1] = self.s0 - x[:-1].sum(axis=0)
+        return x
 
     # -- barrier objective and Newton step --------------------------------
 
@@ -548,16 +545,6 @@ class _PathWorkspace:
         dx = y - x - 0.5 * cond * (lam[:, ei] - lam[:, ej])
         return g_x, g_mu, dx, dmu
 
-    def pure_action(self, p: np.ndarray) -> float:
-        x = self.unpack(p)
-        mu = self.masses(x)
-        return _action_from_arrays(self.sys, mu / self.sys.pi[None, :], x, self.edges, self.q, 0.0)
-
-    def build_path(self, p: np.ndarray) -> DiscretePath:
-        x = self.unpack(p)
-        mu = self.masses(x)
-        return DiscretePath(self.sys, mu / self.sys.pi[None, :], x, self.edges)
-
 
 def _action_from_arrays(sys, u, x, edges, q, eps) -> float:
     dt = 1.0 / x.shape[0]
@@ -660,7 +647,7 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
             objective_history=[],
             path=path,
         )
-    x = ws.unpack(ws.initial_point())
+    x = ws.initial_point()
     mu = ws.masses(x)
     mu[-1] = ws.muT
     history: list[float] = []
@@ -670,12 +657,13 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
         x, mu, hist, converged, steps = _newton(ws, x, mu, beta, eps, prob.solver.max_iter)
         history.extend(hist)
         stage_iterations.append(steps)
-    # back to the reduced coordinates, whose last block fixes the total
-    # flux exactly: the path's masses are rebuilt from the fluxes alone
-    p = np.concatenate([x[:-1].ravel(), x.sum(axis=0) - ws.s0])
-    path = ws.build_path(p)
+    # the path's masses are rebuilt from the fluxes alone, with the total
+    # flux fixed exactly
+    x = ws.close_total(x)
+    u = ws.masses(x) / ws.sys.pi[None, :]
+    path = DiscretePath(ws.sys, u, x, ws.edges)
     residual = float(np.max(np.abs(path.u[-1] * ws.sys.pi - ws.muT)))
-    w = float(np.sqrt(max(ws.pure_action(p), 0.0)))
+    w = float(np.sqrt(max(_action_from_arrays(ws.sys, u, x, ws.edges, ws.q, 0.0), 0.0)))
     return MetricResult(
         w=w,
         n_steps=prob.n_steps,

@@ -265,7 +265,7 @@ def random_interior_point(n, n_steps, seed):
     raw = rng.uniform(0.2, 2.0, size=(2, n))
     a, b = (state(sys, v / (v @ sys.pi)) for v in raw)
     ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=n_steps))
-    x = ws.unpack(ws.initial_point())
+    x = ws.initial_point()
     mu = ws.masses(x)
     mu[-1] = ws.muT
     mu[1:-1] *= rng.uniform(0.8, 1.2, size=mu[1:-1].shape)
@@ -337,7 +337,7 @@ def test_objective_infinite_outside_positive_cone():
     sys = two_state()
     a = state(sys, [1.6, 0.4])
     ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
-    x = ws.unpack(ws.initial_point())
+    x = ws.initial_point()
     assert np.isfinite(ws.objective(x, ws.masses(x), 1e-2, 1e-2))
     x[0, 0] = 50.0  # huge first-step flux drains node 0 negative
     for beta, eps in ((1e-2, 1e-2), (0.0, 1e-12)):
@@ -392,10 +392,10 @@ def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
     raw = rng.uniform(0.2, 2.0, size=n)
     b = a if same_ends else state(sys, raw / (raw @ pi))
     ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=6))
-    p0 = ws.initial_point()
+    x0 = ws.initial_point()
     # tiny fluxes keep same-end midpoints within the series branch of the mean
     for scale in (0.0, 1e-10, 1e-3):
-        x = ws.unpack(p0 + rng.normal(scale=scale, size=p0.size))
+        x = ws.close_total(x0 + rng.normal(scale=scale, size=x0.shape))
         mu = ws.masses(x)
         for beta, eps in ((1e-2, 1e-2), (1e-6, 1e-6), (0.0, 1e-12)):
             f = ws.objective(x, mu, beta, eps)
@@ -456,7 +456,7 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
     tracemalloc.start()
     try:
         ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=16))
-        x = ws.unpack(ws.initial_point())
+        x = ws.initial_point()
         mu = ws.masses(x)
         f = ws.objective(x, mu, 1e-2, 1e-2)
         _, _, dx, dmu = ws.newton_step(x, mu, 1e-2, 1e-2)
