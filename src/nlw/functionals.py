@@ -84,7 +84,12 @@ def log_mean(r, s):
     # moderately close arguments, where the raw difference of logs would
     # amplify roundoff by max(r,s)/|r-s|.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell = np.copysign(np.log1p(np.abs(d) / np.minimum(rb, sb)), d)
+        # in place, so the oriented ratio makes no more temporaries than
+        # log1p((r - s)/s) did
+        ell = np.abs(d)
+        ell /= np.minimum(rb, sb)
+        np.log1p(ell, out=ell)
+        np.copysign(ell, d, out=ell)
         if not np.isfinite(ell).all():
             wide = ~np.isfinite(ell)
             ell[wide] = np.log(rb[wide]) - np.log(sb[wide])

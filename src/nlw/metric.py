@@ -259,7 +259,10 @@ def _log_mean_and_partials(r, s):
     # the far-branch formulas on every entry; near and boundary entries
     # are overwritten below, so their inf/nan here never escape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell = np.copysign(np.log1p(np.abs(d) / np.minimum(r, s)), d)
+        ell = np.abs(d)
+        ell /= np.minimum(r, s)
+        np.log1p(ell, out=ell)
+        np.copysign(ell, d, out=ell)
         if not np.isfinite(ell).all():
             # where the oriented ratio overflows: the plain difference of
             # logs, as in log_mean
