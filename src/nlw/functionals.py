@@ -64,12 +64,12 @@ def log_mean(r, s):
     digit to cancellation, so for |r - s| <= 1e-8 max(r, s) the series
     expansion theta = m - (r-s)^2/(12 m) around the midpoint m is used
     (the next term is O((r-s)^4/m^3), far below double precision there).
-    Away from it log r - log s is log1p of |r - s| / min(r, s), the ratio
-    oriented to be >= 0, with the sign of r - s: log1p((r-s)/s) for r < s
-    would evaluate log1p next to -1 and lose digits as r/s falls (2.7e-10
-    relative at r/s = 1e-8).  Where |r - s| / min(r, s) overflows (the
-    ratio above the float range) the plain log r - log s is used on those
-    entries.
+    Away from it |log r - log s| is log1p of |r - s| / min(r, s), the
+    ratio oriented to be >= 0, and theta = |r - s| / |log r - log s|:
+    log1p((r-s)/s) for r < s would evaluate log1p next to -1 and lose
+    digits as r/s falls (2.7e-10 relative at r/s = 1e-8).  Where
+    |r - s| / min(r, s) overflows (the ratio above the float range) the
+    plain difference of logs is used on those entries.
     """
     rb, sb = np.broadcast_arrays(
         np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
@@ -77,6 +77,8 @@ def log_mean(r, s):
     if np.any(rb < 0.0) or np.any(sb < 0.0):
         raise ValueError("log mean requires nonnegative arguments")
     d = rb - sb
+    gap = np.abs(d)
+    low = np.minimum(rb, sb)
     # the far branch on every entry, then the series on the near ones
     # (theta(0, 0) among them); zero-argument entries are overwritten
     # last, so the inf/nan either branch leaves there never escape.
@@ -84,22 +86,17 @@ def log_mean(r, s):
     # moderately close arguments, where the raw difference of logs would
     # amplify roundoff by max(r,s)/|r-s|.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # in place, so the oriented ratio makes no more temporaries than
-        # log1p((r - s)/s) did
-        ell = np.abs(d)
-        ell /= np.minimum(rb, sb)
-        np.log1p(ell, out=ell)
-        np.copysign(ell, d, out=ell)
+        ell = np.log1p(gap / low)
         if not np.isfinite(ell).all():
             wide = ~np.isfinite(ell)
-            ell[wide] = np.log(rb[wide]) - np.log(sb[wide])
-        out = np.divide(d, ell, out=ell)
-        near = np.abs(d) <= 1e-8 * np.maximum(rb, sb)
+            ell[wide] = np.abs(np.log(rb[wide]) - np.log(sb[wide]))
+        out = np.divide(gap, ell, out=ell)
+        near = gap <= 1e-8 * np.maximum(rb, sb)
         if near.any():
             m = 0.5 * (rb[near] + sb[near])
             dn = d[near]
             out[near] = m - dn * dn / (12.0 * m)
-    zero = (rb == 0.0) | (sb == 0.0)
+    zero = low == 0.0
     if zero.any():
         out[zero] = 0.0
     if np.isscalar(r) and np.isscalar(s):

@@ -239,14 +239,15 @@ def _component_labels(sys: DiscreteSystem) -> np.ndarray:
 def _log_mean_and_partials(r, s):
     """theta(r, s), d theta / d r and d theta / d s, elementwise, in one pass.
 
-    Each value is computed with the same arithmetic as ``log_mean``: away
-    from the diagonal ell = log(r/s) is log1p(|d| / min(r, s)) with the
-    sign of d = r - s, theta = d / ell, d theta/d r = (1 - theta/r)/ell and
-    d theta/d s = (theta/s - 1)/ell; near it the series 0.5 -/+ d/(6m)
-    around the midpoint m.  On the boundary (either argument zero) the
-    mean is identically zero along the ray, so all three are reported as
-    0; the interior barrier keeps optimization paths away from that edge
-    anyway.  Scalars come back as arrays of shape (1,).
+    Away from the diagonal ell = log(r/s) is log1p(|d| / min(r, s)) with
+    the sign of d = r - s, theta = d / ell (bit-equal to ``log_mean``'s
+    |d| / |ell|), d theta/d r = (1 - theta/r)/ell and
+    d theta/d s = (theta/s - 1)/ell; near it the series of ``log_mean``
+    for theta and 0.5 -/+ d/(6m) around the midpoint m for the partials.
+    On the boundary (either argument zero) the mean is identically zero
+    along the ray, so all three are reported as 0; the interior barrier
+    keeps optimization paths away from that edge anyway.  Scalars come
+    back as arrays of shape (1,).
     """
     r, s = np.broadcast_arrays(
         np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
