@@ -16,9 +16,10 @@ gradient-flow machinery when
   (4) eta is continuous off the diagonal, and
   (5) eta is strictly positive.
 
-`check_assumptions` evaluates these numerically.  `c_eta` packages the
-flux-bound constant sqrt(2 * sup_x second_moment), which controls the
-total flux of finite-action paths.
+`check_assumptions` evaluates (1), (2), (3) and (5) numerically; it
+does not check (4).  `c_eta` packages the flux-bound constant
+sqrt(2 * sup_x second_moment), which controls the total flux of
+finite-action paths.
 
 The module also provides `extend_kernel`: given kernel values stored on
 grid pairs, it builds a continuous kernel on all of T^d x T^d via a
@@ -31,29 +32,30 @@ weight diverges at z = 0, so the interpolant reproduces the stored
 values exactly, and as a convex combination it stays between the min
 and max of the contributing values.
 
-Quadrature notes: integrals with an integrable singularity at r = 0 are
-computed on geometric (dyadic) radial panels with a fixed Gauss rule per
-panel; the leftover tail at the origin is summed by measured-ratio
-geometric extrapolation.  A measured ratio >= 1 means the refinement is
-not converging, which is reported as a divergence error.  In dimension
-1 this is accurate to near machine precision; in dimensions 2 and 3 the
-angular part is handled by masked midpoint lattices and results are
-diagnostics-grade (a relative percent or so).  The panel order, panel
-budget, divergence ratio, lattice sizes and probe oversampling are the
-module constants below (``PANEL_ORDER`` ... ``PROBE_FACTOR``), not settings.
+Quadrature notes: the truncated second moment at x is integrated over
+the displacement cube |t|_inf <= 1/2 (for d <= 3 every such t has
+|t| < 1, so the truncation min(1, |t|^2) never binds), split into
+dyadic shells [-2a, 2a]^d minus [-a, a]^d, a = 2^{-k-2}.  Each shell is
+4^d - 2^d boxes of side a with a tensor Gauss rule, so the geometry is
+exact in every dimension; the leftover tail at the origin is summed by
+measured-ratio geometric extrapolation.  A measured ratio >= 1 means the
+refinement is not converging, which is reported as a divergence error.
+The Gauss order per dimension, shell budget, divergence ratio and probe
+oversampling are the module constants below (``PANEL_ORDER`` ...
+``PROBE_FACTOR``), not settings.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .torus import as_point, axis_distances, build_grid
+from .torus import as_point, build_grid
 
 __all__ = [
     "KernelError",
@@ -157,6 +159,14 @@ def _checked_expr(expr: str) -> ast.Expression:
     return tree
 
 
+def _table_lookup(values: np.ndarray, dim: int, pts: np.ndarray) -> np.ndarray:
+    """Entries of a table on the uniform level-n lattice of T^dim at the
+    nearest lattice point to each row of ``pts`` (shape (m, dim))."""
+    n = round(len(values) ** (1.0 / dim))
+    idx = np.mod(np.rint(pts * n).astype(int), n)
+    return values[np.ravel_multi_index(tuple(idx.T), (n,) * dim)]
+
+
 @dataclass
 class PotentialSpec:
     """A potential V : T^d -> R, given in closed form or as a table.
@@ -206,10 +216,7 @@ class PotentialSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.expr is not None:
             return self._eval_expr(pts)
-        n = round(len(self.table_values) ** (1.0 / self.table_dim))
-        idx = np.mod(np.rint(pts * n).astype(int), n)
-        flat = np.ravel_multi_index(tuple(idx.T), (n,) * self.table_dim)
-        return self.table_values[flat]
+        return _table_lookup(self.table_values, self.table_dim, pts)
 
     def normalization(self, dim: int, tol: float = 1e-12) -> float:
         """c_V = int_{T^d} e^{-V} dx by midpoint refinement."""
@@ -307,14 +314,9 @@ class TabulatedMeasure(MeasureSpec):
         n = round(len(w) ** (1.0 / self.dim))
         if n**self.dim != len(w):
             raise ValueError("weights length is not a perfect lattice size")
-        self._level = n
 
     def density(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        n = self._level
-        idx = np.mod(np.rint(pts * n).astype(int), n)
-        flat = np.ravel_multi_index(tuple(idx.T), (n,) * self.dim)
-        return self.weights[flat] * len(self.weights)
+        return _table_lookup(self.weights, self.dim, np.atleast_2d(pts)) * len(self.weights)
 
     def to_dict(self) -> dict:
         return {"type": "tabulated", "dim": self.dim, "weights": [float(w) for w in self.weights]}
@@ -538,12 +540,10 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 # Moment quadrature constants
 # ---------------------------------------------------------------------------
 
-PANEL_ORDER = 16  # Gauss order per radial panel
-MAX_PANELS = 64  # dyadic radial panels per moment integral
-RATIO_CAP = 0.9999  # measured panel ratio at or above which refinement is divergent
-SPLIT_RADIUS = 0.25  # d >= 2: radius between the masked outer lattice and the dyadic annuli
-OUTER_POINTS = 96  # d = 2 outer midpoint lattice, points per axis (a quarter of it in d = 3)
-ANNULUS_POINTS = 24  # d >= 2: lattice points per axis on each dyadic annulus
+PANEL_ORDER = {1: 16, 2: 6, 3: 5}  # Gauss order per axis of a shell box, by dimension
+MAX_PANELS = 64  # dyadic shells per moment integral
+RATIO_CAP = 0.9999  # measured shell ratio at or above which refinement is divergent
+BLOCK_NODES = 2**15  # shell nodes evaluated at once: all of them in d <= 2, a few shells in d = 3
 PROBE_FACTOR = 4  # probe lattice for sups over x: this many points per working-level cell
 
 
@@ -568,35 +568,22 @@ def _gauss_nodes(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _moment_integrand_1d(spec, pi, x, t):
-    """t^2 * eta(x, x+t) * rho_pi(x+t) for signed offsets t (vectorized)."""
-    y = np.mod(x[None, :] + t[:, None], 1.0)
-    X = np.broadcast_to(x, y.shape)
-    vals = _values_with_radius(spec, X, y, np.abs(t)) * pi.density(y)
-    return t * t * vals
+def _dyadic_sum(contributions: Iterable[float], message: str) -> float:
+    """Sum dyadic shell contributions, outermost first, and extrapolate the tail.
 
-
-def _dyadic_sum(panel, total: float, stop_tol: float, message: str) -> float:
-    """Add dyadic panel contributions to ``total`` and extrapolate the tail.
-
-    ``panel(k)`` returns the contribution of panel k, or None for a panel
-    that holds no nodes.  Summation stops once a contribution (from the
-    third panel on) drops below ``stop_tol`` times the running total;
-    otherwise the remainder under the last panel is extrapolated from the
-    measured ratio of the last two panels.  A ratio >= ``RATIO_CAP``
-    raises KernelDivergenceError with ``message`` formatted with ``ratio``.
+    Summation stops once a contribution (from the third on) drops below
+    1e-16 times the running total, and the rest of ``contributions`` is
+    not drawn; otherwise the remainder under the last shell is
+    extrapolated from the measured ratio of the last two.  A
+    ratio >= ``RATIO_CAP`` raises KernelDivergenceError with ``message``
+    formatted with ``ratio``.
     """
-    contributions = []
-    for k in range(MAX_PANELS):
-        contrib = panel(k)
-        if contrib is None:
-            contributions.append(0.0)
-            continue
-        contributions.append(contrib)
+    total = prev = last = 0.0
+    for k, contrib in enumerate(contributions):
+        prev, last = last, contrib
         total += contrib
-        if contrib <= stop_tol * max(total, 1e-300) and k >= 2:
+        if contrib <= 1e-16 * max(total, 1e-300) and k >= 2:
             return total
-    last, prev = contributions[-1], contributions[-2]
     if prev <= 0.0 or last <= 0.0:
         return total
     ratio = last / prev
@@ -605,100 +592,64 @@ def _dyadic_sum(panel, total: float, stop_tol: float, message: str) -> float:
     return total + last * ratio / (1.0 - ratio)
 
 
-def _radial_moment_1d(spec, pi, x, hi: float) -> float:
-    """int_{0 < |t| <= hi} t^2 eta(x, x+t) rho_pi(x+t) dt on the circle.
+def _shell_nodes(d: int, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss rules on the shells [-h, h]^d minus [-h/2, h/2]^d, h in ``hi``.
 
-    Geometric dyadic panels [hi 2^{-k-1}, hi 2^{-k}] with a fixed Gauss
-    rule per panel and per sign, plus measured-ratio extrapolation of
-    the remaining tail at the origin.
+    Each axis is cut at 0 and +-h/2 into four intervals; a shell is the
+    4^d - 2^d boxes of side h/2 that lie in an outer interval on some
+    axis, each with ``PANEL_ORDER[d]`` Gauss nodes per axis.  Returns the
+    nodes and weights of one axis, each of shape (len(hi), 4 order), and
+    for each of the m shell nodes and each axis the column of its
+    coordinate among the axis nodes, shape (m, d).  In d = 1 a shell's
+    nodes are the outer interval's followed by their negatives.
     """
-    if hi <= 0.0:
-        return 0.0
-
-    def panel(k):
-        p_hi = hi * 0.5**k
-        nodes, weights = _gauss_nodes(p_hi * 0.5, p_hi, PANEL_ORDER)
-        both = np.concatenate([nodes, -nodes])
-        w_both = np.concatenate([weights, weights])
-        return float(np.dot(w_both, _moment_integrand_1d(spec, pi, x, both)))
-
-    return _dyadic_sum(
-        panel,
-        0.0,
-        1e-16,
-        "second moment does not converge under radial refinement "
-        "(panel ratio {ratio:.6f}); the kernel is too singular",
-    )
+    order = PANEL_ORDER[d]
+    hi = hi[:, None]
+    outer, w_outer = _gauss_nodes(hi * 0.5, hi, order)
+    inner, w_inner = _gauss_nodes(0.0, hi * 0.5, order)
+    axis = np.concatenate([outer, -outer, inner, -inner], axis=1)
+    w_axis = np.concatenate([w_outer, w_outer, w_inner, w_inner], axis=1)
+    idx = np.indices((4 * order,) * d).reshape(d, -1).T
+    return axis, w_axis, idx[np.any(idx < 2 * order, axis=1)]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _moment(spec, pi, x, half: float) -> float:
+    """int |t|^2 eta(x, x+t) rho_pi(x+t) dt over the cube |t|_inf <= half.
 
-
-@lru_cache(maxsize=8)
-def _outer_mesh(d: int, m: int) -> np.ndarray:
-    """Midpoint lattice of T^d with m points per axis, shape (m^d, d)."""
-    axes = [(np.arange(m) + 0.5) / m] * d
-    return _frozen(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d))
-
-
-@lru_cache(maxsize=128)
-def _annulus(d: int, ma: int, r_hi: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lattice offsets in the annulus r_hi/2 <= r < r_hi, their radii and cell volume.
-
-    The lattice has ``ma`` midpoints per axis on [-r_hi, r_hi]; both
-    arrays are empty when no lattice point falls in the annulus.
-    """
-    grid_1d = (np.arange(ma) + 0.5) / ma * (2 * r_hi) - r_hi
-    offs = np.stack(np.meshgrid(*([grid_1d] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    rr = np.sqrt(np.sum(offs * offs, axis=1))
-    sel = (rr >= r_hi * 0.5) & (rr < r_hi)
-    return _frozen(offs[sel]), _frozen(rr[sel]), (2 * r_hi / ma) ** d
-
-
-def _annulus_panel(spec, pi, x, radius, cutoff):
-    """panel(k) for `_dyadic_sum`: the annulus radius 2^-k-1 .. radius 2^-k.
-
-    The radial weight is min(1, r^2) with ``cutoff`` and r^2 without.
-    """
-
-    def panel(k):
-        offs, rr, vol = _annulus(x.shape[0], ANNULUS_POINTS, radius * 0.5**k)
-        if rr.size == 0:
-            return None
-        Y = np.mod(x[None, :] + offs, 1.0)
-        r2 = np.minimum(1.0, rr**2) if cutoff else rr**2
-        f = r2 * _values_with_radius(spec, np.broadcast_to(x, Y.shape), Y, rr) * pi.density(Y)
-        return float(np.sum(f)) * vol
-
-    return panel
-
-
-def _moment_nd(spec, pi, x) -> float:
-    """d >= 2 version: masked outer midpoint lattice + dyadic annuli.
-
-    Diagnostics-grade accuracy (mask boundaries are O(1/OUTER_POINTS)).
+    Shell k of the cube is [-2a, 2a]^d minus [-a, a]^d with
+    a = half 2^{-k-1}, integrated on the nodes of `_shell_nodes`.  The
+    shells are evaluated in blocks of about ``BLOCK_NODES`` nodes, and
+    only as far as `_dyadic_sum` draws them; it adds them and
+    extrapolates the rest at the origin.  With half <= 1/2 the cube stays
+    inside one period and |t| <= sqrt(3)/2 < 1, so the weight
+    min(1, |t|^2) of the second moment is |t|^2 throughout.  The whole
+    cube (half = 1/2) is the second moment; a smaller one is a tail
+    integral of `tail_profile`, and the divergence error says which.
     """
     d = x.shape[0]
-    rho0 = SPLIT_RADIUS
-    m = OUTER_POINTS if d == 2 else OUTER_POINTS // 4
-    mesh = _outer_mesh(d, m)
-    ad = axis_distances(mesh, x)
-    r = np.sqrt(np.sum(ad * ad, axis=1))
-    outer_mask = r >= rho0
-    total = 0.0
-    if np.any(outer_mask):
-        Y = mesh[outer_mask]
-        rr = r[outer_mask]
-        f = np.minimum(1.0, rr * rr) * _values_with_radius(spec, np.broadcast_to(x, Y.shape), Y, rr) * pi.density(Y)
-        total += float(np.sum(f)) / m**d
-    # dyadic annuli down to the origin
+    axis, w_axis, idx = _shell_nodes(d, half * 0.5 ** np.arange(MAX_PANELS))
+    wrapped, squared = np.mod(x[:, None, None] + axis, 1.0), np.square(axis)
+    n_blocks = -(-MAX_PANELS * len(idx) // BLOCK_NODES)  # ceiling division
+
+    def shells():
+        for block in np.array_split(np.arange(MAX_PANELS), n_blocks):
+            y = np.empty((block.size, len(idx), d))
+            r2 = np.zeros(y.shape[:2])
+            w = np.ones(y.shape[:2])
+            for a in range(d):  # wrap, square and weigh per axis, then spread over the shell nodes
+                y[:, :, a] = np.take(wrapped[a, block], idx[:, a], axis=1)
+                r2 += np.take(squared[block], idx[:, a], axis=1)
+                w *= np.take(w_axis[block], idx[:, a], axis=1)
+            y = y.reshape(-1, d)
+            vals = _values_with_radius(spec, np.broadcast_to(x, y.shape), y, np.sqrt(r2).ravel()) * pi.density(y)
+            f = r2 * vals.reshape(r2.shape)
+            yield from (float(np.dot(w[k], f[k])) for k in range(block.size))
+
+    what = "second moment" if half >= 0.5 else "tail integral"
     return _dyadic_sum(
-        _annulus_panel(spec, pi, x, rho0, cutoff=True),
-        total,
-        1e-12,
-        "second moment does not converge under radial refinement (panel ratio {ratio:.6f})",
+        shells(),
+        f"{what} does not converge under dyadic refinement "
+        "(panel ratio {ratio:.6f}); the kernel is too singular",
     )
 
 
@@ -706,7 +657,7 @@ def second_moment(spec: KernelSpec, pi: MeasureSpec, x) -> float:
     """int_{T^d} (1 ^ |x-y|^2) eta(x, y) dpi(y).
 
     Raises KernelDivergenceError when the integral fails to converge
-    under radial refinement (e.g. a fractional exponent s >= 2).
+    under dyadic refinement (e.g. a fractional exponent s >= 2).
     """
     p = as_point(x)
     d = p.shape[0]
@@ -715,9 +666,7 @@ def second_moment(spec: KernelSpec, pi: MeasureSpec, x) -> float:
             f"kernel singularity exponent {spec.singularity_exponent(d):g} makes the "
             "second moment infinite (needs > -(d+2))"
         )
-    if d == 1:
-        return _radial_moment_1d(spec, pi, p, 0.5)
-    return _moment_nd(spec, pi, p)
+    return _moment(spec, pi, p, 0.5)
 
 
 def _probe_lattice(dim: int, working_level: int | None) -> np.ndarray:
@@ -750,34 +699,24 @@ def tail_profile(
     dim: int = 1,
     working_level: int | None = None,
 ) -> float:
-    """sup_x of the second-moment integral restricted to near/far pairs.
+    """sup_x of the second-moment integral restricted to near-diagonal pairs.
 
-    The restriction set is {|x-y| < 1/R} union {|x-y| > R}; on the torus
-    the far part is empty for R > diam(T^d), so only the near-diagonal
-    part contributes.  Nonincreasing in R, and tending to 0 as R -> inf
-    exactly when the kernel is uniformly integrable at the diagonal.
+    Condition (3) restricts the integral to {|x-y| < 1/R} union
+    {|x-y| > R}; on the torus the far part is empty for R > diam(T^d).
+    The near part is integrated over the cube Q(1/R) = {|x-y|_inf < 1/R}
+    (at most one period wide) rather than the ball B(1/R): the two agree
+    in d = 1, and B(1/R) is inside Q(1/R), which is inside B(sqrt(d)/R),
+    so in every d the cube tail tends to 0 as R -> inf exactly when the
+    ball tail does, i.e. when the kernel is uniformly integrable at the
+    diagonal.  Nonincreasing in R.
     """
     if R <= 1.0:
         raise ValueError("tail profile requires R > 1")
     probes = _probe_lattice(dim, working_level)
     best = 0.0
     for x in probes:
-        if dim == 1:
-            val = _radial_moment_1d(spec, pi, x, min(1.0 / R, 0.5))
-        else:
-            val = _moment_nd_tail(spec, pi, x, min(1.0 / R, 0.5))
-        best = max(best, val)
+        best = max(best, _moment(spec, pi, x, min(1.0 / R, 0.5)))
     return best
-
-
-def _moment_nd_tail(spec, pi, x, radius):
-    """Annuli-only variant of _moment_nd, integrating r < radius."""
-    return _dyadic_sum(
-        _annulus_panel(spec, pi, x, radius, cutoff=False),
-        0.0,
-        1e-12,
-        "tail integral does not converge under refinement (panel ratio {ratio:.6f})",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +739,6 @@ class AdmissibilityReport:
     tail_monotone: bool
     positive: bool
     min_sampled: float
-    continuous: bool
     shift_diagnostic: float
     probe_points: int
     passes: bool
@@ -857,7 +795,6 @@ def check_assumptions(
         tail_monotone=tail_monotone,
         positive=positive,
         min_sampled=min_sampled,
-        continuous=True,
         shift_diagnostic=worst_shift,
         probe_points=len(_probe_lattice(dim, None)),
         passes=passes,
@@ -869,7 +806,7 @@ def check_assumptions(
 # ---------------------------------------------------------------------------
 
 
-# Target size of one (queries, N, N) array in ExtendedKernel.batch.
+# Target size of one (queries, window, window) array in ExtendedKernel.batch.
 _BATCH_BYTES = 2**23
 
 
@@ -882,6 +819,7 @@ class ExtendedKernel:
     (torus distances), where K(z) = z^{-a} (1 - z^2).  The weight blows
     up at z = 0, so exact grid-pair queries return the stored value, and
     every value is a convex combination of contributing stored values.
+    ``points`` is the uniform lattice ``build_grid(dim, level).points``.
     """
 
     points: np.ndarray
@@ -897,29 +835,49 @@ class ExtendedKernel:
     def batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """eta~ at the paired rows of X and Y, (m, d) each.
 
-        Queries run in chunks whose (chunk, N, N) arrays stay near
-        ``_BATCH_BYTES`` (at least one query per chunk).  Raises
+        Queries run in chunks whose (chunk, window, window) arrays stay
+        near ``_BATCH_BYTES`` (at least one query per chunk).  Raises
         CoverageError if any query has no stored pair within the bandwidth.
         """
         X = np.mod(np.atleast_2d(np.asarray(X, dtype=float)), 1.0)
         Y = np.mod(np.atleast_2d(np.asarray(Y, dtype=float)), 1.0)
-        n = self.points.shape[0]
-        chunk = max(1, _BATCH_BYTES // (8 * n * n))
+        size = self._window_width() ** self.dim
+        chunk = max(1, _BATCH_BYTES // (8 * size * size))
         out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], chunk):
             out[lo : lo + chunk] = self._chunk(X[lo : lo + chunk], Y[lo : lo + chunk])
         return out
 
+    def _window_width(self) -> int:
+        """Lattice indices per axis in a query's window (see `_window`)."""
+        return min(2 * int(np.ceil(self.bandwidth * self.level)) + 2, self.level)
+
+    def _window(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices and torus distances of the lattice points near each row of P.
+
+        A lattice point within the bandwidth of p is within it on every
+        axis, so per axis its index lies among the 2m + 2 indices from
+        floor(p n) - m with m = ceil(bandwidth n), wrapped mod n; when
+        that many would wrap onto themselves the window is the whole
+        axis.  Returns both arrays with shape (q, width^d).
+        """
+        n, q, width = self.level, P.shape[0], self._window_width()
+        first = np.floor(P * n).astype(int) - (width - 2) // 2 if width < n else np.zeros(P.shape, dtype=int)
+        flat = np.zeros((q, 1), dtype=int)
+        for a in range(self.dim):
+            idx = np.mod(first[:, a, None] + np.arange(width), n)
+            flat = (flat[:, :, None] * n + idx[:, None, :]).reshape(q, -1)
+        diff = np.abs(self.points[flat] - P[:, None, :])
+        diff = np.minimum(diff, 1.0 - diff)
+        return flat, np.sqrt(np.sum(diff**2, axis=2))
+
     def _chunk(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        q, n = X.shape[0], self.points.shape[0]
-
-        def dist(P):  # (q, N) torus distances from each query point to every grid point
-            diff = np.abs(self.points[None, :, :] - P[:, None, :])
-            diff = np.minimum(diff, 1.0 - diff)
-            return np.sqrt(np.sum(diff**2, axis=2))
-
-        z = dist(X)[:, :, None] + dist(Y)[:, None, :]
-        z[:, np.arange(n), np.arange(n)] = np.inf  # stored data lives off the diagonal
+        q = X.shape[0]
+        jx, dx = self._window(X)
+        jy, dy = self._window(Y)
+        z = dx[:, :, None] + dy[:, None, :]
+        z[jx[:, :, None] == jy[:, None, :]] = np.inf  # stored data lives off the diagonal
+        eta = self.eta[jx[:, :, None], jy[:, None, :]].reshape(q, -1)
         zeta = (z / self.bandwidth).reshape(q, -1)
         inside = zeta < 1.0
         if not inside.any(axis=1).all():
@@ -932,8 +890,8 @@ class ExtendedKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(inside, zeta / zmin, np.inf)
         w = rel ** (-self.exponent) * np.where(inside, 1.0 - zeta * zeta, 0.0)
-        vals = np.sum(w * self.eta.reshape(1, -1), axis=1) / np.sum(w, axis=1)
-        vals[exact] = self.eta.reshape(-1)[nearest[exact]]
+        vals = np.sum(w * eta, axis=1) / np.sum(w, axis=1)
+        vals[exact] = eta[exact, nearest[exact]]
         return vals
 
 

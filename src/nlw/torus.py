@@ -61,15 +61,6 @@ def torus_distance(x, y) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
-def axis_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-axis wrapped distances |p_i - x_i| on the circle, vectorized.
-
-    ``points`` has shape (N, d), ``x`` shape (d,); returns shape (N, d).
-    """
-    diff = np.abs(points - x[None, :])
-    return np.minimum(diff, 1.0 - diff)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform lattice on T^d at refinement level n.

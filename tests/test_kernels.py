@@ -6,10 +6,12 @@ import hashlib
 import json
 import pathlib
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.integrate import quad as scipy_quad
 from scipy.special import i0
 
@@ -28,11 +30,8 @@ from nlw.kernels import (
     TabulatedMeasure,
     UniformMeasure,
     WeightedKernel,
-    _annulus,
-    _moment_nd,
-    _moment_nd_tail,
-    _outer_mesh,
-    _radial_moment_1d,
+    _moment,
+    _values_with_radius,
     c_eta,
     check_assumptions,
     eval_kernel,
@@ -261,29 +260,61 @@ def test_refinement_detects_divergence_without_exponent_hint():
             return 0.0
 
     with pytest.raises(KernelDivergenceError):
-        _radial_moment_1d(OpaqueFractional(s=2.5), UniformMeasure(), np.array([0.0]), 0.5)
+        second_moment(OpaqueFractional(s=2.5), UniformMeasure(), 0.0)
 
 
-def test_refinement_detects_divergence_in_2d():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_refinement_detects_divergence(d):
     class OpaqueFractional(FractionalKernel):
         def singularity_exponent(self, dim):
             return 0.0
 
-    x = np.array([0.3, 0.6])
+    x = np.array([0.3, 0.6, 0.9][:d])
     with pytest.raises(KernelDivergenceError, match="second moment .*panel ratio"):
-        _moment_nd(OpaqueFractional(s=2.5), UniformMeasure(), x)
+        _moment(OpaqueFractional(s=2.5), UniformMeasure(), x, 0.5)
     with pytest.raises(KernelDivergenceError, match="tail integral .*panel ratio"):
-        _moment_nd_tail(OpaqueFractional(s=2.5), UniformMeasure(), x, 0.1)
+        _moment(OpaqueFractional(s=2.5), UniformMeasure(), x, 0.1)
 
 
-def test_probe_independent_lattices_are_shared_read_only():
-    mesh = _outer_mesh(2, 96)
-    offs, rr, vol = _annulus(2, 24, 0.25)
-    assert mesh.shape == (96 * 96, 2) and offs.shape == (rr.size, 2)
-    assert np.all((rr >= 0.125) & (rr < 0.25)) and vol == (0.5 / 24) ** 2
-    for a in (mesh, offs, rr):
-        assert not a.flags.writeable
-    assert _outer_mesh(2, 96) is mesh and _annulus(2, 24, 0.25)[0] is offs
+def radial_moment_1d(spec, pi, x, hi):
+    """Oracle: the d = 1 panel loop `second_moment` ran before the cube shells.
+
+    Panels [hi 2^{-k-1}, hi 2^{-k}] and their mirror images with 16 Gauss
+    nodes each; the loop stops at a contribution below 1e-16 of the
+    total (from the third panel on), else extrapolates the last ratio.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    total, contribs = 0.0, []
+    for k in range(64):
+        p_hi = hi * 0.5**k
+        lo = p_hi * 0.5
+        mid, half = 0.5 * (p_hi + lo), 0.5 * (p_hi - lo)
+        nodes, weights = mid + half * gx, half * gw
+        t = np.concatenate([nodes, -nodes])
+        y = np.mod(x[None, :] + t[:, None], 1.0)
+        vals = _values_with_radius(spec, np.broadcast_to(x, y.shape), y, np.abs(t)) * pi.density(y)
+        contrib = float(np.dot(np.concatenate([weights, weights]), t * t * vals))
+        contribs.append(contrib)
+        total += contrib
+        if contrib <= 1e-16 * max(total, 1e-300) and k >= 2:
+            return total
+    ratio = contribs[-1] / contribs[-2]
+    return total + contribs[-1] * ratio / (1.0 - ratio)
+
+
+@pytest.mark.parametrize(
+    "spec", [ConstantKernel(c=1.0)] + [FractionalKernel(s=s) for s in (0.5, 1.0, 1.5)], ids=["c", "s0.5", "s1", "s1.5"]
+)
+@pytest.mark.parametrize(
+    "pi", [UniformMeasure(), GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))], ids=["uniform", "gibbs"]
+)
+def test_1d_moments_equal_the_panel_loop(spec, pi):
+    # the kernels of criterion 5: d = 1 values are bit-identical to the panel loop
+    for x in (0.0, 0.1, 0.37, 0.5, 0.93):
+        assert second_moment(spec, pi, x) == radial_moment_1d(spec, pi, np.array([x]), 0.5)
+    assert tail_profile(spec, pi, 10.0) == max(radial_moment_1d(spec, pi, p, 0.1) for p in build_grid(1, 64).points)
+    sup = max(radial_moment_1d(spec, pi, p, 0.5) for p in build_grid(1, 32).points)
+    assert c_eta(spec, pi, dim=1, working_level=8) == float(np.sqrt(2.0 * sup))
 
 
 def test_second_moment_gibbs_against_scipy():
@@ -295,13 +326,76 @@ def test_second_moment_gibbs_against_scipy():
 
 
 def test_second_moment_2d_constant():
-    # int over the unit torus of min(1, r^2) with r the wrapped norm;
-    # d >= 2 quadrature is diagnostics-grade, so the tolerance is loose
+    # int over the unit torus of min(1, r^2) with r the wrapped norm (= 1/6)
     expected = scipy_quad(
         lambda u: 4 * scipy_quad(lambda v: min(1.0, u * u + v * v), 0, 0.5)[0], 0, 0.5
     )[0]
     val = second_moment(ConstantKernel(c=1.0), UniformMeasure(), np.array([0.2, 0.7]))
-    assert val == pytest.approx(expected, rel=2e-2)
+    assert val == pytest.approx(expected, rel=1e-9)
+    assert val == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [(0.2, 0.7), (0.0, 0.5)])
+def test_second_moment_2d_fractional_closed_form(x):
+    # s = 1: int over the square |t|_inf <= 1/2 of 1/|t| is 4 log(1 + sqrt 2)
+    val = second_moment(FractionalKernel(s=1.0), UniformMeasure(), np.array(x))
+    assert val == pytest.approx(4.0 * np.log1p(np.sqrt(2.0)), rel=1e-8)
+
+
+def _square_in_polar(f):
+    """int of f(r, theta) r dr dtheta over the square |t|_inf <= 1/2, by scipy dblquad.
+
+    The inner limit 1/(2 max(|cos|, |sin|)) has kinks at the diagonals,
+    so theta is split there.
+    """
+
+    def edge(th):
+        return 0.5 / max(abs(np.cos(th)), abs(np.sin(th)))
+
+    return sum(
+        dblquad(lambda r, th: f(r, th) * r, a, a + np.pi / 2, 0.0, edge, epsabs=1e-14, epsrel=1e-13)[0]
+        for a in np.pi / 4 + np.pi / 2 * np.arange(4)
+    )
+
+
+@pytest.mark.parametrize("s", [None, 1.0], ids=["constant", "s1"])
+def test_second_moment_2d_gibbs_against_dblquad(s):
+    V = PotentialSpec(expr="cos(2*pi*x) + 0.5*sin(2*pi*y)")
+    x = np.array([0.3, 0.1])
+    cv = float(i0(1.0) * i0(0.5))  # int e^{-V} factorizes into Bessel functions
+
+    def integrand(r, th):  # r^2 eta(r) rho(x + t)
+        p, q = x[0] + r * np.cos(th), x[1] + r * np.sin(th)
+        eta = 1.0 if s is None else r ** (-(2 + s))
+        return r * r * eta * np.exp(-np.cos(2 * np.pi * p) - 0.5 * np.sin(2 * np.pi * q)) / cv
+
+    spec = ConstantKernel(c=1.0) if s is None else FractionalKernel(s=s)
+    val = second_moment(spec, GibbsMeasure(potential=V), x)
+    assert val == pytest.approx(_square_in_polar(integrand), rel=1e-8)
+
+
+def test_second_moment_3d_constant():
+    # int over the cube |t|_inf <= 1/2 of |t|^2 is 3 / 12
+    val = second_moment(ConstantKernel(c=1.0), UniformMeasure(), np.array([0.2, 0.7, 0.45]))
+    assert val == pytest.approx(0.25, rel=1e-12)
+
+
+def test_second_moment_3d_fractional_against_face_integral():
+    # s = 1: on the ray through the point p of a face, t = l p with
+    # 0 <= l <= 1, the integrand 1/|t|^2 times l^2 |p_normal| dl dA
+    # integrates to |p_normal| / |p|^2 dA; six faces at distance 1/2
+    face = dblquad(lambda v, u: 0.5 / (u * u + v * v + 0.25), -0.5, 0.5, -0.5, 0.5, epsabs=1e-14, epsrel=1e-13)[0]
+    val = second_moment(FractionalKernel(s=1.0), UniformMeasure(), np.array([0.2, 0.7, 0.45]))
+    assert val == pytest.approx(6.0 * face, rel=1e-6)
+
+
+def test_second_moment_3d_against_a_higher_order_rule(monkeypatch):
+    spec = FractionalKernel(s=1.0)
+    pi = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x) + 0.5*sin(2*pi*y) + 0.3*cos(2*pi*z)"))
+    x = np.array([0.2, 0.7, 0.45])
+    val = second_moment(spec, pi, x)
+    monkeypatch.setitem(nlw.kernels.PANEL_ORDER, 3, 10)
+    assert val == pytest.approx(second_moment(spec, pi, x), rel=1e-6)
 
 
 def test_tail_profile_constant():
@@ -331,6 +425,13 @@ def test_check_assumptions_passes_for_fractional():
     assert rep.tail_monotone
     assert rep.positive
     assert rep.shift_diagnostic <= 1e-10  # translation invariant
+
+
+@pytest.mark.parametrize("s, passes", [(1.0, True), (2.5, False)])
+def test_check_assumptions_in_2d(s, passes):
+    rep = check_assumptions(FractionalKernel(s=s), UniformMeasure(), dim=2, n_samples=32)
+    assert rep.passes == passes
+    assert np.isfinite(rep.moment_sup) == passes
 
 
 def test_check_assumptions_flags_divergent_kernel():
@@ -462,7 +563,11 @@ def _toy_system_2d(n=4, seed=0):
     return SimpleNamespace(grid=grid, eta=eta)
 
 
-@pytest.mark.parametrize("sys, bandwidth", [(_toy_system(seed=2), 0.3), (_toy_system_2d(), 0.45)], ids=["1d", "2d"])
+@pytest.mark.parametrize(
+    "sys, bandwidth",
+    [(_toy_system(seed=2), 0.3), (_toy_system_2d(), 0.45), (_toy_system(n=64, seed=2), 0.05), (_toy_system_2d(n=16), 0.2)],
+    ids=["1d", "2d", "1d-window", "2d-window"],  # the last two span 10 of 64 and 10 of 16 indices per axis
+)
 def test_extend_kernel_batch_matches_scalar_formula(sys, bandwidth, monkeypatch):
     ext = extend_kernel(sys, bandwidth=bandwidth, exponent=3.0)
     rng = np.random.default_rng(17)
@@ -479,8 +584,35 @@ def test_extend_kernel_batch_matches_scalar_formula(sys, bandwidth, monkeypatch)
     assert np.array_equal(values[:16], np.tile(sys.eta[j, k], 2))
     assert all(ext(x, y) == v for x, y, v in zip(X[:50], Y[:50], values[:50]))
     # chunks of three queries give the same values as one chunk
-    monkeypatch.setattr(nlw.kernels, "_BATCH_BYTES", 3 * 8 * len(pts) ** 2)
+    monkeypatch.setattr(nlw.kernels, "_BATCH_BYTES", 3 * 8 * ext._window_width() ** (2 * d))
     assert np.array_equal(ext.batch(X, Y), values)
+
+
+def test_extend_kernel_query_memory_stays_in_the_bandwidth_window():
+    # only lattice points within the bandwidth on every axis can contribute;
+    # an (N, N) array per query would take 32 MiB here
+    ext = extend_kernel(_toy_system(n=2048, seed=1), bandwidth=0.01, exponent=3.0)
+    tracemalloc.start()
+    try:
+        value = ext(0.123456, 0.654321)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert ext.eta.min() <= value <= ext.eta.max()
+
+
+def test_extend_kernel_coverage_error_with_a_narrow_window():
+    grid = build_grid(2, 16)
+    eta = np.ones((grid.n_points, grid.n_points))
+    np.fill_diagonal(eta, 0.0)
+    ext = extend_kernel(SimpleNamespace(grid=grid, eta=eta), bandwidth=0.07, exponent=3.0)
+    assert ext._window_width() == 6
+    # a cell corner sits sqrt(2)/32 ~ 0.044 from its four nearest grid points
+    corner = np.array([1.0, 1.0]) / 32
+    with pytest.raises(CoverageError, match="bandwidth 0.07"):
+        ext(corner, corner)
+    assert ext(corner, [1.0 / 16, 0.0]) == 1.0
 
 
 def test_tabulated_kernel_provenance_round_trips(tmp_path):
