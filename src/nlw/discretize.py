@@ -17,27 +17,20 @@ the respective cells makes the discrete truncated second moment
 at most 4x its continuum counterpart, uniformly in n; `verify_moment_bound`
 checks that inequality numerically.
 
-Quadrature.  Cell-pair integrals are taken in displacement coordinates:
-with t = y - x the double integral becomes an integral over the window
-s + [-w, w]^d around the wrapped centre offset s of eta at radius |t|
-times an inner integral over the exact overlap box.  Every d = 1 pair
-and every pair where the cutoff is inactive (the minimal distance
-between the two cells is >= delta_n/2) uses one Gauss rule: four panels
-of width w/2 per axis, whose boundaries hold every tent kink, wrap kink
-and (in d = 1) cutoff radius, and a tensor Gauss rule over the overlap
-box.  Its order starts at 2 and doubles until the relative change drops
-below ``PAIR_TOL``; the pieces are smooth, so the converged entries
-are accurate far beyond that tolerance.  In d >= 2 pairs where the
-cutoff cuts through the domain are handled by a midpoint lattice whose
-subcells get exact-geometry mask fractions from a fixed sub-lattice;
-accuracy there is the doubling tolerance, not machine precision.  The
-lattice and its mask fractions depend only on the wrapped centre offset
-and the lattice size, so one build computes them once per (offset, size)
-and reuses them for every pair and every measure value.  Only subcells
-in the cutoff band, whose centre radius lies within a half-diagonal of
-delta_n/2, evaluate their sub-lattice: the torus distance is
-1-Lipschitz, so every other subcell is wholly kept or wholly cut.  A
-Gauss rule or lattice whose point arrays would exceed
+Quadrature.  One integrator, `_pair_integrals`, takes every cell-pair
+integral in displacement coordinates: with t = y - x it integrates over
+the window s + [-w, w]^d around the wrapped centre offset s, by an outer
+tensor rule in tau = t - s whose nodes carry a cutoff mask per pair,
+times a tensor Gauss rule over the exact overlap box.  Each pair doubles
+its rule until the relative change drops below ``PAIR_TOL``.  Every
+d = 1 pair and every pair where the cutoff is inactive (the cells are at
+least delta_n/2 apart) uses Gauss panels whose boundaries hold every
+tent, wrap and (in d = 1) cutoff kink, so the converged entries are
+accurate far beyond that tolerance.  In d >= 2 the pairs the cutoff cuts
+use a midpoint lattice whose subcells get exact-geometry mask fractions
+from a fixed sub-lattice; accuracy there is the doubling tolerance, not
+machine precision.  Work runs in blocks of at most ``_NODE_BUDGET``
+nodes, and a rule whose per-pair node array would exceed
 ``_PAIR_BYTES_LIMIT`` raises QuadratureError before it is allocated.
 
 Offset classes.  On the uniform measure with a translation-invariant
@@ -61,7 +54,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import pairwise
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,7 +70,7 @@ from .kernels import (
     _gauss_nodes,
     _values_with_radius,
 )
-from .torus import GridSpec, build_grid
+from .torus import GridSpec, build_grid, wrapped_norm
 
 __all__ = [
     "DiscreteSystem",
@@ -313,159 +307,158 @@ def _pair_representatives(spec, pi, grid: GridSpec, jj: np.ndarray, kk: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Gauss pair rule: every d = 1 pair and every cutoff-inactive pair
+# Cell-pair integrals: an outer rule in the displacement, an inner Gauss rule
 # ---------------------------------------------------------------------------
 
 
-# Largest point array one pair quadrature may allocate: one pair's
-# ((4 order^2)^d, d) node array for the Gauss pair rule, a (K, q, d) array for
-# d >= 2 active pairs; about five such arrays are alive at once.  Larger
-# requests raise QuadratureError up front instead of running out of memory.
+# Largest point array one cell pair may need: the (T U, d) nodes of its outer
+# (T) and inner (U) rule.  Larger requests raise QuadratureError up front
+# instead of running out of memory; below it `_pair_integrals` evaluates at
+# most ``_NODE_BUDGET`` (pair, outer, inner) nodes at a time and holds at most
+# ``_OUTER_VALUES`` masked inner integrals (pair, outer) for its outer sums.
 _PAIR_BYTES_LIMIT = 2**30
+_NODE_BUDGET = 2**17
+_OUTER_VALUES = 2**20
 
 
-def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
-    """iint_{cell_j x cell_k} 1{r >= delta/2} eta rho rho for each pair (j, k).
+class _OuterRule(NamedTuple):
+    """A tensor rule in the displacement tau = t - s, given on one axis.
 
-    In displacement coordinates t = y - x each pair integrates over
-    s + [-w, w]^d, s the wrapped centre offset.  Every axis gets four Gauss
-    panels of width w/2 with breakpoints s_i + {-w, -w/2, 0, w/2, w}.
+    ``tau`` and ``weight`` are the nodes and weights of one axis; the
+    overlap-box length w - |tau_i| is applied by `_pair_integrals`.  The
+    mask of a node is the share of the ``sub``^d midpoint sub-lattice of
+    the box of side ``cell`` around s + ``probe`` that lies outside the
+    cutoff (`_cutoff_fractions`).  ``order`` is the inner Gauss order per
+    axis; ``name`` and ``size`` label error messages.
+    """
+
+    name: str
+    size: str
+    tau: np.ndarray
+    weight: np.ndarray
+    probe: np.ndarray
+    cell: float
+    sub: int
+    order: int
+
+
+def _panel_gauss(order: int, grid: GridSpec) -> _OuterRule:
+    """Four Gauss panels of width w/2 per axis, breakpoints s_i + {-w, -w/2, 0, w/2, w}.
+
     Centre offsets are whole multiples of w and 1/2 = (n/2) w, so the tent
     kink t_i = s_i and the wrap kinks t_i = +-1/2 lie on panel boundaries;
     in d = 1 so do the cutoffs +-delta/2 and +-(1 - delta/2), and dropping
     each panel whose midpoint radius is below delta/2 is the exact cutoff.
-    For fixed tau = t - s, x runs over the overlap box of side w - |tau_i|
-    with an order^d tensor Gauss rule; its offsets from the centre of
-    cell j do not depend on the pair, so nodes and densities are built once
-    per cell of a chunk and gathered by j and k.  A pair whose node array
-    would exceed ``_PAIR_BYTES_LIMIT`` raises QuadratureError before
-    anything is allocated.
+    The inner rule has the same order.
+    """
+    edges = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * grid.cell_width
+    panels = [_gauss_nodes(a, b, order) for a, b in pairwise(edges)]
+    tau = np.concatenate([t for t, _ in panels])
+    weight = np.concatenate([wt for _, wt in panels])
+    mid = np.repeat(0.5 * (edges[:-1] + edges[1:]), order)
+    return _OuterRule("Gauss pair rule", f"order {order}", tau, weight, mid, 0.0, 1, order)
+
+
+def _masked_lattice(m: int, grid: GridSpec) -> _OuterRule:
+    """Midpoint lattice of m subcells per axis, each masked by its frac_sub^d
+    sub-lattice (d >= 2 pairs the cutoff cuts); the inner rule has order 4."""
+    w = grid.cell_width
+    tau = ((np.arange(m) + 0.5) / m - 0.5) * (2.0 * w)
+    h = 2.0 * w / m
+    frac_sub = 8 if grid.dim == 2 else 4
+    return _OuterRule("displacement lattice", f"m={m}", tau, np.full(m, h), tau, h, frac_sub, 4)
+
+
+def _cutoff_fractions(t: np.ndarray, cell: float, sub: int, dhalf: float) -> np.ndarray:
+    """Share of the sub^d midpoint sub-lattice of each box t + [-cell/2, cell/2]^d at wrapped radius >= dhalf.
+
+    ``t`` has shape (..., d); the result has shape (...).  The torus
+    distance is 1-Lipschitz, so a box whose centre radius lies farther
+    than its half-diagonal from dhalf is wholly kept (1) or wholly cut
+    (0); only the boxes of that cutoff band evaluate their sub-lattice.
+    """
+    d = t.shape[-1]
+    r = wrapped_norm(t)
+    frac = (r >= dhalf).astype(float)
+    band = np.abs(r - dhalf) < 0.5 * cell * np.sqrt(d) * (1.0 + 1e-9) + 1e-12
+    sub1 = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
+    offs = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    frac[band] = np.mean(wrapped_norm(t[band][:, None, :] + offs) >= dhalf, axis=1)
+    return frac
+
+
+def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, rule: _OuterRule) -> np.ndarray:
+    """iint_{cell_j x cell_k} 1{r >= delta/2} eta rho rho for each pair (j, k).
+
+    In displacement coordinates t = y - x each pair integrates over
+    s + [-w, w]^d, s the wrapped centre offset, with the outer ``rule`` in
+    tau = t - s, masked per pair by `_cutoff_fractions`.  For fixed tau, x
+    runs over the overlap box of side w - |tau_i| with a tensor Gauss rule
+    of order ``rule.order``; its offsets from the centre of cell j do not
+    depend on the pair, so nodes and densities are built once per cell of
+    a block and gathered by j and k.  A block holds at most
+    ``_NODE_BUDGET`` nodes, splitting a pair's tau nodes when one pair has
+    more.  Both sums are matrix-vector products, whose BLAS kernels work
+    on groups of four rows: tau nodes are split in groups of four, so the
+    inner sums do not depend on the blocking, and the outer sums run over
+    chunks of ``_OUTER_VALUES`` masked inner integrals, independent of the
+    node budget.  A pair whose node array would exceed
+    ``_PAIR_BYTES_LIMIT`` raises QuadratureError before anything is
+    allocated.
     """
     d, w = grid.dim, grid.cell_width
     dhalf = 0.5 * grid.cell_diameter
-    nodes = (4 * order * order) ** d
-    need = nodes * d * 8
+    n_tau, n_u = rule.tau.size**d, rule.order**d
+    need = n_tau * n_u * d * 8
     if need > _PAIR_BYTES_LIMIT:
         raise QuadratureError(
-            f"Gauss pair rule for cells {int(j[0])} and {int(k[0])} needs about {need / 2**20:.0f} MiB "
-            f"per array at order {order} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
+            f"{rule.name} for cells {int(j[0])} and {int(k[0])} needs about {need / 2**20:.0f} MiB "
+            f"per array at {rule.size} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
         )
-    edges = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * w
-    panels = [_gauss_nodes(a, b, order) for a, b in zip(edges, edges[1:])]
-    tau1 = np.concatenate([t for t, _ in panels])
-    mid1 = np.repeat(0.5 * (edges[:-1] + edges[1:]), order)
-    length1 = w - np.abs(tau1)
-    wt1 = np.concatenate([wt for _, wt in panels]) * length1
-    u1, wu1 = _gauss_nodes(0.0, 1.0, order)
-    x_off1 = -0.5 * tau1[:, None] + length1[:, None] * (u1[None, :] - 0.5)  # (4 order, order)
-    ti = np.indices((4 * order,) * d).reshape(d, -1).T  # (T, d) panel-node index per axis
-    ui = np.indices((order,) * d).reshape(d, -1).T  # (U, d)
-    tau, mid = tau1[ti], mid1[ti]
-    wt = np.prod(wt1[ti], axis=1)
+    length1 = w - np.abs(rule.tau)
+    wt = reduce(np.multiply.outer, [rule.weight * length1] * d).reshape(-1)
+    u1, wu1 = _gauss_nodes(0.0, 1.0, rule.order)
+    x_off1 = -0.5 * rule.tau[:, None] + length1[:, None] * (u1[None, :] - 0.5)  # (A, order)
+    y_off1 = x_off1 + rule.tau[:, None]
+    ui = np.indices((rule.order,) * d).reshape(d, -1).T  # (U, d)
     wu = np.prod(wu1[ui], axis=1)
-    x_off = x_off1[ti[:, None, :], ui[None, :, :]]  # (T, U, d)
-    y_off = x_off + tau[:, None, :]
-
-    def radius(t):
-        a = np.abs(t)
-        a = np.minimum(a, 1.0 - a)
-        return np.sqrt(np.sum(a * a, axis=-1))
+    axis_base = np.arange(d) * (rule.tau.size * rule.order)
+    taus = min(n_tau, 4 * max(1, _NODE_BUDGET // (4 * n_u)))  # tau nodes per block
+    per_block = max(1, _NODE_BUDGET // (n_tau * n_u))  # pairs per block
+    per_sum = max(1, _OUTER_VALUES // n_tau)  # pairs per outer sum
 
     centres = grid.points
-    chunk = max(1, 2**25 // (nodes * 8 * (d + 2)))  # pairs per chunk: a 32 MiB working set
     out = np.empty(j.size)
-    for lo in range(0, j.size, chunk):
-        jc, kc = j[lo : lo + chunk], k[lo : lo + chunk]
-        s = _wrapped_signed(centres[kc] - centres[jc])[:, None, :]
-        r = radius(s + tau)  # (P, T)
-        keep = radius(s + mid) >= dhalf
-        cj, ij = np.unique(jc, return_inverse=True)
-        ck, ik = np.unique(kc, return_inverse=True)
-        X = np.mod(centres[cj][:, None, None, :] + x_off, 1.0).reshape(cj.size, -1, d)
-        Y = np.mod(centres[ck][:, None, None, :] + y_off, 1.0).reshape(ck.size, -1, d)
-        dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
-        dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
-        vals = _values_with_radius(
-            spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, wu.size, axis=1).reshape(-1)
-        )
-        f = (vals.reshape(jc.size, -1) * dx[ij] * dy[ik]).reshape(jc.size, -1, wu.size)
-        out[lo : lo + chunk] = ((f @ wu) * keep) @ wt
+    for lo in range(0, j.size, per_sum):
+        hi = min(lo + per_sum, j.size)
+        g = np.empty((hi - lo, n_tau))  # masked inner integrals
+        for b in range(lo, hi, per_block):
+            block = slice(b, min(b + per_block, hi))
+            jc, kc = j[block], k[block]
+            s = _wrapped_signed(centres[kc] - centres[jc])[:, None, :]
+            cj, ij = np.unique(jc, return_inverse=True)
+            ck, ik = np.unique(kc, return_inverse=True)
+            # per cell, the node coordinates of every axis, flattened from (d, A, order);
+            # a node's coordinates are gathered from them, one per axis
+            x1 = np.mod(centres[cj][:, :, None, None] + x_off1, 1.0).reshape(cj.size, -1)
+            y1 = np.mod(centres[ck][:, :, None, None] + y_off1, 1.0).reshape(ck.size, -1)
+            for a in range(0, n_tau, taus):
+                ti = np.stack(np.unravel_index(np.arange(a, min(a + taus, n_tau)), (rule.tau.size,) * d), axis=1)
+                tau = rule.tau[ti]  # (T, d)
+                flat = (axis_base + ti * rule.order)[:, None, :] + ui[None, :, :]  # (T, U, d)
+                X = x1[:, flat].reshape(cj.size, -1, d)
+                Y = y1[:, flat].reshape(ck.size, -1, d)
+                dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
+                dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
+                r = wrapped_norm(s + tau)  # (P, T)
+                vals = _values_with_radius(
+                    spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, n_u, axis=1).reshape(-1)
+                )
+                f = (vals.reshape(jc.size, -1) * dx[ij] * dy[ik]).reshape(jc.size, -1, n_u)
+                mask = _cutoff_fractions(s + rule.probe[ti], rule.cell, rule.sub, dhalf)
+                g[b - lo : b - lo + jc.size, a : a + ti.shape[0]] = (f @ wu) * mask
+        out[lo:hi] = g @ wt
     return out
-
-
-# ---------------------------------------------------------------------------
-# Cutoff-active pairs, d >= 2: displacement lattice with mask fractions
-# ---------------------------------------------------------------------------
-
-
-def _cutoff_geometry(s, w, dhalf, m, d, frac_sub):
-    """Displacement lattice around the wrapped offset s and its mask fractions.
-
-    Returns T, the m^d subcell centres of the window s + [-w, w]^d, and
-    frac, the share of each subcell's frac_sub^d sub-lattice whose wrapped
-    radius is >= dhalf.  The torus distance is 1-Lipschitz, so a subcell
-    whose centre radius r_c lies farther than its half-diagonal h sqrt(d)/2
-    from dhalf is wholly kept (frac 1) or wholly cut (frac 0); only the
-    subcells of that cutoff band evaluate their sub-lattice.
-    """
-    t1 = ((np.arange(m) + 0.5) / m - 0.5) * (2.0 * w)
-    axes = [s[i] + t1 for i in range(d)]
-    T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)  # (m^d, d)
-    h = 2.0 * w / m
-    Tw = np.abs(_wrapped_signed(T))
-    r_c = np.sqrt(np.sum(Tw * Tw, axis=1))
-    frac = (r_c >= dhalf).astype(float)
-    band = np.abs(r_c - dhalf) < 0.5 * h * np.sqrt(d) * (1.0 + 1e-9) + 1e-12
-    sub1 = ((np.arange(frac_sub) + 0.5) / frac_sub - 0.5) * h
-    sub = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    TS = T[band][:, None, :] + sub[None, :, :]
-    TSw = np.abs(_wrapped_signed(TS))
-    rr = np.sqrt(np.sum(TSw * TSw, axis=-1))
-    frac[band] = np.mean(rr >= dhalf, axis=1)
-    return T, frac
-
-
-def _active_pair_nd(spec, meas, cj, ck, w, dhalf, m, d, frac_sub, geometry):
-    """Displacement-lattice value of the masked pair integral (d >= 2).
-
-    ``geometry`` memoizes the kept part of `_cutoff_geometry` by the exact
-    bits of the wrapped offset and by m; it lives for one build.
-    """
-    s = _wrapped_signed(ck - cj)
-    u_nodes, u_wts = _gauss_nodes(0.0, 1.0, 4)
-    q = u_nodes.size**d
-    need = m**d * q * d * 8  # the (K, q, d) point arrays below, K <= m^d
-    if need > _PAIR_BYTES_LIMIT:
-        raise QuadratureError(
-            f"displacement lattice for cells at {cj.tolist()} and {ck.tolist()} needs about "
-            f"{need / 2**20:.0f} MiB per array at m={m} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
-        )
-    key = (s.tobytes(), m)
-    if key not in geometry:
-        T, frac = _cutoff_geometry(s, w, dhalf, m, d, frac_sub)
-        keep = frac > 0.0
-        geometry[key] = (T[keep], frac[keep])
-    T, frac = geometry[key]
-    if T.shape[0] == 0:
-        return 0.0
-    h = 2.0 * w / m
-    # overlap box per displacement: per-axis segment of length w - |t_i - s_i|
-    a_x = cj[None, :] + np.maximum(-0.5 * w, (s - T) - 0.5 * w)
-    b_x = cj[None, :] + np.minimum(0.5 * w, (s - T) + 0.5 * w)
-    lengths = np.clip(b_x - a_x, 0.0, None)  # (K, d)
-    vol = np.prod(lengths, axis=1)
-    UN = np.stack(np.meshgrid(*([u_nodes] * d), indexing="ij"), axis=-1).reshape(-1, d)  # (q, d)
-    UW = np.prod(np.stack(np.meshgrid(*([u_wts] * d), indexing="ij"), axis=-1).reshape(-1, d), axis=1)
-    X = a_x[:, None, :] + lengths[:, None, :] * UN[None, :, :]  # (K, q, d)
-    Y = X + T[:, None, :]
-    Tw = np.abs(_wrapped_signed(Y - X))
-    r = np.sqrt(np.sum(Tw * Tw, axis=-1))
-    Xf = np.mod(X.reshape(-1, d), 1.0)
-    Yf = np.mod(Y.reshape(-1, d), 1.0)
-    vals = _values_with_radius(spec, Xf, Yf, r.reshape(-1))
-    dens = meas.density(Xf) * meas.density(Yf)
-    inner = ((vals * dens).reshape(X.shape[0], -1) @ UW) * vol  # (K,)
-    return float(np.sum(inner * frac) * h**d)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,7 @@ def discretize_kernel(
         weights = pushforward_measure(pi, grid)
     if np.any(weights <= 0):
         raise ZeroCellError("kernel normalization requires strictly positive cell masses")
-    N, d, w = grid.n_points, grid.dim, grid.cell_width
+    N, d = grid.n_points, grid.dim
     dhalf = 0.5 * grid.cell_diameter
     min_d2 = _pair_min_distance_sq(grid)
     jj, kk = np.triu_indices(N, k=1)
@@ -501,42 +494,27 @@ def discretize_kernel(
     rep = _pair_representatives(spec, pi, grid, jj, kk)
     evaluated = rep == np.arange(rep.size)
 
-    # --- d = 1 and cutoff-inactive pairs: Gauss pair rule with doubling ---
-    pending = np.nonzero(~lattice & evaluated)[0]
-    order, prev = 2, None
-    for _ in range(MAX_DOUBLINGS + 1):
-        if pending.size == 0:
-            break
-        vals = _pair_integrals(spec, pi, grid, jj[pending], kk[pending], order)
-        if prev is not None:
-            done = np.abs(vals - prev) <= PAIR_TOL * np.maximum(np.abs(vals), 1e-300)
-            integrals[pending[done]] = vals[done]
-            pending, vals = pending[~done], vals[~done]
-        prev = vals
-        order *= 2
-    if pending.size:
-        j0, k0 = jj[pending[0]], kk[pending[0]]
-        raise QuadratureError(
-            f"cell-pair quadrature did not converge for {int(pending.size)} pairs; "
-            f"first offender ({j0}, {k0})"
-        )
-
-    # --- d >= 2 cutoff-active pairs: displacement lattice -----------------
-    geometry = {}
-    frac_sub = 8 if d == 2 else 4
-    for p in np.nonzero(lattice & evaluated)[0]:
-        j0, k0 = int(jj[p]), int(kk[p])
+    # every pair doubles its rule until the relative change drops below PAIR_TOL:
+    # the Gauss order from 2, or in d >= 2 for cutoff-active pairs the lattice size from 8
+    for rule, size, members in ((_panel_gauss, 2, ~lattice), (_masked_lattice, 8, lattice)):
+        pending = np.nonzero(members & evaluated)[0]
         prev = None
-        m2 = 8
         for _ in range(MAX_DOUBLINGS + 1):
-            val = _active_pair_nd(spec, pi, grid.points[j0], grid.points[k0], w, dhalf, m2, d, frac_sub, geometry)
-            if prev is not None and abs(val - prev) <= PAIR_TOL * max(abs(val), 1e-300):
-                integrals[p] = val
+            if pending.size == 0:
                 break
-            prev = val
-            m2 *= 2
-        else:
-            raise QuadratureError(f"adjacent-pair quadrature did not converge for cells ({j0}, {k0})")
+            vals = _pair_integrals(spec, pi, grid, jj[pending], kk[pending], rule(size, grid))
+            if prev is not None:
+                done = np.abs(vals - prev) <= PAIR_TOL * np.maximum(np.abs(vals), 1e-300)
+                integrals[pending[done]] = vals[done]
+                pending, vals = pending[~done], vals[~done]
+            prev = vals
+            size *= 2
+        if pending.size:
+            j0, k0 = jj[pending[0]], kk[pending[0]]
+            raise QuadratureError(
+                f"cell-pair quadrature did not converge for {int(pending.size)} pairs; "
+                f"first offender ({j0}, {k0})"
+            )
 
     integrals = integrals[rep]
     eta = np.zeros((N, N))

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .torus import as_point, build_grid
+from .torus import as_point, build_grid, wrapped_norm
 
 __all__ = [
     "KernelError",
@@ -219,9 +219,18 @@ class PotentialSpec:
         return _table_lookup(self.table_values, self.table_dim, pts)
 
     def normalization(self, dim: int, tol: float = 1e-12) -> float:
-        """c_V = int_{T^d} e^{-V} dx by midpoint refinement."""
+        """c_V = int_{T^d} e^{-V} dx.
+
+        A table is constant on the nearest-point cells of its lattice, each
+        of volume n^-d, so its c_V is the mean of e^{-V} over the table.  An
+        expression is integrated by midpoint refinement.
+        """
         key = (dim, tol)
-        if key not in self._cv:
+        if key in self._cv:
+            return self._cv[key]
+        if self.expr is None:
+            val = float(np.mean(np.exp(-self.table_values)))
+        else:
             m = 64 if dim == 1 else (48 if dim == 2 else 16)
             prev = None
             for _ in range(8):
@@ -232,8 +241,8 @@ class PotentialSpec:
                     break
                 prev = val
                 m *= 2
-            self._cv[key] = val
-        return self._cv[key]
+        self._cv[key] = val
+        return val
 
     def to_dict(self) -> dict:
         if self.expr is not None:
@@ -445,10 +454,6 @@ class TabulatedKernel(KernelSpec):
     path: str | None = None
     sha256: str | None = None
 
-    @classmethod
-    def from_system(cls, sys, bandwidth: float, exponent: float) -> "TabulatedKernel":
-        return cls(evaluator=extend_kernel(sys, bandwidth, exponent))
-
     def to_dict(self) -> dict:
         doc = {
             "type": "tabulated",
@@ -488,12 +493,6 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _pair_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = np.abs(X - Y)
-    diff = np.minimum(diff, 1.0 - diff)
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
 def _values_with_radius(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Kernel dispatch with the pair distance supplied by the caller.
 
@@ -524,7 +523,7 @@ def kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape:
         raise ValueError("paired point arrays must have equal shapes")
-    r = _pair_distances(X, Y)
+    r = wrapped_norm(X - Y)
     if np.any(r == 0.0):
         raise KernelError("kernel evaluated on the diagonal x = y")
     return _values_with_radius(spec, X, Y, r)
@@ -867,9 +866,7 @@ class ExtendedKernel:
         for a in range(self.dim):
             idx = np.mod(first[:, a, None] + np.arange(width), n)
             flat = (flat[:, :, None] * n + idx[:, None, :]).reshape(q, -1)
-        diff = np.abs(self.points[flat] - P[:, None, :])
-        diff = np.minimum(diff, 1.0 - diff)
-        return flat, np.sqrt(np.sum(diff**2, axis=2))
+        return flat, wrapped_norm(self.points[flat] - P[:, None, :])
 
     def _chunk(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         q = X.shape[0]

@@ -25,6 +25,7 @@ __all__ = [
     "GridSpec",
     "as_point",
     "torus_distance",
+    "wrapped_norm",
     "build_grid",
     "nearest_cell",
 ]
@@ -56,9 +57,15 @@ def torus_distance(x, y) -> float:
     q = as_point(y)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    diff = np.abs(p - q)
-    diff = np.minimum(diff, 1.0 - diff)
-    return float(np.sqrt(np.dot(diff, diff)))
+    return float(wrapped_norm(p - q))
+
+
+def wrapped_norm(t: np.ndarray) -> np.ndarray:
+    """Torus length of displacements along the last axis of ``t`` (|t_i| <= 1):
+    min(|t_i|, 1 - |t_i|) per axis, then the Euclidean norm."""
+    a = np.abs(t)
+    a = np.minimum(a, 1.0 - a)
+    return np.sqrt(np.sum(a * a, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from nlw.discretize import (
     DiscreteSystem,
     QuadratureError,
     ZeroCellError,
-    _active_pair_nd,
-    _cutoff_geometry,
+    _cutoff_fractions,
+    _masked_lattice,
     _pair_integrals,
+    _panel_gauss,
     _pair_min_distance_sq,
     _pair_representatives,
     _wrapped_signed,
@@ -279,23 +280,19 @@ def test_discrete_system_validation():
 
 
 # ---------------------------------------------------------------------------
-# d >= 2 cutoff geometry: band-only mask against the full sub-lattice
+# cutoff masks: band-only sub-lattice fractions against the full sub-lattice
 # ---------------------------------------------------------------------------
 
 
-def full_lattice_geometry(s, w, dhalf, m, d, frac_sub):
-    """Oracle: mask fractions from the sub-lattice of every displacement subcell."""
-    t1 = ((np.arange(m) + 0.5) / m - 0.5) * (2.0 * w)
-    axes = [s[i] + t1 for i in range(d)]
-    T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    h = 2.0 * w / m
-    sub1 = ((np.arange(frac_sub) + 0.5) / frac_sub - 0.5) * h
-    sub = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    TS = T[:, None, :] + sub[None, :, :]
+def full_sub_lattice_fractions(t, cell, sub, dhalf):
+    """Oracle: mask fractions from the sub-lattice of every box, in the band or not."""
+    d = t.shape[-1]
+    sub1 = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
+    offs = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    TS = t[..., None, :] + offs
     TSw = np.abs(_wrapped_signed(TS))
     rr = np.sqrt(np.sum(TSw * TSw, axis=-1))
-    frac = np.mean(rr >= dhalf, axis=1)
-    return T, frac
+    return np.mean(rr >= dhalf, axis=-1)
 
 
 def active_offsets(grid):
@@ -314,47 +311,52 @@ def active_offsets(grid):
 def test_cutoff_geometry_matches_full_sub_lattice(d, level, ms):
     grid = build_grid(d, level)
     offsets, dhalf = active_offsets(grid)
-    frac_sub = 8 if d == 2 else 4
     # the windows s +- w reach past |t_i| = 1/2, so the wrap is exercised
     assert np.max(np.abs(offsets)) + grid.cell_width > 0.5
-    for s in offsets:
-        for m in ms:
-            T, frac = _cutoff_geometry(s, grid.cell_width, dhalf, m, d, frac_sub)
-            T_ref, frac_ref = full_lattice_geometry(s, grid.cell_width, dhalf, m, d, frac_sub)
-            assert np.array_equal(T, T_ref)
-            assert np.array_equal(frac, frac_ref)
-            assert np.array_equal(frac > 0.0, frac_ref > 0.0)
-            assert 0.0 < np.mean((frac > 0.0) & (frac < 1.0)) < 1.0
+    for m in ms:
+        rule = _masked_lattice(m, grid)
+        assert rule.sub == (8 if d == 2 else 4)
+        tau = np.stack(np.meshgrid(*([rule.probe] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        t = offsets[:, None, :] + tau  # (offsets, m^d, d): every offset at once, as in a block
+        frac = _cutoff_fractions(t, rule.cell, rule.sub, dhalf)
+        frac_ref = full_sub_lattice_fractions(t, rule.cell, rule.sub, dhalf)
+        assert np.array_equal(frac, frac_ref)
+        for row in frac:
+            assert 0.0 < np.mean((row > 0.0) & (row < 1.0)) < 1.0
 
 
-def test_discretize_2d_matches_full_sub_lattice_build(monkeypatch):
+def assert_build_matches_full_sub_lattice(monkeypatch, meas):
     grid = build_grid(2, 2)
     spec = FractionalKernel(s=0.5)
-    eta = discretize_kernel(spec, UniformMeasure(), grid)
-    # reference: full sub-lattice mask, recomputed for every pair and size
-    monkeypatch.setattr(discretize, "_cutoff_geometry", full_lattice_geometry)
-    monkeypatch.setattr(discretize, "_active_pair_nd", lambda *a: _active_pair_nd(*a[:-1], {}))
-    eta_ref = discretize_kernel(spec, UniformMeasure(), grid)
-    assert np.array_equal(eta, eta_ref)
-
-
-def test_discretize_2d_gibbs_matches_full_sub_lattice_build(monkeypatch):
-    # a Gibbs measure evaluates every pair, so each d >= 2 pair meets the oracle
-    grid = build_grid(2, 2)
-    spec = FractionalKernel(s=0.5)
-    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*sin(2*pi*x)*cos(2*pi*y)"), dim=2)
     eta = discretize_kernel(spec, meas, grid)
-    monkeypatch.setattr(discretize, "_cutoff_geometry", full_lattice_geometry)
-    monkeypatch.setattr(discretize, "_active_pair_nd", lambda *a: _active_pair_nd(*a[:-1], {}))
+    monkeypatch.setattr(discretize, "_cutoff_fractions", full_sub_lattice_fractions)
     eta_ref = discretize_kernel(spec, meas, grid)
     assert np.array_equal(eta, eta_ref)
 
 
+def test_discretize_2d_matches_full_sub_lattice_build(monkeypatch):
+    assert_build_matches_full_sub_lattice(monkeypatch, UniformMeasure())
+
+
+def test_discretize_2d_gibbs_matches_full_sub_lattice_build(monkeypatch):
+    # a Gibbs measure evaluates every pair, so each d >= 2 pair meets the oracle
+    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*sin(2*pi*x)*cos(2*pi*y)"), dim=2)
+    assert_build_matches_full_sub_lattice(monkeypatch, meas)
+
+
 def test_oversized_displacement_lattice_fails_early():
+    # one 3D pair on the m = 256 lattice needs a ((4 * 256)^3, 3) node array: 24 GiB
     grid = build_grid(3, 2)
-    pair = (ConstantKernel(c=1.0), UniformMeasure(), grid.points[0], grid.points[1])
-    with pytest.raises(QuadratureError, match="m=256"):
-        _active_pair_nd(*pair, grid.cell_width, 0.5 * grid.cell_diameter, 256, 3, 4, {})
+    pair = (ConstantKernel(c=1.0), UniformMeasure(), grid, np.array([0]), np.array([1]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"lattice for cells 0 and 1 needs about 24576 MiB per array at m=256"):
+            _pair_integrals(*pair, _masked_lattice(256, grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _pair_integrals(*pair, _masked_lattice(8, grid))[0] > 0.0
 
 
 def test_oversized_gauss_pair_rule_fails_early():
@@ -364,12 +366,37 @@ def test_oversized_gauss_pair_rule_fails_early():
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError, match=r"cells 0 and 2 needs about 4096 MiB per array at order 64"):
-            _pair_integrals(*pair, 64)
+            _pair_integrals(*pair, _panel_gauss(64, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert _pair_integrals(*pair, 8)[0] > 0.0
+    assert _pair_integrals(*pair, _panel_gauss(8, grid))[0] > 0.0
+
+
+@pytest.mark.parametrize("d, level, budget", [(1, 16, 16), (2, 2, 1024)])
+def test_node_budget_does_not_change_a_build(monkeypatch, d, level, budget):
+    # the budget holds one pair at the first rule size and splits the tau nodes of larger ones
+    grid = build_grid(d, level)
+    spec = FractionalKernel(s=1.0 if d == 1 else 0.5)
+    meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"), dim=d)
+    eta = discretize_kernel(spec, meas, grid)
+    pairs, blocks = [], []
+
+    def pair_spy(spec, meas, grid, j, k, rule):
+        pairs.append(j.size)
+        return _pair_integrals(spec, meas, grid, j, k, rule)
+
+    def block_spy(t, *rest):
+        blocks.append(t.shape[0])
+        return _cutoff_fractions(t, *rest)
+
+    monkeypatch.setattr(discretize, "_NODE_BUDGET", budget)
+    monkeypatch.setattr(discretize, "_pair_integrals", pair_spy)
+    monkeypatch.setattr(discretize, "_cutoff_fractions", block_spy)
+    assert np.array_equal(discretize_kernel(spec, meas, grid), eta)
+    assert set(blocks) == {1}
+    assert len(blocks) > sum(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +459,11 @@ def test_uniform_build_evaluates_pair_zero_c_per_class(monkeypatch):
     grid = build_grid(2, 3)
     seen = []
 
-    def spy(spec, meas, cj, ck, *rest):
-        seen.append((grid.points.tolist().index(cj.tolist()), grid.points.tolist().index(ck.tolist())))
-        return _active_pair_nd(spec, meas, cj, ck, *rest)
+    def spy(spec, meas, grid, j, k, rule):
+        seen.extend(zip(j.tolist(), k.tolist()))
+        return _pair_integrals(spec, meas, grid, j, k, rule)
 
-    monkeypatch.setattr(discretize, "_active_pair_nd", spy)
+    monkeypatch.setattr(discretize, "_pair_integrals", spy)
     discretize_kernel(FractionalKernel(s=1.0), UniformMeasure(), grid)
     # offsets (0,1), (1,0), (1,1), (1,2); their negatives are (0,2), (2,0), (2,2), (2,1)
     assert sorted(set(seen)) == [(0, 1), (0, 3), (0, 4), (0, 5)]

@@ -1,6 +1,6 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Three kinds of dead code fail here:
+Four kinds of dead code fail here:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -8,6 +8,8 @@ Three kinds of dead code fail here:
 * a module-level function, class or UPPER_CASE constant that no code
   under ``src/``, ``tests/`` or ``perfbench/`` reads and no ``__all__``
   lists;
+* a method of a class (dunders aside) whose name no code under those
+  directories reads;
 * a name in a module's ``__all__`` that the module neither defines nor
   imports (a stale export of something deleted).
 """
@@ -108,7 +110,8 @@ def test_every_import_is_used_or_reexported():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_every_module_level_definition_is_referenced_or_exported():
+def _referenced_names() -> set[str]:
+    """Every name read or imported by name anywhere under ``SEARCHED``."""
     referenced = set()
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
@@ -117,6 +120,11 @@ def test_every_module_level_definition_is_referenced_or_exported():
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom):
                     referenced |= {alias.name for alias in node.names}
+    return referenced
+
+
+def test_every_module_level_definition_is_referenced_or_exported():
+    referenced = _referenced_names()
     dead = []
     for path in _modules():
         tree = _parse(path)
@@ -132,6 +140,23 @@ def test_every_module_level_definition_is_referenced_or_exported():
                 continue
             dead += [f"{path.name}:{node.lineno} {name}" for name in names if name not in exported | referenced]
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_every_method_is_referenced():
+    referenced = _referenced_names()
+    dead = []
+    for path in _modules():
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if node.name not in referenced:
+                    dead.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    assert not dead, "unreferenced methods: " + ", ".join(dead)
 
 
 def test_every_exported_name_is_bound_in_its_module():

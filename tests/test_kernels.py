@@ -16,6 +16,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import i0
 
 import nlw.kernels
+from nlw.discretize import pushforward_measure
 from nlw.kernels import (
     _EXPR_NAMESPACE,
     AdmissibilityReport,
@@ -107,6 +108,27 @@ def test_potential_table_lookup():
     V = PotentialSpec(table_values=vals, table_dim=1)
     pts = np.array([[0.0], [0.26], [0.49], [0.999]])
     assert np.allclose(V(pts), [0.0, 1.0, 2.0, 0.0])
+
+
+def test_table_potential_normalization_is_the_table_mean():
+    # the nearest-cell table is constant on cells of volume 1/3, so c_V is a finite sum
+    # that no midpoint lattice of 64 * 2^k points reproduces
+    V = PotentialSpec(table_values=np.array([0.0, 1.0, 2.5]))
+    assert V.normalization(1) == pytest.approx((1.0 + np.exp(-1.0) + np.exp(-2.5)) / 3.0, rel=1e-15)
+    # the level-3 grid has the table's cells, so its Gibbs cell masses are exact
+    _, factor = pushforward_measure(GibbsMeasure(potential=V), build_grid(1, 3), return_factor=True)
+    assert factor == pytest.approx(1.0, abs=1e-14)
+    # a 3D table builds no mesh (midpoint refinement would reach 2048^3 points)
+    vals = np.random.default_rng(0).uniform(0.0, 2.0, 27)
+    V3 = PotentialSpec(table_values=vals, table_dim=3)
+    tracemalloc.start()
+    try:
+        cv = V3.normalization(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert cv == pytest.approx(np.mean(np.exp(-vals)), rel=1e-15)
 
 
 def test_potential_requires_exactly_one_source():

@@ -535,6 +535,31 @@ def test_point_mass_endpoints():
     assert res.w == pytest.approx(ref, rel=2e-2)  # degenerate endpoints converge slower
 
 
+def point_masses_on_eight_points():
+    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 8))
+    return sys, DensityState.point_mass(sys, 0), DensityState.point_mass(sys, 4)
+
+
+def test_point_mass_to_point_mass_starts_on_the_bowed_path():
+    # the straight path between two point masses leaves six nodes empty at every
+    # interior step, so the start is bowed toward the uniform state
+    sys, a, b = point_masses_on_eight_points()
+    ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=8))
+    assert ws.masses(ws.initial_point())[1:-1].min() > 0.0
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=8))
+    back = nlw_distance(PathProblem(sys, b, a, n_steps=8))
+    assert res.converged and back.converged
+    assert res.constraint_residual < 1e-8
+    assert res.w == pytest.approx(back.w, rel=1e-6)
+
+
+def test_exhausted_newton_stages_report_no_convergence():
+    sys, a, b = point_masses_on_eight_points()
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, solver=MetricSolverConfig(max_iter=1)))
+    assert not res.converged
+    assert res.stage_iterations == [1] * (len(BARRIER_SCHEDULE) + 1)
+
+
 def test_result_document_fields():
     sys = two_state()
     a = state(sys, [1.4, 0.6])
