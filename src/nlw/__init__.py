@@ -55,7 +55,6 @@ from .flow import (
     IntegratorConfig,
     IntegratorError,
     Trajectory,
-    decay_rate_estimate,
     edi_report,
     generator_matrix,
     solve,
@@ -89,6 +88,6 @@ from .metric import (
     two_point_distance_oracle,
 )
 from .sampler import MarginalReport, SamplerConfig, SampleResult, compare_marginals, simulate
-from .torus import GridSpec, build_grid, nearest_cell, torus_distance
+from .torus import GridSpec, build_grid, nearest_cell
 
 __version__ = "0.1.0"

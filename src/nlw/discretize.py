@@ -53,7 +53,7 @@ with arrays in row-major order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import pairwise
 from pathlib import Path
@@ -145,15 +145,13 @@ class DiscreteSystem:
 
     Invariants (enforced at construction): pi sums to 1 within 1e-12
     with nonnegative entries; eta is exactly symmetric, has an exactly
-    zero diagonal, and is finite and nonnegative; delta equals the grid
-    cell diameter.
+    zero diagonal, and is finite and nonnegative.
     """
 
     grid: GridSpec
     pi: np.ndarray
     eta: np.ndarray
-    delta: float
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -173,8 +171,6 @@ class DiscreteSystem:
             raise ValueError("eta must be exactly symmetric")
         if np.any(np.diagonal(eta) != 0.0):
             raise ValueError("eta must have an exactly zero diagonal")
-        if abs(self.delta - self.grid.cell_diameter) > 1e-15:
-            raise ValueError("delta does not match the grid cell diameter")
         pi.setflags(write=False)
         eta.setflags(write=False)
         object.__setattr__(self, "pi", pi)
@@ -183,6 +179,11 @@ class DiscreteSystem:
     @property
     def n_points(self) -> int:
         return self.grid.n_points
+
+    @property
+    def delta(self) -> float:
+        """The cutoff scale delta_n: the cell diameter of the grid."""
+        return self.grid.cell_diameter
 
     @cached_property
     def pairs(self) -> CellPairs:
@@ -194,14 +195,8 @@ class DiscreteSystem:
         return CellPairs(i, j, w)
 
     @classmethod
-    def from_arrays(cls, grid: GridSpec, pi, eta, delta=None, provenance=None) -> "DiscreteSystem":
-        return cls(
-            grid=grid,
-            pi=np.array(pi, dtype=float),
-            eta=np.array(eta, dtype=float),
-            delta=grid.cell_diameter if delta is None else float(delta),
-            provenance=dict(provenance or {}),
-        )
+    def from_arrays(cls, grid: GridSpec, pi, eta) -> "DiscreteSystem":
+        return cls(grid=grid, pi=np.array(pi, dtype=float), eta=np.array(eta, dtype=float), provenance={})
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +523,7 @@ def build_system(spec: KernelSpec, pi: MeasureSpec, grid: GridSpec) -> DiscreteS
     weights, factor = pushforward_measure(pi, grid, return_factor=True)
     eta = discretize_kernel(spec, pi, grid, weights=weights)
     provenance = {"kernel": spec.to_dict(), "measure": pi.to_dict(), "renormalization": factor}
-    return DiscreteSystem(grid=grid, pi=weights, eta=eta, delta=grid.cell_diameter, provenance=provenance)
+    return DiscreteSystem(grid=grid, pi=weights, eta=eta, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +608,11 @@ def load_system(path) -> DiscreteSystem:
     if schema != SYSTEM_SCHEMA:
         raise ValueError(f"unsupported system schema {schema!r} (expected {SYSTEM_SCHEMA!r})")
     grid = build_grid(int(doc["dim"]), int(doc["level"]))
-    sys = DiscreteSystem(
+    if abs(float(doc["delta"]) - grid.cell_diameter) > 1e-15:
+        raise ValueError("delta does not match the grid cell diameter")
+    return DiscreteSystem(
         grid=grid,
         pi=np.array(doc["pi"], dtype=float),
         eta=np.array(doc["eta"], dtype=float),
-        delta=float(doc["delta"]),
         provenance=doc.get("provenance", {}),
     )
-    return sys

@@ -40,15 +40,7 @@ from .discretize import (
     pushforward_measure,
     system_document,
 )
-from .flow import (
-    DecayEstimate,
-    IntegratorConfig,
-    IntegratorError,
-    Trajectory,
-    decay_rate_estimate,
-    edi_report,
-    solve,
-)
+from .flow import IntegratorConfig, IntegratorError, Trajectory, edi_report, solve
 from .functionals import DensityState
 from .kernels import (
     CoverageError,
@@ -155,8 +147,10 @@ class LSICertificate:
     satisfies H <= I / c state-by-state, and by integration
     H(t) <= H(0) exp(-c t).  Both facts are checked on the actual
     trajectory data; ``certified`` is their conjunction.  A kernel that
-    touches zero admits no such bound (c = 0): no certificate, but the
-    measured decay rate is still reported.
+    touches zero admits no such bound (c = 0): no certificate.
+    ``decay_rate`` is 2 lambda_1, twice the trajectory's spectral gap:
+    the asymptotic decay rate of the entropy and an upper bound on the
+    modified log-Sobolev constant, so c <= lambda_1 <= decay_rate.
     """
 
     c: float
@@ -165,7 +159,7 @@ class LSICertificate:
     envelope_ok: bool
     envelope_slack: float
     certified: bool
-    decay: DecayEstimate | None
+    decay_rate: float
     note: str = ""
 
 
@@ -174,10 +168,7 @@ def lsi_certify(sys: DiscreteSystem, traj: Trajectory, tol: float = 1e-8) -> LSI
     n = sys.n_points
     off = sys.eta[~np.eye(n, dtype=bool)]
     c = float(off.min())
-    try:
-        decay = decay_rate_estimate(traj)
-    except ValueError:
-        decay = None
+    decay_rate = 2.0 * traj.spectral_gap
     if c <= 0.0:
         return LSICertificate(
             c=c,
@@ -186,7 +177,7 @@ def lsi_certify(sys: DiscreteSystem, traj: Trajectory, tol: float = 1e-8) -> LSI
             envelope_ok=False,
             envelope_slack=float("nan"),
             certified=False,
-            decay=decay,
+            decay_rate=decay_rate,
             note="kernel vanishes on some pair: no uniform lower bound, no certificate",
         )
     H, I = traj.entropy, traj.fisher
@@ -205,7 +196,7 @@ def lsi_certify(sys: DiscreteSystem, traj: Trajectory, tol: float = 1e-8) -> LSI
         envelope_ok=envelope_ok,
         envelope_slack=envelope_slack,
         certified=bool(pointwise_ok and envelope_ok),
-        decay=decay,
+        decay_rate=decay_rate,
     )
 
 
@@ -223,6 +214,8 @@ class RefinementReport:
     onto the finer output grid.  ``density_gaps[k]`` compares cell
     masses after aggregating the finer solution onto the coarser grid;
     it is NaN when the finer level is not a multiple of the coarser.
+    ``decay_rates[k]`` is 2 lambda_1 at level k, the asymptotic entropy
+    decay rate from the spectral gap of that level's flow.
     """
 
     levels: tuple
@@ -305,18 +298,12 @@ def refinement_study(cfg: ExperimentConfig, levels=None) -> RefinementReport:
         else:
             density_gaps[k] = float("nan")
 
-    rates = np.empty(len(levels))
-    for k, traj in enumerate(trajectories):
-        try:
-            rates[k] = decay_rate_estimate(traj).rate
-        except ValueError:
-            rates[k] = float("nan")
     return RefinementReport(
         levels=levels,
         horizon=icfg.horizon,
         entropy_gaps=entropy_gaps,
         density_gaps=density_gaps,
-        decay_rates=rates,
+        decay_rates=np.array([2.0 * t.spectral_gap for t in trajectories]),
         gaps_decreasing=bool(np.all(np.diff(entropy_gaps) < 0.0)),
         entropies=[t.entropy for t in trajectories],
         times=[t.times for t in trajectories],

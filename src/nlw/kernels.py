@@ -40,9 +40,9 @@ dyadic shells [-2a, 2a]^d minus [-a, a]^d, a = 2^{-k-2}.  Each shell is
 exact in every dimension; the leftover tail at the origin is summed by
 measured-ratio geometric extrapolation.  A measured ratio >= 1 means the
 refinement is not converging, which is reported as a divergence error.
-The Gauss order per dimension, shell budget, divergence ratio and probe
-oversampling are the module constants below (``PANEL_ORDER`` ...
-``PROBE_FACTOR``), not settings.
+The Gauss order per dimension, shell budget, divergence ratio, probe
+oversampling and the tail radii of `check_assumptions` are the module
+constants below (``PANEL_ORDER`` ... ``TAIL_LADDER``), not settings.
 """
 
 from __future__ import annotations
@@ -218,16 +218,16 @@ class PotentialSpec:
             return self._eval_expr(pts)
         return _table_lookup(self.table_values, self.table_dim, pts)
 
-    def normalization(self, dim: int, tol: float = 1e-12) -> float:
+    def normalization(self, dim: int) -> float:
         """c_V = int_{T^d} e^{-V} dx.
 
         A table is constant on the nearest-point cells of its lattice, each
         of volume n^-d, so its c_V is the mean of e^{-V} over the table.  An
-        expression is integrated by midpoint refinement.
+        expression is integrated by midpoint refinement until one doubling
+        moves it by at most 1e-12 relative.
         """
-        key = (dim, tol)
-        if key in self._cv:
-            return self._cv[key]
+        if dim in self._cv:
+            return self._cv[dim]
         if self.expr is None:
             val = float(np.mean(np.exp(-self.table_values)))
         else:
@@ -237,11 +237,11 @@ class PotentialSpec:
                 axes = [(np.arange(m) + 0.5) / m] * dim
                 mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
                 val = float(np.mean(np.exp(-self(mesh))))
-                if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
+                if prev is not None and abs(val - prev) <= 1e-12 * max(abs(val), 1e-300):
                     break
                 prev = val
                 m *= 2
-        self._cv[key] = val
+        self._cv[dim] = val
         return val
 
     def to_dict(self) -> dict:
@@ -544,6 +544,7 @@ MAX_PANELS = 64  # dyadic shells per moment integral
 RATIO_CAP = 0.9999  # measured shell ratio at or above which refinement is divergent
 BLOCK_NODES = 2**15  # shell nodes evaluated at once: all of them in d <= 2, a few shells in d = 3
 PROBE_FACTOR = 4  # probe lattice for sups over x: this many points per working-level cell
+TAIL_LADDER = (2.0, 5.0, 10.0, 100.0)  # radii R at which check_assumptions reads the tail profile
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -691,13 +692,7 @@ def c_eta(spec: KernelSpec, pi: MeasureSpec, dim: int = 1, working_level: int | 
     return float(np.sqrt(2.0 * best))
 
 
-def tail_profile(
-    spec: KernelSpec,
-    pi: MeasureSpec,
-    R: float,
-    dim: int = 1,
-    working_level: int | None = None,
-) -> float:
+def tail_profile(spec: KernelSpec, pi: MeasureSpec, R: float, dim: int = 1) -> float:
     """sup_x of the second-moment integral restricted to near-diagonal pairs.
 
     Condition (3) restricts the integral to {|x-y| < 1/R} union
@@ -711,7 +706,7 @@ def tail_profile(
     """
     if R <= 1.0:
         raise ValueError("tail profile requires R > 1")
-    probes = _probe_lattice(dim, working_level)
+    probes = _probe_lattice(dim, None)
     best = 0.0
     for x in probes:
         best = max(best, _moment(spec, pi, x, min(1.0 / R, 0.5)))
@@ -748,11 +743,13 @@ def check_assumptions(
     pi: MeasureSpec,
     dim: int = 1,
     n_samples: int = 256,
-    tail_ladder: tuple[float, ...] = (2.0, 5.0, 10.0, 100.0),
-    seed: int = 0,
 ) -> AdmissibilityReport:
-    """Evaluate symmetry, moment bound, tail decay and positivity."""
-    rng = np.random.default_rng(seed)
+    """Evaluate symmetry, moment bound, tail decay and positivity.
+
+    The samples come from seed 0, and the tail profile is read at R in
+    ``TAIL_LADDER``.
+    """
+    rng = np.random.default_rng(0)
     X = rng.random((n_samples, dim))
     Y = rng.random((n_samples, dim))
     coincident = np.all(X == Y, axis=1)
@@ -771,9 +768,9 @@ def check_assumptions(
 
     tail: dict[float, float] = {}
     if moment_ok:
-        for R in tail_ladder:
+        for R in TAIL_LADDER:
             tail[R] = tail_profile(spec, pi, R, dim=dim)
-        tvals = [tail[R] for R in tail_ladder]
+        tvals = [tail[R] for R in TAIL_LADDER]
         tail_monotone = all(a >= b - 1e-12 for a, b in zip(tvals, tvals[1:]))
     else:
         tail_monotone = False

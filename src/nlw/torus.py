@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "as_point",
-    "torus_distance",
     "wrapped_norm",
     "build_grid",
     "nearest_cell",
@@ -45,19 +44,6 @@ def as_point(x) -> np.ndarray:
     if p.ndim != 1:
         raise ValueError(f"a torus point must be a flat vector, got shape {p.shape}")
     return np.mod(p, 1.0)
-
-
-def torus_distance(x, y) -> float:
-    """Euclidean length of the shortest periodic displacement from x to y.
-
-    Per axis the displacement is min(|dx|, 1-|dx|), so each coordinate
-    contributes at most 1/2 and the distance is at most sqrt(d)/2.
-    """
-    p = as_point(x)
-    q = as_point(y)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    return float(wrapped_norm(p - q))
 
 
 def wrapped_norm(t: np.ndarray) -> np.ndarray:
@@ -120,7 +106,7 @@ def build_grid(d: int, n: int) -> GridSpec:
 
 
 def nearest_cell(x, grid: GridSpec) -> int:
-    """Flat index of the lattice point closest to x under torus_distance.
+    """Flat index of the lattice point closest to x in torus length (``wrapped_norm``).
 
     Ties are broken toward the smaller lexicographic index tuple, which
     keeps the nearest-point map deterministic.  Because the per-axis

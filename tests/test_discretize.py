@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from itertools import pairwise
 from types import SimpleNamespace
@@ -549,6 +550,18 @@ def test_save_load_round_trip(tmp_path):
     assert back.delta == sys.delta
     assert back.provenance == sys.provenance
     assert back.grid.level == 8 and back.grid.dim == 1
+
+
+def test_load_rejects_a_delta_that_is_not_the_cell_diameter(tmp_path):
+    sys = build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 4))
+    path = tmp_path / "sys.json"
+    save_system(sys, path)
+    doc = json.loads(path.read_text())
+    assert doc["delta"] == 0.25
+    doc["delta"] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="delta does not match the grid cell diameter"):
+        load_system(path)
 
 
 def test_load_rejects_unknown_schema(tmp_path):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nlw.config import validate_config
+from nlw.config import load_config, validate_config
 from nlw.discretize import DiscreteSystem, ZeroCellError, build_system, canonical_json, pushforward_measure
 from nlw.experiments import (
     build_system_from_config,
@@ -17,13 +19,15 @@ from nlw.experiments import (
     lsi_certify,
     refinement_study,
     run_config,
+    run_flow_stage,
 )
-from nlw.flow import IntegratorConfig, solve
+from nlw.flow import IntegratorConfig, generator_matrix, solve
 from nlw.functionals import DensityState, relative_entropy
 from nlw.kernels import ConstantKernel, GibbsMeasure, UniformMeasure, potential_from_dict
 from nlw.sampler import SamplerConfig, simulate
 from nlw.torus import build_grid
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 def make_system(n=4, eta_value=1.0, pi=None, eta=None):
     grid = build_grid(1, n)
@@ -154,7 +158,7 @@ def test_certificate_holds_on_complete_graph():
     assert cert.c == pytest.approx(1.0)
     assert cert.pointwise_ok and cert.envelope_ok
     assert cert.envelope_slack <= 0.0
-    assert cert.decay is not None and cert.decay.rate > cert.c
+    assert cert.decay_rate > cert.c
 
 
 def test_certificate_c_is_min_offdiagonal():
@@ -180,7 +184,7 @@ def test_zero_kernel_pair_gives_no_certificate():
     assert cert.c == 0.0
     assert not cert.certified
     assert "no certificate" in cert.note
-    assert cert.decay is not None and np.isfinite(cert.decay.rate)
+    assert np.isfinite(cert.decay_rate)
 
 
 def test_certificate_rejects_inflated_rate():
@@ -202,11 +206,26 @@ def test_certificate_tolerates_infinite_initial_fisher():
     assert cert.certified
 
 
+@pytest.mark.parametrize("name", ["constant_torus", "fractional_gibbs", "two_state"])
+def test_certificate_decay_rate_is_twice_the_gap_and_bounds_c(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    sys = build_system_from_config(cfg)
+    cert = lsi_certify(sys, run_flow_stage(cfg, sys)[0])
+    sqrt_pi = np.sqrt(sys.pi)
+    lam = scipy.linalg.eigvalsh(sqrt_pi[:, None] * generator_matrix(sys) / sqrt_pi[None, :])
+    expected = {"constant_torus": 1.9375, "two_state": 1.5, "fractional_gibbs": 25.3659}[name]
+    assert cert.decay_rate == pytest.approx(-2.0 * lam[-2], rel=1e-9)
+    assert cert.decay_rate == pytest.approx(expected, rel=1e-5)
+    # eta >= c entrywise makes the Dirichlet form at least c times the
+    # variance; two_state (one pair) is the equality case
+    assert cert.c <= 0.5 * cert.decay_rate * (1.0 + 1e-12)
+
+
 def test_certificate_serializes():
     sys, traj = certify_setup()
     doc = json.loads(canonical_json(asdict(lsi_certify(sys, traj))))
     assert doc["certified"] is True
-    assert doc["decay"]["rate"] > 0
+    assert doc["decay_rate"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +259,18 @@ def test_refinement_decay_rates_stabilize(gibbs_refinement_report):
     rates = gibbs_refinement_report.decay_rates
     assert np.all(np.isfinite(rates))
     assert abs(rates[2] - rates[1]) < abs(rates[1] - rates[0])
+
+
+def test_refinement_decay_rates_follow_the_gap_below_the_roundoff_floor():
+    # at s = 1.5 the entropy of the longer flows reaches its roundoff floor
+    # (3e-14 at level 256) before the second half of the horizon
+    cfg = load_config(CONFIG_DIR / "fractional_gibbs.json")
+    doc = cfg.resolved()
+    doc["system"]["kernel"]["s"] = 1.5
+    rates = refinement_study(validate_config(doc), levels=(64, 128, 256, 512)).decay_rates
+    assert rates == pytest.approx([68.45, 70.61, 72.14, 73.21], rel=1e-3)
+    steps = np.diff(rates)
+    assert np.all(steps > 0.0) and np.all(np.diff(steps) < 0.0)
 
 
 def test_refinement_non_divisible_levels_get_nan_density_gap():

@@ -23,11 +23,9 @@ from nlw.config import load_config
 from nlw.discretize import DiscreteSystem, build_system
 from nlw.experiments import build_system_from_config, run_flow_stage
 from nlw.flow import (
-    DecayEstimate,
     IntegratorConfig,
     IntegratorError,
     Trajectory,
-    decay_rate_estimate,
     edi_report,
     generator_matrix,
     solve,
@@ -315,6 +313,9 @@ def test_zero_mass_cells_follow_the_matrix_exponential():
     traj = solve(sys, DensityState(sys, u0), IntegratorConfig(horizon=7.0), times)
     assert np.max(np.abs(traj.u - expm_oracle(sys, u0, times))) <= 1e-12 * np.max(u0)
     assert traj.u[-1, 4] == 1.3
+    # the three zero eigenvalues of the zero-mass cells are skipped: the cells
+    # with mass form a complete graph with rates 0.5, whose gap is 3 * 0.5
+    assert traj.spectral_gap == pytest.approx(1.5, rel=1e-14)
 
 
 def test_integrator_config_validation():
@@ -346,16 +347,16 @@ def test_trajectory_rejects_entropy_increase():
     sys = two_state()
     u = np.array([[1.0, 1.0], [1.5, 0.5]])  # equilibrium, then excited
     with pytest.raises(IntegratorError, match="entropy increased"):
-        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, method="matrix_exponential")
+        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, method="matrix_exponential", spectral_gap=1.0)
 
 
 def test_trajectory_rejects_bad_times():
     sys = two_state()
     u = np.ones((2, 2))
     with pytest.raises(ValueError):
-        Trajectory(system=sys, times=np.array([0.5, 1.0]), u=u, method="x")
+        Trajectory(system=sys, times=np.array([0.5, 1.0]), u=u, method="x", spectral_gap=1.0)
     with pytest.raises(ValueError):
-        Trajectory(system=sys, times=np.array([0.0, 0.0]), u=u, method="x")
+        Trajectory(system=sys, times=np.array([0.0, 0.0]), u=u, method="x", spectral_gap=1.0)
 
 
 def test_trajectory_csv_format():
@@ -461,42 +462,36 @@ def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action():
 
 
 # ---------------------------------------------------------------------------
-# decay-rate fitting
+# spectral gap
 # ---------------------------------------------------------------------------
 
 
-def test_decay_rate_two_state():
+def test_spectral_gap_two_state():
     sys = two_state()
     u0 = DensityState(sys, np.array([1.5, 0.5]))
     traj = solve(sys, u0, IntegratorConfig(horizon=8.0))
-    est = decay_rate_estimate(traj)
-    assert isinstance(est, DecayEstimate)
-    # H ~ d^2/8 with d = e^{-t}: the entropy decays at twice the gap rate
-    assert est.rate == pytest.approx(2.0, rel=1e-3)
-    assert est.rate >= 1.0  # never slower than the spectral-gap floor min eta
-    assert est.residual < 1e-4
-    assert est.t_start >= 4.0 - 1e-12
+    # lambda = eta (pi_1 + pi_2) = 1
+    assert traj.spectral_gap == 1.0
+    # H ~ d^2/8 with d = e^{-t}: the entropy decays at twice the gap
+    h = traj.entropy
+    late = traj.times[-1] - traj.times[-2]
+    assert np.log(h[-2] / h[-1]) / late == pytest.approx(2.0 * traj.spectral_gap, rel=1e-3)
 
 
-def test_decay_rate_doubles_with_kernel():
-    u0_vec = np.array([1.5, 0.5])
+def test_spectral_gap_doubles_with_kernel():
+    pi = (0.3, 0.7)
 
-    def fitted(eta12):
-        # horizon 6: deep enough in the asymptotic regime for eta = 1,
-        # while for eta = 2 the tail entropy (~1e-12) still sits well
-        # above the roundoff floor of the entropy sum
-        sys = two_state(eta12=eta12)
-        traj = solve(sys, DensityState(sys, u0_vec), IntegratorConfig(horizon=6.0))
-        return decay_rate_estimate(traj).rate
+    def gap(eta12):
+        sys = two_state(pi=pi, eta12=eta12)
+        u0 = DensityState(sys, two_state_exact(pi, eta12, 1.0, 0.0))
+        return solve(sys, u0, IntegratorConfig(horizon=1.0)).spectral_gap
 
-    r1, r2 = fitted(1.0), fitted(2.0)
-    assert r2 == pytest.approx(2.0 * r1, rel=2e-3)
+    assert gap(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert gap(2.0) == pytest.approx(2.0 * gap(1.0), rel=1e-15)
 
 
-def test_decay_rate_validation():
-    sys = make_system(4)
-    traj = solve(sys, DensityState.uniform(sys), IntegratorConfig(horizon=1.0, dt=0.25))
-    with pytest.raises(ValueError, match="window is empty"):
-        decay_rate_estimate(traj)  # equilibrium entropy is identically ~0
-    with pytest.raises(ValueError, match="tail_fraction"):
-        decay_rate_estimate(traj, tail_fraction=0.0)
+def test_spectral_gap_without_a_second_cell_with_mass_is_infinite():
+    sys = two_state(pi=(1.0, 0.0))
+    traj = solve(sys, DensityState(sys, np.array([1.0, 0.0])), IntegratorConfig(horizon=1.0))
+    assert traj.spectral_gap == np.inf
+    assert np.all(traj.entropy == 0.0)

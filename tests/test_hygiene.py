@@ -1,6 +1,6 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Four kinds of dead code fail here:
+Five kinds of dead code fail here:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -11,7 +11,13 @@ Four kinds of dead code fail here:
 * a method of a class (dunders aside) whose name no code under those
   directories reads;
 * a name in a module's ``__all__`` that the module neither defines nor
-  imports (a stale export of something deleted).
+  imports (a stale export of something deleted);
+* an option no call sets: a defaulted parameter of a function or method,
+  or a defaulted field of a frozen dataclass, that no call under those
+  directories passes by keyword or by position.  Calls match by the
+  called name alone, and a call with ``*args`` or ``**kwargs`` sets every
+  option of its name.  Non-frozen dataclasses, filled after construction
+  like ``RunResult``, are exempt.
 """
 
 from __future__ import annotations
@@ -165,3 +171,84 @@ def test_every_exported_name_is_bound_in_its_module():
         tree = _parse(path)
         stale += [f"{path.name} {name}" for name in sorted(_dunder_all(tree) - _bound_names(tree))]
     assert not stale, "__all__ lists names the module does not bind: " + ", ".join(stale)
+
+
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(deco, ast.Call)
+        and getattr(deco.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in deco.keywords)
+        for deco in cls.decorator_list
+    )
+
+
+def _options(tree: ast.Module):
+    """(label, called name, position, option) for every defaulted option.
+
+    Options are the defaulted parameters of functions and methods and the
+    defaulted fields of frozen dataclasses.  A dataclass and a class's
+    ``__init__`` are called by the class name.  The position is the
+    option's index among a call's positional arguments: a method's
+    ``self`` or ``cls`` takes none, since ``obj.method(a)`` fills it
+    implicitly.  Keyword-only options have position None.
+    """
+    owner = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_frozen_dataclass(cls):
+            fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+            for k, node in enumerate(fields):
+                if node.value is not None:
+                    yield f"{cls.name}.{node.target.id}", cls.name, k, node.target.id
+        for node in cls.body:
+            if not any(getattr(d, "id", None) == "staticmethod" for d in getattr(node, "decorator_list", ())):
+                owner[node] = cls
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(node)
+        label = node.name if cls is None else f"{cls.name}.{node.name}"
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], start=first - (cls is not None)):
+            yield f"{label}({arg.arg})", name, k, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{label}({arg.arg})", name, None, arg.arg
+
+
+def _calls() -> tuple[set, dict, set]:
+    """Every call under ``SEARCHED``, by the called name alone.
+
+    Returns the (name, keyword) pairs passed, the most positional
+    arguments any call of a name passes, and the names called with
+    ``*args`` or ``**kwargs``.
+    """
+    keywords, positional, splatted = set(), {}, set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            for call in ast.walk(_parse(path)):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                    splatted.add(name)
+                keywords |= {(name, k.arg) for k in call.keywords}
+                positional[name] = max(positional.get(name, 0), len(call.args))
+    return keywords, positional, splatted
+
+
+def test_every_option_is_set_by_some_call():
+    keywords, positional, splatted = _calls()
+    unset = []
+    for path in _modules():
+        for label, name, position, option in _options(_parse(path)):
+            if name in splatted or (name, option) in keywords:
+                continue
+            if position is not None and position < positional.get(name, 0):
+                continue
+            unset.append(f"{path.name} {label}")
+    assert not unset, "options that no call sets: " + ", ".join(unset)

@@ -560,6 +560,19 @@ def test_exhausted_newton_stages_report_no_convergence():
     assert res.stage_iterations == [1] * (len(BARRIER_SCHEDULE) + 1)
 
 
+def test_unfactorable_newton_step_ends_the_stage_unconverged():
+    # with one step per stage, point mass 0 -> 1 reaches a barrier stage whose
+    # reduced system is numerically not positive definite at its first step;
+    # that stage and the later ones stop where they are instead of raising
+    sys, a, _ = point_masses_on_eight_points()
+    b = DensityState.point_mass(sys, 1)
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, solver=MetricSolverConfig(max_iter=1)))
+    assert not res.converged
+    assert np.isfinite(res.w) and res.w > 0.0
+    assert res.constraint_residual < 1e-8
+    assert 0 in res.stage_iterations and res.stage_iterations[0] == 1
+
+
 def test_result_document_fields():
     sys = two_state()
     a = state(sys, [1.4, 0.6])
