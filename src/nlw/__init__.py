@@ -81,7 +81,6 @@ from .kernels import (
 )
 from .metric import (
     MetricResult,
-    MetricSolverConfig,
     PathProblem,
     check_metric_axioms,
     nlw_distance,

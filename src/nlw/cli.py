@@ -14,7 +14,9 @@ Subcommands select which stages of the config run:
 
 Exit codes: 0 success, 2 bad config or I/O, 3 numerical failure,
 4 a produced check (certificate, marginal comparison, refinement
-monotonicity) failed.
+monotonicity, convergence of the transport solve) failed.  The report
+goes to stdout, "wrote <path>" lines to stderr through the ``nlw``
+logger; ``--quiet`` drops both.
 
 Linear-algebra thread counts come from the environment
 (``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``, ``OMP_NUM_THREADS``,
@@ -26,6 +28,7 @@ the BLAS library reads them once, when numpy loads it.  Importing
 from __future__ import annotations
 
 import argparse
+import logging
 import sys as _sys
 
 EXIT_OK = 0
@@ -60,13 +63,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, default=None, help="sampler seed (overrides the config)")
-        p.add_argument("--quiet", action="store_true", help="suppress per-artifact messages")
+        p.add_argument("--quiet", action="store_true", help="suppress the report and the per-artifact log lines")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = logging.StreamHandler()  # to the current stderr, message text only
+    log = logging.getLogger("nlw")
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
 
+
+def _run(args) -> int:
     from .config import ConfigError, load_config
     from .experiments import run_config
 
@@ -82,7 +95,6 @@ def main(argv=None) -> int:
             out_dir=args.out,
             seed=args.seed,
             stages=_STAGES[args.command],
-            quiet=args.quiet,
         )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -37,8 +37,7 @@ import json
 from dataclasses import dataclass, field
 
 from .flow import IntegratorConfig
-from .kernels import _checked_expr
-from .metric import MetricSolverConfig
+from .kernels import _checked_expr, _lattice_level
 
 __all__ = [
     "ConfigError",
@@ -129,12 +128,40 @@ def _validate_measure(doc, path) -> dict:
     return doc
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
+def _tables(doc: dict, path: str):
+    """(path, table, values key) of each lattice table in a measure, density or kernel document."""
+    if "weights" in doc:  # a tabulated measure
+        yield path, doc, "weights"
+    if "table" in doc.get("potential", {}):
+        yield f"{path}.potential.table", doc["potential"]["table"], "values"
+    if isinstance(doc.get("base"), dict):  # mixed measures, weighted kernels
+        yield from _tables(doc["base"], f"{path}.base")
 
 
-_INTEGRATOR_KEYS = _field_names(IntegratorConfig) - {"horizon"} | {"T"}  # configs spell the horizon "T"
-_SOLVER_KEYS = _field_names(MetricSolverConfig)
+def _check_table(path: str, table: dict, key: str, dim: int, levels: tuple) -> None:
+    """A table of ``dim`` (default 1) dimensions must match the system's, and the
+    level of its lattice must divide each of ``levels``: otherwise a jump of the
+    table falls inside a cell, away from its centre, where the cell quadrature
+    cannot resolve it."""
+    table_dim = _int_at_least(table.get("dim", 1), 1, f"{path}.dim")
+    if table_dim != dim:
+        raise ConfigError(f"{path}.dim: a {table_dim}-dimensional table on a {dim}-dimensional system")
+    if not isinstance(table[key], list) or not table[key]:
+        raise ConfigError(f"{path}.{key}: expected a non-empty list")
+    try:
+        n = _lattice_level(len(table[key]), dim)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from None
+    for level in levels:
+        if level % n:
+            raise ConfigError(
+                f"{path}: its level-{n} lattice does not divide grid level {level}, "
+                "so the table would jump inside a cell"
+            )
+
+
+# configs spell the horizon "T"
+_INTEGRATOR_KEYS = {f.name for f in dataclasses.fields(IntegratorConfig)} - {"horizon"} | {"T"}
 
 
 def _validate_density(doc, path) -> dict:
@@ -272,7 +299,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
         )
         n_steps = _int_at_least(m_doc.get("M", 32), 2, "metric.M")
         solver = m_doc.get("solver", {})
-        _check_keys(solver, _SOLVER_KEYS, "metric.solver")
+        _check_keys(solver, {"max_iter"}, "metric.solver")
         if "max_iter" in solver:
             _int_at_least(solver["max_iter"], 1, "metric.solver.max_iter")
         save_path = m_doc.get("save_path", False)
@@ -315,6 +342,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"outputs.formats: unsupported format(s) {bad}")
     outputs = OutputSection(directory=out_doc.get("directory", "out"), formats=tuple(formats))
+
+    # kernel tables need only the dimension: a jump inside a cell pair can still converge
+    levels = (level,) + (refinement.levels if refinement is not None else ())
+    specs = [(kernel, "system.kernel", ()), (measure, "system.measure", levels)]
+    if flow is not None:
+        specs.append((flow.initial, "flow.initial", levels))
+    if metric is not None:
+        specs += [(e, f"metric.endpoints[{i}]", levels) for i, e in enumerate(metric.endpoints)]
+    for spec, path, grid_levels in specs:
+        for table in _tables(spec, path):
+            _check_table(*table, dim, grid_levels)
 
     if flow is None and "sampler" in doc:
         raise ConfigError("sampler: requires a flow section (the horizon and reference marginal come from it)")

@@ -24,6 +24,7 @@ integrate the same initial-value problem.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -50,7 +51,7 @@ from .kernels import (
     measure_from_dict,
     potential_from_dict,
 )
-from .metric import MetricResult, MetricSolverConfig, PathProblem, nlw_distance
+from .metric import MetricResult, PathProblem, nlw_distance
 from .sampler import MarginalReport, SamplerConfig, compare_marginals, simulate
 from .torus import GridSpec, build_grid, nearest_cell
 
@@ -69,6 +70,8 @@ __all__ = [
 ]
 
 MANIFEST_SCHEMA = "nlw-manifest/v1"
+
+_log = logging.getLogger(__name__)
 
 # exception types that mean "the math failed", as opposed to bad input
 NumericalFailure = (KernelError, CoverageError, QuadratureError, ZeroCellError, IntegratorError)
@@ -337,8 +340,11 @@ class RunResult:
 
     @property
     def all_checks_passed(self) -> bool:
-        """False when any produced pass/fail artifact reports failure."""
+        """False when any produced pass/fail artifact reports failure, or the
+        transport solve did not converge (an infeasible pair, w = inf, has)."""
         if self.failure is not None:
+            return False
+        if self.metric is not None and not self.metric.converged:
             return False
         if self.comparison is not None and not self.comparison.passes:
             return False
@@ -352,10 +358,9 @@ class RunResult:
 class _Bundle:
     """Accumulates artifacts and writes the manifest exactly once."""
 
-    def __init__(self, out_dir: str, resolved_config: dict, quiet: bool):
+    def __init__(self, out_dir: str, resolved_config: dict):
         self.out_dir = out_dir
         self.resolved = resolved_config
-        self.quiet = quiet
         self.artifacts: list[dict] = []
         os.makedirs(out_dir, exist_ok=True)
 
@@ -372,8 +377,7 @@ class _Bundle:
                 "sha256": hashlib.sha256(data).hexdigest(),
             }
         )
-        if not self.quiet:
-            print(f"wrote {path}")
+        _log.info("wrote %s", path)
 
     def add_json(self, name: str, filename: str, schema: str, doc: dict) -> None:
         self.add_text(name, filename, schema, canonical_json({"schema": schema, **doc}))
@@ -389,8 +393,7 @@ class _Bundle:
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w") as fh:
             fh.write(canonical_json(doc))
-        if not self.quiet:
-            print(f"wrote {path}")
+        _log.info("wrote %s", path)
         return path
 
 
@@ -399,7 +402,6 @@ def run_config(
     out_dir: str | None = None,
     seed: int | None = None,
     stages: tuple = ("build", "flow", "metric", "sample"),
-    quiet: bool = True,
 ) -> RunResult:
     """Execute the requested stages of a validated config.
 
@@ -411,7 +413,7 @@ def run_config(
     """
     out = out_dir or cfg.outputs.directory
     fmts = cfg.outputs.formats
-    bundle = _Bundle(out, cfg.resolved(), quiet)
+    bundle = _Bundle(out, cfg.resolved())
     result = RunResult(out_dir=out, artifacts=bundle.artifacts, manifest_path="")
     ran: list[str] = []
     failure = None
@@ -470,8 +472,7 @@ def run_config(
             ran.append("metric")
             a = density_from_spec(cfg.metric.endpoints[0], sys)
             b = density_from_spec(cfg.metric.endpoints[1], sys)
-            solver = MetricSolverConfig(**cfg.metric.solver)
-            mres = nlw_distance(PathProblem(sys, a, b, n_steps=cfg.metric.n_steps, solver=solver))
+            mres = nlw_distance(PathProblem(sys, a, b, n_steps=cfg.metric.n_steps, **cfg.metric.solver))
             result.metric = mres
             if "json" in fmts:
                 bundle.add_json("metric", "metric.json", "nlw-metric/v1", _result_document(mres, omit="path"))

@@ -144,7 +144,6 @@ class Trajectory:
     system: DiscreteSystem
     times: np.ndarray
     u: np.ndarray
-    method: str
     spectral_gap: float
     meta: dict = field(default_factory=dict)
 
@@ -313,7 +312,6 @@ def solve(
         system=sys,
         times=times,
         u=out,
-        method=cfg.method,
         spectral_gap=spectral_gap,
         meta={"config": cfg.to_dict(), "mass_drift": drift},
     )

@@ -41,7 +41,6 @@ from .discretize import DiscreteSystem
 
 __all__ = [
     "log_mean",
-    "arithmetic_mean",
     "theta_connectedness_constant",
     "DensityState",
     "FluxField",
@@ -56,67 +55,102 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _log_mean_parts(r, s):
+    """The branch rules of the logarithmic mean, for ``log_mean`` and ``_log_mean_derivatives``.
+
+    Returns the broadcast arguments (at least 1-d), theta, ell =
+    |log r - log s| (the sign of log(r/s) is that of r - s), and the masks
+    of the ``near`` and ``edge`` entries.  Away from the diagonal ell is
+    log1p of |r - s| / min(r, s), the ratio oriented to be >= 0 (log1p of
+    (r-s)/s for r < s would sit next to -1 and lose 2.7e-10 relative at
+    r/s = 1e-8), or the plain difference of logs where that ratio
+    overflows; theta = |r - s|/ell.  Near the diagonal, |r - s| <= 1e-8
+    max(r, s), the quotient cancels, so theta is the series
+    m - (r-s)^2/(12 m) around the midpoint m (the next term is far below
+    double precision).  On the boundary, ``edge`` (either argument zero),
+    theta = 0 and ell is not finite; ``edge`` overrides ``near``.
+    """
+    r, s = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    )
+    if np.any(r < 0.0) or np.any(s < 0.0):
+        raise ValueError("log mean requires nonnegative arguments")
+    d = r - s
+    gap = np.abs(d)
+    low = np.minimum(r, s)
+    # far branch everywhere, then the series, then the boundary: the inf/nan
+    # of a branch on an entry it does not own are overwritten
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ell = np.divide(gap, low)
+        np.log1p(ell, out=ell)
+        if not np.isfinite(ell).all():
+            wide = ~np.isfinite(ell)
+            ell[wide] = np.abs(np.log(r[wide]) - np.log(s[wide]))
+        theta = gap / ell
+        near = gap <= 1e-8 * np.maximum(r, s)
+        if near.any():
+            m = 0.5 * (r[near] + s[near])
+            dn = d[near]
+            theta[near] = m - dn * dn / (12.0 * m)
+    edge = low == 0.0
+    if edge.any():
+        theta[edge] = 0.0
+    return r, s, theta, ell, near, edge
+
+
 def log_mean(r, s):
     """Logarithmic mean theta(r, s) = (r - s)/(log r - log s), elementwise.
 
     Extended by continuity: theta(r, r) = r, theta(r, 0) = theta(0, s) =
-    theta(0, 0) = 0.  Near the diagonal the raw quotient loses every
-    digit to cancellation, so for |r - s| <= 1e-8 max(r, s) the series
-    expansion theta = m - (r-s)^2/(12 m) around the midpoint m is used
-    (the next term is O((r-s)^4/m^3), far below double precision there).
-    Away from it |log r - log s| is log1p of |r - s| / min(r, s), the
-    ratio oriented to be >= 0, and theta = |r - s| / |log r - log s|:
-    log1p((r-s)/s) for r < s would evaluate log1p next to -1 and lose
-    digits as r/s falls (2.7e-10 relative at r/s = 1e-8).  Where
-    |r - s| / min(r, s) overflows (the ratio above the float range) the
-    plain difference of logs is used on those entries.
+    theta(0, 0) = 0.  ``_log_mean_parts`` holds the branch rules.
     """
-    rb, sb = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
-    )
-    if np.any(rb < 0.0) or np.any(sb < 0.0):
-        raise ValueError("log mean requires nonnegative arguments")
-    d = rb - sb
-    gap = np.abs(d)
-    low = np.minimum(rb, sb)
-    # the far branch on every entry, then the series on the near ones
-    # (theta(0, 0) among them); zero-argument entries are overwritten
-    # last, so the inf/nan either branch leaves there never escape.
-    # log r - log s through log1p keeps full relative precision for
-    # moderately close arguments, where the raw difference of logs would
-    # amplify roundoff by max(r,s)/|r-s|.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell = np.log1p(gap / low)
-        if not np.isfinite(ell).all():
-            wide = ~np.isfinite(ell)
-            ell[wide] = np.abs(np.log(rb[wide]) - np.log(sb[wide]))
-        out = np.divide(gap, ell, out=ell)
-        near = gap <= 1e-8 * np.maximum(rb, sb)
-        if near.any():
-            m = 0.5 * (rb[near] + sb[near])
-            dn = d[near]
-            out[near] = m - dn * dn / (12.0 * m)
-    zero = low == 0.0
-    if zero.any():
-        out[zero] = 0.0
+    theta = _log_mean_parts(r, s)[2]
     if np.isscalar(r) and np.isscalar(s):
-        return float(out[0])
-    return out.reshape(np.broadcast_shapes(np.shape(r), np.shape(s)))
+        return float(theta[0])
+    return theta.reshape(np.broadcast_shapes(np.shape(r), np.shape(s)))
 
 
-def arithmetic_mean(r, s):
-    """(r + s)/2 — the trivial admissible mean, kept as a negative control.
+# 6 m theta_rs as a series in t = (r - s)/(r + s), m the midpoint; the
+# next term, 0.38 t^10, is below 4e-14 where it is used (|t| <= 0.05)
+_CROSS_SERIES = (21116.0 / 51975.0, 2084.0 / 4725.0, 52.0 / 105.0, 3.0 / 5.0, 1.0)
 
-    It satisfies the structural mean axioms but not the chain-rule
-    identity theta * (log r - log s) = r - s, so the action computed
-    with it does NOT reproduce the Fisher information.
+
+def _log_mean_derivatives(r, s):
+    """(theta, theta_r, theta_s, theta_rr, theta_rs, theta_ss) at (r, s), elementwise, each at least 1-d.
+
+    theta_r = (1 - theta/r)/ell and theta_s = (theta/s - 1)/ell with
+    ell = log(r/s), or 0.5 -/+ (r - s)/(6m) on the series entries of
+    ``_log_mean_parts``.  theta is 1-homogeneous, so r theta_rr +
+    s theta_rs = 0 = r theta_rs + s theta_ss, and differentiating theta_r
+    in s gives theta_rs = (r + s - 2 theta) / (r s log(r/s)^2); its
+    numerator cancels for |r - s| <= 0.05 (r + s), where ``_CROSS_SERIES``
+    serves instead.  On the boundary the mean vanishes along the ray, so
+    all six are 0 there; the barrier keeps paths away from it anyway.
     """
-    r_arr = np.asarray(r, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(r_arr < 0.0) or np.any(s_arr < 0.0):
-        raise ValueError("arithmetic mean requires nonnegative arguments")
-    out = 0.5 * (r_arr + s_arr)
-    return float(out) if np.isscalar(r) and np.isscalar(s) else out
+    r, s, theta, ell, near, edge = _log_mean_parts(r, s)
+    pos = ~edge
+    d = r - s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.copysign(ell, d, out=ell)
+        dr = (1.0 - theta / r) / ell
+        ds = (theta / s - 1.0) / ell
+        if near.any():
+            m = 0.5 * (r[near] + s[near])
+            h = d[near] / (6.0 * m)
+            dr[near] = 0.5 - h
+            ds[near] = 0.5 + h
+        t = d / (r + s)
+        ratio = d / theta  # log(r/s) as theta gives it
+        rs = (r + s - 2.0 * theta) / (r * s * ratio * ratio)
+        cross = pos & (np.abs(t) <= 0.05)
+        if cross.any():
+            # 1/(6m) overflows to inf for subnormal m
+            rs[cross] = np.polyval(_CROSS_SERIES, t[cross] ** 2) / (3.0 * (r[cross] + s[cross]))
+        rr = np.where(pos, -(s / r) * rs, 0.0)
+        ss = np.where(pos, -(r / s) * rs, 0.0)
+    if edge.any():
+        dr[edge] = ds[edge] = rs[edge] = 0.0
+    return theta, dr, ds, rr, rs, ss
 
 
 def theta_connectedness_constant() -> float:
@@ -298,8 +332,8 @@ def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
     equals the ordered-pair sum of v_ij^2 / (2 theta eta_ij pi_i pi_j).
     Degenerate pairs follow 0/0 = 0 and c/0 = +inf for c > 0: flux
     across a closed or empty pair costs infinitely much.  ``theta_fn``
-    defaults to the logarithmic mean; passing ``arithmetic_mean`` gives
-    the negative-control geometry.
+    defaults to the logarithmic mean; another mean gives another
+    geometry (the tests use the arithmetic mean as a negative control).
     """
     u = rho.u
     sys = rho.system
@@ -308,14 +342,20 @@ def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
     pairs = sys.pairs
     total = 0.0
     for b in pairs.blocks():
-        den = theta_fn(u[pairs.i[b]], u[pairs.j[b]]) * pairs.w[b]
-        num = flux.values[b] * flux.values[b]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = num / den
-        zero_den = den == 0.0
-        if zero_den.any():
-            if np.any(num[zero_den] > 0.0):
-                return float("inf")
-            terms[zero_den] = 0.0
-        total += float(np.sum(terms))
+        total += _flux_cost(flux.values[b], theta_fn(u[pairs.i[b]], u[pairs.j[b]]), pairs.w[b])
     return total
+
+
+def _flux_cost(v, theta, w) -> float:
+    """sum v^2 / (theta w), with 0/0 = 0 and c/0 = +inf for c > 0: the sum of
+    ``action`` and of the transport solver's objective."""
+    den = theta * w
+    num = v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = num / den
+    zero_den = den == 0.0
+    if zero_den.any():
+        if np.any(num[zero_den] > 0.0):
+            return float("inf")
+        terms[zero_den] = 0.0
+    return float(np.sum(terms))

@@ -159,6 +159,14 @@ def _checked_expr(expr: str) -> ast.Expression:
     return tree
 
 
+def _lattice_level(count: int, dim: int) -> int:
+    """The level n of the uniform lattice of T^dim that a table of ``count`` values fills."""
+    n = round(count ** (1.0 / dim))
+    if n**dim != count:
+        raise ValueError(f"{count} values do not fill a lattice of T^{dim}")
+    return n
+
+
 def _table_lookup(values: np.ndarray, dim: int, pts: np.ndarray) -> np.ndarray:
     """Entries of a table on the uniform level-n lattice of T^dim at the
     nearest lattice point to each row of ``pts`` (shape (m, dim))."""
@@ -196,9 +204,7 @@ class PotentialSpec:
                 raise ValueError(f"potential expression {self.expr!r} is not finite")
         else:
             vals = np.asarray(self.table_values, dtype=float)
-            n = round(len(vals) ** (1.0 / self.table_dim))
-            if n**self.table_dim != len(vals):
-                raise ValueError("table length is not a perfect lattice size")
+            _lattice_level(len(vals), self.table_dim)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("tabulated potential has non-finite entries")
             self.table_values = vals
@@ -294,7 +300,6 @@ class GibbsMeasure(MeasureSpec):
     """dpi/dx = e^{-V} / c_V for a bounded continuous potential V."""
 
     potential: PotentialSpec
-    dim: int = 1
 
     def density(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -320,9 +325,7 @@ class TabulatedMeasure(MeasureSpec):
         if total <= 0:
             raise ValueError("tabulated measure has zero total mass")
         self.weights = w / total
-        n = round(len(w) ** (1.0 / self.dim))
-        if n**self.dim != len(w):
-            raise ValueError("weights length is not a perfect lattice size")
+        _lattice_level(len(w), self.dim)
 
     def density(self, pts: np.ndarray) -> np.ndarray:
         return _table_lookup(self.weights, self.dim, np.atleast_2d(pts)) * len(self.weights)

@@ -31,8 +31,8 @@ in time with dense N x N blocks, solved by block Cholesky elimination, so
 a step costs O(M N^3) plus O(M E).  The step is cut to stay inside the
 positive masses (fraction to the boundary) and halved until the Armijo
 test holds.  The barrier schedule, stopping test and line-search
-constants are module constants; ``MetricSolverConfig.max_iter``, the
-Newton steps per stage, is the one setting.
+constants are module constants; ``PathProblem.max_iter``, the Newton
+steps per stage, is the one setting.
 
 The returned path is rebuilt from the final fluxes alone: their total
 over all steps is replaced by the least-norm total between the endpoints
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -57,10 +57,9 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from .discretize import DiscreteSystem
-from .functionals import DensityState, log_mean
+from .functionals import DensityState, _flux_cost, _log_mean_derivatives, log_mean
 
 __all__ = [
-    "MetricSolverConfig",
     "PathProblem",
     "DiscretePath",
     "MetricResult",
@@ -88,21 +87,15 @@ MIX = 1e-2  # bow of the initial path toward the uniform state when the straight
 
 
 @dataclass(frozen=True)
-class MetricSolverConfig:
-    """The path optimizer's one setting: Newton steps per barrier stage."""
-
-    max_iter: int = 300
-
-
-@dataclass(frozen=True)
 class PathProblem:
-    """Endpoint pair plus discretization and solver settings."""
+    """Endpoint pair plus discretization and the solver's one setting,
+    ``max_iter``: Newton steps per barrier stage."""
 
     system: DiscreteSystem
     start: DensityState
     end: DensityState
     n_steps: int = 32
-    solver: MetricSolverConfig = field(default_factory=MetricSolverConfig)
+    max_iter: int = 300
 
     def __post_init__(self):
         if self.n_steps < 2:
@@ -236,89 +229,6 @@ def _component_labels(sys: DiscreteSystem) -> np.ndarray:
     return connected_components(adj, directed=False)[1]
 
 
-def _log_mean_and_partials(r, s):
-    """theta(r, s), d theta / d r and d theta / d s, elementwise, in one pass.
-
-    Away from the diagonal ell = log(r/s) is log1p(|d| / min(r, s)) with
-    the sign of d = r - s, theta = d / ell (bit-equal to ``log_mean``'s
-    |d| / |ell|), d theta/d r = (1 - theta/r)/ell and
-    d theta/d s = (theta/s - 1)/ell; near it the series of ``log_mean``
-    for theta and 0.5 -/+ d/(6m) around the midpoint m for the partials.
-    On the boundary (either argument zero) the mean is identically zero
-    along the ray, so all three are reported as 0; the interior barrier
-    keeps optimization paths away from that edge anyway.  Scalars come
-    back as arrays of shape (1,).
-    """
-    r, s = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(r, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
-    )
-    if np.any(r < 0.0) or np.any(s < 0.0):
-        raise ValueError("log mean requires nonnegative arguments")
-    d = r - s
-    pos = (r > 0.0) & (s > 0.0)
-    near = pos & (np.abs(d) <= 1e-8 * np.maximum(r, s))
-    # the far-branch formulas on every entry; near and boundary entries
-    # are overwritten below, so their inf/nan here never escape
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell = np.abs(d)
-        ell /= np.minimum(r, s)
-        np.log1p(ell, out=ell)
-        np.copysign(ell, d, out=ell)
-        if not np.isfinite(ell).all():
-            # where the oriented ratio overflows: the plain difference of
-            # logs, as in log_mean
-            wide = pos & ~np.isfinite(ell)
-            ell[wide] = np.log(r[wide]) - np.log(s[wide])
-        theta = d / ell
-        dr = (1.0 - theta / r) / ell
-        ds = (theta / s - 1.0) / ell
-    if not pos.all():
-        off = ~pos
-        theta[off] = 0.0
-        dr[off] = 0.0
-        ds[off] = 0.0
-    if near.any():
-        m = 0.5 * (r[near] + s[near])
-        dn = d[near]
-        theta[near] = m - dn * dn / (12.0 * m)
-        t = dn / (6.0 * m)
-        dr[near] = 0.5 - t
-        ds[near] = 0.5 + t
-    return theta, dr, ds
-
-
-# 6 m theta_rs as a series in t = (r - s)/(r + s), m the midpoint; the
-# next term, 0.38 t^10, is below 4e-14 where it is used (|t| <= 0.05)
-_CROSS_SERIES = (21116.0 / 51975.0, 2084.0 / 4725.0, 52.0 / 105.0, 3.0 / 5.0, 1.0)
-
-
-def _log_mean_second_partials(r, s, theta):
-    """theta_rr, theta_rs and theta_ss of the logarithmic mean at (r, s), given theta = log_mean(r, s).
-
-    theta is 1-homogeneous, so its first partials are 0-homogeneous:
-    r theta_rr + s theta_rs = 0 = r theta_rs + s theta_ss.  Differentiating
-    d theta/d r = (1 - theta/r)/log(r/s) in s gives
-    theta_rs = (r + s - 2 theta) / (r s log(r/s)^2).  Its numerator cancels
-    near the diagonal, so for |r - s| <= 0.05 (r + s) the series of
-    ``_CROSS_SERIES`` is used instead.  All three are 0 on the boundary.
-    """
-    r, s = np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(s))
-    pos = (r > 0.0) & (s > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (r - s) / (r + s)
-        ell = (r - s) / theta
-        rs = (r + s - 2.0 * theta) / (r * s * ell * ell)
-    near = pos & (np.abs(t) <= 0.05)
-    if near.any():
-        tn = t[near] * t[near]
-        rs[near] = np.polyval(_CROSS_SERIES, tn) / (3.0 * (r[near] + s[near]))
-    rs = np.where(pos, rs, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rr = np.where(pos, -(s / r) * rs, 0.0)
-        ss = np.where(pos, -(r / s) * rs, 0.0)
-    return rr, rs, ss
-
-
 def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite block tridiagonal system by block Cholesky elimination.
 
@@ -448,7 +358,7 @@ class _PathWorkspace:
         inner = u[1:-1][:, self.barrier_nodes]
         if inner.size and inner.min() <= 0.0:
             return np.inf
-        f = _action_from_arrays(self.sys, u, x, self.edges, self.q, eps)
+        f = _action_from_arrays(u, x, self.edges, self.q, eps)
         if beta > 0.0:
             f -= beta * float(np.sum(np.log(inner)))
         return f if np.isfinite(f) else np.inf
@@ -496,8 +406,7 @@ class _PathWorkspace:
         u = mu / pi[None, :]
         ut = 0.5 * (u[:-1] + u[1:])
         a, b = ut[:, ei], ut[:, ej]
-        theta, th_a, th_b = _log_mean_and_partials(a, b)
-        th_aa, th_ab, th_bb = _log_mean_second_partials(a, b, theta)
+        theta, th_a, th_b, th_aa, th_ab, th_bb = _log_mean_derivatives(a, b)
         theta += eps
         cond = theta * self.q[None, :]
         inner = mu[1:-1]
@@ -550,23 +459,16 @@ class _PathWorkspace:
         return g_x, g_mu, dx, dmu
 
 
-def _action_from_arrays(sys, u, x, edges, q, eps) -> float:
-    dt = 1.0 / x.shape[0]
+def _action_from_arrays(u, x, edges, q, eps) -> float:
     ut = 0.5 * (u[:-1] + u[1:])
-    theta = np.asarray(log_mean(ut[:, edges[:, 0]], ut[:, edges[:, 1]])) + eps
-    den = theta * q[None, :]
-    num = x * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(num > 0.0, num / den, 0.0)
-    if np.any((num > 0.0) & (den == 0.0)):
-        return float("inf")
-    return dt * float(np.sum(terms))
+    theta = log_mean(ut[:, edges[:, 0]], ut[:, edges[:, 1]]) + eps
+    return (1.0 / x.shape[0]) * _flux_cost(x, theta, q)
 
 
 def action_of_path(path: DiscretePath, eps: float = 0.0) -> float:
     """Kinetic action of a discrete path (midpoint logarithmic-mean rule)."""
     _, q = _support_edges(path.system)
-    return _action_from_arrays(path.system, path.u, path.fluxes, path.edges, q, eps)
+    return _action_from_arrays(path.u, path.fluxes, path.edges, q, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +565,7 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
     stage_iterations: list[int] = []
     stages = [(beta, beta) for beta in BARRIER_SCHEDULE] + [(0.0, EPS_POLISH)]
     for beta, eps in stages:
-        x, mu, hist, converged, steps = _newton(ws, x, mu, beta, eps, prob.solver.max_iter)
+        x, mu, hist, converged, steps = _newton(ws, x, mu, beta, eps, prob.max_iter)
         history.extend(hist)
         stage_iterations.append(steps)
     # the path's masses are rebuilt from the fluxes alone, with the total
@@ -672,7 +574,7 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
     u = ws.masses(x) / ws.sys.pi[None, :]
     path = DiscretePath(ws.sys, u, x, ws.edges)
     residual = float(np.max(np.abs(path.u[-1] * ws.sys.pi - ws.muT)))
-    w = float(np.sqrt(max(_action_from_arrays(ws.sys, u, x, ws.edges, ws.q, 0.0), 0.0)))
+    w = float(np.sqrt(max(_action_from_arrays(u, x, ws.edges, ws.q, 0.0), 0.0)))
     return MetricResult(
         w=w,
         n_steps=prob.n_steps,
@@ -744,14 +646,13 @@ def check_metric_axioms(
     if n_samples < 3:
         raise ValueError("need at least three sample states")
     rng = np.random.default_rng(seed)
-    cfg = MetricSolverConfig()
     states = []
     for _ in range(n_samples):
         raw = rng.uniform(0.2, 2.0, size=sys.n_points)
         states.append(DensityState(sys, raw / (raw @ sys.pi)))
 
     def dist(a, b):
-        return nlw_distance(PathProblem(sys, a, b, n_steps=n_steps, solver=cfg)).w
+        return nlw_distance(PathProblem(sys, a, b, n_steps=n_steps)).w
 
     identity_max = max(dist(s, s) for s in states)
     dmat = np.zeros((n_samples, n_samples))

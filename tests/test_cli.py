@@ -115,6 +115,34 @@ def test_failed_comparison_is_exit_4(tmp_path):
     assert main(["sample", "--config", cfg, "--quiet"]) == EXIT_CHECK_FAILED
 
 
+def test_unconverged_transport_solve_is_exit_4(tmp_path, capsys):
+    # one Newton step per stage stops at W = 35.34; the converged distance is about 0.511
+    doc = smoke_doc(
+        tmp_path / "out",
+        metric={
+            "endpoints": [{"type": "point_mass", "index": 0}, {"type": "point_mass", "index": 1}],
+            "M": 8,
+            "solver": {"max_iter": 1},
+        },
+    )
+    doc["system"].update(level=8, kernel={"type": "fractional", "s": 1.0})
+    cfg = write_config(tmp_path, doc)
+    assert main(["metric", "--config", cfg]) == EXIT_CHECK_FAILED
+    assert "converged=False" in capsys.readouterr().out
+    metric = json.loads((tmp_path / "out" / "metric.json").read_text())
+    assert metric["converged"] is False and metric["w"] > 30.0
+
+
+def test_artifact_lines_are_logged_and_the_report_stays_on_stdout(tmp_path, capsys):
+    cfg = write_config(tmp_path, smoke_doc(tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("flow: ") and "wrote" not in captured.out
+    assert f"wrote {tmp_path / 'out' / 'trajectory.csv'}" in captured.err.splitlines()
+    assert main(["solve", "--config", cfg, "--quiet"]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
 def test_out_flag_overrides_directory(tmp_path):
     cfg = write_config(tmp_path, smoke_doc(tmp_path / "ignored"))
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "real"), "--quiet"]) == EXIT_OK

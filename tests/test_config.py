@@ -300,3 +300,78 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="top level"):
         load_config(path)
+
+
+GIBBS_TABLE = {"type": "gibbs", "potential": {"table": {"values": [0, 0.5, 1, 0.5]}}}  # 1-d, lattice level 4
+WEIGHT_TABLE = {"type": "tabulated", "weights": [0.8, 0.2]}  # 1-d, lattice level 2
+
+
+def test_table_of_another_dimension_is_rejected_with_its_path():
+    # before the check, a 2D build failed inside numpy: "parameter multi_index must be a sequence of length 1"
+    doc = minimal_doc()
+    doc["system"].update(dim=2, level=4, measure=GIBBS_TABLE)
+    with pytest.raises(ConfigError, match=r"^system\.measure\.potential\.table\.dim: a 1-dimensional table"):
+        validate_config(doc)
+    doc["system"]["measure"] = {"type": "uniform"}
+    doc["system"]["kernel"] = {
+        "type": "weighted",
+        "potential": {"table": {"dim": 1, "values": [0.0, 1.0]}},
+        "base": {"type": "constant", "c": 1.0},
+    }
+    with pytest.raises(ConfigError, match=r"^system\.kernel\.potential\.table\.dim"):
+        validate_config(doc)
+
+
+@pytest.mark.parametrize(
+    "place, path",
+    [
+        ("measure", r"system\.measure"),
+        ("mixed", r"system\.measure\.base"),
+        ("initial", r"flow\.initial\.potential\.table"),
+        ("endpoint", r"metric\.endpoints\[1\]\.potential\.table"),
+    ],
+)
+def test_table_lattice_must_divide_the_grid_level(place, path):
+    # before the check, weights [0.8, 0.2] at level 5 stopped in the pushforward with QuadratureError
+    doc = minimal_doc(flow=flow_doc())
+    doc["system"]["level"] = 5
+    if place == "measure":
+        doc["system"]["measure"] = WEIGHT_TABLE
+    elif place == "mixed":
+        doc["system"]["measure"] = {"type": "mixed", "base": WEIGHT_TABLE, "epsilon": 0.1}
+    elif place == "initial":
+        doc["flow"]["initial"] = GIBBS_TABLE
+    else:
+        doc["metric"] = {"endpoints": [{"type": "uniform"}, GIBBS_TABLE]}
+    with pytest.raises(ConfigError, match=rf"^{path}: its level-(2|4) lattice does not divide grid level 5"):
+        validate_config(doc)
+    doc["system"]["level"] = 8
+    validate_config(doc)
+
+
+def test_table_lattice_must_divide_every_refinement_level():
+    # a 1D Gibbs table potential of level 4 stopped at level 6 with QuadratureError
+    doc = minimal_doc(flow=flow_doc(), refinement={"levels": [4, 6, 8]})
+    doc["system"]["measure"] = GIBBS_TABLE
+    with pytest.raises(ConfigError, match=r"^system\.measure\.potential\.table: .* grid level 6"):
+        validate_config(doc)
+    doc["refinement"]["levels"] = [4, 8, 16]
+    validate_config(doc)
+
+
+def test_kernel_table_needs_only_the_dimension_to_match():
+    doc = minimal_doc()
+    doc["system"]["level"] = 5
+    doc["system"]["kernel"] = {
+        "type": "weighted",
+        "potential": {"table": {"values": [0.0, 0.5]}},
+        "base": {"type": "fractional", "s": 1.0},
+    }
+    validate_config(doc)
+
+
+def test_table_values_must_fill_a_lattice():
+    doc = minimal_doc()
+    doc["system"].update(dim=2, measure={"type": "tabulated", "dim": 2, "weights": [1.0, 2.0, 3.0]})
+    with pytest.raises(ConfigError, match=r"^system\.measure\.weights: 3 values do not fill a lattice of T\^2"):
+        validate_config(doc)

@@ -341,7 +341,7 @@ def test_discretize_2d_matches_full_sub_lattice_build(monkeypatch):
 
 def test_discretize_2d_gibbs_matches_full_sub_lattice_build(monkeypatch):
     # a Gibbs measure evaluates every pair, so each d >= 2 pair meets the oracle
-    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*sin(2*pi*x)*cos(2*pi*y)"), dim=2)
+    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*sin(2*pi*x)*cos(2*pi*y)"))
     assert_build_matches_full_sub_lattice(monkeypatch, meas)
 
 
@@ -380,7 +380,7 @@ def test_node_budget_does_not_change_a_build(monkeypatch, d, level, budget):
     # the budget holds one pair at the first rule size and splits the tau nodes of larger ones
     grid = build_grid(d, level)
     spec = FractionalKernel(s=1.0 if d == 1 else 0.5)
-    meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"), dim=d)
+    meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
     eta = discretize_kernel(spec, meas, grid)
     pairs, blocks = [], []
 
@@ -482,7 +482,7 @@ def test_offset_classes_only_for_uniform_translation_invariant_inputs():
     tabulated = TabulatedKernel(evaluator=extend_kernel(SimpleNamespace(grid=grid, eta=tab_eta), 0.5, 3.0))
     flat = PotentialSpec(expr="0*x")
     for spec, meas in [
-        (FractionalKernel(s=1.0), GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"), dim=2)),
+        (FractionalKernel(s=1.0), GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))),
         (FractionalKernel(s=1.0), MixedMeasure(UniformMeasure(), 0.5)),
         (ConstantKernel(c=1.0), TabulatedMeasure(weights=np.ones(9), dim=2)),
         (WeightedKernel(potential=flat, base=FractionalKernel(s=1.0)), UniformMeasure()),

@@ -17,13 +17,22 @@ from nlw.experiments import (
     build_system_from_config,
     density_from_spec,
     lsi_certify,
+    RunResult,
     refinement_study,
     run_config,
     run_flow_stage,
 )
 from nlw.flow import IntegratorConfig, generator_matrix, solve
 from nlw.functionals import DensityState, relative_entropy
-from nlw.kernels import ConstantKernel, GibbsMeasure, UniformMeasure, potential_from_dict
+from nlw.kernels import (
+    ConstantKernel,
+    GibbsMeasure,
+    UniformMeasure,
+    kernel_from_dict,
+    measure_from_dict,
+    potential_from_dict,
+)
+from nlw.metric import MetricResult
 from nlw.sampler import SamplerConfig, simulate
 from nlw.torus import build_grid
 
@@ -478,6 +487,25 @@ def test_run_config_sampler_failure_reported_not_raised(tmp_path):
     assert doc_json["rate_convention"] == "source"
 
 
+def test_an_unconverged_transport_solve_fails_the_checks():
+    def result(converged, w):
+        metric = MetricResult(
+            w=w,
+            n_steps=8,
+            iterations=10,
+            stage_iterations=[1] * 10,
+            converged=converged,
+            constraint_residual=0.0,
+            objective_history=[],
+            infeasible=w == np.inf,
+        )
+        return RunResult(out_dir="unused", artifacts=[], manifest_path="unused", metric=metric)
+
+    assert not result(False, 35.3).all_checks_passed
+    assert result(True, 0.511).all_checks_passed
+    assert result(True, np.inf).all_checks_passed  # an infeasible pair is an answer, not a failure
+
+
 def test_run_config_refine_stage(tmp_path):
     doc = base_doc(flow=flow_doc(), refinement={"levels": [4, 8]})
     doc["outputs"]["directory"] = str(tmp_path / "ref")
@@ -504,3 +532,27 @@ def test_trajectory_csv_parses_back(tmp_path):
     assert data["t"][-1] == pytest.approx(1.0)
     h0 = relative_entropy(result.trajectory.state(0))
     assert data["H"][0] == pytest.approx(h0, rel=1e-15)
+
+
+def test_table_potentials_from_a_config_build_and_round_trip_their_provenance(tmp_path):
+    measure = {"type": "gibbs", "potential": {"table": {"dim": 1, "values": [0.0, 0.5, 1.0, 0.5]}}}
+    kernel = {
+        "type": "weighted",
+        "potential": {"table": {"dim": 1, "values": [0.0, 0.5]}},
+        "base": {"type": "constant", "c": 1.0},
+    }
+    doc = base_doc()
+    doc["system"].update(level=8, kernel=kernel, measure=measure)
+    doc["outputs"]["directory"] = str(tmp_path / "tab")
+    result = run_config(validate_config(doc), stages=("build",))
+    assert result.all_checks_passed
+    provenance = json.loads((tmp_path / "tab" / "system.json").read_text())["provenance"]
+    assert provenance["measure"] == measure
+    assert provenance["kernel"] == kernel
+    assert measure_from_dict(provenance["measure"]).to_dict() == measure
+    assert kernel_from_dict(provenance["kernel"]).to_dict() == kernel
+    # the table's jumps sit at the centres of the odd cells: an even cell sees
+    # one value of e^-V, an odd cell the mean of two neighbouring ones
+    w = np.exp(-np.array([0.0, 0.5, 1.0, 0.5]))
+    cells = np.ravel(np.column_stack([w, 0.5 * (w + np.roll(w, -1))]))
+    assert np.allclose(result.system.pi, cells / cells.sum(), rtol=1e-12, atol=0.0)

@@ -347,16 +347,16 @@ def test_trajectory_rejects_entropy_increase():
     sys = two_state()
     u = np.array([[1.0, 1.0], [1.5, 0.5]])  # equilibrium, then excited
     with pytest.raises(IntegratorError, match="entropy increased"):
-        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, method="matrix_exponential", spectral_gap=1.0)
+        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, spectral_gap=1.0)
 
 
 def test_trajectory_rejects_bad_times():
     sys = two_state()
     u = np.ones((2, 2))
     with pytest.raises(ValueError):
-        Trajectory(system=sys, times=np.array([0.5, 1.0]), u=u, method="x", spectral_gap=1.0)
+        Trajectory(system=sys, times=np.array([0.5, 1.0]), u=u, spectral_gap=1.0)
     with pytest.raises(ValueError):
-        Trajectory(system=sys, times=np.array([0.0, 0.0]), u=u, method="x", spectral_gap=1.0)
+        Trajectory(system=sys, times=np.array([0.0, 0.0]), u=u, spectral_gap=1.0)
 
 
 def test_trajectory_csv_format():

@@ -13,13 +13,27 @@ from nlw.functionals import (
     DensityState,
     FluxField,
     action,
-    arithmetic_mean,
     fisher_information,
     log_mean,
     relative_entropy,
     theta_connectedness_constant,
 )
 from nlw.torus import build_grid
+
+
+def arithmetic_mean(r, s):
+    """(r + s)/2: the trivial admissible mean, a negative control.
+
+    It satisfies the structural mean axioms but not the chain-rule
+    identity theta * (log r - log s) = r - s, so the action computed
+    with it does NOT reproduce the Fisher information.
+    """
+    r_arr = np.asarray(r, dtype=float)
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(r_arr < 0.0) or np.any(s_arr < 0.0):
+        raise ValueError("arithmetic mean requires nonnegative arguments")
+    out = 0.5 * (r_arr + s_arr)
+    return float(out) if np.isscalar(r) and np.isscalar(s) else out
 
 
 def make_system(n=4, eta_value=1.0, pi=None, eta=None):

@@ -19,16 +19,13 @@ import scipy.linalg
 from nlw.discretize import DiscreteSystem, build_system
 from nlw.experiments import density_from_spec
 from nlw.flow import IntegratorConfig, solve
-from nlw.functionals import DensityState, fisher_information, log_mean
+from nlw.functionals import DensityState, _log_mean_derivatives, fisher_information, log_mean
 from nlw.kernels import FractionalKernel, GibbsMeasure, PotentialSpec, UniformMeasure
 from nlw.metric import (
     BARRIER_SCHEDULE,
     AxiomCheck,
     DiscretePath,
-    MetricSolverConfig,
     PathProblem,
-    _log_mean_and_partials,
-    _log_mean_second_partials,
     _PathWorkspace,
     action_of_path,
     check_metric_axioms,
@@ -92,7 +89,7 @@ def test_log_mean_partial_matches_finite_differences():
     s[:50] = r[:50] * (1.0 + rng.uniform(-1e-9, 1e-9, size=50))
 
     h = 1e-7
-    _, got_r, got_s = _log_mean_and_partials(r, s)
+    _, got_r, got_s = _log_mean_derivatives(r, s)[:3]
     fd_r = (np.asarray(log_mean(r + h, s)) - np.asarray(log_mean(r - h, s))) / (2 * h)
     fd_s = (np.asarray(log_mean(r, s + h)) - np.asarray(log_mean(r, s - h))) / (2 * h)
     assert np.max(np.abs(got_r - fd_r)) < 1e-6
@@ -100,10 +97,10 @@ def test_log_mean_partial_matches_finite_differences():
 
 
 def test_log_mean_partial_special_values():
-    assert _log_mean_and_partials(2.0, 2.0)[1] == pytest.approx(0.5, abs=1e-12)
-    assert _log_mean_and_partials(2.0, 2.0)[2] == pytest.approx(0.5, abs=1e-12)
+    assert _log_mean_derivatives(2.0, 2.0)[1] == pytest.approx(0.5, abs=1e-12)
+    assert _log_mean_derivatives(2.0, 2.0)[2] == pytest.approx(0.5, abs=1e-12)
     for r, s in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
-        assert all(v == 0.0 for v in _log_mean_and_partials(r, s))
+        assert all(v == 0.0 for v in _log_mean_derivatives(r, s))
 
 
 def _log_mean_cases():
@@ -125,7 +122,7 @@ def _log_mean_cases():
 @pytest.mark.parametrize("name", ["mixed", "all far", "scalar near"])
 def test_log_mean_and_partials_equal_the_separate_formulas(name):
     r, s = _log_mean_cases()[name]
-    theta, dr, ds = _log_mean_and_partials(r, s)
+    theta, dr, ds = _log_mean_derivatives(r, s)[:3]
     shape = np.atleast_1d(np.asarray(r)).shape
     assert np.array_equal(theta, np.asarray(log_mean(r, s), dtype=float).reshape(shape))
     assert np.array_equal(dr, log_mean_partial_oracle(r, s).reshape(shape))
@@ -139,11 +136,11 @@ def test_log_mean_and_partials_at_extreme_ratios():
         R, S = mp.mpf(r), mp.mpf(s)
         ell = mp.log(R) - mp.log(S)
         theta = (R - S) / ell
-        got = _log_mean_and_partials(r, s)
+        got = _log_mean_derivatives(r, s)
         assert got[0][0] == log_mean(r, s) == pytest.approx(float(theta), rel=1e-14)
         assert got[1][0] == pytest.approx(float((1 - theta / R) / ell), rel=1e-12)
         assert got[2][0] == pytest.approx(float((theta / S - 1) / ell), rel=1e-12)
-    theta, dr, ds = _log_mean_and_partials(1.0, 3e-320)
+    theta, dr, ds = _log_mean_derivatives(1.0, 3e-320)[:3]
     assert theta[0] == log_mean(1.0, 3e-320) > 1e-3 and dr[0] > 1e-3 and ds[0] == np.inf
 
 
@@ -162,9 +159,9 @@ def test_log_mean_keeps_its_digits_when_the_first_argument_is_much_smaller():
     for r in (1e-4, 1e-8, 1e-12, 1e-14, 1e-17):
         for a, b in ((r, 1.0), (1.0, r), (3.0 * r, 2.5)):
             want = _mp_log_mean(a, b)
-            got = _log_mean_and_partials(a, b)
+            got = _log_mean_derivatives(a, b)
             assert log_mean(a, b) == got[0][0]
-            for value, ref in zip(got, want[:3]):
+            for value, ref in zip(got[:3], want[:3]):
                 assert value[0] == pytest.approx(float(ref), rel=4e-16)
 
 
@@ -180,7 +177,7 @@ def test_log_mean_keeps_its_digits_when_the_first_argument_is_much_smaller():
 def test_log_mean_second_partials_against_mpmath(pairs):
     mp.mp.dps = 60
     r, s = (np.array(v) for v in zip(*pairs))
-    rr, rs, ss = _log_mean_second_partials(r, s, _log_mean_and_partials(r, s)[0])
+    rr, rs, ss = _log_mean_derivatives(r, s)[3:]
     for k, (a, b) in enumerate(pairs):
         if a == b:
             want = (-1 / (6 * a), 1 / (6 * a), -1 / (6 * a))
@@ -189,14 +186,21 @@ def test_log_mean_second_partials_against_mpmath(pairs):
         for got, ref in zip((rr[k], rs[k], ss[k]), want):
             assert got == pytest.approx(ref, rel=2e-13)
     # boundary entries are zero, like the first partials
-    assert all(v[0] == 0.0 for v in _log_mean_second_partials(np.array([0.0]), np.array([1.0]), np.array([0.0])))
+    assert all(v[0] == 0.0 for v in _log_mean_derivatives(np.array([0.0]), np.array([1.0]))[3:])
+
+
+def test_log_mean_derivatives_overflow_quietly_at_subnormal_arguments():
+    # theta_rs = 1/(6m) is above the float range for a subnormal midpoint m; the
+    # cross series used to overflow outside the function's errstate and warn
+    rr, rs, ss = _log_mean_derivatives(np.array([1e-310]), np.array([1.1e-310]))[3:]
+    assert rs[0] == np.inf and rr[0] == ss[0] == -np.inf
 
 
 def test_log_mean_and_partials_reject_negative_arguments():
     with pytest.raises(ValueError, match="nonnegative"):
-        _log_mean_and_partials(np.array([1.0, -1e-300]), np.array([1.0, 1.0]))
+        _log_mean_derivatives(np.array([1.0, -1e-300]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="nonnegative"):
-        _log_mean_and_partials(1.0, -2.0)
+        _log_mean_derivatives(1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +445,7 @@ def test_newton_steps_stay_flat_as_the_grid_refines():
         sys = build_system(FractionalKernel(s=1.0), measure, build_grid(1, n))
         a = density_from_spec({"type": "uniform"}, sys)
         b = density_from_spec({"type": "gibbs", "potential": {"expr": "sin(2*pi*x)"}}, sys)
-        res = nlw_distance(PathProblem(sys, a, b, n_steps=16, solver=MetricSolverConfig(max_iter=1000)))
+        res = nlw_distance(PathProblem(sys, a, b, n_steps=16, max_iter=1000))
         assert res.converged and res.constraint_residual < 1e-12
         assert res.iterations <= 40, (n, res.stage_iterations)
 
@@ -555,7 +559,7 @@ def test_point_mass_to_point_mass_starts_on_the_bowed_path():
 
 def test_exhausted_newton_stages_report_no_convergence():
     sys, a, b = point_masses_on_eight_points()
-    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, solver=MetricSolverConfig(max_iter=1)))
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, max_iter=1))
     assert not res.converged
     assert res.stage_iterations == [1] * (len(BARRIER_SCHEDULE) + 1)
 
@@ -566,7 +570,7 @@ def test_unfactorable_newton_step_ends_the_stage_unconverged():
     # that stage and the later ones stop where they are instead of raising
     sys, a, _ = point_masses_on_eight_points()
     b = DensityState.point_mass(sys, 1)
-    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, solver=MetricSolverConfig(max_iter=1)))
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, max_iter=1))
     assert not res.converged
     assert np.isfinite(res.w) and res.w > 0.0
     assert res.constraint_residual < 1e-8
