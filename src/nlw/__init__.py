@@ -20,7 +20,8 @@ def _pin_thread_env() -> None:
     artifact bytes depend on the machine.  Called at import time with
     ``setdefault`` semantics so an explicit environment wins.  It only
     takes effect when ``nlw`` is imported before numpy: the BLAS library
-    reads these variables once, when numpy loads it.
+    reads these variables once, when numpy loads it.  scipy's own OpenBLAS
+    loads at the first scipy call, always after this pin.
     """
     for var in (
         "OPENBLAS_NUM_THREADS",

@@ -22,7 +22,9 @@ Linear-algebra thread counts come from the environment
 (``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``, ``OMP_NUM_THREADS``,
 ``NUMEXPR_NUM_THREADS``) and must be set before ``nlw`` is imported:
 the BLAS library reads them once, when numpy loads it.  Importing
-``nlw`` first pins each unset one to 1.
+``nlw`` first pins each unset one to 1.  scipy's bundled OpenBLAS loads
+later, at the first scipy call, and reads the variables ``nlw`` pinned,
+so the artifacts stay deterministic.
 """
 
 from __future__ import annotations

@@ -25,9 +25,12 @@ of the solver run at fixed module constants (``discretize``,
 ``kernels``, ``metric``), so a config that names one of them is
 rejected like any other unknown key.  Validation here is
 structural, plus the whitelist that every potential expression must
-pass (the one `PotentialSpec` applies); numerical legality (positive
-step sizes and the like) is enforced by the objects each section
-ultimately constructs.
+pass (the one `PotentialSpec` applies), the integrator and output grid
+that ``flow.solve`` would build (the same ``IntegratorConfig`` and grid
+helper, so a bad horizon, step or output time fails before the system
+is built), and the fit of each state spec to the grid: a point mass
+inside it, a table with one value per cell.  Other numerical legality
+is enforced by the objects each section ultimately constructs.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .flow import IntegratorConfig
+from .flow import IntegratorConfig, _output_grid
 from .kernels import _checked_expr, _lattice_level
 
 __all__ = [
@@ -164,13 +167,16 @@ def _check_table(path: str, table: dict, key: str, dim: int, levels: tuple) -> N
 _INTEGRATOR_KEYS = {f.name for f in dataclasses.fields(IntegratorConfig)} - {"horizon"} | {"T"}
 
 
-def _validate_density(doc, path) -> dict:
+def _validate_density(doc, path, n_cells: int) -> dict:
+    """A density spec on a grid of ``n_cells`` cells."""
     kind = _require(doc, "type", path)
     if kind == "uniform":
         _check_keys(doc, {"type"}, path)
     elif kind == "point_mass":
         _check_keys(doc, {"type", "index"}, path)
-        _int_at_least(_require(doc, "index", path), 0, f"{path}.index")
+        index = _int_at_least(_require(doc, "index", path), 0, f"{path}.index")
+        if index >= n_cells:
+            raise ConfigError(f"{path}.index: cell {index} is out of range for a grid of {n_cells} cells")
     elif kind == "gibbs":
         _check_keys(doc, {"type", "potential"}, path)
         _validate_potential(_require(doc, "potential", path), f"{path}.potential")
@@ -179,6 +185,8 @@ def _validate_density(doc, path) -> dict:
         values = _require(doc, "values", path)
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values: expected a non-empty list")
+        if len(values) != n_cells:
+            raise ConfigError(f"{path}.values: {len(values)} values for a grid of {n_cells} cells")
     else:
         raise ConfigError(f"{path}.type: unknown density type {kind!r}")
     return doc
@@ -272,19 +280,32 @@ def validate_config(doc: dict) -> ExperimentConfig:
     kernel = _validate_kernel(_require(sys_doc, "kernel", "system"), "system.kernel")
     measure = _validate_measure(sys_doc.get("measure", {"type": "uniform"}), "system.measure")
     system = SystemSection(dim=dim, level=level, kernel=kernel, measure=measure)
+    n_cells = level**dim
 
     flow = None
     if "flow" in doc:
         flow_doc = doc["flow"]
         _check_keys(flow_doc, {"initial", "integrator", "output_times"}, "flow")
-        initial = _validate_density(_require(flow_doc, "initial", "flow"), "flow.initial")
+        initial = _validate_density(_require(flow_doc, "initial", "flow"), "flow.initial", n_cells)
         integ = _require(flow_doc, "integrator", "flow")
         _check_keys(integ, _INTEGRATOR_KEYS, "flow.integrator")
         times = flow_doc.get("output_times")
         if times is not None:
             if not isinstance(times, list) or len(times) < 2:
                 raise ConfigError("flow.output_times: expected a list of at least two times")
-            times = tuple(float(t) for t in times)
+            try:
+                times = tuple(float(t) for t in times)
+            except (TypeError, ValueError):
+                raise ConfigError("flow.output_times: expected a list of numbers") from None
+        # the checks solve makes, so that a bad horizon, step or grid fails before the build
+        try:
+            icfg = IntegratorConfig.from_dict(integ)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"flow.integrator: {exc}") from None
+        try:
+            _output_grid(icfg, times)
+        except ValueError as exc:
+            raise ConfigError(f"{'flow.integrator' if times is None else 'flow.output_times'}: {exc}") from None
         flow = FlowSection(initial=initial, integrator=integ, output_times=times)
 
     metric = None
@@ -295,7 +316,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if not isinstance(endpoints, list) or len(endpoints) != 2:
             raise ConfigError("metric.endpoints: expected a list of exactly two densities")
         endpoints = tuple(
-            _validate_density(e, f"metric.endpoints[{i}]") for i, e in enumerate(endpoints)
+            _validate_density(e, f"metric.endpoints[{i}]", n_cells) for i, e in enumerate(endpoints)
         )
         n_steps = _int_at_least(m_doc.get("M", 32), 2, "metric.M")
         solver = m_doc.get("solver", {})
@@ -332,6 +353,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("refinement.levels: levels must be strictly increasing")
         refinement = RefinementSection(levels=levels)
+        if flow is not None and flow.initial["type"] == "table":
+            raise ConfigError(
+                "flow.initial: table initial data is tied to one grid level; "
+                "a refinement study needs uniform, gibbs or point_mass"
+            )
 
     out_doc = doc.get("outputs", {})
     _check_keys(out_doc, {"directory", "formats"}, "outputs")

@@ -39,7 +39,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import DiscreteSystem
 from .functionals import DensityState, FluxField, action, fisher_information, relative_entropy
@@ -216,8 +215,17 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _default_output_times(cfg: IntegratorConfig) -> np.ndarray:
-    """Every dt up to the horizon, which must be a whole number of steps; 129 points without dt."""
+def _output_grid(cfg: IntegratorConfig, output_times) -> np.ndarray:
+    """The times a solve emits: ``output_times`` when given, finite and strictly
+    increasing from 0 to the horizon; else every dt up to the horizon, which
+    must be a whole number of steps; else 129 points."""
+    if output_times is not None:
+        times = np.asarray(output_times, dtype=float)
+        if not np.all(np.isfinite(times)) or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+            raise ValueError("output times must be finite, strictly increasing and start at 0")
+        if abs(times[-1] - cfg.horizon) > 1e-12 * max(1.0, cfg.horizon):
+            raise ValueError("last output time must equal the horizon")
+        return times
     if cfg.dt is None:
         return np.linspace(0.0, cfg.horizon, 129)
     n_steps = int(round(cfg.horizon / cfg.dt))
@@ -256,15 +264,13 @@ def solve(
     IntegratorError instead of being repaired.  The trajectory carries
     the spectral gap of the eigendecomposition behind it.
     """
+    from scipy.linalg.lapack import dsyevd
+
     if u0.system is not sys and not (
         np.array_equal(u0.system.pi, sys.pi) and np.array_equal(u0.system.eta, sys.eta)
     ):
         raise ValueError("initial state belongs to a different system")
-    times = _default_output_times(cfg) if output_times is None else np.asarray(output_times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("output times must be strictly increasing and start at 0")
-    if abs(times[-1] - cfg.horizon) > 1e-12 * max(1.0, cfg.horizon):
-        raise ValueError("last output time must equal the horizon")
+    times = _output_grid(cfg, output_times)
 
     # K 1 = 0, so the mean m of u0 stays put and only u0 - m runs through
     # the eigenbasis: mass then holds to roundoff however far the computed
@@ -283,7 +289,7 @@ def solve(
     # divide and conquer (dsyevd) rather than eigh's default dsyevr: 2x
     # faster on the 512-point Gibbs system, 1.7x on a 4096-point uniform
     # one, whose circulant eigenvalues come in pairs; V reuses K's memory
-    lam, V, info = scipy.linalg.lapack.dsyevd(K.T, overwrite_a=1)
+    lam, V, info = dsyevd(K.T, overwrite_a=1)
     if info != 0:
         raise IntegratorError(f"symmetric eigensolver dsyevd failed (info {info})")
     # lam ascends and is <= 0 up to roundoff; its top holds the constant mode's 0 and one

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .discretize import DiscreteSystem
 
@@ -163,7 +162,9 @@ def theta_connectedness_constant() -> float:
     sum_{k>=0} (2k+1)^{-2} = pi^2/8; the test suite uses the series as
     an independent oracle.)
     """
-    val, _err = _scipy_quad(lambda r: 1.0 / log_mean(1.0 - r, 1.0 + r), 0.0, 1.0, limit=200)
+    from scipy.integrate import quad
+
+    val, _err = quad(lambda r: 1.0 / log_mean(1.0 - r, 1.0 + r), 0.0, 1.0, limit=200)
     return float(val)
 
 

@@ -52,9 +52,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
-from scipy.sparse.csgraph import connected_components
 
 from .discretize import DiscreteSystem
 from .functionals import DensityState, _flux_cost, _log_mean_derivatives, log_mean
@@ -225,6 +222,8 @@ def _node_sums(index: np.ndarray, shape, at_i: np.ndarray, at_j: np.ndarray) -> 
 
 
 def _component_labels(sys: DiscreteSystem) -> np.ndarray:
+    from scipy.sparse.csgraph import connected_components
+
     adj = (sys.eta > 0.0).astype(np.int8)
     return connected_components(adj, directed=False)[1]
 
@@ -236,6 +235,8 @@ def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarra
     (k, k+1) (its transpose sits at (k+1, k)) and ``rhs`` (K, n) the right
     side.
     """
+    import scipy.linalg
+
     K, n = rhs.shape
     gain = np.empty_like(upper)  # pivot^-1 upper[k]
     z = np.empty_like(rhs)
@@ -264,6 +265,8 @@ class _PathWorkspace:
     """Everything fixed across Newton steps for one problem."""
 
     def __init__(self, prob: PathProblem):
+        import scipy.linalg
+
         sys = prob.system
         self.sys = sys
         self.M = prob.n_steps
@@ -302,6 +305,8 @@ class _PathWorkspace:
 
     def least_norm(self, rhs: np.ndarray) -> np.ndarray:
         """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero on each component."""
+        import scipy.linalg
+
         phi = scipy.linalg.cho_solve(self.laplacian, rhs.T, check_finite=False).T
         return phi[..., self.edges[:, 0]] - phi[..., self.edges[:, 1]]
 
@@ -599,6 +604,8 @@ def two_point_distance_oracle(sys: DiscreteSystem, rho_a: DensityState, rho_b: D
 
         W = | integral_{m_a}^{m_b} dm / sqrt(theta(m/pi_1, (1-m)/pi_2) eta pi_1 pi_2) |.
     """
+    from scipy.integrate import quad
+
     if sys.n_points != 2:
         raise ValueError("oracle only applies to two-point systems")
     eta = float(sys.eta[0, 1])
@@ -615,7 +622,7 @@ def two_point_distance_oracle(sys: DiscreteSystem, rho_a: DensityState, rho_b: D
         return 1.0 / np.sqrt(th * eta * p1 * p2)
 
     lo, hi = min(m_a, m_b), max(m_a, m_b)
-    val, _ = scipy.integrate.quad(speed, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-12)
+    val, _ = quad(speed, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-12)
     return float(val)
 
 

@@ -32,7 +32,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .discretize import DiscreteSystem
 from .functionals import DensityState
@@ -238,6 +237,8 @@ def compare_marginals(result: SampleResult, expected: np.ndarray) -> MarginalRep
     grows.  Nodes with expected probability 0 or 1 carry no binomial
     noise: any deviation there fails outright.
     """
+    from scipy.special import ndtr, ndtri
+
     expected = np.asarray(expected, dtype=float)
     if expected.shape != result.counts.shape:
         raise ValueError("expected probabilities have the wrong shape")

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from nlw.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, doc, name="exp.json"):
@@ -94,6 +97,34 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def shipped_doc(name, out_dir):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc["outputs"]["directory"] = str(out_dir)
+    return doc
+
+
+# (subcommand, shipped config, flow section change, field path): each used to
+# build the system and write system.json before failing
+FLOWS_THAT_FAIL_AFTER_THE_BUILD = [
+    ("solve", "constant_torus", {"integrator": {"method": "matrix_exponential", "T": [1.0]}}, "flow.integrator"),
+    ("solve", "constant_torus", {"output_times": [0.0, 0.5]}, "flow.output_times"),
+    ("run", "fractional_gibbs", {"initial": {"type": "point_mass", "index": 16}}, "flow.initial.index"),
+    ("refine", "fractional_gibbs", {"initial": {"type": "table", "values": [1.0] * 16}}, "flow.initial"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, change, path", FLOWS_THAT_FAIL_AFTER_THE_BUILD, ids=[f"{c[0]}-{c[3]}" for c in FLOWS_THAT_FAIL_AFTER_THE_BUILD]
+)
+def test_a_config_that_fails_after_the_build_is_exit_2_before_it(tmp_path, capsys, command, name, change, path):
+    doc = shipped_doc(name, tmp_path / "out")
+    doc["flow"].update(change)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_is_exit_3_with_partial_manifest(tmp_path, capsys):
     doc = smoke_doc(tmp_path / "out")
     doc["system"]["level"] = 8
@@ -126,6 +157,7 @@ def test_unconverged_transport_solve_is_exit_4(tmp_path, capsys):
         },
     )
     doc["system"].update(level=8, kernel={"type": "fractional", "s": 1.0})
+    doc["flow"]["initial"] = {"type": "uniform"}  # the two-cell table does not fit eight cells
     cfg = write_config(tmp_path, doc)
     assert main(["metric", "--config", cfg]) == EXIT_CHECK_FAILED
     assert "converged=False" in capsys.readouterr().out
@@ -172,12 +204,9 @@ def test_unknown_subcommand_exits_with_usage_error():
 
 
 def test_shipped_configs_validate():
-    import pathlib
-
     from nlw.config import load_config
 
-    config_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    shipped = sorted(config_dir.glob("*.json"))
+    shipped = sorted(CONFIG_DIR.glob("*.json"))
     assert shipped, "expected packaged example configs"
     for path in shipped:
         cfg = load_config(path)

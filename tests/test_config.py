@@ -260,6 +260,69 @@ def test_output_times_need_two_entries():
         validate_config(doc)
 
 
+# each passed validation and failed only after the build: (field path, flow section change)
+BAD_FLOWS = [
+    ("flow.integrator", {"integrator": {"T": [1.0]}}),
+    ("flow.integrator", {"integrator": {"T": -1}}),
+    ("flow.integrator", {"integrator": {"method": "rk4"}}),
+    ("flow.integrator", {"integrator": {"dt": 0}}),
+    ("flow.integrator", {"integrator": {"T": 1.0, "dt": 0.3}}),
+    ("flow.output_times", {"output_times": [0, 0.5]}),
+    ("flow.output_times", {"output_times": [0, 0.7, 0.5, 1]}),
+    ("flow.output_times", {"output_times": [0.1, 1]}),
+    ("flow.output_times", {"output_times": [0, float("nan"), 1]}),
+    ("flow.output_times", {"output_times": [0, "one"]}),
+]
+
+
+@pytest.mark.parametrize("path, change", BAD_FLOWS, ids=[str(change) for _, change in BAD_FLOWS])
+def test_integrator_and_output_times_are_checked_at_validation(path, change):
+    flow = flow_doc()
+    flow["integrator"].update(change.get("integrator", {}))
+    if "output_times" in change:
+        flow["output_times"] = change["output_times"]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+        validate_config(minimal_doc(flow=flow))
+
+
+def test_valid_output_times_pass():
+    flow = flow_doc()
+    flow["integrator"]["dt"] = 0.25
+    flow["output_times"] = [0, 0.5, 1]
+    assert validate_config(minimal_doc(flow=flow)).flow.output_times == (0.0, 0.5, 1.0)
+
+
+def _with_state(where, spec, dim=1, level=8, **extra):
+    doc = minimal_doc(flow=flow_doc(), metric=metric_doc(), **extra)
+    doc["system"].update(dim=dim, level=level)
+    if where == "flow.initial":
+        doc["flow"]["initial"] = spec
+    else:
+        doc["metric"]["endpoints"][1] = spec
+    return doc
+
+
+@pytest.mark.parametrize("where", ["flow.initial", "metric.endpoints[1]"])
+@pytest.mark.parametrize("dim, level", [(1, 8), (2, 4)])
+def test_state_specs_must_fit_the_grid(where, dim, level):
+    n = level**dim
+    validate_config(_with_state(where, {"type": "point_mass", "index": n - 1}, dim, level))
+    validate_config(_with_state(where, {"type": "table", "values": [1.0] * n}, dim, level))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)}\.index: cell {n} is out of range"):
+        validate_config(_with_state(where, {"type": "point_mass", "index": n}, dim, level))
+    for size in (n - 1, 3):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}\.values: {size} values for a grid of {n}"):
+            validate_config(_with_state(where, {"type": "table", "values": [1.0] * size}, dim, level))
+
+
+def test_table_initial_is_rejected_with_a_refinement_section():
+    doc = _with_state("flow.initial", {"type": "table", "values": [1.0] * 8}, refinement={"levels": [8, 16]})
+    with pytest.raises(ConfigError, match=r"^flow\.initial: table initial data is tied to one grid level"):
+        validate_config(doc)
+    # a point mass names a cell of the base grid, which the study carries to each level
+    validate_config(_with_state("flow.initial", {"type": "point_mass", "index": 7}, refinement={"levels": [8, 16]}))
+
+
 def test_unsupported_format_rejected():
     doc = minimal_doc()
     doc["outputs"]["formats"] = ["csv", "parquet"]

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
-from dataclasses import asdict
+import subprocess
+import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -290,12 +293,11 @@ def test_refinement_non_divisible_levels_get_nan_density_gap():
 
 
 def test_refinement_rejects_table_initial():
-    doc = base_doc(
-        flow=flow_doc(initial={"type": "table", "values": [1.0] * 8}),
-        refinement={"levels": [8, 16]},
-    )
+    # validate_config rejects this document; a config built in code meets the study's own check
+    cfg = validate_config(base_doc(flow=flow_doc(), refinement={"levels": [8, 16]}))
+    table = replace(cfg.flow, initial={"type": "table", "values": [1.0] * 8})
     with pytest.raises(ValueError, match="tied to one grid"):
-        refinement_study(validate_config(doc))
+        refinement_study(replace(cfg, flow=table))
 
 
 def test_refinement_levels_override():
@@ -385,6 +387,54 @@ def test_run_config_is_bit_reproducible(tmp_path):
             assert a["artifacts"] == b["artifacts"]
         else:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# every call site of a deferred scipy import: the flow (dsyevd), the metric
+# (connected components, Cholesky), the sampler comparison (ndtr, ndtri) and
+# both quadratures; the same code runs in a fresh interpreter and in this one
+_EVERY_DEFERRED_IMPORT = """
+DEFERRED = ("scipy.integrate", "scipy.linalg", "scipy.sparse.csgraph", "scipy.special")
+
+
+def every_deferred_import(config_path, out_dir):
+    import hashlib
+    import sys
+
+    import nlw
+
+    cfg = nlw.load_config(config_path)
+    result = nlw.run_config(cfg, out_dir=out_dir, stages=("build", "flow", "certify", "metric", "sample"))
+    a, b = (nlw.density_from_spec(spec, result.system) for spec in cfg.metric.endpoints)
+    with open(result.manifest_path, "rb") as fh:
+        manifest = hashlib.sha256(fh.read()).hexdigest()
+    return {
+        "manifest": manifest,
+        "artifacts": {art["path"]: art["sha256"] for art in result.artifacts},
+        "theta_constant": repr(nlw.theta_connectedness_constant()),
+        "oracle": repr(nlw.two_point_distance_oracle(result.system, a, b)),
+        "w": repr(result.metric.w),
+        "threshold": repr(result.comparison.threshold),
+        "loaded": sorted(m for m in DEFERRED if m in sys.modules),
+    }
+"""
+
+
+def test_a_fresh_interpreter_runs_every_deferred_import(tmp_path):
+    config = str(CONFIG_DIR / "two_state.json")
+    code = _EVERY_DEFERRED_IMPORT + "import json, sys\nprint(json.dumps(every_deferred_import(*sys.argv[1:])))\n"
+    root = CONFIG_DIR.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", code, config, str(tmp_path / "fresh")]
+    fresh = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    namespace = {}
+    exec(_EVERY_DEFERRED_IMPORT, namespace)
+    here = namespace["every_deferred_import"](config, str(tmp_path / "here"))
+    assert fresh["loaded"] == list(namespace["DEFERRED"])
+    assert set(fresh["artifacts"]) == {
+        "system.json", "trajectory.csv", "edi.json", "certificate.json",
+        "metric.json", "path.csv", "histogram.csv", "comparison.json",
+    }
+    assert fresh == here
 
 
 def test_comparison_json_records_the_jump_count(tmp_path):

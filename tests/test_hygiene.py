@@ -1,6 +1,6 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Five kinds of dead code fail here:
+Five kinds of dead code fail here, and one cost at import:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -17,7 +17,10 @@ Five kinds of dead code fail here:
   directories passes by keyword or by position.  Calls match by the
   called name alone, and a call with ``*args`` or ``**kwargs`` sets every
   option of its name.  Non-frozen dataclasses, filled after construction
-  like ``RunResult``, are exempt.
+  like ``RunResult``, are exempt;
+* a scipy import that runs when its module loads (anywhere outside a
+  function body): ``import nlw`` loads numpy alone, and each scipy
+  subpackage loads inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -252,3 +255,21 @@ def test_every_option_is_set_by_some_call():
                 continue
             unset.append(f"{path.name} {label}")
     assert not unset, "options that no call sets: " + ", ".join(unset)
+
+
+def _load_time_imports(node: ast.AST):
+    """Import statements that run when the module loads: all but those inside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _load_time_imports(child)
+
+
+def test_no_scipy_import_runs_at_module_load():
+    eager = []
+    for path in _modules():
+        for node in _load_time_imports(_parse(path)):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            eager += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not eager, "module-level scipy imports: " + ", ".join(eager)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -335,13 +336,36 @@ def test_threshold_equals_normal_quantile_exactly(n_nodes):
     assert rep.threshold == float(norm.ppf(1.0 - alpha3 / (2.0 * n_nodes)))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a third of the package import time
-    src = str(Path(nlw.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, nlw; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+# in a fresh interpreter: the scipy modules loaded after import, after validating
+# each shipped config, and after building constant_torus
+_COLD_START = """
+import json, pathlib, sys
+
+import nlw
+
+configs, out_dir = map(pathlib.Path, sys.argv[1:3])
+scipy_modules = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
+loaded = {"import": scipy_modules()}
+for path in sorted(configs.glob("*.json")):
+    nlw.validate_config(json.loads(path.read_text()))
+    loaded[f"validate {path.name}"] = scipy_modules()
+nlw.run_config(nlw.load_config(configs / "constant_torus.json"), out_dir=str(out_dir), stages=("build",))
+loaded["build"] = scipy_modules()
+print(json.dumps({"scipy.stats": "scipy.stats" in sys.modules, "loaded": loaded}))
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs about a third of the package import time, and no scipy
+    # subpackage loads before a call needs it: import, validation and a build need none
+    root = Path(nlw.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", _COLD_START, str(root / "configs"), str(tmp_path / "out")]
+    report = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert report["scipy.stats"] is False
+    assert len(report["loaded"]) == 2 + len(list((root / "configs").glob("*.json")))
+    assert report["loaded"] == {step: [] for step in report["loaded"]}
+    assert (tmp_path / "out" / "system.json").exists()
 
 
 def test_degenerate_expected_probabilities():
