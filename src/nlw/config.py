@@ -28,9 +28,11 @@ structural, plus the whitelist that every potential expression must
 pass (the one `PotentialSpec` applies), the integrator and output grid
 that ``flow.solve`` would build (the same ``IntegratorConfig`` and grid
 helper, so a bad horizon, step or output time fails before the system
-is built), and the fit of each state spec to the grid: a point mass
-inside it, a table with one value per cell.  Other numerical legality
-is enforced by the objects each section ultimately constructs.
+is built), the fit of each state spec to the grid (a point mass inside
+it, a table with one value per cell), and the system's kernel and
+measure, built here as the build builds them (a tabulated kernel, whose
+source the build reads, has only its numbers checked).  Other numerical
+legality is enforced by the objects each section ultimately constructs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import json
 from dataclasses import dataclass, field
 
 from .flow import IntegratorConfig, _output_grid
-from .kernels import _checked_expr, _lattice_level
+from .kernels import _checked_expr, _lattice_level, kernel_from_dict, measure_from_dict
 
 __all__ = [
     "ConfigError",
@@ -74,6 +76,18 @@ def _int_at_least(value, minimum: int, path: str) -> int:
     return value
 
 
+def _checked(path: str, build, *args):
+    """``build(*args)``, with a TypeError or ValueError it raises turned into a ConfigError at ``path``."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _holds_tabulated(kernel: dict) -> bool:
+    return kernel["type"] == "tabulated" or (kernel["type"] == "weighted" and _holds_tabulated(kernel["base"]))
+
+
 def _validate_potential(doc, path) -> dict:
     _check_keys(doc, {"expr", "table"}, path)
     if ("expr" in doc) == ("table" in doc):
@@ -81,10 +95,7 @@ def _validate_potential(doc, path) -> dict:
     if "expr" in doc:
         if not isinstance(doc["expr"], str):
             raise ConfigError(f"{path}.expr: expected a string")
-        try:
-            _checked_expr(doc["expr"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}.expr: {exc}") from None
+        _checked(f"{path}.expr", _checked_expr, doc["expr"])
     if "table" in doc:
         _check_keys(doc["table"], {"dim", "values"}, f"{path}.table")
         _require(doc["table"], "values", f"{path}.table")
@@ -105,8 +116,9 @@ def _validate_kernel(doc, path) -> dict:
         _validate_kernel(_require(doc, "base", path), f"{path}.base")
     elif kind == "tabulated":
         _check_keys(doc, {"type", "path", "sha256", "bandwidth", "exponent"}, path)
-        for key in ("path", "bandwidth", "exponent"):
-            _require(doc, key, path)
+        _require(doc, "path", path)
+        for key in ("bandwidth", "exponent"):
+            _checked(f"{path}.{key}", float, _require(doc, key, path))
     else:
         raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
     return doc
@@ -151,10 +163,7 @@ def _check_table(path: str, table: dict, key: str, dim: int, levels: tuple) -> N
         raise ConfigError(f"{path}.dim: a {table_dim}-dimensional table on a {dim}-dimensional system")
     if not isinstance(table[key], list) or not table[key]:
         raise ConfigError(f"{path}.{key}: expected a non-empty list")
-    try:
-        n = _lattice_level(len(table[key]), dim)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from None
+    n = _checked(f"{path}.{key}", _lattice_level, len(table[key]), dim)
     for level in levels:
         if level % n:
             raise ConfigError(
@@ -293,19 +302,10 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if times is not None:
             if not isinstance(times, list) or len(times) < 2:
                 raise ConfigError("flow.output_times: expected a list of at least two times")
-            try:
-                times = tuple(float(t) for t in times)
-            except (TypeError, ValueError):
-                raise ConfigError("flow.output_times: expected a list of numbers") from None
+            times = tuple(_checked("flow.output_times", float, t) for t in times)
         # the checks solve makes, so that a bad horizon, step or grid fails before the build
-        try:
-            icfg = IntegratorConfig.from_dict(integ)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"flow.integrator: {exc}") from None
-        try:
-            _output_grid(icfg, times)
-        except ValueError as exc:
-            raise ConfigError(f"{'flow.integrator' if times is None else 'flow.output_times'}: {exc}") from None
+        icfg = _checked("flow.integrator", IntegratorConfig.from_dict, integ)
+        _checked("flow.integrator" if times is None else "flow.output_times", _output_grid, icfg, times)
         flow = FlowSection(initial=initial, integrator=integ, output_times=times)
 
     metric = None
@@ -379,6 +379,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
     for spec, path, grid_levels in specs:
         for table in _tables(spec, path):
             _check_table(*table, dim, grid_levels)
+    # the objects the build makes check the values; a tabulated kernel reads its
+    # source there, so only its numbers are checked (in _validate_kernel)
+    if not _holds_tabulated(kernel):
+        _checked("system.kernel", kernel_from_dict, kernel)
+    _checked("system.measure", measure_from_dict, measure)
 
     if flow is None and "sampler" in doc:
         raise ConfigError("sampler: requires a flow section (the horizon and reference marginal come from it)")

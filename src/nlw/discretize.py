@@ -31,7 +31,8 @@ use a midpoint lattice whose subcells get exact-geometry mask fractions
 from a fixed sub-lattice; accuracy there is the doubling tolerance, not
 machine precision.  Work runs in blocks of at most ``_NODE_BUDGET``
 nodes, and a rule whose per-pair node array would exceed
-``_PAIR_BYTES_LIMIT`` raises QuadratureError before it is allocated.
+``_ARRAY_BYTES_LIMIT`` raises QuadratureError before it is allocated, as
+does a pushforward rule whose cell nodes would.
 
 Offset classes.  On the uniform measure with a translation-invariant
 kernel (constant, fractional) the pair integral depends only on the
@@ -68,6 +69,7 @@ from .kernels import (
     MeasureSpec,
     UniformMeasure,
     _gauss_nodes,
+    _refuse_above_limit,
     _values_with_radius,
 )
 from .torus import GridSpec, build_grid, wrapped_norm
@@ -93,6 +95,7 @@ SYSTEM_SCHEMA = "nlw-system/v1"
 
 PAIR_TOL = 1e-4  # relative change that stops the doubling of a cell-pair rule
 CELL_TOL = 1e-12  # relative change that stops the doubling of the per-cell pushforward rule
+MIN_CELL_MASS = 1e-14  # smallest pi_n(j) a cell may carry
 MAX_DOUBLINGS = 7  # doublings allowed before either rule raises QuadratureError
 _PAIR_BLOCK = 1 << 14  # pairs per block of CellPairs.blocks
 
@@ -102,12 +105,22 @@ class QuadratureError(RuntimeError):
 
 
 class ZeroCellError(ValueError):
-    """A cell carries (numerically) no reference mass.
+    """A cell carries (numerically) no reference mass: pi_n(j) < ``MIN_CELL_MASS``.
 
-    Entropy, Fisher information and the kernel normalization all divide
-    by pi_n, so near-empty cells are rejected rather than clamped; mixing
-    in a sliver of Lebesgue measure (MixedMeasure) is the supported fix.
+    Every layer works in u = drho/dpi_n, so every DiscreteSystem, built,
+    loaded or made from arrays, rejects near-empty cells rather than
+    clamping them; mixing in a sliver of Lebesgue measure (MixedMeasure)
+    is the supported fix.
     """
+
+
+def _reject_empty_cells(pi: np.ndarray) -> None:
+    bad = np.nonzero(pi < MIN_CELL_MASS)[0]
+    if bad.size:
+        raise ZeroCellError(
+            f"cells {bad[:8].tolist()} carry mass below {MIN_CELL_MASS:g}; mix in Lebesgue measure "
+            "or coarsen the grid"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +157,9 @@ class DiscreteSystem:
     """An immutable weighted-graph system (grid, pi_n, eta_n).
 
     Invariants (enforced at construction): pi sums to 1 within 1e-12
-    with nonnegative entries; eta is exactly symmetric, has an exactly
-    zero diagonal, and is finite and nonnegative.
+    with entries at least ``MIN_CELL_MASS`` (else ZeroCellError); eta is
+    exactly symmetric, has an exactly zero diagonal, and is finite and
+    nonnegative.
     """
 
     grid: GridSpec
@@ -161,8 +175,9 @@ class DiscreteSystem:
             raise ValueError(f"pi has shape {pi.shape}, expected ({n},)")
         if eta.shape != (n, n):
             raise ValueError(f"eta has shape {eta.shape}, expected ({n}, {n})")
-        if not np.all(np.isfinite(pi)) or np.any(pi < 0):
-            raise ValueError("pi entries must be finite and nonnegative")
+        if not np.all(np.isfinite(pi)):
+            raise ValueError("pi entries must be finite")
+        _reject_empty_cells(pi)
         if abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError(f"pi sums to {pi.sum()!r}, not 1")
         if not np.all(np.isfinite(eta)) or np.any(eta < 0):
@@ -224,14 +239,18 @@ def pushforward_measure(
 
     Per-cell tensor Gauss quadrature of the density, with the order
     doubled until the weights stop moving (relative change below
-    ``CELL_TOL``).  The renormalization factor must lie within
-    1e-8 of 1 — a larger defect means the quadrature, not the measure,
-    is wrong.  Weights below 1e-14 raise ZeroCellError.
+    ``CELL_TOL``), unless its cell nodes would exceed
+    ``_ARRAY_BYTES_LIMIT`` bytes (QuadratureError).  The renormalization
+    factor must lie within 1e-8 of 1 — a larger defect means the
+    quadrature, not the measure, is wrong.  Weights below
+    ``MIN_CELL_MASS`` raise ZeroCellError.
     """
     order = 16 if grid.dim == 1 else (8 if grid.dim == 2 else 5)
     prev = None
     weights = None
     for _ in range(MAX_DOUBLINGS + 1):
+        need = grid.n_points * order**grid.dim * grid.dim * 8
+        _refuse_above_limit(need, QuadratureError, "pushforward quadrature (unconverged)", f"order {order}")
         nodes, wts = _cell_nodes(grid, order)
         dens = pi.density(nodes.reshape(-1, grid.dim)).reshape(grid.n_points, -1)
         weights = dens @ wts
@@ -251,12 +270,7 @@ def pushforward_measure(
             "at quadrature accuracy"
         )
     weights = weights / total
-    bad = np.nonzero(weights < 1e-14)[0]
-    if bad.size:
-        raise ZeroCellError(
-            f"cells {bad[:8].tolist()} carry mass below 1e-14; mix in Lebesgue measure "
-            "or coarsen the grid"
-        )
+    _reject_empty_cells(weights)
     if return_factor:
         return weights, total
     return weights
@@ -306,12 +320,10 @@ def _pair_representatives(spec, pi, grid: GridSpec, jj: np.ndarray, kk: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# Largest point array one cell pair may need: the (T U, d) nodes of its outer
-# (T) and inner (U) rule.  Larger requests raise QuadratureError up front
-# instead of running out of memory; below it `_pair_integrals` evaluates at
+# One cell pair's (T U, d) nodes of its outer (T) and inner (U) rule may take
+# at most ``_ARRAY_BYTES_LIMIT`` bytes; below it `_pair_integrals` evaluates at
 # most ``_NODE_BUDGET`` (pair, outer, inner) nodes at a time and holds at most
 # ``_OUTER_VALUES`` masked inner integrals (pair, outer) for its outer sums.
-_PAIR_BYTES_LIMIT = 2**30
 _NODE_BUDGET = 2**17
 _OUTER_VALUES = 2**20
 
@@ -398,18 +410,14 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
     inner sums do not depend on the blocking, and the outer sums run over
     chunks of ``_OUTER_VALUES`` masked inner integrals, independent of the
     node budget.  A pair whose node array would exceed
-    ``_PAIR_BYTES_LIMIT`` raises QuadratureError before anything is
+    ``_ARRAY_BYTES_LIMIT`` raises QuadratureError before anything is
     allocated.
     """
     d, w = grid.dim, grid.cell_width
     dhalf = 0.5 * grid.cell_diameter
     n_tau, n_u = rule.tau.size**d, rule.order**d
-    need = n_tau * n_u * d * 8
-    if need > _PAIR_BYTES_LIMIT:
-        raise QuadratureError(
-            f"{rule.name} for cells {int(j[0])} and {int(k[0])} needs about {need / 2**20:.0f} MiB "
-            f"per array at {rule.size} (limit {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB)"
-        )
+    what = f"{rule.name} for cells {int(j[0])} and {int(k[0])}"
+    _refuse_above_limit(n_tau * n_u * d * 8, QuadratureError, what, rule.size)
     length1 = w - np.abs(rule.tau)
     wt = reduce(np.multiply.outer, [rule.weight * length1] * d).reshape(-1)
     u1, wu1 = _gauss_nodes(0.0, 1.0, rule.order)
@@ -478,13 +486,11 @@ def discretize_kernel(
     """
     if weights is None:
         weights = pushforward_measure(pi, grid)
-    if np.any(weights <= 0):
-        raise ZeroCellError("kernel normalization requires strictly positive cell masses")
+    _reject_empty_cells(weights)
     N, d = grid.n_points, grid.dim
     dhalf = 0.5 * grid.cell_diameter
-    min_d2 = _pair_min_distance_sq(grid)
     jj, kk = np.triu_indices(N, k=1)
-    lattice = (min_d2[jj, kk] < dhalf * dhalf) & (d > 1)
+    lattice = np.zeros(jj.size, dtype=bool) if d == 1 else _pair_min_distance_sq(grid)[jj, kk] < dhalf * dhalf
     integrals = np.zeros(jj.shape[0])
     rep = _pair_representatives(spec, pi, grid, jj, kk)
     evaluated = rep == np.arange(rep.size)

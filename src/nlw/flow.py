@@ -18,19 +18,20 @@ solves the nonlocal continuity equation exactly and its kinetic action
 equals the Fisher information identically — the discrete form of the
 entropy-dissipation identity dH/dt = -I = -A.
 
-One propagator, exact at every output time: K is self-adjoint in
-L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric, and one
-eigendecomposition S = V Lambda V^T gives
+One propagator, exact at every output time: every cell carries mass and
+K is self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric,
+and one eigendecomposition S = V Lambda V^T gives
 u(t) = Pi^{-1/2} V exp(t Lambda) V^T Pi^{1/2} u0 for all t at once (the
 eigenvector method of Moler & Van Loan, SIAM Rev. 2003).  The same
-spectrum gives the spectral gap lambda_1, minus the largest nonzero
-eigenvalue: near equilibrium the relative entropy decays like
-exp(-2 lambda_1 t), and 2 lambda_1 also bounds the modified log-Sobolev
-constant from above (Bobkov & Tetali, J. Theor. Probab. 2006).  An
-integrator is set by its method (``matrix_exponential``, the only one),
-its horizon (``T`` in configs) and its step ``dt``, which only sets the
-default output grid; nothing else.  Ill-conditioned results surface as
-IntegratorError rather than being silently renormalized.
+spectrum gives the spectral gap lambda_1, minus the second-largest
+eigenvalue (the largest is the constant mode's 0): near equilibrium the
+relative entropy decays like exp(-2 lambda_1 t), and 2 lambda_1 also
+bounds the modified log-Sobolev constant from above (Bobkov & Tetali,
+J. Theor. Probab. 2006).  An integrator is set by its method
+(``matrix_exponential``, the only one), its horizon (``T`` in configs)
+and its step ``dt``, which only sets the default output grid; nothing
+else.  Ill-conditioned results surface as IntegratorError rather than
+being silently renormalized.
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ class Trajectory:
 
     Diagnostics: H (relative entropy), I (Fisher information; may be
     inf at t = 0 for states with holes), mass, min_u.  ``spectral_gap``
-    is lambda_1 of the generator on the cells with mass, so H decays at
-    the asymptotic rate 2 lambda_1.  Construction re-validates every
-    state and the entropy monotonicity invariant (non-increasing up to
-    1e-10).
+    is lambda_1, minus the generator's second-largest eigenvalue, so H
+    decays at the asymptotic rate 2 lambda_1.  Construction re-validates
+    every state and the entropy monotonicity invariant (non-increasing
+    up to 1e-10).
     """
 
     system: DiscreteSystem
@@ -234,23 +235,6 @@ def _output_grid(cfg: IntegratorConfig, output_times) -> np.ndarray:
     return np.arange(n_steps + 1) * cfg.dt
 
 
-def _clamp_roundoff_negatives(u: np.ndarray) -> np.ndarray:
-    worst = float(u.min())
-    if worst < -1e-13:
-        raise IntegratorError(
-            f"the spectral propagator produced density {worst:.3e} below the positivity floor -1.0e-13"
-        )
-    return np.where(u < 0.0, 0.0, u)
-
-
-def _exp_divided_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(exp a - exp b)/(a - b), equal to exp a where a = b, without overflow for a, b <= 0."""
-    gap = np.abs(a - b)
-    with np.errstate(invalid="ignore"):
-        q = np.where(gap > 0.0, -np.expm1(-gap) / gap, 1.0)
-    return np.exp(np.maximum(a, b)) * q
-
-
 def solve(
     sys: DiscreteSystem,
     u0: DensityState,
@@ -276,14 +260,10 @@ def solve(
     # the eigenbasis: mass then holds to roundoff however far the computed
     # zero eigenvalue sits from 0
     m = float(u0.u @ sys.pi)
-    w0 = u0.u - m
     K = generator_matrix(sys)
-    has_mass = sys.pi > 0.0
     sqrt_pi = np.sqrt(sys.pi)
-    inv_sqrt_pi = 1.0 / np.where(has_mass, sqrt_pi, 1.0)
-    feed = K[~has_mass][:, has_mass]  # what zero-mass cells receive; they send nothing
-    # S = Pi^{1/2} K Pi^{-1/2} in place, S_ij = eta_ij sqrt(pi_i pi_j) off the
-    # diagonal; rows and columns of zero-mass cells come out 0
+    inv_sqrt_pi = 1.0 / sqrt_pi
+    # S = Pi^{1/2} K Pi^{-1/2} in place, S_ij = eta_ij sqrt(pi_i pi_j) off the diagonal
     K *= sqrt_pi[:, None]
     K *= inv_sqrt_pi[None, :]
     # divide and conquer (dsyevd) rather than eigh's default dsyevr: 2x
@@ -292,23 +272,18 @@ def solve(
     lam, V, info = dsyevd(K.T, overwrite_a=1)
     if info != 0:
         raise IntegratorError(f"symmetric eigensolver dsyevd failed (info {info})")
-    # lam ascends and is <= 0 up to roundoff; its top holds the constant mode's 0 and one
-    # more 0 for each zero-mass cell, whose row and column of S vanish
-    top = 2 + int(np.count_nonzero(~has_mass))
-    spectral_gap = -float(lam[-top]) if top <= lam.size else float("inf")
-    c = V.T @ (sqrt_pi * w0)
+    # lam ascends and is <= 0 up to roundoff; its top is the constant mode's 0
+    spectral_gap = -float(lam[-2])
+    c = V.T @ (sqrt_pi * (u0.u - m))
     out = np.empty((times.shape[0], sys.n_points))
     out[0] = u0.u
     out[1:] = m + ((np.exp(np.outer(times[1:], lam)) * c) @ V.T) * inv_sqrt_pi
-    if not has_mass.all():
-        # u_z' = -r_z u_z + feed_z . u(t) on the cells with mass, integrated
-        # exactly mode by mode: int_0^t exp(-r (t - s)) exp(lam s) ds
-        rate = feed.sum(axis=1)
-        coupling = (feed * inv_sqrt_pi[has_mass]) @ V[has_mass] * c
-        for k, t in enumerate(times[1:], start=1):
-            kernel = t * _exp_divided_difference(lam[None, :] * t, -rate[:, None] * t)
-            out[k, ~has_mass] = m + np.exp(-rate * t) * w0[~has_mass] + np.sum(kernel * coupling, axis=1)
-    out[1:] = _clamp_roundoff_negatives(out[1:])
+    worst = float(out.min())
+    if worst < -1e-13:
+        raise IntegratorError(
+            f"the spectral propagator produced density {worst:.3e} below the positivity floor -1.0e-13"
+        )
+    out[1:] = np.where(out[1:] < 0.0, 0.0, out[1:])
 
     mass = out @ sys.pi
     drift = float(np.max(np.abs(mass - 1.0)))

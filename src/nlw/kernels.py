@@ -99,6 +99,16 @@ class CoverageError(KernelError):
     """No stored grid pair lies within the interpolation bandwidth."""
 
 
+# Largest array one step of a quadrature rule (c_V, pushforward, cell pair) may allocate.
+_ARRAY_BYTES_LIMIT = 2**30
+
+
+def _refuse_above_limit(need: int, error: type, what: str, at: str) -> None:
+    if need > _ARRAY_BYTES_LIMIT:
+        limit = _ARRAY_BYTES_LIMIT >> 20
+        raise error(f"{what} needs about {need / 2**20:.0f} MiB per array at {at} (limit {limit} MiB)")
+
+
 # ---------------------------------------------------------------------------
 # Potentials
 # ---------------------------------------------------------------------------
@@ -230,7 +240,8 @@ class PotentialSpec:
         A table is constant on the nearest-point cells of its lattice, each
         of volume n^-d, so its c_V is the mean of e^{-V} over the table.  An
         expression is integrated by midpoint refinement until one doubling
-        moves it by at most 1e-12 relative.
+        moves it by at most 1e-12 relative; a mesh of more than
+        ``_ARRAY_BYTES_LIMIT`` bytes raises KernelError instead.
         """
         if dim in self._cv:
             return self._cv[dim]
@@ -240,6 +251,7 @@ class PotentialSpec:
             m = 64 if dim == 1 else (48 if dim == 2 else 16)
             prev = None
             for _ in range(8):
+                _refuse_above_limit(m**dim * dim * 8, KernelError, f"c_V of {self.expr!r} (unconverged)", f"m={m}")
                 axes = [(np.arange(m) + 0.5) / m] * dim
                 mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
                 val = float(np.mean(np.exp(-self(mesh))))

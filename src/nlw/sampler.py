@@ -207,7 +207,7 @@ def simulate(sys: DiscreteSystem, rho0: DensityState, config: SamplerConfig) -> 
             jumps = t <= config.horizon
             node[jumps] = _pick_targets(cum, total, last, node[jumps], u_pick[jumps])
             n_jumps += int(np.count_nonzero(jumps))
-            alive = jumps & (total[node] > 0.0)
+            alive = jumps  # every cell has mass and eta is symmetric: a cell a path jumps to can jump back
     return SampleResult(counts=counts, config=config, n_jumps=n_jumps)
 
 

@@ -138,6 +138,42 @@ def test_numerical_failure_is_exit_3_with_partial_manifest(tmp_path, capsys):
     assert manifest["failure"]["stage"] == "build"
 
 
+def test_unconverged_cell_pair_quadrature_is_exit_3_with_partial_manifest(tmp_path, capsys):
+    # a kernel table of level 2 jumps inside cells of level 5, where the pair rule cannot resolve it
+    doc = smoke_doc(tmp_path / "out")
+    doc["system"]["level"] = 5
+    doc["system"]["kernel"] = {
+        "type": "weighted",
+        "potential": {"table": {"values": [0.0, 1.0]}},
+        "base": {"type": "fractional", "s": 1.0},
+    }
+    doc["flow"]["initial"] = {"type": "uniform"}
+    cfg = write_config(tmp_path, doc)
+    assert main(["build", "--config", cfg, "--quiet"]) == EXIT_NUMERICAL
+    assert "QuadratureError in stage build: cell-pair quadrature did not converge" in capsys.readouterr().err
+    failure = json.loads((tmp_path / "out" / "manifest.json").read_text())["failure"]
+    assert failure["stage"] == "build" and failure["kind"] == "QuadratureError"
+
+
+# (section, value, field path): each used to fail after the output directory was made,
+# with a TypeError traceback (exit 1) or a message without its path
+BAD_SPEC_VALUES = [
+    ("kernel", {"type": "constant", "c": None}, "system.kernel"),
+    ("kernel", {"type": "fractional", "s": -1}, "system.kernel"),
+    ("measure", {"type": "mixed", "base": {"type": "uniform"}, "epsilon": None}, "system.measure"),
+]
+
+
+@pytest.mark.parametrize("section, value, path", BAD_SPEC_VALUES, ids=[str(v) for _, v, _ in BAD_SPEC_VALUES])
+def test_a_bad_kernel_or_measure_value_is_exit_2_before_the_build(tmp_path, capsys, section, value, path):
+    doc = shipped_doc("constant_torus", tmp_path / "out")
+    doc["system"][section] = value
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_comparison_is_exit_4(tmp_path):
     doc = smoke_doc(tmp_path / "out", sampler={"n_paths": 30000, "seed": 3, "rate_convention": "source"})
     doc["system"]["measure"] = {"type": "tabulated", "dim": 1, "weights": [0.8, 0.2]}

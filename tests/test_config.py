@@ -197,6 +197,31 @@ def test_tabulated_kernel_may_name_its_source_sha256():
     assert validate_config(doc).system.kernel["sha256"] == "0" * 64
 
 
+# (section, value, field path): values the kernel and measure objects reject
+BAD_SPEC_VALUES = [
+    ("kernel", {"type": "constant", "c": None}, "system.kernel"),
+    ("kernel", {"type": "constant", "c": "one"}, "system.kernel"),
+    ("kernel", {"type": "constant", "c": 0}, "system.kernel"),
+    ("kernel", {"type": "fractional", "s": -1}, "system.kernel"),
+    ("kernel", {"type": "fractional", "s": 1.0, "scale": None}, "system.kernel"),
+    ("kernel", {"type": "weighted", "potential": {"expr": "x"}, "base": {"type": "fractional", "s": 0}}, "system.kernel"),
+    ("kernel", {"type": "tabulated", "path": "sys.json", "bandwidth": None, "exponent": 3.0}, "system.kernel.bandwidth"),
+    ("kernel", {"type": "tabulated", "path": "sys.json", "bandwidth": 0.3, "exponent": "three"}, "system.kernel.exponent"),
+    ("measure", {"type": "mixed", "base": {"type": "uniform"}, "epsilon": None}, "system.measure"),
+    ("measure", {"type": "mixed", "base": {"type": "uniform"}, "epsilon": 2.0}, "system.measure"),
+    ("measure", {"type": "tabulated", "weights": [0.0, 0.0]}, "system.measure"),
+    ("measure", {"type": "tabulated", "weights": [1.0, -1.0]}, "system.measure"),
+]
+
+
+@pytest.mark.parametrize("section, value, path", BAD_SPEC_VALUES, ids=[str(v) for _, v, _ in BAD_SPEC_VALUES])
+def test_kernel_and_measure_values_are_checked_at_validation(section, value, path):
+    doc = minimal_doc()
+    doc["system"][section] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+        validate_config(doc)
+
+
 @pytest.mark.parametrize(
     "density",
     [

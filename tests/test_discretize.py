@@ -12,8 +12,9 @@ import pytest
 from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.special import i0
 
-from nlw import discretize
+from nlw import discretize, kernels
 from nlw.discretize import (
+    MIN_CELL_MASS,
     DiscreteSystem,
     QuadratureError,
     ZeroCellError,
@@ -84,6 +85,14 @@ def test_pushforward_rejects_empty_cells():
     meas = TabulatedMeasure(weights=np.array([1.0, 1.0, 0.0, 1.0]), dim=1)
     with pytest.raises(ZeroCellError):
         pushforward_measure(meas, grid)
+
+
+def test_pushforward_that_does_not_converge_raises():
+    # the kink of V = |x - 0.3| sits inside a cell of level 16, away from every
+    # Gauss node, so each doubling of the order still moves that cell's mass
+    meas = GibbsMeasure(potential=PotentialSpec(expr="abs(x-0.3)"))
+    with pytest.raises(QuadratureError, match="^pushforward quadrature did not converge"):
+        pushforward_measure(meas, build_grid(1, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +228,24 @@ def test_discretize_requires_positive_weights():
 # ---------------------------------------------------------------------------
 
 
+def test_pushforward_refuses_cell_nodes_above_the_byte_limit(monkeypatch):
+    # room for the 16 x 64 nodes of order 64: the jumps of the table inside cells keep
+    # the masses moving, and the doubling to order 128 raises before it allocates
+    monkeypatch.setattr(kernels, "_ARRAY_BYTES_LIMIT", 16 * 64 * 8)
+    meas = GibbsMeasure(potential=PotentialSpec(table_values=np.array([0.0, 1.0, 2.5])))
+    with pytest.raises(QuadratureError, match=r"^pushforward quadrature \(unconverged\) needs about 0 MiB per array at order 128 "):
+        pushforward_measure(meas, build_grid(1, 16))
+    assert np.array_equal(pushforward_measure(UniformMeasure(), build_grid(1, 16)), np.full(16, 1 / 16))
+
+
+def test_cell_pair_quadrature_that_does_not_converge_raises():
+    # the level-2 table potential jumps at x = 1/4 and 3/4, inside cells of
+    # level 5, which no panel boundary of the pair rule holds
+    kernel = WeightedKernel(potential=PotentialSpec(table_values=np.array([0.0, 1.0])), base=FractionalKernel(s=1.0))
+    with pytest.raises(QuadratureError, match=r"^cell-pair quadrature did not converge for 1 pairs; first offender \(1, 4\)"):
+        build_system(kernel, UniformMeasure(), build_grid(1, 5))
+
+
 def test_build_system_constant_uniform():
     grid = build_grid(1, 4)
     sys = build_system(ConstantKernel(c=1.5), UniformMeasure(), grid)
@@ -278,6 +305,24 @@ def test_discrete_system_validation():
     bad2[2, 2] = 1.0
     with pytest.raises(ValueError):
         DiscreteSystem.from_arrays(grid, good_pi, bad2)  # diagonal
+
+
+@pytest.mark.parametrize("mass", [0.0, 0.5 * MIN_CELL_MASS, -1e-3])
+def test_a_cell_without_mass_is_rejected_by_index(tmp_path, mass):
+    # the rule pushforward_measure applies holds for every system, however it is made
+    grid = build_grid(1, 4)
+    eta = np.ones((4, 4)) - np.eye(4)
+    DiscreteSystem.from_arrays(grid, [0.25, 0.5 - MIN_CELL_MASS, MIN_CELL_MASS, 0.25], eta)
+    pi = [0.25, 0.5 - mass, mass, 0.25]
+    with pytest.raises(ZeroCellError, match=r"^cells \[2\] carry mass below 1e-14"):
+        DiscreteSystem.from_arrays(grid, pi, eta)
+    path = tmp_path / "sys.json"
+    save_system(build_system(ConstantKernel(c=1.0), UniformMeasure(), grid), path)
+    doc = json.loads(path.read_text())
+    doc["pi"] = pi
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ZeroCellError, match=r"^cells \[2\] carry mass below 1e-14"):
+        load_system(path)
 
 
 # ---------------------------------------------------------------------------

@@ -297,27 +297,6 @@ def test_trajectory_matches_the_matrix_exponential_at_every_output_time(name):
     assert np.max(np.abs(traj.u - expm_oracle(sys, u0, traj.times))) <= 1e-12 * np.max(np.abs(u0))
 
 
-def test_zero_mass_cells_follow_the_matrix_exponential():
-    # cells 3-5 have pi = 0 and feed nothing back.  Cell 3 hangs on cell 0,
-    # cell 4 is isolated, and cell 5's row rate 1.5 equals minus the double
-    # eigenvalue -1.5 of the three cells with mass: a resonant forcing
-    eta = np.zeros((6, 6))
-    eta[:3, :3] = 1.5
-    eta[3, 0] = 1.0
-    eta[5, :3] = 1.5
-    eta = np.maximum(eta, eta.T)
-    np.fill_diagonal(eta, 0.0)
-    sys = make_system(6, pi=np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0]), eta=eta)
-    u0 = np.array([2.5, 0.25, 0.25, 0.7, 1.3, 0.0])
-    times = np.array([0.0, 0.1, 1.0, 7.0])
-    traj = solve(sys, DensityState(sys, u0), IntegratorConfig(horizon=7.0), times)
-    assert np.max(np.abs(traj.u - expm_oracle(sys, u0, times))) <= 1e-12 * np.max(u0)
-    assert traj.u[-1, 4] == 1.3
-    # the three zero eigenvalues of the zero-mass cells are skipped: the cells
-    # with mass form a complete graph with rates 0.5, whose gap is 3 * 0.5
-    assert traj.spectral_gap == pytest.approx(1.5, rel=1e-14)
-
-
 def test_integrator_config_validation():
     with pytest.raises(ValueError, match="unknown integrator"):
         IntegratorConfig(method="leapfrog")
@@ -488,10 +467,3 @@ def test_spectral_gap_doubles_with_kernel():
 
     assert gap(1.0) == pytest.approx(1.0, rel=1e-15)
     assert gap(2.0) == pytest.approx(2.0 * gap(1.0), rel=1e-15)
-
-
-def test_spectral_gap_without_a_second_cell_with_mass_is_infinite():
-    sys = two_state(pi=(1.0, 0.0))
-    traj = solve(sys, DensityState(sys, np.array([1.0, 0.0])), IntegratorConfig(horizon=1.0))
-    assert traj.spectral_gap == np.inf
-    assert np.all(traj.entropy == 0.0)

@@ -103,6 +103,16 @@ def test_potential_expression_and_normalization():
     assert V.normalization(1) == pytest.approx(float(i0(1.0)), rel=1e-10)
 
 
+def test_normalization_refuses_a_mesh_above_the_byte_limit(monkeypatch):
+    # with room for meshes of up to 128 points, the kink of |x - 0.3| keeps the
+    # midpoint sum moving, and the doubling to 256 raises before it allocates
+    cos_cv = PotentialSpec(expr="cos(2*pi*x)").normalization(1)
+    monkeypatch.setattr(nlw.kernels, "_ARRAY_BYTES_LIMIT", 128 * 8)
+    with pytest.raises(KernelError, match=r"^c_V of 'abs\(x-0.3\)' \(unconverged\) needs about 0 MiB per array at m=256 "):
+        PotentialSpec(expr="abs(x-0.3)").normalization(1)
+    assert PotentialSpec(expr="cos(2*pi*x)").normalization(1) == cos_cv  # converged at m=128
+
+
 def test_potential_table_lookup():
     vals = np.array([0.0, 1.0, 2.0, 3.0])
     V = PotentialSpec(table_values=vals, table_dim=1)

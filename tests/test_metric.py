@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -145,6 +144,7 @@ def test_log_mean_and_partials_at_extreme_ratios():
 
 
 def _mp_log_mean(r, s):
+    mp = pytest.importorskip("mpmath")
     R, S = mp.mpf(r), mp.mpf(s)
     ell = mp.log(R) - mp.log(S)
     theta = (R - S) / ell
@@ -155,6 +155,7 @@ def _mp_log_mean(r, s):
 
 def test_log_mean_keeps_its_digits_when_the_first_argument_is_much_smaller():
     # log1p((r - s)/s) sits next to log1p(-1) here: 2.7e-10 off at r = 1e-8, 2.5e-5 at 1e-14
+    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     for r in (1e-4, 1e-8, 1e-12, 1e-14, 1e-17):
         for a, b in ((r, 1.0), (1.0, r), (3.0 * r, 2.5)):
@@ -175,6 +176,7 @@ def test_log_mean_keeps_its_digits_when_the_first_argument_is_much_smaller():
     ids=["near", "far", "extreme"],
 )
 def test_log_mean_second_partials_against_mpmath(pairs):
+    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     r, s = (np.array(v) for v in zip(*pairs))
     rr, rs, ss = _log_mean_derivatives(r, s)[3:]
@@ -209,6 +211,7 @@ def test_log_mean_and_partials_reject_negative_arguments():
 
 
 def test_oracle_against_high_precision_quadrature():
+    mp = pytest.importorskip("mpmath")
     sys = two_state(pi=(0.3, 0.7), eta12=1.7)
     rho_a = state(sys, [8.0 / 3.0, 0.0 / 0.7 + 2.0 / 7.0])  # masses 0.8, 0.2
     rho_b = state(sys, [1.0, 1.0])  # masses 0.3, 0.7

@@ -143,14 +143,14 @@ def gibbs_system():
 
 
 def absorbing_system():
-    # cell 5 has pi = 0: under source-weighted rates its row is zero, so it
-    # absorbs every path that reaches it; cell 2 is isolated from the start
+    # cell 2 is isolated: a path that starts there has no rate and never
+    # jumps, and no other path can reach it
     rng = np.random.default_rng(4)
     mat = rng.uniform(0.5, 2.0, size=(6, 6))
     eta = mat + mat.T
     np.fill_diagonal(eta, 0.0)
     eta[2, :] = eta[:, 2] = 0.0
-    return make_system(6, pi=np.array([0.3, 0.2, 0.2, 0.15, 0.15, 0.0]), eta=eta)
+    return make_system(6, pi=np.array([0.3, 0.2, 0.2, 0.15, 0.1, 0.05]), eta=eta)
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,8 @@ def test_lockstep_paths_equal_the_scalar_oracle(make, convention, seed):
         assert np.array_equal(res.counts, counts), p
         assert res.n_jumps == n_jumps, p
     if convention == "source":
-        assert counts[5] > 0 and counts[2] > 0
+        # the isolated cell 2 holds exactly the paths that start there, and none of them jumps
+        assert counts[2] > 0 and all(jumps == 0 for node, jumps in expected if node == 2)
 
 
 def test_chunking_does_not_change_the_result(monkeypatch):
