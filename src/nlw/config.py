@@ -31,7 +31,8 @@ helper, so a bad horizon, step or output time fails before the system
 is built), the fit of each state spec to the grid (a point mass inside
 it, a table with one value per cell), and the system's kernel and
 measure, built here as the build builds them (a tabulated kernel, whose
-source the build reads, has only its numbers checked).  Other numerical
+source the build reads, has only its numbers and its exponent > 2
+checked).  Other numerical
 legality is enforced by the objects each section ultimately constructs.
 """
 
@@ -117,8 +118,10 @@ def _validate_kernel(doc, path) -> dict:
     elif kind == "tabulated":
         _check_keys(doc, {"type", "path", "sha256", "bandwidth", "exponent"}, path)
         _require(doc, "path", path)
-        for key in ("bandwidth", "exponent"):
-            _checked(f"{path}.{key}", float, _require(doc, key, path))
+        _checked(f"{path}.bandwidth", float, _require(doc, "bandwidth", path))
+        exponent = _checked(f"{path}.exponent", float, _require(doc, "exponent", path))
+        if not exponent > 2.0:  # the rule of extend_kernel; the bandwidth's needs the source grid
+            raise ConfigError(f"{path}.exponent: interpolation exponent must be > 2, got {exponent:g}")
     else:
         raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
     return doc

@@ -131,9 +131,9 @@ def _reject_empty_cells(pi: np.ndarray) -> None:
 class CellPairs(NamedTuple):
     """Every cell pair i < j, in ``np.triu_indices`` order, with its conductance.
 
-    ``w = eta[i, j] * pi[i] * pi[j]``, evaluated left to right.  Pairs
-    with eta = 0 stay in the list with w = 0, so a flux on any pair has
-    a slot.
+    ``w = eta[i, j] * pi[i] * pi[j]``, evaluated left to right; every
+    ``w`` is positive, since a system has eta > 0 and pi > 0 on every
+    pair, so the list is also the edge list of the transport solver.
     """
 
     i: np.ndarray
@@ -158,8 +158,9 @@ class DiscreteSystem:
 
     Invariants (enforced at construction): pi sums to 1 within 1e-12
     with entries at least ``MIN_CELL_MASS`` (else ZeroCellError); eta is
-    exactly symmetric, has an exactly zero diagonal, and is finite and
-    nonnegative.
+    finite, exactly symmetric, has an exactly zero diagonal and is
+    positive off it (condition (5) of ``kernels``), so every pair i != j
+    is an edge and the support graph is complete.
     """
 
     grid: GridSpec
@@ -180,12 +181,17 @@ class DiscreteSystem:
         _reject_empty_cells(pi)
         if abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError(f"pi sums to {pi.sum()!r}, not 1")
-        if not np.all(np.isfinite(eta)) or np.any(eta < 0):
-            raise ValueError("eta entries must be finite and nonnegative")
+        if not np.all(np.isfinite(eta)):
+            raise ValueError("eta entries must be finite")
         if not np.array_equal(eta, eta.T):
             raise ValueError("eta must be exactly symmetric")
         if np.any(np.diagonal(eta) != 0.0):
             raise ValueError("eta must have an exactly zero diagonal")
+        closed = eta <= 0.0
+        closed[np.diag_indices(n)] = False
+        if closed.any():
+            i, j = divmod(int(np.argmax(closed)), n)
+            raise ValueError(f"eta must be positive off the diagonal, but eta[{i}, {j}] = {eta[i, j]:g}")
         pi.setflags(write=False)
         eta.setflags(write=False)
         object.__setattr__(self, "pi", pi)

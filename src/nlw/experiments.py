@@ -146,11 +146,11 @@ def run_flow_stage(cfg: ExperimentConfig, sys: DiscreteSystem):
 class LSICertificate:
     """Entropy-decay certificate from a uniform kernel lower bound.
 
-    When every off-diagonal kernel entry is >= c > 0, the entropy
-    satisfies H <= I / c state-by-state, and by integration
-    H(t) <= H(0) exp(-c t).  Both facts are checked on the actual
-    trajectory data; ``certified`` is their conjunction.  A kernel that
-    touches zero admits no such bound (c = 0): no certificate.
+    Every system has eta > 0 off the diagonal, so c, the smallest
+    off-diagonal entry, is positive, the entropy satisfies H <= I / c
+    state-by-state, and by integration H(t) <= H(0) exp(-c t).  Both
+    facts are checked on the actual trajectory data; ``certified`` is
+    their conjunction.
     ``decay_rate`` is 2 lambda_1, twice the trajectory's spectral gap:
     the asymptotic decay rate of the entropy and an upper bound on the
     modified log-Sobolev constant, so c <= lambda_1 <= decay_rate.
@@ -163,7 +163,6 @@ class LSICertificate:
     envelope_slack: float
     certified: bool
     decay_rate: float
-    note: str = ""
 
 
 def lsi_certify(sys: DiscreteSystem, traj: Trajectory, tol: float = 1e-8) -> LSICertificate:
@@ -172,17 +171,6 @@ def lsi_certify(sys: DiscreteSystem, traj: Trajectory, tol: float = 1e-8) -> LSI
     off = sys.eta[~np.eye(n, dtype=bool)]
     c = float(off.min())
     decay_rate = 2.0 * traj.spectral_gap
-    if c <= 0.0:
-        return LSICertificate(
-            c=c,
-            pointwise_ok=False,
-            pointwise_slack=float("nan"),
-            envelope_ok=False,
-            envelope_slack=float("nan"),
-            certified=False,
-            decay_rate=decay_rate,
-            note="kernel vanishes on some pair: no uniform lower bound, no certificate",
-        )
     H, I = traj.entropy, traj.fisher
     finite = np.isfinite(I)
     pointwise_slack = float(np.max(H[finite] - I[finite] / c)) if finite.any() else 0.0
@@ -341,7 +329,7 @@ class RunResult:
     @property
     def all_checks_passed(self) -> bool:
         """False when any produced pass/fail artifact reports failure, or the
-        transport solve did not converge (an infeasible pair, w = inf, has)."""
+        transport solve did not converge."""
         if self.failure is not None:
             return False
         if self.metric is not None and not self.metric.converged:

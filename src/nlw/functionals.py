@@ -24,8 +24,9 @@ sum 1/2 sum_{i != j} of the same symmetric term.
 
 Conventions for degenerate values follow the variational definitions:
 0 log 0 = 0 in the entropy; r (log r - log 0) = +infinity in the Fisher
-information (an absolutely-continuous state with mass next to a hole has
-infinite slope); in the action 0^2/0 = 0 and v^2/0 = +infinity for
+information, and since every pair has eta > 0 (a ``DiscreteSystem``
+invariant) every hole sits next to mass, so a state with a hole has
+infinite slope; in the action 0^2/0 = 0 and v^2/0 = +infinity for
 v != 0.  Infinities are ordinary IEEE inf values propagated through
 sums, never exceptions.
 """
@@ -301,24 +302,18 @@ def relative_entropy(rho: DensityState) -> float:
 
 
 def fisher_information(rho: DensityState) -> float:
-    """Nonlocal Fisher information; +inf when mass sits next to a hole.
+    """Nonlocal Fisher information; +inf when some u = 0.
 
     sum_{i < j} (u_i - u_j)(log u_i - log u_j) w_ij over the system's
-    pair list, with r (log r - log 0) = +inf for r > 0 across a pair with
-    eta > 0 and 0 (log 0 - log 0) = 0.
+    pair list.  A state has mass 1, so some u > 0, and every pair has
+    eta > 0: a hole sits next to mass, where r (log r - log 0) = +inf.
     """
     u = rho.u
-    sys = rho.system
-    pairs = sys.pairs
-    pos = u > 0.0
-    if not np.all(pos):
-        mixed = pos[pairs.i] != pos[pairs.j]
-        if np.any(sys.eta[pairs.i[mixed], pairs.j[mixed]] > 0.0):
-            return float("inf")
-    # u and log u side by side, so one gather per pair end fetches both;
-    # log 0 is set to 0: a pair still touching a hole is empty at both
-    # ends or has eta = 0, so its term is 0
-    ul = np.column_stack([u, np.log(np.where(pos, u, 1.0))])
+    pairs = rho.system.pairs
+    if not np.all(u > 0.0):
+        return float("inf")
+    # u and log u side by side, so one gather per pair end fetches both
+    ul = np.column_stack([u, np.log(u)])
     total = 0.0
     for b in pairs.blocks():
         diff = np.take(ul, pairs.i[b], axis=0) - np.take(ul, pairs.j[b], axis=0)
@@ -332,7 +327,7 @@ def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
     sum over the pairs i < j of v_ij^2 / (theta(u_i,u_j) w_ij), which
     equals the ordered-pair sum of v_ij^2 / (2 theta eta_ij pi_i pi_j).
     Degenerate pairs follow 0/0 = 0 and c/0 = +inf for c > 0: flux
-    across a closed or empty pair costs infinitely much.  ``theta_fn``
+    across a pair with theta = 0 costs infinitely much.  ``theta_fn``
     defaults to the logarithmic mean; another mean gives another
     geometry (the tests use the arithmetic mean as a negative control).
     """

@@ -17,7 +17,9 @@ gradient-flow machinery when
   (5) eta is strictly positive.
 
 `check_assumptions` evaluates (1), (2), (3) and (5) numerically; it
-does not check (4).  `c_eta` packages the flux-bound constant
+does not check (4).  Condition (5) also holds on every discrete system:
+a `DiscreteSystem` rejects an eta_n that is not positive off the
+diagonal, naming the pair.  `c_eta` packages the flux-bound constant
 sqrt(2 * sup_x second_moment), which controls the total flux of
 finite-action paths.
 

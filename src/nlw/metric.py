@@ -26,8 +26,8 @@ Simon, Numer. Math. 2020, use this action on graphs).  The continuity
 multipliers are eliminated next with one dense factorization per step of
 the graph Laplacian with conductances theta * eta_ij pi_i pi_j.  What is
 left is a system in the mass increments, restricted to those that keep
-each component's mass: symmetric positive definite and block tridiagonal
-in time with dense N x N blocks, solved by block Cholesky elimination, so
+the total mass: symmetric positive definite and block tridiagonal in
+time with dense N x N blocks, solved by block Cholesky elimination, so
 a step costs O(M N^3) plus O(M E).  The step is cut to stay inside the
 positive masses (fraction to the boundary) and halved until the Armijo
 test holds.  The barrier schedule, stopping test and line-search
@@ -40,9 +40,12 @@ over all steps is replaced by the least-norm total between the endpoints
 part of the computed total, so the endpoint constraint holds to rounding
 and ``w`` is the pure action of exactly that path.
 
-Infeasible endpoints (mass distributed differently across disconnected
-components of the support graph) are recognized up front and reported
-as an infinite distance rather than a solver failure.
+Every system has eta > 0 on every pair (a ``DiscreteSystem``
+invariant), so the support graph is complete: the edges are the pairs
+i < j, every pair of endpoints with the same total mass is joined by a
+finite-action path, and Maas's discrete transport metric (J. Funct.
+Anal. 2011) is finite.  Equal endpoints are answered without a solve:
+w = 0 along the constant path.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ class MetricResult:
     """Outcome of a distance computation.
 
     ``w`` is the square root of the pure (unsmoothed) action of the
-    returned path; infeasible endpoint pairs get w = inf and no path.
+    returned path.
     ``stage_iterations`` counts the Newton steps of each barrier stage and
     of the polish stage; ``iterations`` is their sum.
     """
@@ -173,8 +176,6 @@ class MetricResult:
     constraint_residual: float
     objective_history: list
     path: DiscretePath | None = None
-    infeasible: bool = False
-    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +184,16 @@ class MetricResult:
 
 
 def _support_edges(sys: DiscreteSystem):
-    """Edge list (i < j with eta > 0) and conductances eta_ij pi_i pi_j: the eta > 0 part of ``sys.pairs``."""
+    """Edge list (every pair i < j) and conductances eta_ij pi_i pi_j: ``sys.pairs`` as columns."""
     pairs = sys.pairs
-    keep = sys.eta[pairs.i, pairs.j] > 0.0
-    return np.column_stack([pairs.i[keep], pairs.j[keep]]), pairs.w[keep]
+    return np.column_stack([pairs.i, pairs.j]), pairs.w
 
 
-def _component_mean(labels: np.ndarray) -> np.ndarray:
-    """The sum of 1_c 1_c^T / n_c over the components c: the projection onto per-component constants."""
-    return (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][None, :]
-
-
-def _graph_laplacian(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """D D^T for the incidence D (+1 at i, -1 at j of edge (i, j)) plus ``_component_mean``:
-    positive definite even with isolated nodes, and D^T maps the added term to zero."""
-    n, ei, ej = labels.size, edges[:, 0], edges[:, 1]
-    lap = _component_mean(labels)
+def _graph_laplacian(edges: np.ndarray, n: int) -> np.ndarray:
+    """D D^T for the incidence D (+1 at i, -1 at j of edge (i, j)) plus 1 1^T / n:
+    positive definite on the connected graph, and D^T maps the added term to zero."""
+    ei, ej = edges[:, 0], edges[:, 1]
+    lap = np.full((n, n), 1.0 / n)
     lap[np.diag_indices(n)] += np.bincount(edges.ravel(), minlength=n)
     lap[ei, ej] -= 1.0
     lap[ej, ei] -= 1.0
@@ -219,13 +214,6 @@ def _node_sums(index: np.ndarray, shape, at_i: np.ndarray, at_j: np.ndarray) -> 
     """Per-step node sums of edge values: ``at_i`` lands on each edge's node i, ``at_j`` on node j."""
     weights = np.concatenate([at_i.ravel(), at_j.ravel()])
     return np.bincount(index, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
-
-
-def _component_labels(sys: DiscreteSystem) -> np.ndarray:
-    from scipy.sparse.csgraph import connected_components
-
-    adj = (sys.eta > 0.0).astype(np.int8)
-    return connected_components(adj, directed=False)[1]
 
 
 def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -272,29 +260,17 @@ class _PathWorkspace:
         self.M = prob.n_steps
         self.dt = 1.0 / self.M
         self.edges, self.q = _support_edges(sys)
-        self.n_edges = self.edges.shape[0]
         self.scatter = _scatter_index(self.edges, self.M, sys.n_points)
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
         self.g = (self.mu0 - self.muT) / self.dt
-        self.labels = labels = _component_labels(sys)
-        self.component_mismatch = max(
-            (abs(float(np.sum(self.g[labels == c]))) for c in range(labels.max() + 1)),
-            default=0.0,
-        ) * self.dt
-        self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(self.edges, labels))
-        self.s0 = self.least_norm(self.g)
-        # barrier acts on nodes whose component carries mass
-        self.barrier_nodes = charged = np.bincount(labels, 0.5 * (self.mu0 + self.muT))[labels] > 0.0
         n = sys.n_points
-        self.component_mean = _component_mean(labels)
-        # Newton steps keep each component's mass and leave massless
-        # components at zero: an orthonormal basis of the excluded mass
-        # increments, one column per charged component and one per node of
-        # an uncharged one
-        comps = np.unique(labels[charged])
-        spread = (labels[:, None] == comps[None, :]) / np.sqrt(np.bincount(labels)[comps])
-        self.fixed = np.hstack([spread, np.eye(n)[:, ~charged]])
+        self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(self.edges, n))
+        self.s0 = self.least_norm(self.g)
+        self.mean = np.full((n, n), 1.0 / n)
+        # Newton steps keep the total mass: the unit column 1/sqrt(n) spans
+        # the excluded mass increments
+        self.fixed = np.full((n, 1), 1.0 / np.sqrt(n))
         # flat bins of the per-step (M, N, N) node matrices: the (i, i),
         # (j, j), (i, j) and (j, i) entries of every edge
         ei, ej = self.edges[:, 0], self.edges[:, 1]
@@ -304,7 +280,7 @@ class _PathWorkspace:
         )
 
     def least_norm(self, rhs: np.ndarray) -> np.ndarray:
-        """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero on each component."""
+        """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero."""
         import scipy.linalg
 
         phi = scipy.linalg.cho_solve(self.laplacian, rhs.T, check_finite=False).T
@@ -332,20 +308,14 @@ class _PathWorkspace:
 
     def initial_point(self) -> np.ndarray:
         """Fluxes (M, E) of the linear interpolation of the masses, bowed slightly
-        toward the componentwise uniform state when the straight path touches zero."""
+        toward the uniform state when the straight path touches zero."""
         M = self.M
         t = np.arange(1, M)[:, None] / M
         mu_lin = (1.0 - t) * self.mu0[None, :] + t * self.muT[None, :]
         x = np.tile(self.s0 / M, (M, 1))
-        active = self.barrier_nodes
-        if M > 1 and np.any(mu_lin[:, active] <= 1e-9 * mu_lin.max()):
-            labels = self.labels
+        if M > 1 and np.any(mu_lin <= 1e-9 * mu_lin.max()):
             pi = self.sys.pi
-            mu_unif = np.empty_like(mu_lin)
-            for c in range(labels.max() + 1):
-                sel = labels == c
-                pc = pi[sel].sum()
-                mu_unif[:, sel] = mu_lin[:, sel].sum(axis=1, keepdims=True) * (pi[sel] / pc)
+            mu_unif = mu_lin.sum(axis=1, keepdims=True) * (pi / pi.sum())
             bump = MIX * 4.0 * (t * (1.0 - t))
             mu_target = np.vstack([self.mu0, (1.0 - bump) * mu_lin + bump * mu_unif, self.muT])
             # recover step fluxes for the bowed path, least-norm per step
@@ -357,15 +327,16 @@ class _PathWorkspace:
 
     def objective(self, x: np.ndarray, mu: np.ndarray, beta: float, eps: float) -> float:
         """Action of fluxes ``x`` with all M + 1 mass levels ``mu``, smoothed by ``eps``, minus
-        ``beta`` times the log-barrier of the interior masses; inf once a charged interior mass
+        ``beta`` times the log-barrier of the interior masses; inf once an interior mass
         is not positive."""
         u = mu / self.sys.pi[None, :]
-        inner = u[1:-1][:, self.barrier_nodes]
-        if inner.size and inner.min() <= 0.0:
+        inner = u[1:-1]
+        if inner.min() <= 0.0:
             return np.inf
         f = _action_from_arrays(u, x, self.edges, self.q, eps)
         if beta > 0.0:
-            f -= beta * float(np.sum(np.log(inner)))
+            # summed in column-major order, node by node: the order fixes the rounding
+            f -= beta * float(np.sum(np.log(np.asfortranarray(inner))))
         return f if np.isfinite(f) else np.inf
 
     def _node_matrices(self, at_ii, at_jj, at_ij, at_ji) -> np.ndarray:
@@ -395,19 +366,18 @@ class _PathWorkspace:
         (alpha = x theta_a/theta, gamma = x theta_b/theta), and what the edge
         leaves in (a, b) is ``coef`` times the Hessian of theta (``R``).
         The multipliers of step m then solve L_m lam^m = B_m dmu - rho_m, with
-        L_m = dt/2 D diag(theta q) D^T plus the component means (which D^T
+        L_m = dt/2 D diag(theta q) D^T plus 1 1^T / n (which D^T
         annihilates), B_m dmu = (I + Kp_m) dmu^{m+1} - (I - Kp_m) dmu^m,
         Kp_m dmu = dt D y for the midpoint increment (dmu^m + dmu^{m+1})/2,
         and rho_m = mu^m - mu^{m+1}.  Eliminating them leaves
 
             (R + barrier Hessian + B^T L^-1 B) dmu = act + bar + B^T L^-1 rho
 
-        on the increments that keep each component's mass: block
+        on the increments that keep the total mass: block
         tridiagonal in time with N x N blocks.
         """
         M, n, dt = self.M, self.sys.n_points, self.dt
         pi, ei, ej = self.sys.pi, self.edges[:, 0], self.edges[:, 1]
-        charged = self.barrier_nodes
         u = mu / pi[None, :]
         ut = 0.5 * (u[:-1] + u[1:])
         a, b = ut[:, ei], ut[:, ej]
@@ -415,8 +385,7 @@ class _PathWorkspace:
         theta += eps
         cond = theta * self.q[None, :]
         inner = mu[1:-1]
-        bar = np.zeros_like(inner)  # minus the barrier gradient
-        bar[:, charged] = beta / inner[:, charged]
+        bar = beta / inner  # minus the barrier gradient
 
         # gradient; an interior mass enters the two midpoints next to it
         coef = -dt * x * x / (cond * theta)  # d(action)/d theta
@@ -431,7 +400,7 @@ class _PathWorkspace:
         R = 0.25 * self._node_matrices(coef * th_aa / pii**2, coef * th_bb / pjj**2, cross, cross)
         alpha, gamma = x * th_a / theta, x * th_b / theta
         Kp = (0.5 * dt) * self._node_matrices(alpha, -gamma, gamma, -alpha) / pi[None, None, :]
-        lap = (0.5 * dt) * self._node_matrices(cond, cond, -cond, -cond) + self.component_mean
+        lap = (0.5 * dt) * self._node_matrices(cond, cond, -cond, -cond) + self.mean
         sol = np.linalg.solve(lap, np.concatenate([np.broadcast_to(np.eye(n), lap.shape), Kp], axis=2))
         Linv, LK = sol[..., :n], sol[..., n:]
         LKt = np.swapaxes(LK, 1, 2)
@@ -445,7 +414,7 @@ class _PathWorkspace:
         VV = Linv - LK - LKt + KLK
         VU = Linv + LK - LKt - KLK
         diag = R[:-1] + R[1:] + UU[:-1] + VV[1:]
-        diag[:, np.arange(n), np.arange(n)] += bar / np.where(charged, inner, 1.0)
+        diag[:, np.arange(n), np.arange(n)] += bar / inner
         Z = self.fixed
         rhs = act + bar + (lr + klr)[:-1] - (lr - klr)[1:]
         dmu = _block_tridiagonal_solve(
@@ -485,12 +454,11 @@ def _newton(ws: _PathWorkspace, x, mu, beta: float, eps: float, max_iter: int):
     """Damped Newton steps on one stage of the barrier objective, from a strictly feasible (x, mu).
 
     Each step is cut to TO_BOUNDARY of the way to the first vanishing
-    charged interior mass and then halved until the Armijo test holds.
+    interior mass and then halved until the Armijo test holds.
     A step whose reduced system is numerically not positive definite ends
     the stage unconverged at the current iterate, which stays feasible.
     Returns (x, mu, objective history, converged, steps).
     """
-    charged = ws.barrier_nodes
     f = ws.objective(x, mu, beta, eps)
     if not np.isfinite(f):
         raise RuntimeError("Newton stage started outside the feasible domain")
@@ -505,9 +473,8 @@ def _newton(ws: _PathWorkspace, x, mu, beta: float, eps: float, max_iter: int):
             return x, mu, history, True, steps
         if steps == max_iter:
             break
-        inner, down = mu[1:-1][:, charged], dmu[:, charged]
-        shrink = down < 0.0
-        t = min(1.0, TO_BOUNDARY * float(np.min(inner[shrink] / -down[shrink], initial=np.inf)))
+        shrink = dmu < 0.0
+        t = min(1.0, TO_BOUNDARY * float(np.min(mu[1:-1][shrink] / -dmu[shrink], initial=np.inf)))
         for _ in range(MAX_BACKTRACKS):
             x_new = x + t * dx
             mu_new = mu.copy()
@@ -536,30 +503,18 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
     the discrete functional being minimized.
     """
     ws = _PathWorkspace(prob)
-    if ws.component_mismatch > 1e-9:
-        return MetricResult(
-            w=float("inf"),
-            n_steps=prob.n_steps,
-            iterations=0,
-            stage_iterations=[],
-            converged=True,
-            constraint_residual=ws.component_mismatch,
-            objective_history=[],
-            path=None,
-            infeasible=True,
-            reason="endpoints put different mass on a connected component of the support graph",
-        )
-    if ws.n_edges == 0:
-        # no edges at all: only identical endpoints are reachable
+    if np.array_equal(prob.start.u, prob.end.u):
+        # the constant path has zero action; the barrier stages would chase
+        # empty cells of it toward zero instead
         u = np.tile(prob.start.u, (prob.n_steps + 1, 1))
-        path = DiscretePath(ws.sys, u, np.zeros((prob.n_steps, 0)), ws.edges)
+        path = DiscretePath(ws.sys, u, np.zeros((prob.n_steps, ws.edges.shape[0])), ws.edges)
         return MetricResult(
             w=0.0,
             n_steps=prob.n_steps,
             iterations=0,
             stage_iterations=[],
             converged=True,
-            constraint_residual=float(np.max(np.abs(ws.mu0 - ws.muT))),
+            constraint_residual=0.0,
             objective_history=[],
             path=path,
         )
@@ -609,8 +564,6 @@ def two_point_distance_oracle(sys: DiscreteSystem, rho_a: DensityState, rho_b: D
     if sys.n_points != 2:
         raise ValueError("oracle only applies to two-point systems")
     eta = float(sys.eta[0, 1])
-    if eta <= 0.0:
-        raise ValueError("the two nodes are not connected")
     p1, p2 = float(sys.pi[0]), float(sys.pi[1])
     m_a = float(rho_a.masses[0])
     m_b = float(rho_b.masses[0])

@@ -153,7 +153,7 @@ def _jump_rates(sys: DiscreteSystem, convention: str) -> np.ndarray:
 
 
 def _last_positive(weights: np.ndarray) -> np.ndarray:
-    """Per row, the last column with a positive weight (n - 1 for an all-zero row)."""
+    """Per row, the last column with a positive weight."""
     n = weights.shape[1]
     return n - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
 
@@ -194,20 +194,18 @@ def simulate(sys: DiscreteSystem, rho0: DensityState, config: SamplerConfig) -> 
         u, _ = _uniforms(config.seed, 0, paths)
         node = _pick_targets(cum0, cum0[:, -1], last0, np.zeros(paths.size, dtype=np.intp), u)
         t = np.zeros(paths.size)
-        alive = total[node] > 0.0
         k = 0
-        while True:
-            counts += np.bincount(node[~alive], minlength=n)
-            paths, node, t = paths[alive], node[alive], t[alive]
-            if paths.size == 0:
-                break
+        # every cell has a positive total rate (pi > 0 and eta > 0 off the
+        # diagonal), so a path stops only at the horizon
+        while paths.size:
             k += 1
             u_hold, u_pick = _uniforms(config.seed, k, paths)
             t += -np.log1p(-u_hold) / total[node]
             jumps = t <= config.horizon
             node[jumps] = _pick_targets(cum, total, last, node[jumps], u_pick[jumps])
             n_jumps += int(np.count_nonzero(jumps))
-            alive = jumps  # every cell has mass and eta is symmetric: a cell a path jumps to can jump back
+            counts += np.bincount(node[~jumps], minlength=n)
+            paths, node, t = paths[jumps], node[jumps], t[jumps]
     return SampleResult(counts=counts, config=config, n_jumps=n_jumps)
 
 

@@ -161,6 +161,7 @@ BAD_SPEC_VALUES = [
     ("kernel", {"type": "constant", "c": None}, "system.kernel"),
     ("kernel", {"type": "fractional", "s": -1}, "system.kernel"),
     ("measure", {"type": "mixed", "base": {"type": "uniform"}, "epsilon": None}, "system.measure"),
+    ("kernel", {"type": "tabulated", "path": "sys.json", "bandwidth": 0.3, "exponent": 1.5}, "system.kernel.exponent"),
 ]
 
 
@@ -199,6 +200,19 @@ def test_unconverged_transport_solve_is_exit_4(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
     metric = json.loads((tmp_path / "out" / "metric.json").read_text())
     assert metric["converged"] is False and metric["w"] > 30.0
+
+
+def test_a_transport_distance_between_equal_endpoints_is_exit_0(tmp_path):
+    # point mass 3 to itself used to raise "path contains negative densities"
+    # (exit 2) after system.json was written, with no manifest
+    doc = shipped_doc("fractional_gibbs", tmp_path / "out")
+    doc["metric"] = {"endpoints": [{"type": "point_mass", "index": 3}] * 2, "M": 8}
+    cfg = write_config(tmp_path, doc)
+    assert main(["metric", "--config", cfg, "--quiet"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "metric.json" in [a["path"] for a in manifest["artifacts"]]
+    metric = json.loads((tmp_path / "out" / "metric.json").read_text())
+    assert metric["w"] == 0.0 and metric["converged"] is True
 
 
 def test_artifact_lines_are_logged_and_the_report_stays_on_stdout(tmp_path, capsys):

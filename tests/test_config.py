@@ -207,6 +207,7 @@ BAD_SPEC_VALUES = [
     ("kernel", {"type": "weighted", "potential": {"expr": "x"}, "base": {"type": "fractional", "s": 0}}, "system.kernel"),
     ("kernel", {"type": "tabulated", "path": "sys.json", "bandwidth": None, "exponent": 3.0}, "system.kernel.bandwidth"),
     ("kernel", {"type": "tabulated", "path": "sys.json", "bandwidth": 0.3, "exponent": "three"}, "system.kernel.exponent"),
+    ("kernel", {"type": "tabulated", "path": "sys.json", "bandwidth": 0.3, "exponent": 2.0}, "system.kernel.exponent"),
     ("measure", {"type": "mixed", "base": {"type": "uniform"}, "epsilon": None}, "system.measure"),
     ("measure", {"type": "mixed", "base": {"type": "uniform"}, "epsilon": 2.0}, "system.measure"),
     ("measure", {"type": "tabulated", "weights": [0.0, 0.0]}, "system.measure"),

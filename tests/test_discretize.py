@@ -325,6 +325,24 @@ def test_a_cell_without_mass_is_rejected_by_index(tmp_path, mass):
         load_system(path)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_a_pair_without_a_positive_kernel_is_rejected_by_name(tmp_path, value):
+    # every pair i != j is an edge: eta > 0 off the diagonal (condition (5) of kernels)
+    grid = build_grid(1, 4)
+    eta = np.ones((4, 4)) - np.eye(4)
+    eta[1, 3] = eta[3, 1] = value
+    message = rf"^eta must be positive off the diagonal, but eta\[1, 3\] = {value:g}$"
+    with pytest.raises(ValueError, match=message):
+        DiscreteSystem.from_arrays(grid, np.full(4, 0.25), eta)
+    path = tmp_path / "sys.json"
+    save_system(build_system(ConstantKernel(c=1.0), UniformMeasure(), grid), path)
+    doc = json.loads(path.read_text())
+    doc["eta"] = eta.tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_system(path)
+
+
 # ---------------------------------------------------------------------------
 # cutoff masks: band-only sub-lattice fractions against the full sub-lattice
 # ---------------------------------------------------------------------------

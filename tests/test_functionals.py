@@ -239,16 +239,6 @@ def test_fisher_infinite_next_to_hole():
     assert fisher_information(rho) == np.inf
 
 
-def test_fisher_finite_when_hole_is_disconnected():
-    # block-diagonal support: zeros only talk to zeros
-    eta = np.zeros((4, 4))
-    eta[0, 1] = eta[1, 0] = 1.0
-    eta[2, 3] = eta[3, 2] = 1.0
-    sys = make_system(4, eta=eta)
-    rho = DensityState(sys, np.array([0.0, 0.0, 2.0, 2.0]))
-    assert fisher_information(rho) == 0.0  # u constant on its component
-
-
 def test_fisher_nonnegative_random():
     rng = np.random.default_rng(11)
     sys = make_system(8)
@@ -315,16 +305,6 @@ def test_action_ordered_equals_twice_upper():
             den = 2.0 * th(u[i], u[j]) * sys.eta[i, j] * sys.pi[i] * sys.pi[j]
             half += v.v[i, j] ** 2 / den
     assert full == pytest.approx(2.0 * half, rel=1e-12)
-
-
-def test_action_infinite_across_closed_edge():
-    eta = np.zeros((3, 3))
-    eta[0, 1] = eta[1, 0] = 1.0  # edge (0,2) closed
-    sys = make_system(3, eta=eta)
-    rho = DensityState.uniform(sys)
-    v = np.zeros((3, 3))
-    v[0, 2], v[2, 0] = 1.0, -1.0
-    assert action(rho, FluxField(v)) == np.inf
 
 
 def test_action_zero_over_zero_convention():
@@ -491,9 +471,9 @@ def test_log_mean_equals_the_masked_oracle_bit_for_bit():
         assert type(got) is float and got == masked_log_mean(a, b)
 
 
-def random_pair_system(rng, n, closed=0.3):
-    """Random pi and eta with a fraction of closed (eta = 0) pairs."""
-    mat = rng.uniform(0.1, 2.0, size=(n, n)) * (rng.random((n, n)) >= closed)
+def random_pair_system(rng, n):
+    """Random pi and random positive eta."""
+    mat = rng.uniform(0.1, 2.0, size=(n, n))
     eta = np.triu(mat, k=1)
     eta = eta + eta.T
     pi = rng.uniform(0.2, 1.0, size=n)
@@ -512,18 +492,14 @@ def oracle_states(rng, sys):
     holed = rng.uniform(0.05, 2.0, size=n)
     holed[rng.choice(n, size=n // 3, replace=False)] = 0.0
     raw.append(holed)
-    # holes whose every pair to the mass is closed: finite Fisher information
-    open_to_mass = (sys.eta[:, holed > 0.0] > 0.0).any(axis=1)
-    raw.append(np.where(open_to_mass, holed + 0.5, 0.0))
     return [DensityState(sys, u / (u @ sys.pi)) for u in raw]
 
 
 def oracle_fluxes(rng, rho):
-    """Tangent, zero, random (some on eta = 0 pairs) and support-restricted fluxes."""
-    sys = rho.system
-    n = sys.n_points
+    """Tangent, zero, random and support-restricted fluxes."""
+    n = rho.system.n_points
     upper = np.triu(rng.standard_normal((n, n)), k=1)
-    supported = upper * (sys.eta > 0.0) * ((rho.u[:, None] > 0.0) & (rho.u[None, :] > 0.0))
+    supported = upper * ((rho.u[:, None] > 0.0) & (rho.u[None, :] > 0.0))
     return [dense_tangent_flux(rho), np.zeros((n, n)), upper - upper.T, supported - supported.T]
 
 

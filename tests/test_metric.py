@@ -243,9 +243,6 @@ def test_oracle_symmetry_and_identity():
 def test_oracle_input_validation():
     with pytest.raises(ValueError, match="two-point"):
         two_point_distance_oracle(make_system(3), None, None)
-    sys = two_state(eta12=0.0)
-    with pytest.raises(ValueError, match="not connected"):
-        two_point_distance_oracle(sys, state(sys, [1, 1]), state(sys, [1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +251,12 @@ def test_oracle_input_validation():
 
 
 def random_system(n, seed):
-    """n points, random pi and eta, one missing edge: not a complete graph."""
+    """n points, random pi and random positive eta."""
     rng = np.random.default_rng(seed)
     pi = rng.uniform(0.5, 1.5, size=n)
     pi /= pi.sum()
     eta = rng.uniform(0.2, 2.0, size=(n, n))
     eta = eta + eta.T
-    eta[0, n - 1] = eta[n - 1, 0] = 0.0
     np.fill_diagonal(eta, 0.0)
     return make_system(n, pi=pi, eta=eta)
 
@@ -282,8 +278,9 @@ def random_interior_point(n, n_steps, seed):
 
 
 def _split(ws, z):
-    x = z[: ws.M * ws.n_edges].reshape(ws.M, ws.n_edges)
-    mu = np.vstack([ws.mu0, z[ws.M * ws.n_edges :].reshape(ws.M - 1, -1), ws.muT])
+    E = ws.q.size
+    x = z[: ws.M * E].reshape(ws.M, E)
+    mu = np.vstack([ws.mu0, z[ws.M * E :].reshape(ws.M - 1, -1), ws.muT])
     return x, mu
 
 
@@ -313,7 +310,7 @@ def test_objective_gradient_matches_finite_differences():
 @pytest.mark.parametrize("beta, eps", [(1e-2, 1e-2), (0.0, 1e-12)])
 def test_newton_step_solves_the_kkt_system_of_the_finite_difference_hessian(n, n_steps, beta, eps):
     ws, x, mu = random_interior_point(n, n_steps, seed=n)
-    M, E, dt = ws.M, ws.n_edges, ws.dt
+    M, E, dt = ws.M, ws.q.size, ws.dt
     z = np.concatenate([x.ravel(), mu[1:-1].ravel()])
     h = 1e-6
     H = np.empty((z.size, z.size))
@@ -365,7 +362,6 @@ def gradient_oracle(ws, x, mu, beta, eps):
     bincount scatter: ``log_mean`` plus two partial calls and ``np.add.at``."""
     dt = ws.dt
     interior = mu[1:-1]
-    active = ws.barrier_nodes
     u = mu / ws.sys.pi[None, :]
     ut = 0.5 * (u[:-1] + u[1:])
     ei, ej = ws.edges[:, 0], ws.edges[:, 1]
@@ -375,8 +371,8 @@ def gradient_oracle(ws, x, mu, beta, eps):
     f = dt * float(np.sum(x * x / cond))
     bar = np.zeros_like(interior)
     if beta > 0.0:
-        f -= beta * float(np.sum(np.log(u[1:-1][:, active])))
-        bar[:, active] = beta / interior[:, active]
+        f -= beta * float(np.sum(np.log(np.asfortranarray(u[1:-1]))))
+        bar = beta / interior
     coef = -dt * x * x / (cond * theta)
     G = np.zeros((ws.M, ws.sys.n_points))
     np.add.at(G, (slice(None), ei), coef * log_mean_partial_oracle(r, s))
@@ -392,7 +388,6 @@ def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
     pi /= pi.sum()
     eta = rng.uniform(0.2, 2.0, size=(n, n))
     eta = eta + eta.T
-    eta[0, 3] = eta[3, 0] = 0.0  # not a complete graph
     np.fill_diagonal(eta, 0.0)
     sys = make_system(n, pi=pi, eta=eta)
     a = state(sys, np.ones(n))
@@ -415,24 +410,18 @@ def test_objective_is_bit_equal_to_the_two_pass_oracle(same_ends):
 
 
 def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
-    # a triangle {0, 1, 2}, an edge {3, 4} and the isolated node 5
-    eta = np.zeros((6, 6))
-    for i, j, v in ((0, 1, 1.0), (0, 2, 0.5), (1, 2, 2.0), (3, 4, 1.5)):
-        eta[i, j] = eta[j, i] = v
-    sys = make_system(6, eta=eta)
+    sys = random_system(6, seed=11)
     a = DensityState.uniform(sys)
     ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
     D = dense_incidence(ws.edges, 6)
     basis = scipy.linalg.null_space(D)
-    assert basis.shape == (4, 1)  # E - N + 3 components: the triangle's cycle
+    assert basis.shape == (15, 10)  # E - N + 1 independent cycles of the complete graph
     rng = np.random.default_rng(5)
     for _ in range(5):
-        z = rng.normal(size=ws.n_edges)
+        z = rng.normal(size=ws.q.size)
         assert np.max(np.abs(ws.project(z) - basis @ (basis.T @ z))) < 1e-12
-    labels = np.array([0, 0, 0, 1, 1, 2])
     g = rng.normal(size=(3, 6))
-    for c in range(3):
-        g[:, labels == c] -= g[:, labels == c].mean(axis=1, keepdims=True)
+    g -= g.mean(axis=1, keepdims=True)
     rows = ws.least_norm(g)
     for k in range(3):
         ref = np.linalg.lstsq(D, g[k], rcond=None)[0]
@@ -470,7 +459,7 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.n_edges == 128 * 127 // 2
+    assert ws.q.size == 128 * 127 // 2
     assert np.isfinite(f) and dx.shape == x.shape and dmu.shape == (15, 128)
     assert peak < 64 * 2**20
 
@@ -515,6 +504,37 @@ def test_identity_distance_is_zero():
     raw = rng.uniform(0.3, 1.8, size=5)
     r = state(sys5, raw / (raw @ sys5.pi))
     assert nlw_distance(PathProblem(sys5, r, r, n_steps=8)).w <= 1e-8
+
+
+def _cell_block(sys, cells):
+    mu = np.zeros(sys.n_points)
+    mu[cells] = sys.pi[cells]
+    return DensityState.from_masses(sys, mu / mu.sum())
+
+
+def _gibbs_16():
+    measure = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    return build_system(FractionalKernel(s=1.0), measure, build_grid(1, 16))
+
+
+@pytest.mark.parametrize(
+    "make, n_steps",
+    [
+        # the barrier stages used to chase the empty cells toward zero: the first
+        # raised "path contains negative densities", the others ended unconverged
+        (lambda: (lambda sys: DensityState.point_mass(sys, 3))(_gibbs_16()), 8),
+        (lambda: (lambda sys: _cell_block(sys, [3, 4, 5]))(_gibbs_16()), 8),
+        (lambda: DensityState.point_mass(make_system(8), 2), 16),
+    ],
+    ids=["gibbs_point_mass", "gibbs_block", "constant_point_mass"],
+)
+def test_equal_endpoints_with_empty_cells_are_at_distance_zero(make, n_steps):
+    a = make()
+    res = nlw_distance(PathProblem(a.system, a, DensityState(a.system, a.u.copy()), n_steps=n_steps))
+    assert res.w == 0.0 and res.converged and res.iterations == 0
+    assert np.array_equal(res.path.u, np.tile(a.u, (n_steps + 1, 1)))
+    assert not res.path.fluxes.any() and res.path.fluxes.shape == (n_steps, a.system.pairs.w.size)
+    assert res.path.continuity_residual() == 0.0
 
 
 def test_distance_is_symmetric():
@@ -598,60 +618,6 @@ def test_result_document_fields():
     assert res.path is not None
     assert res.path.u.shape == (9, 2)
     assert res.path.fluxes.shape == (8, 1)
-
-
-# ---------------------------------------------------------------------------
-# disconnected supports
-# ---------------------------------------------------------------------------
-
-
-def _two_clique_system():
-    eta = np.zeros((4, 4))
-    eta[0, 1] = eta[1, 0] = 1.0
-    eta[2, 3] = eta[3, 2] = 1.0
-    return make_system(4, eta=eta)
-
-
-def test_infeasible_component_masses():
-    sys = _two_clique_system()
-    a = state(sys, [2.0, 0.8, 0.7, 0.5])
-    b = state(sys, [0.5, 1.1, 1.2, 1.2])
-    res = nlw_distance(PathProblem(sys, a, b, n_steps=8))
-    assert res.infeasible
-    assert res.w == np.inf
-    assert res.path is None
-    assert "component" in res.reason
-
-
-def test_feasible_across_disconnected_components():
-    sys = _two_clique_system()
-    a = state(sys, [2.0, 0.8, 0.7, 0.5])
-    b = state(sys, [0.8, 2.0, 0.5, 0.7])  # same mass per clique
-    res = nlw_distance(PathProblem(sys, a, b, n_steps=16))
-    assert res.converged and np.isfinite(res.w)
-    assert res.constraint_residual < 1e-12
-
-
-def test_massless_component_stays_empty():
-    sys = _two_clique_system()  # pi = 1/4, eta = 1 on each clique
-    a = state(sys, [4.0, 0.0, 0.0, 0.0])
-    b = state(sys, [1.0, 3.0, 0.0, 0.0])  # the clique {2, 3} carries no mass at either end
-    res = nlw_distance(PathProblem(sys, a, b, n_steps=16))
-    assert res.converged and res.constraint_residual < 1e-12
-    assert np.all(res.path.u[:, 2:] == 0.0) and np.all(res.path.fluxes[:, 1] == 0.0)
-    # the same masses on pi = 1/2 double the mean and need eta = 1/2 for the same action
-    pair = two_state(eta12=0.5)
-    ref = nlw_distance(PathProblem(pair, state(pair, [2.0, 0.0]), state(pair, [0.5, 1.5]), n_steps=16))
-    assert res.w == pytest.approx(ref.w, rel=1e-9)
-
-
-def test_empty_support_graph():
-    sys = make_system(3, eta=np.zeros((3, 3)))
-    u = DensityState.uniform(sys)
-    v = state(sys, [1.5, 1.0, 0.5])
-    assert nlw_distance(PathProblem(sys, u, u, n_steps=4)).w == 0.0
-    res = nlw_distance(PathProblem(sys, u, v, n_steps=4))
-    assert res.w == np.inf and res.infeasible
 
 
 # ---------------------------------------------------------------------------
