@@ -63,7 +63,6 @@ from .flow import (
 )
 from .functionals import (
     DensityState,
-    FluxField,
     action,
     fisher_information,
     log_mean,
@@ -83,6 +82,7 @@ from .kernels import (
 from .metric import (
     MetricResult,
     PathProblem,
+    TransportError,
     check_metric_axioms,
     nlw_distance,
     two_point_distance_oracle,

@@ -29,11 +29,11 @@ pass (the one `PotentialSpec` applies), the integrator and output grid
 that ``flow.solve`` would build (the same ``IntegratorConfig`` and grid
 helper, so a bad horizon, step or output time fails before the system
 is built), the fit of each state spec to the grid (a point mass inside
-it, a table with one value per cell), and the system's kernel and
-measure, built here as the build builds them (a tabulated kernel, whose
-source the build reads, has only its numbers and its exponent > 2
-checked).  Other numerical
-legality is enforced by the objects each section ultimately constructs.
+it, a table with one finite nonnegative value per cell and a positive
+total), and the system's kernel and measure, built here as the build
+builds them (a tabulated kernel, whose source the build reads, has only
+its numbers and its exponent > 2 checked).  Other numerical legality is
+enforced by the objects each section ultimately constructs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .flow import IntegratorConfig, _output_grid
 from .kernels import _checked_expr, _lattice_level, kernel_from_dict, measure_from_dict
@@ -199,6 +201,9 @@ def _validate_density(doc, path, n_cells: int) -> dict:
             raise ConfigError(f"{path}.values: expected a non-empty list")
         if len(values) != n_cells:
             raise ConfigError(f"{path}.values: {len(values)} values for a grid of {n_cells} cells")
+        masses = _checked(f"{path}.values", np.asarray, values, float)
+        if masses.ndim != 1 or not (np.isfinite(masses).all() and masses.min() >= 0.0 and masses.sum() > 0.0):
+            raise ConfigError(f"{path}.values: expected finite nonnegative numbers with a positive total")
     else:
         raise ConfigError(f"{path}.type: unknown density type {kind!r}")
     return doc

@@ -51,7 +51,7 @@ from .kernels import (
     measure_from_dict,
     potential_from_dict,
 )
-from .metric import MetricResult, PathProblem, nlw_distance
+from .metric import MetricResult, PathProblem, TransportError, nlw_distance
 from .sampler import MarginalReport, SamplerConfig, compare_marginals, simulate
 from .torus import GridSpec, build_grid, nearest_cell
 
@@ -74,7 +74,7 @@ MANIFEST_SCHEMA = "nlw-manifest/v1"
 _log = logging.getLogger(__name__)
 
 # exception types that mean "the math failed", as opposed to bad input
-NumericalFailure = (KernelError, CoverageError, QuadratureError, ZeroCellError, IntegratorError)
+NumericalFailure = (KernelError, CoverageError, QuadratureError, ZeroCellError, IntegratorError, TransportError)
 
 
 # ---------------------------------------------------------------------------

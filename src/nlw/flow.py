@@ -14,9 +14,10 @@ rate equal to the Fisher information.  The companion flux
 
     v_ij = (u_i - u_j) eta_ij pi_i pi_j            (tangent_flux)
 
-solves the nonlocal continuity equation exactly and its kinetic action
-equals the Fisher information identically — the discrete form of the
-entropy-dissipation identity dH/dt = -I = -A.
+(one value per pair i < j of ``DiscreteSystem.pairs``, the flux form of
+``functionals.action``) solves the nonlocal continuity equation exactly
+and its kinetic action equals the Fisher information identically — the
+discrete form of the entropy-dissipation identity dH/dt = -I = -A.
 
 One propagator, exact at every output time: every cell carries mass and
 K is self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric,
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscreteSystem
-from .functionals import DensityState, FluxField, action, fisher_information, relative_entropy
+from .functionals import DensityState, action, fisher_information, relative_entropy
 
 __all__ = [
     "IntegratorError",
@@ -110,18 +111,18 @@ def generator_matrix(sys: DiscreteSystem) -> np.ndarray:
     return K
 
 
-def tangent_flux(rho: DensityState) -> FluxField:
+def tangent_flux(rho: DensityState) -> np.ndarray:
     """The flux v_ij = (u_i - u_j) eta_ij pi_i pi_j carried by the flow.
 
-    Written on the system's pair list, v = (u_i - u_j) * w per pair
-    i < j, so antisymmetry is exact by construction.
+    One value per pair i < j of ``DiscreteSystem.pairs``,
+    v = (u_i - u_j) * w, the form ``functionals.action`` takes.
     """
     pairs = rho.system.pairs
     u = rho.u
-    values = np.empty(pairs.w.shape)
+    v = np.empty(pairs.w.shape)
     for b in pairs.blocks():
-        values[b] = (u[pairs.i[b]] - u[pairs.j[b]]) * pairs.w[b]
-    return FluxField.on_pairs(rho.system.n_points, values)
+        v[b] = (u[pairs.i[b]] - u[pairs.j[b]]) * pairs.w[b]
+    return v
 
 
 # ---------------------------------------------------------------------------

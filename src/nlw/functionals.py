@@ -20,7 +20,9 @@ Fisher side from log u), so the audit tests that identity.
 Pair sums run over the system's cached pair list ``DiscreteSystem.pairs``
 (every i < j in ``np.triu_indices`` order, with w), block by block, so
 no N x N temporary is formed.  A sum over i < j equals the ordered-pair
-sum 1/2 sum_{i != j} of the same symmetric term.
+sum 1/2 sum_{i != j} of the same symmetric term.  A flux is a float
+array in the same order: v[k] = v_ij on the k-th pair i < j, with
+v_ji = -v_ij implied, so antisymmetry holds by construction.
 
 Conventions for degenerate values follow the variational definitions:
 0 log 0 = 0 in the entropy; r (log r - log 0) = +infinity in the Fisher
@@ -43,7 +45,6 @@ __all__ = [
     "log_mean",
     "theta_connectedness_constant",
     "DensityState",
-    "FluxField",
     "relative_entropy",
     "fisher_information",
     "action",
@@ -170,7 +171,7 @@ def theta_connectedness_constant() -> float:
 
 
 # ---------------------------------------------------------------------------
-# States and fluxes
+# States
 # ---------------------------------------------------------------------------
 
 
@@ -218,74 +219,6 @@ class DensityState:
         return cls(system, mu / system.pi)
 
 
-class FluxField:
-    """An antisymmetric edge flux v_ij = -v_ji, stored once per cell pair.
-
-    ``values`` holds v_ij for the pairs i < j in ``np.triu_indices``
-    order, the order of ``DiscreteSystem.pairs``, so antisymmetry holds
-    by construction; ``v`` builds the dense matrix on demand.
-    ``FluxField(matrix)`` accepts a square, finite, exactly antisymmetric
-    matrix; ``on_pairs`` takes the pair values directly.
-    """
-
-    def __init__(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("flux must be a square matrix")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("flux entries must be finite")
-        if not np.array_equal(v, -v.T):
-            raise ValueError("flux must be exactly antisymmetric")
-        self._set(v.shape[0], v[np.triu_indices(v.shape[0], k=1)])
-
-    def _set(self, n: int, values: np.ndarray) -> None:
-        values.setflags(write=False)
-        self.n_points = n
-        self.values = values
-
-    @classmethod
-    def on_pairs(cls, n: int, values) -> "FluxField":
-        """The flux with v_ij = values[k] on the k-th pair i < j of ``np.triu_indices(n, 1)``.
-
-        ``values`` is not copied; the flux holds a read-only view of it.
-        """
-        values = np.asarray(values, dtype=float).view()
-        if values.shape != (n * (n - 1) // 2,):
-            raise ValueError(f"{values.shape} pair values for {n} points")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("flux entries must be finite")
-        flux = cls.__new__(cls)
-        flux._set(n, values)
-        return flux
-
-    @property
-    def v(self) -> np.ndarray:
-        """The dense antisymmetric matrix, built on each access."""
-        n = self.n_points
-        i, j = np.triu_indices(n, k=1)
-        v = np.zeros((n, n))
-        v[i, j] = self.values
-        v[j, i] = -self.values
-        return v
-
-    @classmethod
-    def zero(cls, n: int) -> "FluxField":
-        return cls.on_pairs(n, np.zeros(n * (n - 1) // 2))
-
-    @classmethod
-    def from_upper_triangle(cls, upper: np.ndarray) -> "FluxField":
-        """Build from i < j data; entries on/below the diagonal are ignored.
-
-        v_ij = upper_ij and v_ji = -upper_ij for i < j: the "physicist"
-        convention where each undirected edge is stated once.
-        """
-        upper = np.asarray(upper, dtype=float)
-        if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
-            raise ValueError("flux must be a square matrix")
-        n = upper.shape[0]
-        return cls.on_pairs(n, upper[np.triu_indices(n, k=1)])
-
-
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
@@ -321,24 +254,28 @@ def fisher_information(rho: DensityState) -> float:
     return total
 
 
-def action(rho: DensityState, flux: FluxField, theta_fn=log_mean) -> float:
-    """Kinetic action of a density/flux pair.
+def action(rho: DensityState, v, theta_fn=log_mean) -> float:
+    """Kinetic action of a density and a flux ``v`` on the system's pairs.
 
-    sum over the pairs i < j of v_ij^2 / (theta(u_i,u_j) w_ij), which
-    equals the ordered-pair sum of v_ij^2 / (2 theta eta_ij pi_i pi_j).
-    Degenerate pairs follow 0/0 = 0 and c/0 = +inf for c > 0: flux
-    across a pair with theta = 0 costs infinitely much.  ``theta_fn``
-    defaults to the logarithmic mean; another mean gives another
-    geometry (the tests use the arithmetic mean as a negative control).
+    ``v[k]`` is v_ij on the k-th pair i < j of ``DiscreteSystem.pairs``
+    (v_ji = -v_ij).  The action is the sum over the pairs of
+    v_ij^2 / (theta(u_i,u_j) w_ij), which equals the ordered-pair sum of
+    v_ij^2 / (2 theta eta_ij pi_i pi_j).  Degenerate pairs follow
+    0/0 = 0 and c/0 = +inf for c > 0: flux across a pair with theta = 0
+    costs infinitely much.  ``theta_fn`` defaults to the logarithmic
+    mean; another mean gives another geometry (the tests use the
+    arithmetic mean as a negative control).
     """
     u = rho.u
-    sys = rho.system
-    if flux.n_points != sys.n_points:
-        raise ValueError("flux shape does not match the system")
-    pairs = sys.pairs
+    pairs = rho.system.pairs
+    v = np.asarray(v, dtype=float)
+    if v.shape != pairs.w.shape:
+        raise ValueError(f"flux has shape {v.shape}, expected {pairs.w.shape} for {u.size} points")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("flux entries must be finite")
     total = 0.0
     for b in pairs.blocks():
-        total += _flux_cost(flux.values[b], theta_fn(u[pairs.i[b]], u[pairs.j[b]]), pairs.w[b])
+        total += _flux_cost(v[b], theta_fn(u[pairs.i[b]], u[pairs.j[b]]), pairs.w[b])
     return total
 
 

@@ -243,7 +243,8 @@ class PotentialSpec:
         of volume n^-d, so its c_V is the mean of e^{-V} over the table.  An
         expression is integrated by midpoint refinement until one doubling
         moves it by at most 1e-12 relative; a mesh of more than
-        ``_ARRAY_BYTES_LIMIT`` bytes raises KernelError instead.
+        ``_ARRAY_BYTES_LIMIT`` bytes, or a last doubling (to m = 8192 in 1D)
+        that still moves it more, raises KernelError instead.
         """
         if dim in self._cv:
             return self._cv[dim]
@@ -261,6 +262,11 @@ class PotentialSpec:
                     break
                 prev = val
                 m *= 2
+            else:
+                raise KernelError(
+                    f"c_V of {self.expr!r} did not converge: the midpoint sum still moved by more than "
+                    f"1e-12 relative at m={m // 2}"
+                )
         self._cv[dim] = val
         return val
 

@@ -8,8 +8,8 @@ path connecting them through the continuity equation:
 
 with A the flux action built on the logarithmic mean (see
 ``functionals``).  Time is cut into M uniform steps.  The unknowns are
-one flux per support edge per step and the masses of the M - 1 interior
-time levels, tied by the linear continuity rows
+one flux per pair per step and the masses of the M - 1 interior time
+levels, tied by the linear continuity rows
 mu^{m+1} - mu^m + dt div x^m = 0; the action weight uses the
 logarithmic mean of the two adjacent time levels (a midpoint rule).  The
 result is a smooth convex program with linear constraints, solved by a
@@ -18,8 +18,8 @@ Optimization*, sections 10.2 and 11.3): nine stages with a decreasing
 log-barrier on the interior masses, then a polish stage without it.
 
 Each Newton step solves the KKT system of the stage objective.  The flux
-block of the Hessian is diagonal, so the fluxes are eliminated edge by
-edge; what an edge leaves in its two midpoint densities is
+block of the Hessian is diagonal, so the fluxes are eliminated pair by
+pair; what a pair leaves in its two midpoint densities is
 -(x^2/theta^2) times the Hessian of the logarithmic mean, positive
 semidefinite because the mean is concave (Erbar, Rumpf, Schmitzer &
 Simon, Numer. Math. 2020, use this action on graphs).  The continuity
@@ -41,11 +41,13 @@ part of the computed total, so the endpoint constraint holds to rounding
 and ``w`` is the pure action of exactly that path.
 
 Every system has eta > 0 on every pair (a ``DiscreteSystem``
-invariant), so the support graph is complete: the edges are the pairs
-i < j, every pair of endpoints with the same total mass is joined by a
-finite-action path, and Maas's discrete transport metric (J. Funct.
-Anal. 2011) is finite.  Equal endpoints are answered without a solve:
-w = 0 along the constant path.
+invariant), so the graph is complete and its edges are exactly
+``DiscreteSystem.pairs``: a flux is one float per pair in that order,
+(E,) for one state as ``functionals.action`` takes it and (M, E) along
+a path.  Every two endpoints with the same total mass are joined by a
+finite-action path, so the distance, Maas's discrete transport metric
+on this graph (J. Funct. Anal. 2011), is finite.  Equal endpoints are
+answered without a solve: w = 0 along the constant path.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .discretize import DiscreteSystem
 from .functionals import DensityState, _flux_cost, _log_mean_derivatives, log_mean
 
 __all__ = [
+    "TransportError",
     "PathProblem",
     "DiscretePath",
     "MetricResult",
@@ -86,6 +89,10 @@ MAX_BACKTRACKS = 60  # step halvings before a stage gives up
 MIX = 1e-2  # bow of the initial path toward the uniform state when the straight one touches zero
 
 
+class TransportError(RuntimeError):
+    """The transport solve failed numerically: its path is not a valid path."""
+
+
 @dataclass(frozen=True)
 class PathProblem:
     """Endpoint pair plus discretization and the solver's one setting,
@@ -107,36 +114,33 @@ class PathProblem:
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """A feasible discrete path: densities per time level, flux per edge/step.
+    """A feasible discrete path: densities per time level, flux per pair/step.
 
     ``u`` has shape (M+1, N) on the uniform grid t_m = m/M; ``fluxes``
-    has shape (M, E) with one signed value per support edge (i < j),
-    the ordered-pair flux being antisymmetric.
+    has shape (M, E), row m one flux on the system's pairs
+    (``DiscreteSystem.pairs``, as ``functionals.action`` takes it).
     """
 
     system: DiscreteSystem
     u: np.ndarray
     fluxes: np.ndarray
-    edges: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         x = np.asarray(self.fluxes, dtype=float)
-        edges = np.asarray(self.edges, dtype=int)
         if u.ndim != 2 or u.shape[1] != self.system.n_points:
             raise ValueError("density array shape mismatch")
-        if x.shape != (u.shape[0] - 1, edges.shape[0]):
+        if x.shape != (u.shape[0] - 1, self.system.pairs.w.size):
             raise ValueError("flux array shape mismatch")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(x))):
             raise ValueError("path contains non-finite entries")
         if u.min() < -1e-12:
-            raise ValueError("path contains negative densities")
+            raise ValueError(f"path contains negative densities (min {u.min():.3e})")
         u = np.where(u < 0.0, 0.0, u)
-        for arr in (u, x, edges):
+        for arr in (u, x):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "fluxes", x)
-        object.__setattr__(self, "edges", edges)
 
     @property
     def n_steps(self) -> int:
@@ -153,7 +157,7 @@ class DiscretePath:
         """Max violation of mu^{m} - mu^{m-1} + dt * div(x^{m}) = 0."""
         dt = 1.0 / self.n_steps
         mu = self.u * self.system.pi[None, :]
-        index = _scatter_index(self.edges, self.n_steps, self.system.n_points)
+        index = _scatter_index(self.system, self.n_steps)
         div = _node_sums(index, mu[:-1].shape, self.fluxes, -self.fluxes)
         return float(np.max(np.abs(np.diff(mu, axis=0) + dt * div)))
 
@@ -179,39 +183,31 @@ class MetricResult:
 
 
 # ---------------------------------------------------------------------------
-# support-graph plumbing
+# graph plumbing: the edges are the system's pairs
 # ---------------------------------------------------------------------------
 
 
-def _support_edges(sys: DiscreteSystem):
-    """Edge list (every pair i < j) and conductances eta_ij pi_i pi_j: ``sys.pairs`` as columns."""
-    pairs = sys.pairs
-    return np.column_stack([pairs.i, pairs.j]), pairs.w
-
-
-def _graph_laplacian(edges: np.ndarray, n: int) -> np.ndarray:
-    """D D^T for the incidence D (+1 at i, -1 at j of edge (i, j)) plus 1 1^T / n:
-    positive definite on the connected graph, and D^T maps the added term to zero."""
-    ei, ej = edges[:, 0], edges[:, 1]
-    lap = np.full((n, n), 1.0 / n)
-    lap[np.diag_indices(n)] += np.bincount(edges.ravel(), minlength=n)
-    lap[ei, ej] -= 1.0
-    lap[ej, ei] -= 1.0
+def _graph_laplacian(n: int) -> np.ndarray:
+    """D D^T for the incidence D of the complete graph (+1 at i, -1 at j of pair (i, j))
+    plus 1 1^T / n, that is n I - 1 1^T + 1 1^T / n: positive definite (eigenvalue n
+    off the constants, 1 on them), and D^T maps the added term to zero."""
+    lap = np.full((n, n), 1.0 / n - 1.0)
+    lap[np.diag_indices(n)] = 1.0 / n + (n - 1)
     return lap
 
 
-def _scatter_index(edges: np.ndarray, n_steps: int, n_points: int) -> np.ndarray:
-    """Flat bins m*N + i for every (step, edge) pair, then m*N + j.
+def _scatter_index(sys: DiscreteSystem, n_steps: int) -> np.ndarray:
+    """Flat bins m*N + i for every (step, pair), then m*N + j.
 
     With this order ``np.bincount`` adds each bin's terms exactly as
     ``np.add.at`` over the i ends and then over the j ends would.
     """
-    rows = np.arange(n_steps)[:, None] * n_points
-    return np.concatenate([(rows + edges[:, 0]).ravel(), (rows + edges[:, 1]).ravel()])
+    rows = np.arange(n_steps)[:, None] * sys.n_points
+    return np.concatenate([(rows + sys.pairs.i).ravel(), (rows + sys.pairs.j).ravel()])
 
 
 def _node_sums(index: np.ndarray, shape, at_i: np.ndarray, at_j: np.ndarray) -> np.ndarray:
-    """Per-step node sums of edge values: ``at_i`` lands on each edge's node i, ``at_j`` on node j."""
+    """Per-step node sums of pair values: ``at_i`` lands on each pair's node i, ``at_j`` on node j."""
     weights = np.concatenate([at_i.ravel(), at_j.ravel()])
     return np.bincount(index, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
 
@@ -259,21 +255,20 @@ class _PathWorkspace:
         self.sys = sys
         self.M = prob.n_steps
         self.dt = 1.0 / self.M
-        self.edges, self.q = _support_edges(sys)
-        self.scatter = _scatter_index(self.edges, self.M, sys.n_points)
+        self.scatter = _scatter_index(sys, self.M)
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
         self.g = (self.mu0 - self.muT) / self.dt
         n = sys.n_points
-        self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(self.edges, n))
+        self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(n))
         self.s0 = self.least_norm(self.g)
         self.mean = np.full((n, n), 1.0 / n)
         # Newton steps keep the total mass: the unit column 1/sqrt(n) spans
         # the excluded mass increments
         self.fixed = np.full((n, 1), 1.0 / np.sqrt(n))
         # flat bins of the per-step (M, N, N) node matrices: the (i, i),
-        # (j, j), (i, j) and (j, i) entries of every edge
-        ei, ej = self.edges[:, 0], self.edges[:, 1]
+        # (j, j), (i, j) and (j, i) entries of every pair
+        ei, ej = sys.pairs.i, sys.pairs.j
         rows = np.arange(self.M)[:, None] * (n * n)
         self.pattern = np.concatenate(
             [(rows + k * n + l).ravel() for k, l in ((ei, ei), (ej, ej), (ei, ej), (ej, ei))]
@@ -284,11 +279,11 @@ class _PathWorkspace:
         import scipy.linalg
 
         phi = scipy.linalg.cho_solve(self.laplacian, rhs.T, check_finite=False).T
-        return phi[..., self.edges[:, 0]] - phi[..., self.edges[:, 1]]
+        return phi[..., self.sys.pairs.i] - phi[..., self.sys.pairs.j]
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of edge values onto the divergence-free ones."""
-        ei, ej, n = self.edges[:, 0], self.edges[:, 1], self.sys.n_points
+        """Orthogonal projection of pair values onto the divergence-free ones."""
+        ei, ej, n = self.sys.pairs.i, self.sys.pairs.j, self.sys.n_points
         return z - self.least_norm(np.bincount(ei, z, minlength=n) - np.bincount(ej, z, minlength=n))
 
     def close_total(self, x: np.ndarray) -> np.ndarray:
@@ -333,14 +328,14 @@ class _PathWorkspace:
         inner = u[1:-1]
         if inner.min() <= 0.0:
             return np.inf
-        f = _action_from_arrays(u, x, self.edges, self.q, eps)
+        f = _action_from_arrays(u, x, self.sys.pairs, eps)
         if beta > 0.0:
             # summed in column-major order, node by node: the order fixes the rounding
             f -= beta * float(np.sum(np.log(np.asfortranarray(inner))))
         return f if np.isfinite(f) else np.inf
 
     def _node_matrices(self, at_ii, at_jj, at_ij, at_ji) -> np.ndarray:
-        """Per-step N x N matrices from edge values (M, E) at the (i, i), (j, j), (i, j) and (j, i) entries."""
+        """Per-step N x N matrices from pair values (M, E) at the (i, i), (j, j), (i, j) and (j, i) entries."""
         n = self.sys.n_points
         weights = np.concatenate([w.ravel() for w in (at_ii, at_jj, at_ij, at_ji)])
         return np.bincount(self.pattern, weights, minlength=self.M * n * n).reshape(self.M, n, n)
@@ -359,11 +354,11 @@ class _PathWorkspace:
         continuity rows mu^{m+1} - mu^m + dt D x^m = 0, with their residual
         on the right side so that rounding drift is pulled back.
 
-        The action dt x^2/(theta q) of an edge has flux curvature
+        The action dt x^2/(theta q) of a pair has flux curvature
         2 dt/(theta q), so each flux is eliminated on its own:
         dx = y - x - (theta q / 2)(lam_i - lam_j), with y = alpha da + gamma db
         the flux response to the increments of the midpoint densities
-        (alpha = x theta_a/theta, gamma = x theta_b/theta), and what the edge
+        (alpha = x theta_a/theta, gamma = x theta_b/theta), and what the pair
         leaves in (a, b) is ``coef`` times the Hessian of theta (``R``).
         The multipliers of step m then solve L_m lam^m = B_m dmu - rho_m, with
         L_m = dt/2 D diag(theta q) D^T plus 1 1^T / n (which D^T
@@ -377,13 +372,13 @@ class _PathWorkspace:
         tridiagonal in time with N x N blocks.
         """
         M, n, dt = self.M, self.sys.n_points, self.dt
-        pi, ei, ej = self.sys.pi, self.edges[:, 0], self.edges[:, 1]
+        pi, (ei, ej, q) = self.sys.pi, self.sys.pairs
         u = mu / pi[None, :]
         ut = 0.5 * (u[:-1] + u[1:])
         a, b = ut[:, ei], ut[:, ej]
         theta, th_a, th_b, th_aa, th_ab, th_bb = _log_mean_derivatives(a, b)
         theta += eps
-        cond = theta * self.q[None, :]
+        cond = theta * q[None, :]
         inner = mu[1:-1]
         bar = beta / inner  # minus the barrier gradient
 
@@ -433,16 +428,15 @@ class _PathWorkspace:
         return g_x, g_mu, dx, dmu
 
 
-def _action_from_arrays(u, x, edges, q, eps) -> float:
+def _action_from_arrays(u, x, pairs, eps) -> float:
     ut = 0.5 * (u[:-1] + u[1:])
-    theta = log_mean(ut[:, edges[:, 0]], ut[:, edges[:, 1]]) + eps
-    return (1.0 / x.shape[0]) * _flux_cost(x, theta, q)
+    theta = log_mean(ut[:, pairs.i], ut[:, pairs.j]) + eps
+    return (1.0 / x.shape[0]) * _flux_cost(x, theta, pairs.w)
 
 
 def action_of_path(path: DiscretePath, eps: float = 0.0) -> float:
     """Kinetic action of a discrete path (midpoint logarithmic-mean rule)."""
-    _, q = _support_edges(path.system)
-    return _action_from_arrays(path.u, path.fluxes, path.edges, q, eps)
+    return _action_from_arrays(path.u, path.fluxes, path.system.pairs, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +455,7 @@ def _newton(ws: _PathWorkspace, x, mu, beta: float, eps: float, max_iter: int):
     """
     f = ws.objective(x, mu, beta, eps)
     if not np.isfinite(f):
-        raise RuntimeError("Newton stage started outside the feasible domain")
+        raise TransportError("Newton stage started outside the feasible domain")
     history = [f]
     for steps in range(max_iter + 1):
         try:
@@ -507,7 +501,7 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
         # the constant path has zero action; the barrier stages would chase
         # empty cells of it toward zero instead
         u = np.tile(prob.start.u, (prob.n_steps + 1, 1))
-        path = DiscretePath(ws.sys, u, np.zeros((prob.n_steps, ws.edges.shape[0])), ws.edges)
+        path = DiscretePath(ws.sys, u, np.zeros((prob.n_steps, ws.sys.pairs.w.size)))
         return MetricResult(
             w=0.0,
             n_steps=prob.n_steps,
@@ -532,9 +526,14 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
     # flux fixed exactly
     x = ws.close_total(x)
     u = ws.masses(x) / ws.sys.pi[None, :]
-    path = DiscretePath(ws.sys, u, x, ws.edges)
+    try:
+        path = DiscretePath(ws.sys, u, x)
+        w = float(np.sqrt(max(_action_from_arrays(u, x, ws.sys.pairs, 0.0), 0.0)))
+    except ValueError as exc:
+        # interior masses the stages drove to rounding level can end below
+        # zero once the total flux is closed
+        raise TransportError(f"the solved path is invalid: {exc}") from exc
     residual = float(np.max(np.abs(path.u[-1] * ws.sys.pi - ws.muT)))
-    w = float(np.sqrt(max(_action_from_arrays(u, x, ws.edges, ws.q, 0.0), 0.0)))
     return MetricResult(
         w=w,
         n_steps=prob.n_steps,

@@ -110,6 +110,7 @@ FLOWS_THAT_FAIL_AFTER_THE_BUILD = [
     ("solve", "constant_torus", {"output_times": [0.0, 0.5]}, "flow.output_times"),
     ("run", "fractional_gibbs", {"initial": {"type": "point_mass", "index": 16}}, "flow.initial.index"),
     ("refine", "fractional_gibbs", {"initial": {"type": "table", "values": [1.0] * 16}}, "flow.initial"),
+    ("solve", "constant_torus", {"initial": {"type": "table", "values": [1.0, -0.5] + [1.0] * 14}}, "flow.initial.values"),
 ]
 
 
@@ -200,6 +201,22 @@ def test_unconverged_transport_solve_is_exit_4(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
     metric = json.loads((tmp_path / "out" / "metric.json").read_text())
     assert metric["converged"] is False and metric["w"] > 30.0
+
+
+def test_a_transport_path_that_dips_below_zero_is_exit_3_with_partial_manifest(tmp_path, capsys):
+    # the polish stage drives the cells empty at both ends to 4.9e-324, and closing
+    # the total flux rounds one of them below zero: this used to raise "path contains
+    # negative densities" (exit 2, as for a bad config) with no manifest
+    doc = shipped_doc("fractional_gibbs", tmp_path / "out")
+    start = [0.0] * 3 + [1.0 + 1e-9, 1.0, 1.0 - 1e-9] + [0.0] * 10
+    end = [0.0] * 3 + [1.0] * 3 + [0.0] * 10
+    doc["metric"] = {"endpoints": [{"type": "table", "values": start}, {"type": "table", "values": end}], "M": 8}
+    cfg = write_config(tmp_path, doc)
+    assert main(["metric", "--config", cfg, "--quiet"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "TransportError in stage metric: the solved path is invalid: path contains negative densities" in err
+    failure = json.loads((tmp_path / "out" / "manifest.json").read_text())["failure"]
+    assert failure["stage"] == "metric" and failure["kind"] == "TransportError"
 
 
 def test_a_transport_distance_between_equal_endpoints_is_exit_0(tmp_path):

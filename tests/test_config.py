@@ -231,6 +231,7 @@ def test_kernel_and_measure_values_are_checked_at_validation(section, value, pat
         {"type": "point_mass", "index": -1},
         {"type": "table", "values": []},
         {"type": "table", "values": 3},
+        {"type": "table", "values": [1.0, -0.5] + [1.0] * 6},
         {"type": "uniform", "width": 1},
     ],
 )
@@ -238,6 +239,23 @@ def test_bad_densities_rejected(density):
     doc = minimal_doc(flow=flow_doc())
     doc["flow"]["initial"] = density
     with pytest.raises(ConfigError):
+        validate_config(doc)
+
+
+BAD_TABLE_VALUES = [[1.0, -0.5] + [1.0] * 6, [0.0] * 8, [1.0, float("nan")] + [1.0] * 6, [float("inf")] + [1.0] * 7]
+
+
+@pytest.mark.parametrize("values", BAD_TABLE_VALUES, ids=["negative", "all_zero", "nan", "inf"])
+@pytest.mark.parametrize("section", ["flow", "metric"])
+def test_a_table_density_without_a_positive_finite_total_is_rejected_by_path(section, values):
+    # such a table used to pass validation and fail in density_from_spec,
+    # after the build had written system.json
+    bad = {"type": "table", "values": values}
+    if section == "flow":
+        doc, path = minimal_doc(flow={**flow_doc(), "initial": bad}), "flow.initial.values"
+    else:
+        doc, path = minimal_doc(metric={"endpoints": [{"type": "uniform"}, bad]}), "metric.endpoints[1].values"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected finite nonnegative numbers"):
         validate_config(doc)
 
 

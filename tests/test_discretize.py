@@ -88,9 +88,10 @@ def test_pushforward_rejects_empty_cells():
 
 
 def test_pushforward_that_does_not_converge_raises():
-    # the kink of V = |x - 0.3| sits inside a cell of level 16, away from every
-    # Gauss node, so each doubling of the order still moves that cell's mass
-    meas = GibbsMeasure(potential=PotentialSpec(expr="abs(x-0.3)"))
+    # the jumps at 1/6 and 5/6 of the level-3 table [0, 1, 2.5] sit inside cells
+    # of level 16, away from every Gauss node, so each doubling of the order still
+    # moves those cells' masses; the table's c_V is its exact mean
+    meas = GibbsMeasure(potential=PotentialSpec(table_values=np.array([0.0, 1.0, 2.5])))
     with pytest.raises(QuadratureError, match="^pushforward quadrature did not converge"):
         pushforward_measure(meas, build_grid(1, 16))
 

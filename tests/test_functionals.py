@@ -11,7 +11,6 @@ from nlw.discretize import DiscreteSystem
 from nlw.flow import tangent_flux
 from nlw.functionals import (
     DensityState,
-    FluxField,
     action,
     fisher_information,
     log_mean,
@@ -48,6 +47,20 @@ def make_system(n=4, eta_value=1.0, pi=None, eta=None):
 
 def two_state(pi=(0.5, 0.5), eta12=1.0):
     return make_system(2, pi=np.array(pi), eta=np.array([[0.0, eta12], [eta12, 0.0]]))
+
+
+def on_pairs(sys, v):
+    """The pair values v_ij, i < j in ``sys.pairs`` order, of an N x N matrix."""
+    return v[sys.pairs.i, sys.pairs.j]
+
+
+def dense_flux(sys, v):
+    """The antisymmetric N x N matrix of a flux ``v`` on ``sys.pairs``."""
+    n = sys.n_points
+    dense = np.zeros((n, n))
+    dense[sys.pairs.i, sys.pairs.j] = v
+    dense[sys.pairs.j, sys.pairs.i] = -v
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +184,6 @@ def test_density_state_constructors():
     assert np.allclose(fm.u, 1.0)
 
 
-def test_flux_field_validation():
-    FluxField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        FluxField(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        FluxField(np.array([[0.1, 1.0], [-1.0, 0.0]]))
-
-
-def test_flux_from_upper_triangle():
-    data = np.array([[9.0, 2.0, 3.0], [4.0, 9.0, 5.0], [6.0, 7.0, 9.0]])
-    f = FluxField.from_upper_triangle(data)
-    assert f.v[0, 1] == 2.0 and f.v[1, 0] == -2.0
-    assert f.v[1, 2] == 5.0 and f.v[2, 1] == -5.0
-    assert np.all(np.diagonal(f.v) == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # entropy
 # ---------------------------------------------------------------------------
@@ -276,13 +273,13 @@ def test_nonlocal_gradient():
 def test_action_zero_flux():
     sys = make_system(4)
     rho = DensityState.uniform(sys)
-    assert action(rho, FluxField.zero(4)) == 0.0
+    assert action(rho, np.zeros(6)) == 0.0
 
 
 def test_action_two_state_frozen_value():
     sys = two_state()
     rho = DensityState(sys, np.array([1.0, 1.0]))
-    v = FluxField(np.array([[0.0, 0.25], [-0.25, 0.0]]))
+    v = np.array([0.25])
     # ordered-pair sum: 2 * (1/16) / (2 * 1 * 1 * 1/4) = 1/4
     assert action(rho, v) == pytest.approx(0.25, rel=1e-14)
 
@@ -294,8 +291,7 @@ def test_action_ordered_equals_twice_upper():
     u /= u @ sys.pi
     rho = DensityState(sys, u)
     upper = rng.standard_normal((6, 6))
-    v = FluxField.from_upper_triangle(upper)
-    full = action(rho, v)
+    full = action(rho, on_pairs(sys, upper))
     # hand-rolled i < j sum, doubled
     half = 0.0
     from nlw.functionals import log_mean as th
@@ -303,7 +299,7 @@ def test_action_ordered_equals_twice_upper():
     for i in range(6):
         for j in range(i + 1, 6):
             den = 2.0 * th(u[i], u[j]) * sys.eta[i, j] * sys.pi[i] * sys.pi[j]
-            half += v.v[i, j] ** 2 / den
+            half += upper[i, j] ** 2 / den
     assert full == pytest.approx(2.0 * half, rel=1e-12)
 
 
@@ -311,13 +307,13 @@ def test_action_zero_over_zero_convention():
     # no flux across a degenerate edge costs nothing
     sys = two_state()
     rho = DensityState(sys, np.array([2.0, 0.0]))  # theta(u1, u2) = 0
-    assert action(rho, FluxField.zero(2)) == 0.0
+    assert action(rho, np.zeros(1)) == 0.0
 
 
 def test_action_with_arithmetic_mean_differs():
     sys = two_state()
     rho = DensityState(sys, np.array([1.5, 0.5]))
-    v = FluxField(np.array([[0.0, 0.3], [-0.3, 0.0]]))
+    v = np.array([0.3])
     a_log = action(rho, v)
     a_ari = action(rho, v, theta_fn=arithmetic_mean)
     assert a_ari < a_log  # arithmetic mean is strictly larger off-diagonal
@@ -331,11 +327,11 @@ def test_action_jointly_convex_random():
         u1 /= u1 @ sys.pi
         u2 = rng.random(5) + 0.05
         u2 /= u2 @ sys.pi
-        v1 = FluxField.from_upper_triangle(rng.standard_normal((5, 5)))
-        v2 = FluxField.from_upper_triangle(rng.standard_normal((5, 5)))
+        v1 = on_pairs(sys, rng.standard_normal((5, 5)))
+        v2 = on_pairs(sys, rng.standard_normal((5, 5)))
         rho1, rho2 = DensityState(sys, u1), DensityState(sys, u2)
         mid_rho = DensityState(sys, 0.5 * (u1 + u2))
-        mid_v = FluxField(0.5 * (v1.v + v2.v))
+        mid_v = 0.5 * (v1 + v2)
         lhs = action(mid_rho, mid_v)
         rhs = 0.5 * action(rho1, v1) + 0.5 * action(rho2, v2)
         assert lhs <= rhs + 1e-10
@@ -346,28 +342,30 @@ def test_action_jointly_convex_random():
 # ---------------------------------------------------------------------------
 
 
-def continuity_residual(mu_dot, flux):
-    """max_i |mu_dot_i + sum_j v_ij|: zero exactly when (mu_dot, v) solves d/dt mu_i + sum_j v_ij = 0."""
+def continuity_residual(mu_dot, v):
+    """max_i |mu_dot_i + sum_j v_ij| for an N x N flux ``v``: zero exactly when
+    (mu_dot, v) solves d/dt mu_i + sum_j v_ij = 0."""
     mu_dot = np.asarray(mu_dot, dtype=float)
-    if mu_dot.shape[0] != flux.n_points:
+    if v.shape != (mu_dot.shape[0],) * 2:
         raise ValueError("shape mismatch between mu_dot and flux")
-    return float(np.max(np.abs(mu_dot + flux.v.sum(axis=1))))
+    return float(np.max(np.abs(mu_dot + v.sum(axis=1))))
 
 
 def test_continuity_residual_zero_case():
-    assert continuity_residual(np.zeros(3), FluxField.zero(3)) == 0.0
+    assert continuity_residual(np.zeros(3), np.zeros((3, 3))) == 0.0
 
 
 def test_continuity_residual_exact_solution_and_perturbation():
     rng = np.random.default_rng(23)
-    v = FluxField.from_upper_triangle(rng.standard_normal((5, 5)))
-    mu_dot = -v.v.sum(axis=1)
+    sys = make_system(5)
+    v = dense_flux(sys, on_pairs(sys, rng.standard_normal((5, 5))))
+    mu_dot = -v.sum(axis=1)
     assert continuity_residual(mu_dot, v) == 0.0
     eps = 1e-4
-    pert = v.v.copy()
+    pert = v.copy()
     pert[0, 1] += eps
     pert[1, 0] -= eps
-    res = continuity_residual(mu_dot, FluxField(pert))
+    res = continuity_residual(mu_dot, pert)
     assert res == pytest.approx(eps, rel=1e-10)
 
 
@@ -519,36 +517,33 @@ def test_pair_functionals_match_the_dense_oracles(n, block_size):
             want = dense_fisher(rho)
             assert_matches_oracle(fisher_information(rho), want)
             seen_inf += want == np.inf
-            np.testing.assert_allclose(tangent_flux(rho).v, dense_tangent_flux(rho), rtol=1e-13, atol=0.0)
+            got = dense_flux(sys, tangent_flux(rho))
+            np.testing.assert_allclose(got, dense_tangent_flux(rho), rtol=1e-13, atol=0.0)
             for v in oracle_fluxes(rng, rho):
                 want = dense_action(rho, v)
-                assert_matches_oracle(action(rho, FluxField(v)), want)
+                assert_matches_oracle(action(rho, on_pairs(sys, v)), want)
                 assert_matches_oracle(
-                    action(rho, FluxField(v), theta_fn=arithmetic_mean), dense_action(rho, v, arithmetic_mean)
+                    action(rho, on_pairs(sys, v), theta_fn=arithmetic_mean), dense_action(rho, v, arithmetic_mean)
                 )
                 seen_inf += want == np.inf
                 seen_zero += want == 0.0
     assert seen_inf and seen_zero
 
 
-def test_flux_field_on_pairs_round_trip_and_validation():
-    rng = np.random.default_rng(41)
-    upper = np.triu(rng.standard_normal((6, 6)), k=1)
-    v = upper - upper.T
-    f = FluxField(v)
-    assert np.array_equal(f.v, v)
-    assert np.array_equal(f.values, upper[np.triu_indices(6, k=1)])
-    assert not f.values.flags.writeable
-    g = FluxField.on_pairs(6, f.values)
-    assert np.array_equal(g.v, v)
-    with pytest.raises(ValueError):
-        FluxField.on_pairs(6, np.zeros(14))
-    with pytest.raises(ValueError):
-        FluxField.on_pairs(2, np.array([np.nan]))
-    with pytest.raises(ValueError):
-        FluxField.from_upper_triangle(np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        action(DensityState.uniform(make_system(4)), FluxField.zero(5))
+@pytest.mark.parametrize(
+    "n, v",
+    [
+        (6, np.zeros(14)),
+        (4, np.zeros(10)),
+        (4, np.zeros((1, 6))),
+        (2, np.array([np.nan])),
+        (3, np.array([0.0, np.inf, 1.0])),
+    ],
+    ids=["one_short", "too_many", "two_dimensional", "nan", "inf"],
+)
+def test_action_rejects_a_flux_of_the_wrong_shape_or_with_non_finite_entries(n, v):
+    with pytest.raises(ValueError, match="flux"):
+        action(DensityState.uniform(make_system(n)), v)
 
 
 def test_pair_list_audit_peak_memory_at_1024_points():

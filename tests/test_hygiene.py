@@ -1,6 +1,7 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Five kinds of dead code fail here, and one cost at import:
+Five kinds of dead code fail here, one cost at import and one second
+spelling of the pair order:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -20,7 +21,10 @@ Five kinds of dead code fail here, and one cost at import:
   like ``RunResult``, are exempt;
 * a scipy import that runs when its module loads (anywhere outside a
   function body): ``import nlw`` loads numpy alone, and each scipy
-  subpackage loads inside the functions that call it.
+  subpackage loads inside the functions that call it;
+* a call of ``np.triu_indices`` outside ``DiscreteSystem.pairs`` and
+  ``discretize_kernel``: every pair list and every flux is in the order
+  of ``DiscreteSystem.pairs``, built in one place.
 """
 
 from __future__ import annotations
@@ -273,3 +277,29 @@ def test_no_scipy_import_runs_at_module_load():
             names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
             eager += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
     assert not eager, "module-level scipy imports: " + ", ".join(eager)
+
+
+_PAIR_ORDER_OWNERS = {("discretize.py", "DiscreteSystem.pairs"), ("discretize.py", "discretize_kernel")}
+
+
+def _calls_by_scope(node: ast.AST, scope: str = ""):
+    """(enclosing qualified name, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls_by_scope(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls_by_scope(child, scope)
+
+
+def test_the_pair_order_is_built_only_by_the_pair_list_and_the_kernel_assembly():
+    owners = set()
+    for path in _modules():
+        for scope, call in _calls_by_scope(_parse(path)):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "triu_indices":
+                owners.add((path.name, scope or "<module>"))
+    assert owners <= _PAIR_ORDER_OWNERS, f"np.triu_indices called in {sorted(owners - _PAIR_ORDER_OWNERS)}"
+    assert owners, "DiscreteSystem.pairs no longer calls np.triu_indices"

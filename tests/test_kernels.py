@@ -113,6 +113,13 @@ def test_normalization_refuses_a_mesh_above_the_byte_limit(monkeypatch):
     assert PotentialSpec(expr="cos(2*pi*x)").normalization(1) == cos_cv  # converged at m=128
 
 
+def test_normalization_that_does_not_converge_raises():
+    # the kink of |x - 0.3| keeps every doubling of the midpoint sum moving: at
+    # m = 8192 its c_V is 2.5e-9 off, which used to be returned silently
+    with pytest.raises(KernelError, match=r"^c_V of 'abs\(x-0.3\)' did not converge: .* at m=8192$"):
+        PotentialSpec(expr="abs(x-0.3)").normalization(1)
+
+
 def test_potential_table_lookup():
     vals = np.array([0.0, 1.0, 2.0, 3.0])
     V = PotentialSpec(table_values=vals, table_dim=1)

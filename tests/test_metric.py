@@ -278,7 +278,7 @@ def random_interior_point(n, n_steps, seed):
 
 
 def _split(ws, z):
-    E = ws.q.size
+    E = ws.sys.pairs.w.size
     x = z[: ws.M * E].reshape(ws.M, E)
     mu = np.vstack([ws.mu0, z[ws.M * E :].reshape(ws.M - 1, -1), ws.muT])
     return x, mu
@@ -310,7 +310,7 @@ def test_objective_gradient_matches_finite_differences():
 @pytest.mark.parametrize("beta, eps", [(1e-2, 1e-2), (0.0, 1e-12)])
 def test_newton_step_solves_the_kkt_system_of_the_finite_difference_hessian(n, n_steps, beta, eps):
     ws, x, mu = random_interior_point(n, n_steps, seed=n)
-    M, E, dt = ws.M, ws.q.size, ws.dt
+    M, E, dt = ws.M, ws.sys.pairs.w.size, ws.dt
     z = np.concatenate([x.ravel(), mu[1:-1].ravel()])
     h = 1e-6
     H = np.empty((z.size, z.size))
@@ -320,7 +320,7 @@ def test_newton_step_solves_the_kkt_system_of_the_finite_difference_hessian(n, n
         H[:, k] = (_gradient(ws, z + step, beta, eps) - _gradient(ws, z - step, beta, eps)) / (2 * h)
     H = 0.5 * (H + H.T)
     # continuity rows mu^{m+1} - mu^m + dt D x^m = 0, m = 0 .. M-1, and their residual
-    D = dense_incidence(ws.edges, n)
+    D = dense_incidence(ws.sys.pairs, n)
     A = np.zeros((M * n, z.size))
     for m in range(M):
         A[m * n : (m + 1) * n, m * E : (m + 1) * E] = dt * D
@@ -348,12 +348,12 @@ def test_objective_infinite_outside_positive_cone():
         assert ws.objective(x, ws.masses(x), beta, eps) == np.inf
 
 
-def dense_incidence(edges, n_points):
-    """N x E incidence matrix D: +1 at node i and -1 at node j of edge (i, j)."""
-    cols = np.arange(edges.shape[0])
-    D = np.zeros((n_points, edges.shape[0]))
-    D[edges[:, 0], cols] = 1.0
-    D[edges[:, 1], cols] = -1.0
+def dense_incidence(pairs, n_points):
+    """N x E incidence matrix D: +1 at node i and -1 at node j of pair (i, j)."""
+    cols = np.arange(pairs.w.size)
+    D = np.zeros((n_points, pairs.w.size))
+    D[pairs.i, cols] = 1.0
+    D[pairs.j, cols] = -1.0
     return D
 
 
@@ -364,10 +364,10 @@ def gradient_oracle(ws, x, mu, beta, eps):
     interior = mu[1:-1]
     u = mu / ws.sys.pi[None, :]
     ut = 0.5 * (u[:-1] + u[1:])
-    ei, ej = ws.edges[:, 0], ws.edges[:, 1]
+    ei, ej = ws.sys.pairs.i, ws.sys.pairs.j
     r, s = ut[:, ei], ut[:, ej]
     theta = np.asarray(log_mean(r, s)) + eps
-    cond = theta * ws.q[None, :]
+    cond = theta * ws.sys.pairs.w[None, :]
     f = dt * float(np.sum(x * x / cond))
     bar = np.zeros_like(interior)
     if beta > 0.0:
@@ -413,12 +413,12 @@ def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
     sys = random_system(6, seed=11)
     a = DensityState.uniform(sys)
     ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
-    D = dense_incidence(ws.edges, 6)
+    D = dense_incidence(ws.sys.pairs, 6)
     basis = scipy.linalg.null_space(D)
     assert basis.shape == (15, 10)  # E - N + 1 independent cycles of the complete graph
     rng = np.random.default_rng(5)
     for _ in range(5):
-        z = rng.normal(size=ws.q.size)
+        z = rng.normal(size=ws.sys.pairs.w.size)
         assert np.max(np.abs(ws.project(z) - basis @ (basis.T @ z))) < 1e-12
     g = rng.normal(size=(3, 6))
     g -= g.mean(axis=1, keepdims=True)
@@ -459,7 +459,7 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.q.size == 128 * 127 // 2
+    assert ws.sys.pairs.w.size == 128 * 127 // 2
     assert np.isfinite(f) and dx.shape == x.shape and dmu.shape == (15, 128)
     assert peak < 64 * 2**20
 
@@ -648,9 +648,11 @@ def test_path_continuity_residual_is_tiny():
 def test_discrete_path_validation():
     sys = two_state()
     with pytest.raises(ValueError, match="shape"):
-        DiscretePath(sys, np.ones((3, 2)), np.zeros((1, 1)), np.array([[0, 1]]))
+        DiscretePath(sys, np.ones((3, 2)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        DiscretePath(sys, np.ones((2, 2)), np.zeros((1, 2)))  # two fluxes for one pair
     with pytest.raises(ValueError, match="negative"):
-        DiscretePath(sys, np.array([[1.0, 1.0], [2.0, -1.0]]), np.zeros((1, 1)), np.array([[0, 1]]))
+        DiscretePath(sys, np.array([[1.0, 1.0], [2.0, -1.0]]), np.zeros((1, 1)))
 
 
 def test_path_problem_validation():
