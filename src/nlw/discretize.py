@@ -34,6 +34,17 @@ nodes, and a rule whose per-pair node array would exceed
 ``_ARRAY_BYTES_LIMIT`` raises QuadratureError before it is allocated, as
 does a pushforward rule whose cell nodes would.
 
+Far field.  In d = 1 with a constant or fractional kernel, a pair whose
+cells are at least one cell apart and whose displacements stay inside
+the wrap kink (offset o >= 2 with 2 o < n - 1) has a smooth integrand.
+`_far_field` integrates those pairs with one Gauss rule of ``FAR_ORDER``
+points per cell; the kernel values then depend on the offset alone, so
+the far field is one small matrix product per offset (a near/far split
+as in Hackbusch, Hierarchical Matrices, 2015).  Each value must agree
+with the ``FAR_CHECK_ORDER`` rule to ``PAIR_TOL``; a pair that does not
+(a density with a kink inside a cell) goes to the pair rule, as do
+offsets 1 and floor(n/2), weighted and tabulated kernels, and d >= 2.
+
 Offset classes.  On the uniform measure with a translation-invariant
 kernel (constant, fractional) the pair integral depends only on the
 integer cell offset o = k - j (mod n per axis), up to its sign.  Such a
@@ -94,6 +105,8 @@ __all__ = [
 SYSTEM_SCHEMA = "nlw-system/v1"
 
 PAIR_TOL = 1e-4  # relative change that stops the doubling of a cell-pair rule
+FAR_ORDER = 8  # Gauss points per cell of the d = 1 far-field rule
+FAR_CHECK_ORDER = 4  # the coarser rule the far field must agree with to PAIR_TOL
 CELL_TOL = 1e-12  # relative change that stops the doubling of the per-cell pushforward rule
 MIN_CELL_MASS = 1e-14  # smallest pi_n(j) a cell may carry
 MAX_DOUBLINGS = 7  # doublings allowed before either rule raises QuadratureError
@@ -471,6 +484,62 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
 
 
 # ---------------------------------------------------------------------------
+# Far field in d = 1: one Gauss rule per cell, one kernel matrix per offset
+# ---------------------------------------------------------------------------
+
+
+def _far_offsets(spec, grid: GridSpec) -> np.ndarray:
+    """The offsets o whose pairs {c, c + o mod n} are far: o >= 2 and 2 o < n - 1.
+
+    For a constant or fractional kernel in d = 1 such a pair's cells are
+    at least one cell apart, so the cutoff is inactive, and its
+    displacements o w +- w stay inside the wrap kink at 1/2, so
+    eta(y - x) rho(x) rho(y) is smooth on it.  Every other input has no
+    far pairs.
+    """
+    if grid.dim != 1 or not isinstance(spec, (ConstantKernel, FractionalKernel)):
+        return np.arange(0)
+    return np.arange(2, grid.n_points // 2)
+
+
+def _far_field(spec, meas, grid: GridSpec, todo: np.ndarray):
+    """Yield, offset by offset, the far pairs among ``todo`` that the far rule settles, and their integrals.
+
+    The pairs are flat indices in ``np.triu_indices`` order.  With a
+    ``FAR_ORDER``-point Gauss rule per cell, a_p(c) = b_p rho(x_c + alpha_p),
+    the integral of the pair {c, c + o} is
+    sum_{p,r} a_p(c) h_pr(o) a_r(c + o), h_pr(o) = eta(o w + alpha_r - alpha_p):
+    the kernel matrix depends on the offset alone, so one offset is one
+    (cells x order) by (order x order) product.  Kernel values cost
+    O(n order^2), densities O(n order) and memory O(n order) per offset.
+    A pair is settled when its value agrees with the ``FAR_CHECK_ORDER``
+    rule to ``PAIR_TOL``.
+    """
+    offsets = _far_offsets(spec, grid)
+    if offsets.size == 0:
+        return
+    n, w = grid.n_points, grid.cell_width
+    rules = []
+    for order in (FAR_ORDER, FAR_CHECK_ORDER):
+        alpha, b = _gauss_nodes(-0.5 * w, 0.5 * w, order)
+        a = b * meas.density(np.mod(grid.points + alpha, 1.0).reshape(-1, 1)).reshape(n, order)
+        r = (offsets * w)[:, None, None] + (alpha[None, :] - alpha[:, None])
+        # a translation-invariant kernel reads only the radius, so the radii stand in for the points
+        t = r.reshape(-1, 1)
+        rules.append((a, _values_with_radius(spec, t, t, r.reshape(-1)).reshape(r.shape)))
+    cells = np.arange(n)
+    for i, o in enumerate(offsets):
+        partner = (cells + o) % n
+        low, high = np.minimum(cells, partner), np.maximum(cells, partner)
+        flat = low * (2 * n - low - 1) // 2 + (high - low - 1)
+        wanted = todo[flat]
+        c, k, flat = cells[wanted], partner[wanted], flat[wanted]
+        fine, coarse = (np.einsum("ip,ip->i", a[c] @ h[i], a[k]) for a, h in rules)
+        done = np.abs(fine - coarse) <= PAIR_TOL * np.maximum(np.abs(fine), 1e-300)
+        yield flat[done], fine[done]
+
+
+# ---------------------------------------------------------------------------
 # Kernel discretization
 # ---------------------------------------------------------------------------
 
@@ -488,7 +557,9 @@ def discretize_kernel(
     for j < k and mirrored, so the result is exactly symmetric with a
     zero diagonal.  On the uniform measure with a constant or fractional
     kernel only one pair per offset class {o, -o} is integrated (see
-    `_pair_representatives`).
+    `_pair_representatives`).  Far pairs in d = 1 take `_far_field`
+    where it passes its coarse check; every other pair doubles the pair
+    rule.
     """
     if weights is None:
         weights = pushforward_measure(pi, grid)
@@ -499,12 +570,17 @@ def discretize_kernel(
     lattice = np.zeros(jj.size, dtype=bool) if d == 1 else _pair_min_distance_sq(grid)[jj, kk] < dhalf * dhalf
     integrals = np.zeros(jj.shape[0])
     rep = _pair_representatives(spec, pi, grid, jj, kk)
-    evaluated = rep == np.arange(rep.size)
+    todo = rep == np.arange(rep.size)
 
-    # every pair doubles its rule until the relative change drops below PAIR_TOL:
+    # far pairs in d = 1 take the per-offset rule where it passes its coarse check
+    for settled, values in _far_field(spec, pi, grid, todo):
+        integrals[settled] = values
+        todo[settled] = False
+
+    # every other pair doubles its rule until the relative change drops below PAIR_TOL:
     # the Gauss order from 2, or in d >= 2 for cutoff-active pairs the lattice size from 8
     for rule, size, members in ((_panel_gauss, 2, ~lattice), (_masked_lattice, 8, lattice)):
-        pending = np.nonzero(members & evaluated)[0]
+        pending = np.nonzero(members & todo)[0]
         prev = None
         for _ in range(MAX_DOUBLINGS + 1):
             if pending.size == 0:

@@ -17,7 +17,11 @@ rate equal to the Fisher information.  The companion flux
 (one value per pair i < j of ``DiscreteSystem.pairs``, the flux form of
 ``functionals.action``) solves the nonlocal continuity equation exactly
 and its kinetic action equals the Fisher information identically — the
-discrete form of the entropy-dissipation identity dH/dt = -I = -A.
+discrete form of the entropy-dissipation identity dH/dt = -I = -A.  The
+audit computes the two sides by independent routes: I of every output
+state from the generator, -sum_i pi_i (K u)_i log u_i, in one product of
+the states with ``sys.eta`` (Maas, J. Funct. Anal. 2011); A per state
+from the pair list and the logarithmic mean.
 
 One propagator, exact at every output time: every cell carries mass and
 K is self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric,
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscreteSystem
-from .functionals import DensityState, action, fisher_information, relative_entropy
+from .functionals import DensityState, _flux_cost, log_mean, relative_entropy
 
 __all__ = [
     "IntegratorError",
@@ -125,6 +129,26 @@ def tangent_flux(rho: DensityState) -> np.ndarray:
     return v
 
 
+def _fisher_rows(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
+    """The Fisher information of every row u_k of ``u``, from the generator.
+
+    I_k = -sum_i pi_i (K u~_k)_i log u_k,i with u~_k = u_k - (u_k . pi),
+    the generator form of ``fisher_information``'s pair sum.  K 1 = 0,
+    so centring changes nothing in exact arithmetic; in floating point it
+    keeps the two terms of (K u~)_i = sum_j eta_ij pi_j u~_j - r_i u~_i,
+    with the row rates r = eta pi, from cancelling near equilibrium.  All
+    rows meet ``sys.eta`` in one product, and K itself is never formed.  A
+    row with a zero is +inf, as in ``fisher_information``; roundoff below
+    0 is clamped, as the entropy is.
+    """
+    pi = sys.pi
+    centred = u - (u @ pi)[:, None]
+    Ku = (centred * pi) @ sys.eta - centred * (sys.eta @ pi)
+    positive = np.all(u > 0.0, axis=1)
+    I = -(Ku * np.log(np.where(u > 0.0, u, 1.0))) @ pi
+    return np.where(positive, np.maximum(I, 0.0), np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Trajectory container
 # ---------------------------------------------------------------------------
@@ -134,12 +158,12 @@ def tangent_flux(rho: DensityState) -> np.ndarray:
 class Trajectory:
     """Flow output: densities u(t_k) with per-time diagnostics.
 
-    Diagnostics: H (relative entropy), I (Fisher information; may be
-    inf at t = 0 for states with holes), mass, min_u.  ``spectral_gap``
-    is lambda_1, minus the generator's second-largest eigenvalue, so H
-    decays at the asymptotic rate 2 lambda_1.  Construction re-validates
-    every state and the entropy monotonicity invariant (non-increasing
-    up to 1e-10).
+    Diagnostics: H (relative entropy), I (Fisher information from the
+    generator, `_fisher_rows`; inf at t = 0 for states with holes), mass,
+    min_u.  ``spectral_gap`` is lambda_1, minus the generator's
+    second-largest eigenvalue, so H decays at the asymptotic rate
+    2 lambda_1.  Construction re-validates every state and the entropy
+    monotonicity invariant (non-increasing up to 1e-10).
     """
 
     system: DiscreteSystem
@@ -157,7 +181,7 @@ class Trajectory:
             raise ValueError("density array shape does not match times/system")
         states = [DensityState(self.system, row) for row in u]  # validates mass and sign
         H = np.array([relative_entropy(s) for s in states])
-        I = np.array([fisher_information(s) for s in states])
+        I = _fisher_rows(self.system, u)
         rises = np.diff(H) > 1e-10
         if np.any(rises):
             k = int(np.nonzero(rises)[0][0])
@@ -309,15 +333,16 @@ class EDIReport:
     """Entropy-dissipation identity audit over a trajectory.
 
     delta_h compares the entropy at the quadrature start to the final
-    entropy; int_fisher and int_action are trapezoid integrals of I and
-    of the tangent-flux action over the output grid.  When the Fisher
-    information is infinite at t = 0 (mass next to a hole in the initial
-    state), the quadrature starts at the first positive output time and
-    ``infinite_start`` records the convention; the flow is strictly
-    positive for t > 0, so every later value is finite.  A defect claim
-    is only made when ``valid`` is true: it is false when a later I is
-    infinite (integrals inf) and when fewer than two output times remain
-    to integrate over (integrals nan).
+    entropy; int_fisher and int_action are trapezoid integrals over the
+    output grid of I (``Trajectory.fisher``, from the generator) and of
+    the tangent-flux action (from the pair list and the logarithmic
+    mean).  When the Fisher information is infinite at t = 0 (mass next
+    to a hole in the initial state), the quadrature starts at the first
+    positive output time and ``infinite_start`` records the convention;
+    the flow is strictly positive for t > 0, so every later value is
+    finite.  A defect claim is only made when ``valid`` is true: it is
+    false when a later I is infinite (integrals inf) and when fewer than
+    two output times remain to integrate over (integrals nan).
     """
 
     delta_h: float
@@ -361,10 +386,15 @@ def edi_report(traj: Trajectory) -> EDIReport:
             valid=False,
             note=no_claim + "; no defect claim",
         )
-    A = np.empty(traj.n_times - start)
-    for k in range(start, traj.n_times):
-        state = traj.state(k)
-        A[k - start] = action(state, tangent_flux(state))
+    # action(state, tangent_flux(state)) for every state, in the same operations
+    # but without a DensityState or a flux array per state
+    pairs = traj.system.pairs
+    blocks = pairs.blocks()
+    A = np.zeros(traj.n_times - start)
+    for k, u in enumerate(traj.u[start:]):
+        for b in blocks:
+            ui, uj = u[pairs.i[b]], u[pairs.j[b]]
+            A[k] += _flux_cost((ui - uj) * pairs.w[b], log_mean(ui, uj), pairs.w[b])
     t = traj.times[start:]
     H = traj.entropy[start:]
     int_I = float(np.trapezoid(I[start:], t))

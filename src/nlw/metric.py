@@ -528,11 +528,12 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
     u = ws.masses(x) / ws.sys.pi[None, :]
     try:
         path = DiscretePath(ws.sys, u, x)
-        w = float(np.sqrt(max(_action_from_arrays(u, x, ws.sys.pairs, 0.0), 0.0)))
     except ValueError as exc:
         # interior masses the stages drove to rounding level can end below
         # zero once the total flux is closed
         raise TransportError(f"the solved path is invalid: {exc}") from exc
+    # w is read from the returned path, whose rounding-level negatives are clamped
+    w = float(np.sqrt(max(action_of_path(path), 0.0)))
     residual = float(np.max(np.abs(path.u[-1] * ws.sys.pi - ws.muT)))
     return MetricResult(
         w=w,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import dataclass
 from itertools import pairwise
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from nlw.discretize import (
     QuadratureError,
     ZeroCellError,
     _cutoff_fractions,
+    _far_field,
     _masked_lattice,
     _pair_integrals,
     _panel_gauss,
@@ -36,6 +38,7 @@ from nlw.kernels import (
     ConstantKernel,
     FractionalKernel,
     GibbsMeasure,
+    MeasureSpec,
     MixedMeasure,
     PotentialSpec,
     TabulatedKernel,
@@ -554,6 +557,80 @@ def test_offset_classes_only_for_uniform_translation_invariant_inputs():
     ]:
         rep = _pair_representatives(spec, meas, grid, jj, kk)
         assert np.array_equal(rep, np.arange(jj.size))
+
+
+# ---------------------------------------------------------------------------
+# far field in d = 1: a Gauss rule per cell and a kernel matrix per offset
+# ---------------------------------------------------------------------------
+
+
+def far_pairs(spec, meas, grid):
+    """Every pair the far rule settles, as (flat indices, integrals)."""
+    todo = np.ones(grid.n_points * (grid.n_points - 1) // 2, dtype=bool)
+    settled = list(_far_field(spec, meas, grid, todo))
+    if not settled:
+        return np.arange(0), np.zeros(0)
+    return tuple(np.concatenate(parts) for parts in zip(*settled))
+
+
+def test_far_pairs_are_two_cells_apart_and_inside_the_wrap():
+    # offset 1 holds the cutoff, offset floor(n/2) the wrap kink
+    gibbs = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    for n, offsets in [(5, set()), (6, {2}), (7, {2}), (8, {2, 3}), (17, set(range(2, 8)))]:
+        grid = build_grid(1, n)
+        jj, kk = np.triu_indices(n, k=1)
+        flat, _ = far_pairs(FractionalKernel(s=1.0), gibbs, grid)
+        offset = np.minimum(kk - jj, n - (kk - jj))
+        assert np.array_equal(np.sort(flat), np.flatnonzero(np.isin(offset, list(offsets))))
+    zero = PotentialSpec(expr="0*x")
+    for spec, grid in [
+        (WeightedKernel(potential=zero, base=FractionalKernel(s=1.0)), build_grid(1, 16)),
+        (FractionalKernel(s=1.0), build_grid(2, 8)),
+    ]:
+        assert far_pairs(spec, UniformMeasure(), grid)[0].size == 0
+
+
+@pytest.mark.parametrize("level", [16, 17, 64, 512])
+def test_far_field_matches_the_pair_rule(level):
+    gibbs = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    grid = build_grid(1, level)
+    jj, kk = np.triu_indices(level, k=1)
+    for spec in (FractionalKernel(s=0.5), FractionalKernel(s=1.0), FractionalKernel(s=1.5), ConstantKernel(c=2.0)):
+        flat, fast = far_pairs(spec, gibbs, grid)
+        assert flat.size == level * (level // 2 - 2)
+        sample = slice(None, None, max(1, flat.size // 500))
+        flat, fast = flat[sample], fast[sample]
+        slow = _pair_integrals(spec, gibbs, grid, jj[flat], kk[flat], _panel_gauss(12, grid))
+        assert np.allclose(fast, slow, rtol=1e-8, atol=0.0), (level, spec)
+
+
+@dataclass
+class TentMeasure(MeasureSpec):
+    """Density 1 + |((x - 0.3) mod 1) - 1/2| - 1/4: kinks at 0.3 and 0.8, inside cells 5 and 13 of level 16."""
+
+    def density(self, pts):
+        x = np.atleast_2d(pts)[:, 0]
+        return 1.0 + np.abs(np.mod(x - 0.3, 1.0) - 0.5) - 0.25
+
+
+def test_far_pairs_failing_the_coarse_check_fall_back_to_the_pair_rule(monkeypatch):
+    spec, meas, grid = FractionalKernel(s=1.0), TentMeasure(), build_grid(1, 16)
+    lows = grid.points[:, 0] - 1 / 32
+    weights = np.array([scipy_quad(lambda x: meas.density(x)[0], a, a + 1 / 16, points=[0.3, 0.8])[0] for a in lows])
+    evaluated = []
+
+    def spy(spec, meas, grid, j, k, rule):
+        evaluated.extend(zip(j.tolist(), k.tolist()))
+        return _pair_integrals(spec, meas, grid, j, k, rule)
+
+    monkeypatch.setattr(discretize, "_pair_integrals", spy)
+    eta = discretize_kernel(spec, meas, grid, weights=weights)
+    # the far pairs on the pair rule are those of the kink cells
+    far = {(j, k) for j, k in evaluated if 2 <= min(k - j, 16 - (k - j)) <= 7}
+    offsets = [sign * o for o in range(2, 8) for sign in (1, -1)]
+    assert far == {tuple(sorted((a, (a + o) % 16))) for a in (5, 13) for o in offsets}
+    monkeypatch.setattr(discretize, "_far_offsets", lambda spec, grid: np.arange(0))
+    assert np.allclose(eta, discretize_kernel(spec, meas, grid, weights=weights), rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from nlw.functionals import (
     fisher_information,
     relative_entropy,
 )
-from nlw.kernels import FractionalKernel, UniformMeasure, measure_from_dict
+from nlw.kernels import ConstantKernel, FractionalKernel, UniformMeasure, measure_from_dict
 from nlw.torus import build_grid
 from test_functionals import continuity_residual, dense_action, dense_flux, dense_tangent_flux
 
@@ -429,15 +429,46 @@ def test_edi_makes_no_claim_on_a_single_finite_point():
     assert "single output time" in rep.note
 
 
-def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action():
+def _gibbs_64():
     gibbs = measure_from_dict({"type": "gibbs", "potential": {"expr": "cos(2*pi*x)"}})
-    sys = build_system(FractionalKernel(s=1.0), gibbs, build_grid(1, 64))
+    return build_system(FractionalKernel(s=1.0), gibbs, build_grid(1, 64))
+
+
+def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action():
+    sys = _gibbs_64()
     traj = solve(sys, DensityState.point_mass(sys, 5), IntegratorConfig(horizon=0.5, dt=0.01))
     rep = edi_report(traj)
     assert rep.valid and rep.start_index == 1
     states = [traj.state(k) for k in range(rep.start_index, traj.n_times)]
     oracle = [dense_action(s, dense_tangent_flux(s)) for s in states]
     assert rep.int_action == pytest.approx(np.trapezoid(oracle, traj.times[1:]), rel=1e-13, abs=0.0)
+    # the audit's pass over the pair blocks is the per-state action, operation for operation
+    per_state = [action(s, tangent_flux(s)) for s in states]
+    assert rep.int_action == float(np.trapezoid(per_state, traj.times[1:]))
+
+
+@pytest.mark.parametrize(
+    "make, start, horizon",
+    [
+        (_gibbs_64, lambda sys: DensityState.point_mass(sys, 5), 1.0),  # inf at t = 0
+        (lambda: build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 16)),
+         lambda sys: DensityState.point_mass(sys, 3), 20.0),  # I falls to 3e-17 of its peak
+        (lambda: random_system(np.random.default_rng(4), n=12, scale=3.0),
+         lambda sys: random_state(np.random.default_rng(5), sys), 8.0),
+    ],
+    ids=["gibbs_point_mass", "constant_long_horizon", "random_system"],
+)
+def test_trajectory_fisher_is_the_pair_sum_of_every_state(make, start, horizon):
+    sys = make()
+    traj = solve(sys, start(sys), IntegratorConfig(horizon=horizon, dt=horizon / 200))
+    pairwise = np.array([fisher_information(traj.state(k)) for k in range(traj.n_times)])
+    assert np.array_equal(np.isinf(traj.fisher), np.isinf(pairwise))
+    finite = np.isfinite(pairwise)
+    I, ref = traj.fisher[finite], pairwise[finite]
+    tiny = ref < 1e-12 * ref.max()
+    err = np.abs(I - ref)
+    assert np.all(np.where(tiny, err <= 1e-24, err <= 1e-12 * ref)), float(np.max(err / ref))
+    assert np.all(I >= 0.0)
 
 
 # ---------------------------------------------------------------------------

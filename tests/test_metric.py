@@ -537,6 +537,20 @@ def test_equal_endpoints_with_empty_cells_are_at_distance_zero(make, n_steps):
     assert res.path.continuity_residual() == 0.0
 
 
+@pytest.mark.parametrize("first", [4, 7])
+def test_w_is_the_action_of_the_returned_path(first):
+    # closing the total flux leaves rounding-level negative masses inside these
+    # paths, which DiscretePath clamps to 0; w used to be read from the unclamped ones
+    sys = _gibbs_16()
+    start = np.zeros(16)
+    start[first : first + 3] = [1.0 + 1e-3, 1.0, 1.0 - 1e-3]
+    end = np.zeros(16)
+    end[first : first + 3] = 1.0
+    a, b = (density_from_spec({"type": "table", "values": v.tolist()}, sys) for v in (start, end))
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=32))
+    assert res.w == np.sqrt(action_of_path(res.path))
+
+
 def test_distance_is_symmetric():
     sys = make_system(3)
     a = state(sys, [1.8, 0.9, 0.3])
