@@ -74,12 +74,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import (
-    ConstantKernel,
-    FractionalKernel,
     KernelSpec,
     MeasureSpec,
     UniformMeasure,
     _gauss_nodes,
+    _radial,
     _refuse_above_limit,
     _values_with_radius,
 )
@@ -324,7 +323,7 @@ def _pair_representatives(spec, pi, grid: GridSpec, jj: np.ndarray, kk: np.ndarr
     per axis); that pair is number c - 1 in ``np.triu_indices`` order.
     Every other input maps each pair to itself.
     """
-    if not (isinstance(pi, UniformMeasure) and isinstance(spec, (ConstantKernel, FractionalKernel))):
+    if not (isinstance(pi, UniformMeasure) and _radial(spec)):
         return np.arange(jj.size)
     shape = (grid.level,) * grid.dim
     ij = np.unravel_index(jj, shape)
@@ -497,7 +496,7 @@ def _far_offsets(spec, grid: GridSpec) -> np.ndarray:
     eta(y - x) rho(x) rho(y) is smooth on it.  Every other input has no
     far pairs.
     """
-    if grid.dim != 1 or not isinstance(spec, (ConstantKernel, FractionalKernel)):
+    if grid.dim != 1 or not _radial(spec):
         return np.arange(0)
     return np.arange(2, grid.n_points // 2)
 

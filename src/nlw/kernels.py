@@ -42,6 +42,8 @@ dyadic shells [-2a, 2a]^d minus [-a, a]^d, a = 2^{-k-2}.  Each shell is
 exact in every dimension; the leftover tail at the origin is summed by
 measured-ratio geometric extrapolation.  A measured ratio >= 1 means the
 refinement is not converging, which is reported as a divergence error.
+A sup over x is a max over a probe lattice; on the uniform measure with a
+`_radial` kernel (as in `discretize`'s offset classes) one probe stands for it.
 The Gauss order per dimension, shell budget, divergence ratio, probe
 oversampling and the tail radii of `check_assumptions` are the module
 constants below (``PANEL_ORDER`` ... ``TAIL_LADDER``), not settings.
@@ -537,6 +539,11 @@ def _values_with_radius(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, r: np.nd
     raise TypeError(f"unknown kernel spec {type(spec).__name__}")
 
 
+def _radial(spec: KernelSpec) -> bool:
+    """Whether eta(x, y) reads only the radius |x - y|, as `_values_with_radius` dispatches it."""
+    return isinstance(spec, (ConstantKernel, FractionalKernel))
+
+
 def kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Vectorized eta(X_k, Y_k) over paired rows of two (m, d) arrays.
 
@@ -704,15 +711,17 @@ def _probe_lattice(dim: int, working_level: int | None) -> np.ndarray:
 def c_eta(spec: KernelSpec, pi: MeasureSpec, dim: int = 1, working_level: int | None = None) -> float:
     """Flux-bound constant sqrt(2 * sup_x second_moment).
 
-    The sup is approximated by a max over a probe lattice (at
-    ``PROBE_FACTOR`` times the working level when one is given), so the
-    value is a lower bound on the true constant.
+    The sup is approximated by a max over a probe lattice of
+    ``PROBE_FACTOR`` times the working level points per axis (64 / 12 / 5
+    without one in d = 1 / 2 / 3, capped at 512 / 24 / 8), so the value is
+    a lower bound on the true constant.  On the uniform measure with a
+    `_radial` kernel the integrand reads no position, so every probe gives
+    the same bits and the first, the origin, stands for the lattice.
     """
     probes = _probe_lattice(dim, working_level)
-    best = 0.0
-    for x in probes:
-        best = max(best, second_moment(spec, pi, x))
-    return float(np.sqrt(2.0 * best))
+    if isinstance(pi, UniformMeasure) and _radial(spec):
+        probes = probes[:1]
+    return float(np.sqrt(2.0 * max(0.0, *(second_moment(spec, pi, x) for x in probes))))
 
 
 def tail_profile(spec: KernelSpec, pi: MeasureSpec, R: float, dim: int = 1) -> float:
@@ -725,15 +734,15 @@ def tail_profile(spec: KernelSpec, pi: MeasureSpec, R: float, dim: int = 1) -> f
     in d = 1, and B(1/R) is inside Q(1/R), which is inside B(sqrt(d)/R),
     so in every d the cube tail tends to 0 as R -> inf exactly when the
     ball tail does, i.e. when the kernel is uniformly integrable at the
-    diagonal.  Nonincreasing in R.
+    diagonal.  Nonincreasing in R.  The sup is over the probe lattice of
+    `c_eta` without a working level, with one probe in its one-probe case.
     """
     if R <= 1.0:
         raise ValueError("tail profile requires R > 1")
     probes = _probe_lattice(dim, None)
-    best = 0.0
-    for x in probes:
-        best = max(best, _moment(spec, pi, x, min(1.0 / R, 0.5)))
-    return best
+    if isinstance(pi, UniformMeasure) and _radial(spec):
+        probes = probes[:1]
+    return max(0.0, *(_moment(spec, pi, x, min(1.0 / R, 0.5)) for x in probes))
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +757,8 @@ class AdmissibilityReport:
     ``shift_diagnostic`` is informational only: it samples the relative
     change of eta under simultaneous translation of both arguments
     (zero for translation-invariant kernels); no threshold is applied.
+    ``probe_points`` is the size of the probe lattice of the sups, where
+    one probe stands for it in the one-probe case of `c_eta`.
     """
 
     symmetry_residual: float

@@ -1,7 +1,7 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Five kinds of dead code fail here, one cost at import and one second
-spelling of the pair order:
+Five kinds of dead code fail here, one cost at import and two second
+spellings, of the pair order and of the radial kernels:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -24,7 +24,12 @@ spelling of the pair order:
   subpackage loads inside the functions that call it;
 * a call of ``np.triu_indices`` outside ``DiscreteSystem.pairs`` and
   ``discretize_kernel``: every pair list and every flux is in the order
-  of ``DiscreteSystem.pairs``, built in one place.
+  of ``DiscreteSystem.pairs``, built in one place;
+* a tuple naming both ``ConstantKernel`` and ``FractionalKernel`` (as in
+  ``isinstance(spec, (ConstantKernel, FractionalKernel))``) outside
+  ``kernels._radial``: the offset classes, the far field and the
+  one-probe moment sups all ask that one predicate whether a kernel
+  reads only the radius.
 """
 
 from __future__ import annotations
@@ -282,24 +287,38 @@ def test_no_scipy_import_runs_at_module_load():
 _PAIR_ORDER_OWNERS = {("discretize.py", "DiscreteSystem.pairs"), ("discretize.py", "discretize_kernel")}
 
 
-def _calls_by_scope(node: ast.AST, scope: str = ""):
-    """(enclosing qualified name, call) for every call under ``node``."""
+def _nodes_by_scope(node: ast.AST, kind: type, scope: str = ""):
+    """(enclosing qualified name, node) for every node of type ``kind`` under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _calls_by_scope(child, f"{scope}.{child.name}" if scope else child.name)
+            yield from _nodes_by_scope(child, kind, f"{scope}.{child.name}" if scope else child.name)
             continue
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield scope, child
-        yield from _calls_by_scope(child, scope)
+        yield from _nodes_by_scope(child, kind, scope)
 
 
 def test_the_pair_order_is_built_only_by_the_pair_list_and_the_kernel_assembly():
     owners = set()
     for path in _modules():
-        for scope, call in _calls_by_scope(_parse(path)):
+        for scope, call in _nodes_by_scope(_parse(path), ast.Call):
             func = call.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name == "triu_indices":
                 owners.add((path.name, scope or "<module>"))
     assert owners <= _PAIR_ORDER_OWNERS, f"np.triu_indices called in {sorted(owners - _PAIR_ORDER_OWNERS)}"
     assert owners, "DiscreteSystem.pairs no longer calls np.triu_indices"
+
+
+_RADIAL_OWNERS = {("kernels.py", "_radial")}
+
+
+def test_the_radial_kernels_are_named_only_by_the_radial_predicate():
+    owners = set()
+    for path in _modules():
+        for scope, node in _nodes_by_scope(_parse(path), ast.Tuple):
+            names = {getattr(elt, "id", getattr(elt, "attr", None)) for elt in node.elts}
+            if {"ConstantKernel", "FractionalKernel"} <= names:
+                owners.add((path.name, scope or "<module>"))
+    assert owners <= _RADIAL_OWNERS, f"(ConstantKernel, FractionalKernel) named in {sorted(owners - _RADIAL_OWNERS)}"
+    assert owners, "kernels._radial no longer names (ConstantKernel, FractionalKernel)"

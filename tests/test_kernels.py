@@ -19,6 +19,7 @@ import nlw.kernels
 from nlw.discretize import pushforward_measure
 from nlw.kernels import (
     _EXPR_NAMESPACE,
+    TAIL_LADDER,
     AdmissibilityReport,
     ConstantKernel,
     CoverageError,
@@ -32,6 +33,7 @@ from nlw.kernels import (
     UniformMeasure,
     WeightedKernel,
     _moment,
+    _probe_lattice,
     _values_with_radius,
     c_eta,
     check_assumptions,
@@ -451,6 +453,71 @@ def test_tail_profile_decreasing_in_R():
         tail_profile(k, UniformMeasure(), 0.5)
 
 
+@pytest.mark.parametrize("dim, levels", [(1, (None, 8, 16, 32, 512)), (2, (2, 3))], ids=["d1", "d2"])
+@pytest.mark.parametrize(
+    "spec",
+    [ConstantKernel(c=1.3)] + [FractionalKernel(s=s, scale=0.7) for s in (0.5, 1.0, 1.5)],
+    ids=["c", "s0.5", "s1", "s1.5"],
+)
+def test_one_probe_sups_equal_the_whole_probe_loop(spec, dim, levels):
+    # oracle: the loop over the whole probe lattice that c_eta and tail_profile ran before
+    # the one-probe case; every probe gives the same bits, so the max is any one of them
+    pi = UniformMeasure()
+    for level in levels:
+        moments = [second_moment(spec, pi, x) for x in _probe_lattice(dim, level)]
+        assert set(moments) == {moments[0]}
+        sup = 0.0
+        for m in moments:
+            sup = max(sup, m)
+        assert c_eta(spec, pi, dim=dim, working_level=level) == float(np.sqrt(2.0 * sup))
+    for R in TAIL_LADDER:
+        sup = 0.0
+        for x in _probe_lattice(dim, None):
+            sup = max(sup, _moment(spec, pi, x, min(1.0 / R, 0.5)))
+        assert tail_profile(spec, pi, R, dim=dim) == sup
+
+
+class _Subclassed(FractionalKernel):
+    pass
+
+
+@pytest.mark.parametrize(
+    "spec, pi, one_probe",
+    [
+        (FractionalKernel(s=1.0), UniformMeasure(), True),
+        (ConstantKernel(c=2.0), UniformMeasure(), True),
+        (_Subclassed(s=0.5), UniformMeasure(), True),
+        (FractionalKernel(s=1.0), GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)")), False),
+        (FractionalKernel(s=1.0), TabulatedMeasure(weights=np.ones(8)), False),
+        (FractionalKernel(s=1.0), MixedMeasure(base=UniformMeasure(), epsilon=0.5), False),
+        (
+            WeightedKernel(potential=PotentialSpec(expr="cos(2*pi*x)"), base=FractionalKernel(s=1.0)),
+            UniformMeasure(),
+            False,
+        ),
+    ],
+    ids=["uniform-fractional", "uniform-constant", "uniform-subclass", "gibbs", "tabulated", "mixed", "weighted"],
+)
+def test_one_probe_only_on_the_uniform_measure_with_a_radial_kernel(monkeypatch, spec, pi, one_probe):
+    # counts the moment integrals behind each sup: one where the integrand reads no
+    # position, the whole lattice for every other measure and kernel
+    probes = []
+    moment = nlw.kernels._moment
+
+    def counted(kernel, measure, x, half):
+        probes.append(x)
+        return moment(kernel, measure, x, half)
+
+    monkeypatch.setattr(nlw.kernels, "_moment", counted)
+    for sup, lattice in (
+        (lambda: c_eta(spec, pi, dim=1, working_level=2), _probe_lattice(1, 2)),
+        (lambda: tail_profile(spec, pi, 10.0), _probe_lattice(1, None)),
+    ):
+        probes.clear()
+        sup()
+        assert np.array_equal(probes, lattice[:1] if one_probe else lattice)
+
+
 # ---------------------------------------------------------------------------
 # admissibility report
 # ---------------------------------------------------------------------------
@@ -484,6 +551,18 @@ def test_check_assumptions_weighted_kernel_not_shift_invariant():
     rep = check_assumptions(k, GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)")), n_samples=64)
     assert rep.passes
     assert rep.shift_diagnostic > 1e-3
+
+
+def test_check_assumptions_in_3d():
+    rep = check_assumptions(FractionalKernel(s=0.5), UniformMeasure(), dim=3)
+    assert rep.passes
+    assert rep.probe_points == len(_probe_lattice(3, None)) == 125
+
+
+def test_c_eta_in_3d_is_the_moment_at_the_origin():
+    # the level-2 lattice is 8^3 probes, and on the uniform measure each gives the origin's bits
+    spec, pi = FractionalKernel(s=1.0), UniformMeasure()
+    assert c_eta(spec, pi, dim=3, working_level=2) == float(np.sqrt(2.0 * second_moment(spec, pi, np.zeros(3))))
 
 
 # ---------------------------------------------------------------------------
