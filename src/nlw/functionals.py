@@ -15,7 +15,8 @@ Fisher information exactly: each pair term becomes
 exact cancellation is what makes the heat flow the gradient flow of the
 entropy in this geometry, and the test suite pins it at relative 1e-12.
 The two sides are computed independently (theta from ``log_mean``, the
-Fisher side from log u), so the audit tests that identity.
+Fisher side from log u); the flow's audit cancels theta from the pair
+term, |u_i - u_j| ell w with ell from ``_log_ratio``.
 
 Pair sums run over the system's cached pair list ``DiscreteSystem.pairs``
 (every i < j in ``np.triu_indices`` order, with w), block by block, so
@@ -56,16 +57,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _log_ratio(r, s, gap, low):
+    """ell = |log r - log s| from gap = |r - s| and low = min(r, s), arrays of one shape:
+    log1p of gap / low, oriented to be >= 0 (log1p of (r-s)/s for r < s would sit next
+    to -1 and lose 2.7e-10 relative at r/s = 1e-8), or the difference of logs where
+    that ratio overflows, a warning the caller's ``np.errstate`` silences."""
+    ell = np.divide(gap, low)
+    np.log1p(ell, out=ell)
+    if not np.isfinite(ell).all():
+        wide = ~np.isfinite(ell)
+        ell[wide] = np.abs(np.log(r[wide]) - np.log(s[wide]))
+    return ell
+
+
 def _log_mean_parts(r, s):
     """The branch rules of the logarithmic mean, for ``log_mean`` and ``_log_mean_derivatives``.
 
     Returns the broadcast arguments (at least 1-d), theta, ell =
-    |log r - log s| (the sign of log(r/s) is that of r - s), and the masks
-    of the ``near`` and ``edge`` entries.  Away from the diagonal ell is
-    log1p of |r - s| / min(r, s), the ratio oriented to be >= 0 (log1p of
-    (r-s)/s for r < s would sit next to -1 and lose 2.7e-10 relative at
-    r/s = 1e-8), or the plain difference of logs where that ratio
-    overflows; theta = |r - s|/ell.  Near the diagonal, |r - s| <= 1e-8
+    |log r - log s| from ``_log_ratio`` (the sign of log(r/s) is that of
+    r - s), and the masks of the ``near`` and ``edge`` entries.  Away from
+    the diagonal theta = |r - s|/ell.  Near the diagonal, |r - s| <= 1e-8
     max(r, s), the quotient cancels, so theta is the series
     m - (r-s)^2/(12 m) around the midpoint m (the next term is far below
     double precision).  On the boundary, ``edge`` (either argument zero),
@@ -82,11 +93,7 @@ def _log_mean_parts(r, s):
     # far branch everywhere, then the series, then the boundary: the inf/nan
     # of a branch on an entry it does not own are overwritten
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ell = np.divide(gap, low)
-        np.log1p(ell, out=ell)
-        if not np.isfinite(ell).all():
-            wide = ~np.isfinite(ell)
-            ell[wide] = np.abs(np.log(r[wide]) - np.log(s[wide]))
+        ell = _log_ratio(r, s, gap, low)
         theta = gap / ell
         near = gap <= 1e-8 * np.maximum(r, s)
         if near.any():

@@ -708,20 +708,23 @@ def _probe_lattice(dim: int, working_level: int | None) -> np.ndarray:
     return build_grid(dim, n).points
 
 
-def c_eta(spec: KernelSpec, pi: MeasureSpec, dim: int = 1, working_level: int | None = None) -> float:
-    """Flux-bound constant sqrt(2 * sup_x second_moment).
-
-    The sup is approximated by a max over a probe lattice of
+def _moment_sup(spec: KernelSpec, pi: MeasureSpec, dim: int, working_level: int | None = None) -> float:
+    """sup_x second_moment, as a max over a probe lattice of
     ``PROBE_FACTOR`` times the working level points per axis (64 / 12 / 5
     without one in d = 1 / 2 / 3, capped at 512 / 24 / 8), so the value is
-    a lower bound on the true constant.  On the uniform measure with a
+    a lower bound on the true sup.  On the uniform measure with a
     `_radial` kernel the integrand reads no position, so every probe gives
     the same bits and the first, the origin, stands for the lattice.
     """
     probes = _probe_lattice(dim, working_level)
     if isinstance(pi, UniformMeasure) and _radial(spec):
         probes = probes[:1]
-    return float(np.sqrt(2.0 * max(0.0, *(second_moment(spec, pi, x) for x in probes))))
+    return max(0.0, *(second_moment(spec, pi, x) for x in probes))
+
+
+def c_eta(spec: KernelSpec, pi: MeasureSpec, dim: int = 1, working_level: int | None = None) -> float:
+    """Flux-bound constant sqrt(2 * sup_x second_moment), the sup from `_moment_sup`."""
+    return float(np.sqrt(2.0 * _moment_sup(spec, pi, dim, working_level)))
 
 
 def tail_profile(spec: KernelSpec, pi: MeasureSpec, R: float, dim: int = 1) -> float:
@@ -735,7 +738,7 @@ def tail_profile(spec: KernelSpec, pi: MeasureSpec, R: float, dim: int = 1) -> f
     so in every d the cube tail tends to 0 as R -> inf exactly when the
     ball tail does, i.e. when the kernel is uniformly integrable at the
     diagonal.  Nonincreasing in R.  The sup is over the probe lattice of
-    `c_eta` without a working level, with one probe in its one-probe case.
+    `_moment_sup` without a working level, with one probe in its one-probe case.
     """
     if R <= 1.0:
         raise ValueError("tail profile requires R > 1")
@@ -757,8 +760,9 @@ class AdmissibilityReport:
     ``shift_diagnostic`` is informational only: it samples the relative
     change of eta under simultaneous translation of both arguments
     (zero for translation-invariant kernels); no threshold is applied.
-    ``probe_points`` is the size of the probe lattice of the sups, where
-    one probe stands for it in the one-probe case of `c_eta`.
+    ``moment_sup`` is `_moment_sup` itself, not c_eta^2 / 2, and
+    ``probe_points`` the size of the probe lattice of the sups, where one
+    probe stands for it in the one-probe case of `_moment_sup`.
     """
 
     symmetry_residual: float
@@ -794,7 +798,7 @@ def check_assumptions(
     min_sampled = float(min(vals_xy.min(), vals_yx.min()))
 
     try:
-        moment = c_eta(spec, pi, dim=dim) ** 2 / 2.0
+        moment = _moment_sup(spec, pi, dim)
         moment_ok = np.isfinite(moment)
     except KernelDivergenceError:
         moment = float("inf")

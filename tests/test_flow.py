@@ -434,17 +434,39 @@ def _gibbs_64():
     return build_system(FractionalKernel(s=1.0), gibbs, build_grid(1, 64))
 
 
-def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action():
-    sys = _gibbs_64()
-    traj = solve(sys, DensityState.point_mass(sys, 5), IntegratorConfig(horizon=0.5, dt=0.01))
+@pytest.mark.parametrize(
+    "make, start, horizon",
+    [
+        (_gibbs_64, lambda sys: DensityState.point_mass(sys, 5), 0.5),  # inf at t = 0
+        (lambda: build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(2, 3)),
+         lambda sys: DensityState.point_mass(sys, 4), 0.5),
+        (lambda: random_system(np.random.default_rng(4), n=12, scale=3.0),
+         lambda sys: random_state(np.random.default_rng(5), sys), 2.0),
+    ],
+    ids=["gibbs_1d", "fractional_2d", "random_system"],
+)
+def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action(make, start, horizon):
+    sys = make()
+    traj = solve(sys, start(sys), IntegratorConfig(horizon=horizon, dt=horizon / 50))
     rep = edi_report(traj)
-    assert rep.valid and rep.start_index == 1
+    assert rep.valid
+    t = traj.times[rep.start_index :]
     states = [traj.state(k) for k in range(rep.start_index, traj.n_times)]
     oracle = [dense_action(s, dense_tangent_flux(s)) for s in states]
-    assert rep.int_action == pytest.approx(np.trapezoid(oracle, traj.times[1:]), rel=1e-13, abs=0.0)
-    # the audit's pass over the pair blocks is the per-state action, operation for operation
+    assert rep.int_action == pytest.approx(np.trapezoid(oracle, t), rel=1e-13, abs=0.0)
+    # the audit's sweep over the pair rows is the per-state action up to summation order
     per_state = [action(s, tangent_flux(s)) for s in states]
-    assert rep.int_action == float(np.trapezoid(per_state, traj.times[1:]))
+    assert rep.int_action == pytest.approx(np.trapezoid(per_state, t), rel=1e-13, abs=0.0)
+
+
+def test_edi_int_action_takes_the_difference_of_logs_where_the_ratio_overflows():
+    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 8))
+    u = np.full(8, 8.0 / 7.0)
+    u[2] = 5e-324  # |u_i - u_j| / u_2 overflows to inf
+    traj = Trajectory(system=sys, times=np.array([0.0, 0.5, 1.0]), u=np.tile(u, (3, 1)), spectral_gap=1.0)
+    rep = edi_report(traj)
+    assert rep.valid and np.isfinite(rep.int_action)
+    assert rep.int_action == pytest.approx(rep.int_fisher, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

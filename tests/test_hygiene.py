@@ -1,7 +1,7 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Five kinds of dead code fail here, one cost at import and two second
-spellings, of the pair order and of the radial kernels:
+Five kinds of dead code fail here, one cost at import and three second
+spellings, of the pair order, of the radial kernels and of the log ratio:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -29,7 +29,11 @@ spellings, of the pair order and of the radial kernels:
   ``isinstance(spec, (ConstantKernel, FractionalKernel))``) outside
   ``kernels._radial``: the offset classes, the far field and the
   one-probe moment sups all ask that one predicate whether a kernel
-  reads only the radius.
+  reads only the radius;
+* a call of ``np.log1p`` in ``functionals`` or ``flow`` outside
+  ``functionals._log_ratio``: the logarithmic mean and the EDI audit's
+  row sweep take the log ratio ell and its overflow branch from that one
+  helper.
 """
 
 from __future__ import annotations
@@ -322,3 +326,16 @@ def test_the_radial_kernels_are_named_only_by_the_radial_predicate():
                 owners.add((path.name, scope or "<module>"))
     assert owners <= _RADIAL_OWNERS, f"(ConstantKernel, FractionalKernel) named in {sorted(owners - _RADIAL_OWNERS)}"
     assert owners, "kernels._radial no longer names (ConstantKernel, FractionalKernel)"
+
+
+_LOG_RATIO_OWNERS = {("functionals.py", "_log_ratio")}
+
+
+def test_the_log_ratio_is_taken_only_by_its_helper():
+    owners = set()
+    for name in ("functionals.py", "flow.py"):
+        for scope, call in _nodes_by_scope(_parse(PACKAGE / name), ast.Call):
+            if getattr(call.func, "attr", getattr(call.func, "id", None)) == "log1p":
+                owners.add((name, scope or "<module>"))
+    assert owners <= _LOG_RATIO_OWNERS, f"np.log1p called in {sorted(owners - _LOG_RATIO_OWNERS)}"
+    assert owners, "functionals._log_ratio no longer calls np.log1p"

@@ -540,6 +540,15 @@ def test_check_assumptions_in_2d(s, passes):
     assert np.isfinite(rep.moment_sup) == passes
 
 
+@pytest.mark.parametrize("s, dim", [(1.0, 1), (0.5, 1), (1.0, 2)])
+def test_check_assumptions_reports_the_moment_sup_itself(s, dim):
+    # not c_eta^2 / 2, the square of a square root, which is one ulp off in all three cases
+    spec, pi = FractionalKernel(s=s), UniformMeasure()
+    rep = check_assumptions(spec, pi, dim=dim, n_samples=32)
+    assert rep.moment_sup == second_moment(spec, pi, np.zeros(dim))
+    assert c_eta(spec, pi, dim=dim) == float(np.sqrt(2.0 * rep.moment_sup))
+
+
 def test_check_assumptions_flags_divergent_kernel():
     rep = check_assumptions(FractionalKernel(s=2.5), UniformMeasure(), n_samples=32)
     assert not rep.passes
