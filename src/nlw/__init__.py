@@ -41,7 +41,6 @@ from .discretize import (
     discretize_kernel,
     load_system,
     pushforward_measure,
-    save_system,
 )
 from .experiments import (
     LSICertificate,

@@ -58,12 +58,14 @@ with a deterministic write order, so two builds from the same config are
 bit-identical.  A built system owns one list of its cell pairs i < j with
 conductances eta_ij pi_i pi_j (``DiscreteSystem.pairs``); the pairwise
 functionals and the transport solver's edge list both read it.  Systems
-serialize to a self-describing JSON document (schema "nlw-system/v1")
-with arrays in row-major order.
+serialize to a self-describing JSON document (schema "nlw-system/v2")
+that stores eta once and bit-exactly: its strict upper triangle in pair
+order, as base64 of little-endian float64 bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -96,12 +98,11 @@ __all__ = [
     "MomentBoundReport",
     "system_document",
     "canonical_json",
-    "save_system",
     "load_system",
     "SYSTEM_SCHEMA",
 ]
 
-SYSTEM_SCHEMA = "nlw-system/v1"
+SYSTEM_SCHEMA = "nlw-system/v2"
 
 PAIR_TOL = 1e-4  # relative change that stops the doubling of a cell-pair rule
 FAR_ORDER = 8  # Gauss points per cell of the d = 1 far-field rule
@@ -657,19 +658,39 @@ def verify_moment_bound(sys: DiscreteSystem, continuum_sup: float, slack: float 
 
 
 # ---------------------------------------------------------------------------
-# Serialization: "nlw-system/v1"
+# Serialization: "nlw-system/v2"
 # ---------------------------------------------------------------------------
 
 
+def _eta_text(eta: np.ndarray) -> str:
+    """eta's strict upper triangle in pair order, as base64 of little-endian float64."""
+    upper = np.concatenate([eta[i, i + 1 :] for i in range(eta.shape[0])], dtype="<f8")
+    return base64.b64encode(upper).decode("ascii")
+
+
+def _eta_from_text(text, n: int) -> np.ndarray:
+    """The symmetric, zero-diagonal n x n eta whose upper triangle ``_eta_text`` wrote."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"system field 'eta' is not valid base64: {exc}") from None
+    if len(raw) != 4 * n * (n - 1):
+        raise ValueError(f"system field 'eta' holds {len(raw)} bytes, expected {4 * n * (n - 1)} for {n} points")
+    upper = ~np.tri(n, dtype=bool)
+    eta = np.zeros((n, n))
+    eta[upper] = eta.T[upper] = np.frombuffer(raw, dtype="<f8")
+    return eta
+
+
 def system_document(sys: DiscreteSystem) -> dict:
-    """The system as a self-describing JSON-ready document."""
+    """The system as a self-describing JSON-ready document; eta as ``_eta_text``."""
     return {
         "schema": SYSTEM_SCHEMA,
         "dim": sys.grid.dim,
         "level": sys.grid.level,
         "delta": sys.delta,
         "pi": sys.pi.tolist(),
-        "eta": sys.eta.tolist(),
+        "eta": _eta_text(sys.eta),
         "provenance": sys.provenance,
     }
 
@@ -677,19 +698,14 @@ def system_document(sys: DiscreteSystem) -> dict:
 def canonical_json(doc) -> str:
     """The text of every JSON artifact: sorted keys, no indent, one final newline.
 
-    Without an indent ``json`` keeps to its C encoder; an indent sends it
-    to the pure-Python one, about twice as slow on a 512-point system.
+    Without an indent ``json`` keeps to its C encoder; an indent would
+    send it to the pure-Python one.
     """
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def save_system(sys: DiscreteSystem, path) -> None:
-    """Write the system as a self-describing JSON document."""
-    Path(path).write_text(canonical_json(system_document(sys)))
-
-
 def load_system(path) -> DiscreteSystem:
-    """Read and validate a system written by save_system."""
+    """Read and validate a system written from ``system_document``."""
     doc = json.loads(Path(path).read_text())
     schema = doc.get("schema")
     if schema != SYSTEM_SCHEMA:
@@ -700,6 +716,6 @@ def load_system(path) -> DiscreteSystem:
     return DiscreteSystem(
         grid=grid,
         pi=np.array(doc["pi"], dtype=float),
-        eta=np.array(doc["eta"], dtype=float),
+        eta=_eta_from_text(doc["eta"], grid.n_points),
         provenance=doc.get("provenance", {}),
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import base64
 import tracemalloc
 from dataclasses import dataclass
 from itertools import pairwise
@@ -26,12 +26,14 @@ from nlw.discretize import (
     _panel_gauss,
     _pair_min_distance_sq,
     _pair_representatives,
+    _eta_text,
     _wrapped_signed,
     build_system,
+    canonical_json,
     discretize_kernel,
     load_system,
     pushforward_measure,
-    save_system,
+    system_document,
     verify_moment_bound,
 )
 from nlw.kernels import (
@@ -321,10 +323,9 @@ def test_a_cell_without_mass_is_rejected_by_index(tmp_path, mass):
     with pytest.raises(ZeroCellError, match=r"^cells \[2\] carry mass below 1e-14"):
         DiscreteSystem.from_arrays(grid, pi, eta)
     path = tmp_path / "sys.json"
-    save_system(build_system(ConstantKernel(c=1.0), UniformMeasure(), grid), path)
-    doc = json.loads(path.read_text())
+    doc = system_document(build_system(ConstantKernel(c=1.0), UniformMeasure(), grid))
     doc["pi"] = pi
-    path.write_text(json.dumps(doc))
+    path.write_text(canonical_json(doc))
     with pytest.raises(ZeroCellError, match=r"^cells \[2\] carry mass below 1e-14"):
         load_system(path)
 
@@ -339,10 +340,9 @@ def test_a_pair_without_a_positive_kernel_is_rejected_by_name(tmp_path, value):
     with pytest.raises(ValueError, match=message):
         DiscreteSystem.from_arrays(grid, np.full(4, 0.25), eta)
     path = tmp_path / "sys.json"
-    save_system(build_system(ConstantKernel(c=1.0), UniformMeasure(), grid), path)
-    doc = json.loads(path.read_text())
-    doc["eta"] = eta.tolist()
-    path.write_text(json.dumps(doc))
+    doc = system_document(build_system(ConstantKernel(c=1.0), UniformMeasure(), grid))
+    doc["eta"] = _eta_text(eta)
+    path.write_text(canonical_json(doc))
     with pytest.raises(ValueError, match=message):
         load_system(path)
 
@@ -679,34 +679,79 @@ def test_refinement_consistency_at_fixed_far_pair():
 # ---------------------------------------------------------------------------
 
 
-def test_save_load_round_trip(tmp_path):
-    grid = build_grid(1, 8)
-    meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
-    sys = build_system(FractionalKernel(s=1.5), meas, grid)
+def _written(tmp_path, doc):
     path = tmp_path / "sys.json"
-    save_system(sys, path)
-    back = load_system(path)
+    path.write_text(canonical_json(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "dim, level, kernel",
+    [(1, 8, FractionalKernel(s=1.5)), (2, 2, ConstantKernel(c=1.0))],
+    ids=["d1", "d2"],
+)
+def test_a_written_system_loads_bit_equal(tmp_path, dim, level, kernel):
+    meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    sys = build_system(kernel, meas, build_grid(dim, level))
+    back = load_system(_written(tmp_path, system_document(sys)))
     assert np.array_equal(back.pi, sys.pi)
     assert np.array_equal(back.eta, sys.eta)
     assert back.delta == sys.delta
     assert back.provenance == sys.provenance
-    assert back.grid.level == 8 and back.grid.dim == 1
+    assert back.grid.level == level and back.grid.dim == dim
+
+
+def test_eta_is_written_once_as_its_upper_triangle_in_pair_order():
+    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 6))
+    raw = base64.b64decode(system_document(sys)["eta"], validate=True)
+    assert raw == sys.eta[sys.pairs.i, sys.pairs.j].astype("<f8").tobytes()
 
 
 def test_load_rejects_a_delta_that_is_not_the_cell_diameter(tmp_path):
-    sys = build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 4))
-    path = tmp_path / "sys.json"
-    save_system(sys, path)
-    doc = json.loads(path.read_text())
+    doc = system_document(build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 4)))
     assert doc["delta"] == 0.25
     doc["delta"] = 0.5
-    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="delta does not match the grid cell diameter"):
-        load_system(path)
+        load_system(_written(tmp_path, doc))
 
 
-def test_load_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"schema": "nlw-system/v0", "dim": 1, "level": 2}')
-    with pytest.raises(ValueError, match="schema"):
-        load_system(path)
+# a 4-point system has 6 pairs i < j: 48 bytes of float64
+@pytest.mark.parametrize(
+    "eta, message",
+    [
+        ("A" * 32 + "*" + "A" * 32, "is not valid base64"),
+        ("A" * 63, "is not valid base64"),
+        ([[0.0, 1.0], [1.0, 0.0]], "is not valid base64"),
+        (base64.b64encode(bytes(40)).decode(), "holds 40 bytes, expected 48 for 4 points"),
+        (base64.b64encode(bytes(56)).decode(), "holds 56 bytes, expected 48 for 4 points"),
+    ],
+    ids=["alphabet", "padding", "list", "short", "long"],
+)
+def test_load_rejects_an_eta_field_that_is_not_the_upper_triangle(tmp_path, eta, message):
+    doc = system_document(build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 4)))
+    doc["eta"] = eta
+    with pytest.raises(ValueError, match=f"^system field 'eta' {message}"):
+        load_system(_written(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": "nlw-system/v0", "dim": 1, "level": 2},
+        # the row-major N x N eta of v1 is refused, not read
+        {
+            "schema": "nlw-system/v1",
+            "dim": 1,
+            "level": 2,
+            "delta": 0.5,
+            "pi": [0.5, 0.5],
+            "eta": [[0.0, 1.0], [1.0, 0.0]],
+            "provenance": {},
+        },
+    ],
+    ids=["v0", "v1"],
+)
+def test_load_rejects_unknown_schema(tmp_path, doc):
+    message = rf"^unsupported system schema '{doc['schema']}' \(expected 'nlw-system/v2'\)$"
+    with pytest.raises(ValueError, match=message):
+        load_system(_written(tmp_path, doc))

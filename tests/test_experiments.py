@@ -15,7 +15,14 @@ import pytest
 import scipy.linalg
 
 from nlw.config import load_config, validate_config
-from nlw.discretize import DiscreteSystem, ZeroCellError, build_system, canonical_json, pushforward_measure
+from nlw.discretize import (
+    DiscreteSystem,
+    ZeroCellError,
+    build_system,
+    canonical_json,
+    load_system,
+    pushforward_measure,
+)
 from nlw.experiments import (
     build_system_from_config,
     density_from_spec,
@@ -353,8 +360,23 @@ def test_run_config_produces_complete_manifest(tmp_path):
     for art in manifest["artifacts"]:
         blob = (tmp_path / "run" / art["path"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == art["sha256"]
-        assert art["schema"].endswith("/v1")
+        assert art["schema"].endswith("/v2" if art["name"] == "system" else "/v1")
+    assert np.array_equal(load_system(tmp_path / "run" / "system.json").eta, result.system.eta)
     assert result.all_checks_passed
+
+
+def test_system_json_stores_eta_once_in_base64(tmp_path):
+    # the base64 of the 8 n(n - 1)/2 bytes of eta's upper triangle, plus 16 KiB for pi and the metadata
+    n = 128
+    doc = base_doc()
+    doc["system"].update(
+        level=n,
+        kernel={"type": "fractional", "s": 1.0},
+        measure={"type": "gibbs", "potential": {"expr": "cos(2*pi*x)"}},
+    )
+    doc["outputs"]["directory"] = str(tmp_path)
+    run_config(validate_config(doc), stages=("build",))
+    assert (tmp_path / "system.json").stat().st_size <= 4 * ((4 * n * (n - 1) + 2) // 3) + 16 * 1024
 
 
 def test_run_config_is_bit_reproducible(tmp_path):
@@ -438,11 +460,13 @@ def test_comparison_json_records_the_jump_count(tmp_path):
 
 
 def test_run_config_tabulated_kernel_end_to_end(tmp_path):
-    from nlw.discretize import save_system
-    from nlw.kernels import FractionalKernel
-
-    source = tmp_path / "source.json"
-    save_system(build_system(FractionalKernel(s=0.5), UniformMeasure(), build_grid(1, 8)), source)
+    # the source is the system.json of an earlier run, and reads back bit-equal
+    doc = base_doc()
+    doc["system"]["kernel"] = {"type": "fractional", "s": 0.5}
+    doc["outputs"]["directory"] = str(tmp_path / "source")
+    built = run_config(validate_config(doc), stages=("build",)).system
+    source = tmp_path / "source" / "system.json"
+    assert np.array_equal(load_system(source).eta, built.eta)
     kernel = {"type": "tabulated", "path": str(source), "bandwidth": 0.3, "exponent": 3.0}
     hashes = []
     for name in ("a", "b"):
@@ -452,6 +476,9 @@ def test_run_config_tabulated_kernel_end_to_end(tmp_path):
         result = run_config(validate_config(doc), stages=("build", "flow", "certify"))
         assert result.failure is None
         assert result.system.provenance["kernel"]["sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
+        back = load_system(tmp_path / name / "system.json")
+        assert np.array_equal(back.pi, result.system.pi) and np.array_equal(back.eta, result.system.eta)
+        assert back.provenance == result.system.provenance and back.delta == result.system.delta
         hashes.append([(a["name"], a["sha256"]) for a in result.artifacts])
     assert [name for name, _ in hashes[0]] == ["system", "trajectory", "edi", "certificate"]
     assert hashes[0] == hashes[1]

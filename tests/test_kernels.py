@@ -743,10 +743,11 @@ def test_extend_kernel_coverage_error_with_a_narrow_window():
 
 
 def test_tabulated_kernel_provenance_round_trips(tmp_path):
-    from nlw.discretize import build_system, save_system
+    from nlw.discretize import build_system, canonical_json, system_document
 
     path = tmp_path / "source.json"
-    save_system(build_system(FractionalKernel(s=0.5), UniformMeasure(), build_grid(1, 8)), path)
+    sys = build_system(FractionalKernel(s=0.5), UniformMeasure(), build_grid(1, 8))
+    path.write_text(canonical_json(system_document(sys)))
     doc = {"type": "tabulated", "path": str(path), "bandwidth": 0.3, "exponent": 3.0}
     spec = kernel_from_dict(doc)
     out = spec.to_dict()
@@ -761,11 +762,16 @@ def test_tabulated_kernel_provenance_round_trips(tmp_path):
 
 
 def test_tabulated_kernel_rejects_a_changed_source(tmp_path):
-    from nlw.discretize import build_system, save_system
+    from nlw.discretize import build_system, canonical_json, system_document
 
     path = tmp_path / "source.json"
-    save_system(build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 4)), path)
+
+    def write(c):
+        sys = build_system(ConstantKernel(c=c), UniformMeasure(), build_grid(1, 4))
+        path.write_text(canonical_json(system_document(sys)))
+
+    write(1.0)
     out = kernel_from_dict({"type": "tabulated", "path": str(path), "bandwidth": 0.5, "exponent": 3.0}).to_dict()
-    save_system(build_system(ConstantKernel(c=2.0), UniformMeasure(), build_grid(1, 4)), path)
+    write(2.0)
     with pytest.raises(ValueError, match="sha256"):
         kernel_from_dict(out)
