@@ -59,12 +59,19 @@ class ConfigError(ValueError):
     """A config document failed validation; the message carries the field path."""
 
 
+# keys that hold a number wherever they are allowed; float() would read a JSON boolean there as 0 or 1
+_NUMBER_KEYS = {"T", "dt", "c", "s", "scale", "bandwidth", "exponent", "epsilon"}
+
+
 def _check_keys(doc: dict, allowed: set, path: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    for key, value in doc.items():
+        if key in _NUMBER_KEYS and isinstance(value, bool):
+            raise ConfigError(f"{path}.{key}: expected a number, got {json.dumps(value)}")
 
 
 def _require(doc: dict, key: str, path: str):
@@ -76,6 +83,13 @@ def _require(doc: dict, key: str, path: str):
 def _int_at_least(value, minimum: int, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _seed(value, path: str) -> int:
+    """A sampler seed: an integer in [0, 2**64), the 64-bit Philox key."""
+    if _int_at_least(value, 0, path) >= 2**64:
+        raise ConfigError(f"{path}: expected an integer below 2**64, got {value!r}")
     return value
 
 
@@ -175,10 +189,6 @@ def _check_table(path: str, table: dict, key: str, dim: int, levels: tuple) -> N
                 f"{path}: its level-{n} lattice does not divide grid level {level}, "
                 "so the table would jump inside a cell"
             )
-
-
-# configs spell the horizon "T"
-_INTEGRATOR_KEYS = {f.name for f in dataclasses.fields(IntegratorConfig)} - {"horizon"} | {"T"}
 
 
 def _validate_density(doc, path, n_cells: int) -> dict:
@@ -305,11 +315,13 @@ def validate_config(doc: dict) -> ExperimentConfig:
         _check_keys(flow_doc, {"initial", "integrator", "output_times"}, "flow")
         initial = _validate_density(_require(flow_doc, "initial", "flow"), "flow.initial", n_cells)
         integ = _require(flow_doc, "integrator", "flow")
-        _check_keys(integ, _INTEGRATOR_KEYS, "flow.integrator")
+        _check_keys(integ, {"method", "T", "dt"}, "flow.integrator")  # configs spell the horizon "T"
         times = flow_doc.get("output_times")
         if times is not None:
             if not isinstance(times, list) or len(times) < 2:
                 raise ConfigError("flow.output_times: expected a list of at least two times")
+            if any(isinstance(t, bool) for t in times):
+                raise ConfigError(f"flow.output_times: expected numbers, got {json.dumps(times)}")
             times = tuple(_checked("flow.output_times", float, t) for t in times)
         # the checks solve makes, so that a bad horizon, step or grid fails before the build
         icfg = _checked("flow.integrator", IntegratorConfig.from_dict, integ)
@@ -342,11 +354,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
         _check_keys(s_doc, {"n_paths", "seed", "rate_convention"}, "sampler")
         sampler = SamplerSection(
             n_paths=_int_at_least(s_doc.get("n_paths", 10_000), 1, "sampler.n_paths"),
-            seed=_int_at_least(s_doc.get("seed", 0), 0, "sampler.seed"),
+            seed=_seed(s_doc.get("seed", 0), "sampler.seed"),
             rate_convention=s_doc.get("rate_convention", "target"),
         )
-        if sampler.seed >= 2**64:
-            raise ConfigError(f"sampler.seed: expected an integer below 2**64, got {sampler.seed!r}")
         if sampler.rate_convention not in ("target", "source"):
             raise ConfigError("sampler.rate_convention: must be 'target' or 'source'")
 

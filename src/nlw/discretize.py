@@ -49,18 +49,21 @@ Offset classes.  On the uniform measure with a translation-invariant
 kernel (constant, fractional) the pair integral depends only on the
 integer cell offset o = k - j (mod n per axis), up to its sign.  Such a
 build evaluates one pair per class {o, -o}, the pair (0, c) with c the
-smaller flat index of o and -o, and copies its integral to every pair of
-the class, so eta_n is exactly multilevel circulant.  Every other input
-evaluates each pair on the same code path.
+smaller flat index of o and -o, and turns row 0 by each cell's
+multi-index to fill that cell's row, so eta_n is exactly multilevel
+circulant.  Every other input evaluates each pair on the same code path.
 
-All cell-pair integrals are independent; they are evaluated in batches
-with a deterministic write order, so two builds from the same config are
-bit-identical.  A built system owns one list of its cell pairs i < j with
-conductances eta_ij pi_i pi_j (``DiscreteSystem.pairs``); the pairwise
-functionals and the transport solver's edge list both read it.  Systems
-serialize to a self-describing JSON document (schema "nlw-system/v2")
-that stores eta once and bit-exactly: its strict upper triangle in pair
-order, as base64 of little-endian float64 bytes.
+eta's upper triangle is the one store of pair integrals: an N x N mask
+marks the pairs still to do, only the pairs left for the pair rule are
+listed, and the division by pi_n(j) pi_n(k) and the mirror run row by
+row.  Batches have a deterministic write order, so two builds from the
+same config are bit-identical.  Only ``DiscreteSystem.pairs`` numbers the
+pairs i < j (with conductances eta_ij pi_i pi_j), on first use, for the
+pairwise functionals and the transport solver; build, flow and
+certificate never build it.  Systems serialize to a self-describing
+JSON document (schema "nlw-system/v2") that stores eta once and
+bit-exactly: its strict upper triangle in pair order, as base64 of
+little-endian float64 bytes.
 """
 
 from __future__ import annotations
@@ -305,33 +308,26 @@ def _wrapped_signed(a: np.ndarray) -> np.ndarray:
     return np.mod(a + 0.5, 1.0) - 0.5
 
 
-def _pair_min_distance_sq(grid: GridSpec) -> np.ndarray:
-    """Min squared distance between any two points of each cell pair."""
-    pts = grid.points
-    w = grid.cell_width
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    diff = np.minimum(diff, 1.0 - diff)
-    gaps = np.maximum(diff - w, 0.0)
+def _pair_min_distance_sq(grid: GridSpec, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Min squared distance between any two points of cells j and k, pair by pair."""
+    diff = np.abs(grid.points[j] - grid.points[k])
+    gaps = np.maximum(np.minimum(diff, 1.0 - diff) - grid.cell_width, 0.0)
     return np.sum(gaps * gaps, axis=-1)
 
 
-def _pair_representatives(spec, pi, grid: GridSpec, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """Index of the pair whose integral stands for each pair (j, k), j < k.
+def _pair_representatives(spec, pi, grid: GridSpec) -> np.ndarray | None:
+    """For each flat cell offset o, the flat index of the smaller of o and -o (mod n per axis), or None.
 
-    On the uniform measure a translation-invariant, symmetric kernel
-    gives every pair the integral of the pair (0, c), with c the flat
-    index of the smaller of the integer offsets k - j and j - k (mod n
-    per axis); that pair is number c - 1 in ``np.triu_indices`` order.
-    Every other input maps each pair to itself.
+    On the uniform measure a translation-invariant, symmetric kernel gives
+    the pair (j, k) the integral of the pair (0, rep[o]), o the flat index
+    of k - j.  Every other input has no offset classes (None).
     """
     if not (isinstance(pi, UniformMeasure) and _radial(spec)):
-        return np.arange(jj.size)
+        return None
     shape = (grid.level,) * grid.dim
-    ij = np.unravel_index(jj, shape)
-    ik = np.unravel_index(kk, shape)
-    fwd = np.ravel_multi_index(tuple((b - a) % grid.level for a, b in zip(ij, ik)), shape)
-    bwd = np.ravel_multi_index(tuple((a - b) % grid.level for a, b in zip(ij, ik)), shape)
-    return np.minimum(fwd, bwd) - 1
+    offsets = np.arange(grid.n_points)
+    negated = np.ravel_multi_index(tuple(-a % grid.level for a in np.unravel_index(offsets, shape)), shape)
+    return np.minimum(offsets, negated)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +499,9 @@ def _far_offsets(spec, grid: GridSpec) -> np.ndarray:
 
 
 def _far_field(spec, meas, grid: GridSpec, todo: np.ndarray):
-    """Yield, offset by offset, the far pairs among ``todo`` that the far rule settles, and their integrals.
+    """Yield (j, k, integrals) offset by offset: the far pairs j < k of ``todo`` that the far rule settles.
 
-    The pairs are flat indices in ``np.triu_indices`` order.  With a
+    ``todo`` is the N x N mask of the pairs still to integrate.  With a
     ``FAR_ORDER``-point Gauss rule per cell, a_p(c) = b_p rho(x_c + alpha_p),
     the integral of the pair {c, c + o} is
     sum_{p,r} a_p(c) h_pr(o) a_r(c + o), h_pr(o) = eta(o w + alpha_r - alpha_p):
@@ -530,13 +526,11 @@ def _far_field(spec, meas, grid: GridSpec, todo: np.ndarray):
     cells = np.arange(n)
     for i, o in enumerate(offsets):
         partner = (cells + o) % n
-        low, high = np.minimum(cells, partner), np.maximum(cells, partner)
-        flat = low * (2 * n - low - 1) // 2 + (high - low - 1)
-        wanted = todo[flat]
-        c, k, flat = cells[wanted], partner[wanted], flat[wanted]
+        wanted = todo[np.minimum(cells, partner), np.maximum(cells, partner)]
+        c, k = cells[wanted], partner[wanted]
         fine, coarse = (np.einsum("ip,ip->i", a[c] @ h[i], a[k]) for a, h in rules)
         done = np.abs(fine - coarse) <= PAIR_TOL * np.maximum(np.abs(fine), 1e-300)
-        yield flat[done], fine[done]
+        yield np.minimum(c, k)[done], np.maximum(c, k)[done], fine[done]
 
 
 # ---------------------------------------------------------------------------
@@ -566,43 +560,48 @@ def discretize_kernel(
     _reject_empty_cells(weights)
     N, d = grid.n_points, grid.dim
     dhalf = 0.5 * grid.cell_diameter
-    jj, kk = np.triu_indices(N, k=1)
-    lattice = np.zeros(jj.size, dtype=bool) if d == 1 else _pair_min_distance_sq(grid)[jj, kk] < dhalf * dhalf
-    integrals = np.zeros(jj.shape[0])
-    rep = _pair_representatives(spec, pi, grid, jj, kk)
-    todo = rep == np.arange(rep.size)
+    # eta's upper triangle holds the pair integrals until they are divided by pi_n(j) pi_n(k)
+    eta = np.zeros((N, N))
+    todo = ~np.tri(N, dtype=bool)
+    rep = _pair_representatives(spec, pi, grid)
+    if rep is not None:  # one pair (0, c) per offset class
+        todo[1:] = False
+        todo[0] &= rep == np.arange(N)
 
     # far pairs in d = 1 take the per-offset rule where it passes its coarse check
-    for settled, values in _far_field(spec, pi, grid, todo):
-        integrals[settled] = values
-        todo[settled] = False
+    for j, k, values in _far_field(spec, pi, grid, todo):
+        eta[j, k] = values
+        todo[j, k] = False
 
     # every other pair doubles its rule until the relative change drops below PAIR_TOL:
     # the Gauss order from 2, or in d >= 2 for cutoff-active pairs the lattice size from 8
+    jj, kk = np.nonzero(todo)
+    lattice = np.zeros(jj.size, dtype=bool) if d == 1 else _pair_min_distance_sq(grid, jj, kk) < dhalf * dhalf
     for rule, size, members in ((_panel_gauss, 2, ~lattice), (_masked_lattice, 8, lattice)):
-        pending = np.nonzero(members & todo)[0]
+        j, k = jj[members], kk[members]
         prev = None
         for _ in range(MAX_DOUBLINGS + 1):
-            if pending.size == 0:
+            if j.size == 0:
                 break
-            vals = _pair_integrals(spec, pi, grid, jj[pending], kk[pending], rule(size, grid))
+            vals = _pair_integrals(spec, pi, grid, j, k, rule(size, grid))
             if prev is not None:
                 done = np.abs(vals - prev) <= PAIR_TOL * np.maximum(np.abs(vals), 1e-300)
-                integrals[pending[done]] = vals[done]
-                pending, vals = pending[~done], vals[~done]
+                eta[j[done], k[done]] = vals[done]
+                j, k, vals = j[~done], k[~done], vals[~done]
             prev = vals
             size *= 2
-        if pending.size:
-            j0, k0 = jj[pending[0]], kk[pending[0]]
+        if j.size:
             raise QuadratureError(
-                f"cell-pair quadrature did not converge for {int(pending.size)} pairs; "
-                f"first offender ({j0}, {k0})"
+                f"cell-pair quadrature did not converge for {j.size} pairs; first offender ({j[0]}, {k[0]})"
             )
 
-    integrals = integrals[rep]
-    eta = np.zeros((N, N))
-    eta[jj, kk] = integrals / (weights[jj] * weights[kk])
-    eta[kk, jj] = eta[jj, kk]
+    if rep is not None:
+        row = eta[0, rep].reshape((grid.level,) * d)
+        for j, shift in enumerate(np.ndindex(row.shape)):
+            eta[j] = np.roll(row, shift, axis=tuple(range(d))).ravel()
+    for j in range(N - 1):
+        eta[j, j + 1 :] /= weights[j] * weights[j + 1 :]
+        eta[j + 1 :, j] = eta[j, j + 1 :]
     return eta
 
 

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _seed
 from .discretize import (
     SYSTEM_SCHEMA,
     DiscreteSystem,
@@ -399,6 +399,8 @@ def run_config(
     section).  On a numerical failure the run stops, the partial
     manifest is written, and the failure is recorded on the result.
     """
+    if seed is not None:
+        _seed(seed, "seed")
     out = out_dir or cfg.outputs.directory
     fmts = cfg.outputs.formats
     bundle = _Bundle(out, cfg.resolved())

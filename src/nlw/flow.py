@@ -21,8 +21,9 @@ discrete form of the entropy-dissipation identity dH/dt = -I = -A.  The
 audit computes the two sides by independent routes, each for every
 output state at once: I from the generator, -sum_i pi_i (K u)_i log u_i,
 in one product of the states with ``sys.eta`` (Maas, J. Funct. Anal.
-2011); A in one sweep over the rows of the pair list, where each pair
-term v^2 / (theta w) is |u_i - u_j| ell_ij w_ij, ell the log ratio.
+2011); A in one sweep over the rows of eta's upper triangle, where each
+pair term v^2 / (theta w) is |u_i - u_j| ell_ij w_ij, ell the log ratio
+and w_ij = eta_ij pi_i pi_j read from the row (no pair list is built).
 
 One propagator, exact at every output time: every cell carries mass and
 K is self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric,
@@ -389,16 +390,15 @@ def edi_report(traj: Trajectory) -> EDIReport:
             note=no_claim + "; no defect claim",
         )
     # every state here has u > 0, so the tangent flux's pair term v^2 / (theta w) is
-    # |u_i - u_j| ell_ij w_ij; cell i's pairs are the run i+1 .. N-1 of the pair list
-    w, cols = traj.system.pairs.w, np.ascontiguousarray(traj.u[start:].T)
-    A, a = np.zeros(cols.shape[1]), 0
+    # |u_i - u_j| ell_ij w_ij, summed row by row over the pairs (i, j > i)
+    pi, eta, cols = traj.system.pi, traj.system.eta, np.ascontiguousarray(traj.u[start:].T)
+    A = np.zeros(cols.shape[1])
     with np.errstate(over="ignore"):  # |u_i - u_j| / min(u_i, u_j) overflows for subnormal u
         for i in range(cols.shape[0] - 1):
             rest, own = cols[i + 1 :], cols[i]
             gap = np.abs(rest - own)
             gap *= _log_ratio(rest, np.broadcast_to(own, rest.shape), gap, np.minimum(rest, own))
-            A += w[a : a + len(rest)] @ gap
-            a += len(rest)
+            A += (eta[i, i + 1 :] * pi[i] * pi[i + 1 :]) @ gap
     t = traj.times[start:]
     H = traj.entropy[start:]
     int_I = float(np.trapezoid(I[start:], t))

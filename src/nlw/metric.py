@@ -36,9 +36,10 @@ steps per stage, is the one setting.
 
 The returned path is rebuilt from the final fluxes alone: their total
 over all steps is replaced by the least-norm total between the endpoints
-(one Cholesky factor of the graph Laplacian) plus the divergence-free
-part of the computed total, so the endpoint constraint holds to rounding
-and ``w`` is the pure action of exactly that path.
+(in closed form: the complete graph's Laplacian is n I - 1 1^T, so the
+least-norm flux of a divergence g is (g_i - g_j) / n) plus the
+divergence-free part of the computed total, so the endpoint constraint
+holds to rounding and ``w`` is the pure action of exactly that path.
 
 Every system has eta > 0 on every pair (a ``DiscreteSystem``
 invariant), so the graph is complete and its edges are exactly
@@ -187,15 +188,6 @@ class MetricResult:
 # ---------------------------------------------------------------------------
 
 
-def _graph_laplacian(n: int) -> np.ndarray:
-    """D D^T for the incidence D of the complete graph (+1 at i, -1 at j of pair (i, j))
-    plus 1 1^T / n, that is n I - 1 1^T + 1 1^T / n: positive definite (eigenvalue n
-    off the constants, 1 on them), and D^T maps the added term to zero."""
-    lap = np.full((n, n), 1.0 / n - 1.0)
-    lap[np.diag_indices(n)] = 1.0 / n + (n - 1)
-    return lap
-
-
 def _scatter_index(sys: DiscreteSystem, n_steps: int) -> np.ndarray:
     """Flat bins m*N + i for every (step, pair), then m*N + j.
 
@@ -249,8 +241,6 @@ class _PathWorkspace:
     """Everything fixed across Newton steps for one problem."""
 
     def __init__(self, prob: PathProblem):
-        import scipy.linalg
-
         sys = prob.system
         self.sys = sys
         self.M = prob.n_steps
@@ -258,11 +248,8 @@ class _PathWorkspace:
         self.scatter = _scatter_index(sys, self.M)
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
-        self.g = (self.mu0 - self.muT) / self.dt
         n = sys.n_points
-        self.laplacian = scipy.linalg.cho_factor(_graph_laplacian(n))
-        self.s0 = self.least_norm(self.g)
-        self.mean = np.full((n, n), 1.0 / n)
+        self.s0 = self.least_norm((self.mu0 - self.muT) / self.dt)
         # Newton steps keep the total mass: the unit column 1/sqrt(n) spans
         # the excluded mass increments
         self.fixed = np.full((n, 1), 1.0 / np.sqrt(n))
@@ -275,11 +262,13 @@ class _PathWorkspace:
         )
 
     def least_norm(self, rhs: np.ndarray) -> np.ndarray:
-        """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero."""
-        import scipy.linalg
+        """Least-norm x with D x = rhs, row by row; exact when rhs sums to zero.
 
-        phi = scipy.linalg.cho_solve(self.laplacian, rhs.T, check_finite=False).T
-        return phi[..., self.sys.pairs.i] - phi[..., self.sys.pairs.j]
+        D is the incidence of the complete graph (+1 at i, -1 at j of pair
+        (i, j)), so D D^T = n I - 1 1^T acts as n I on vectors that sum to
+        zero, and x = D^T rhs / n.
+        """
+        return (rhs[..., self.sys.pairs.i] - rhs[..., self.sys.pairs.j]) / self.sys.n_points
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Orthogonal projection of pair values onto the divergence-free ones."""
@@ -395,7 +384,7 @@ class _PathWorkspace:
         R = 0.25 * self._node_matrices(coef * th_aa / pii**2, coef * th_bb / pjj**2, cross, cross)
         alpha, gamma = x * th_a / theta, x * th_b / theta
         Kp = (0.5 * dt) * self._node_matrices(alpha, -gamma, gamma, -alpha) / pi[None, None, :]
-        lap = (0.5 * dt) * self._node_matrices(cond, cond, -cond, -cond) + self.mean
+        lap = (0.5 * dt) * self._node_matrices(cond, cond, -cond, -cond) + 1.0 / n
         sol = np.linalg.solve(lap, np.concatenate([np.broadcast_to(np.eye(n), lap.shape), Kp], axis=2))
         Linv, LK = sol[..., :n], sol[..., n:]
         LKt = np.swapaxes(LK, 1, 2)

@@ -265,6 +265,14 @@ def test_seed_flag_overrides_sampler_seed(tmp_path):
     assert h("a") != h("c")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_outside_the_64_bit_key_is_exit_2_before_anything_is_written(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, smoke_doc(tmp_path / "out", sampler={"n_paths": 500, "seed": 1}))
+    assert main(["sample", "--config", cfg, "--seed", seed, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: seed: expected an integer")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])

@@ -329,6 +329,44 @@ def test_integrator_and_output_times_are_checked_at_validation(path, change):
         validate_config(minimal_doc(flow=flow))
 
 
+def _system_doc(kernel, measure=None):
+    doc = minimal_doc()
+    doc["system"]["kernel"] = kernel
+    if measure is not None:
+        doc["system"]["measure"] = measure
+    return doc
+
+
+TABULATED = {"type": "tabulated", "path": "sys.json", "bandwidth": 0.3, "exponent": 3.0}
+
+# (field path, document with a JSON boolean there): float() read each as 1.0,
+# so each validated and its manifest recorded true
+BOOLEAN_NUMBERS = [
+    ("flow.integrator.T", minimal_doc(flow={**flow_doc(), "integrator": {"method": "matrix_exponential", "T": True}})),
+    ("flow.integrator.dt", minimal_doc(flow={**flow_doc(), "integrator": {"T": 1.0, "dt": True}})),
+    ("flow.output_times", minimal_doc(flow={**flow_doc(), "output_times": [0.0, True]})),
+    ("system.kernel.c", _system_doc({"type": "constant", "c": True})),
+    ("system.kernel.s", _system_doc({"type": "fractional", "s": True})),
+    ("system.kernel.scale", _system_doc({"type": "fractional", "s": 1.0, "scale": True})),
+    ("system.kernel.bandwidth", _system_doc({**TABULATED, "bandwidth": True})),
+    ("system.kernel.exponent", _system_doc({**TABULATED, "exponent": True})),
+    (
+        "system.kernel.base.s",
+        _system_doc({"type": "weighted", "potential": {"expr": "x"}, "base": {"type": "fractional", "s": True}}),
+    ),
+    (
+        "system.measure.epsilon",
+        _system_doc({"type": "constant", "c": 1.0}, {"type": "mixed", "base": {"type": "uniform"}, "epsilon": True}),
+    ),
+]
+
+
+@pytest.mark.parametrize("path, doc", BOOLEAN_NUMBERS, ids=[path for path, _ in BOOLEAN_NUMBERS])
+def test_a_boolean_where_a_number_belongs_is_rejected_by_path(path, doc):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected (a number|numbers), got .*true"):
+        validate_config(doc)
+
+
 def test_valid_output_times_pass():
     flow = flow_doc()
     flow["integrator"]["dt"] = 0.25

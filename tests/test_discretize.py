@@ -367,7 +367,7 @@ def active_offsets(grid):
     """Distinct wrapped centre offsets of the cutoff-active pairs j < k."""
     dhalf = 0.5 * grid.cell_diameter
     jj, kk = np.triu_indices(grid.n_points, k=1)
-    active = _pair_min_distance_sq(grid)[jj, kk] < dhalf * dhalf
+    active = _pair_min_distance_sq(grid, jj, kk) < dhalf * dhalf
     offs = _wrapped_signed(grid.points[kk[active]] - grid.points[jj[active]])
     return np.unique(offs, axis=0), dhalf
 
@@ -440,6 +440,20 @@ def test_oversized_gauss_pair_rule_fails_early():
         tracemalloc.stop()
     assert peak < 2**20
     assert _pair_integrals(*pair, _panel_gauss(8, grid))[0] > 0.0
+
+
+@pytest.mark.parametrize("measure", ["gibbs", "uniform"])
+def test_a_1d_build_at_2048_points_peaks_below_twice_eta(measure):
+    # eta's upper triangle is the only store of pair integrals; a flat pair
+    # list (indices, classes, integrals) took the peak to 4.1 x eta here
+    meas = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)")) if measure == "gibbs" else UniformMeasure()
+    tracemalloc.start()
+    try:
+        eta = discretize_kernel(FractionalKernel(s=1.0), meas, build_grid(1, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * eta.nbytes, f"peak {peak / eta.nbytes:.2f} x eta"
 
 
 @pytest.mark.parametrize("d, level, budget", [(1, 16, 16), (2, 2, 1024)])
@@ -539,12 +553,12 @@ def test_uniform_build_evaluates_pair_zero_c_per_class(monkeypatch):
 
 def test_offset_classes_only_for_uniform_translation_invariant_inputs():
     grid = build_grid(2, 3)
-    jj, kk = np.triu_indices(grid.n_points, k=1)
     cls, _ = offset_classes(grid)
     for spec in (ConstantKernel(c=1.0), FractionalKernel(s=1.0)):
-        rep = _pair_representatives(spec, UniformMeasure(), grid, jj, kk)
-        assert np.array_equal(rep, cls[jj, kk] - 1)
-        assert np.array_equal(np.unique(rep), [0, 2, 3, 4])
+        rep = _pair_representatives(spec, UniformMeasure(), grid)
+        # one entry per flat offset: the class of the pair (0, o)
+        assert np.array_equal(rep, cls[0])
+        assert np.array_equal(np.unique(rep), [0, 1, 3, 4, 5])
     tab_eta = np.ones((grid.n_points, grid.n_points)) - np.eye(grid.n_points)
     tabulated = TabulatedKernel(evaluator=extend_kernel(SimpleNamespace(grid=grid, eta=tab_eta), 0.5, 3.0))
     flat = PotentialSpec(expr="0*x")
@@ -555,8 +569,7 @@ def test_offset_classes_only_for_uniform_translation_invariant_inputs():
         (WeightedKernel(potential=flat, base=FractionalKernel(s=1.0)), UniformMeasure()),
         (tabulated, UniformMeasure()),
     ]:
-        rep = _pair_representatives(spec, meas, grid, jj, kk)
-        assert np.array_equal(rep, np.arange(jj.size))
+        assert _pair_representatives(spec, meas, grid) is None
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +577,21 @@ def test_offset_classes_only_for_uniform_translation_invariant_inputs():
 # ---------------------------------------------------------------------------
 
 
-def far_pairs(spec, meas, grid):
-    """Every pair the far rule settles, as (flat indices, integrals)."""
-    todo = np.ones(grid.n_points * (grid.n_points - 1) // 2, dtype=bool)
+def far_pairs(spec, meas, grid, todo=None):
+    """Every pair of ``todo`` (default: every pair j < k) the far rule settles, as (j, k, integrals)."""
+    todo = ~np.tri(grid.n_points, dtype=bool) if todo is None else todo
     settled = list(_far_field(spec, meas, grid, todo))
     if not settled:
-        return np.arange(0), np.zeros(0)
+        return np.arange(0), np.arange(0), np.zeros(0)
     return tuple(np.concatenate(parts) for parts in zip(*settled))
+
+
+def settled_mask(j, k, n):
+    """The N x N mask of the pairs (j, k), each of which may come once."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[j, k] = True
+    assert mask.sum() == j.size
+    return mask
 
 
 def test_far_pairs_are_two_cells_apart_and_inside_the_wrap():
@@ -578,10 +599,15 @@ def test_far_pairs_are_two_cells_apart_and_inside_the_wrap():
     gibbs = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
     for n, offsets in [(5, set()), (6, {2}), (7, {2}), (8, {2, 3}), (17, set(range(2, 8)))]:
         grid = build_grid(1, n)
-        jj, kk = np.triu_indices(n, k=1)
-        flat, _ = far_pairs(FractionalKernel(s=1.0), gibbs, grid)
-        offset = np.minimum(kk - jj, n - (kk - jj))
-        assert np.array_equal(np.sort(flat), np.flatnonzero(np.isin(offset, list(offsets))))
+        j, k, _ = far_pairs(FractionalKernel(s=1.0), gibbs, grid)
+        cells = np.arange(n)
+        offset = np.minimum(cells[None, :] - cells[:, None], n - (cells[None, :] - cells[:, None]))
+        upper = ~np.tri(n, dtype=bool)
+        assert np.array_equal(settled_mask(j, k, n), upper & np.isin(offset, list(offsets)))
+        # only pairs the mask still holds come out, as (j, k) with j < k
+        todo = upper & (np.arange(n)[:, None] % 2 == 0)
+        j, k, _ = far_pairs(FractionalKernel(s=1.0), gibbs, grid, todo)
+        assert np.array_equal(settled_mask(j, k, n), todo & np.isin(offset, list(offsets)))
     zero = PotentialSpec(expr="0*x")
     for spec, grid in [
         (WeightedKernel(potential=zero, base=FractionalKernel(s=1.0)), build_grid(1, 16)),
@@ -594,13 +620,12 @@ def test_far_pairs_are_two_cells_apart_and_inside_the_wrap():
 def test_far_field_matches_the_pair_rule(level):
     gibbs = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
     grid = build_grid(1, level)
-    jj, kk = np.triu_indices(level, k=1)
     for spec in (FractionalKernel(s=0.5), FractionalKernel(s=1.0), FractionalKernel(s=1.5), ConstantKernel(c=2.0)):
-        flat, fast = far_pairs(spec, gibbs, grid)
-        assert flat.size == level * (level // 2 - 2)
-        sample = slice(None, None, max(1, flat.size // 500))
-        flat, fast = flat[sample], fast[sample]
-        slow = _pair_integrals(spec, gibbs, grid, jj[flat], kk[flat], _panel_gauss(12, grid))
+        j, k, fast = far_pairs(spec, gibbs, grid)
+        assert j.size == level * (level // 2 - 2)
+        sample = slice(None, None, max(1, j.size // 500))
+        j, k, fast = j[sample], k[sample], fast[sample]
+        slow = _pair_integrals(spec, gibbs, grid, j, k, _panel_gauss(12, grid))
         assert np.allclose(fast, slow, rtol=1e-8, atol=0.0), (level, spec)
 
 

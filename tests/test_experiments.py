@@ -524,6 +524,25 @@ def test_run_config_seed_override_changes_histogram(tmp_path):
     assert r1.comparison.passes and r2.comparison.passes
 
 
+def test_build_flow_and_certify_never_build_the_pair_list(tmp_path):
+    # the EDI audit reads each row's conductances from eta; only the pairwise
+    # functionals and the transport solver use DiscreteSystem.pairs
+    doc = base_doc(flow=flow_doc(initial={"type": "point_mass", "index": 3}))
+    doc["system"]["kernel"] = {"type": "fractional", "s": 1.0}
+    doc["system"]["measure"] = {"type": "gibbs", "potential": {"expr": "cos(2*pi*x)"}}
+    result = run_config(validate_config(doc), out_dir=str(tmp_path), stages=("build", "flow", "certify"))
+    assert result.certificate is not None and result.failure is None
+    assert "pairs" not in result.system.__dict__
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_config_rejects_a_seed_outside_the_64_bit_key_before_writing(tmp_path, seed):
+    cfg = validate_config(full_doc(tmp_path / "out"))
+    with pytest.raises(ValueError, match=r"^seed: expected an integer"):
+        run_config(cfg, seed=seed, stages=("build", "flow", "sample"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_partial_manifest_on_failure(tmp_path):
     doc = base_doc(flow=flow_doc())
     doc["system"]["measure"] = {

@@ -22,9 +22,11 @@ spellings, of the pair order, of the radial kernels and of the log ratio:
 * a scipy import that runs when its module loads (anywhere outside a
   function body): ``import nlw`` loads numpy alone, and each scipy
   subpackage loads inside the functions that call it;
-* a call of ``np.triu_indices`` outside ``DiscreteSystem.pairs`` and
-  ``discretize_kernel``: every pair list and every flux is in the order
-  of ``DiscreteSystem.pairs``, built in one place;
+* a call of ``np.triu_indices`` outside ``DiscreteSystem.pairs``: every
+  pair list and every flux is in the order of ``DiscreteSystem.pairs``,
+  built in one place; the kernel assembly keeps its pair integrals in
+  eta's upper triangle and the EDI audit reads eta row by row, so
+  neither numbers pairs;
 * a tuple naming both ``ConstantKernel`` and ``FractionalKernel`` (as in
   ``isinstance(spec, (ConstantKernel, FractionalKernel))``) outside
   ``kernels._radial``: the offset classes, the far field and the
@@ -288,7 +290,7 @@ def test_no_scipy_import_runs_at_module_load():
     assert not eager, "module-level scipy imports: " + ", ".join(eager)
 
 
-_PAIR_ORDER_OWNERS = {("discretize.py", "DiscreteSystem.pairs"), ("discretize.py", "discretize_kernel")}
+_PAIR_ORDER_OWNERS = {("discretize.py", "DiscreteSystem.pairs")}
 
 
 def _nodes_by_scope(node: ast.AST, kind: type, scope: str = ""):
@@ -302,7 +304,7 @@ def _nodes_by_scope(node: ast.AST, kind: type, scope: str = ""):
         yield from _nodes_by_scope(child, kind, scope)
 
 
-def test_the_pair_order_is_built_only_by_the_pair_list_and_the_kernel_assembly():
+def test_the_pair_order_is_built_only_by_the_pair_list():
     owners = set()
     for path in _modules():
         for scope, call in _nodes_by_scope(_parse(path), ast.Call):
