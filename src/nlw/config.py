@@ -9,7 +9,7 @@ Configs are JSON documents with up to six sections::
                   "output_times": [...]},
       "metric":  {"endpoints": [{...}, {...}], "M": 32, "solver": {"max_iter": 300},
                   "save_path": false},
-      "sampler": {"n_paths": 100000, "seed": 0, "rate_convention": "target"},
+      "sampler": {"n_paths": 100000, "seed": 0},
       "refinement": {"levels": [8, 16, 32]},
       "outputs": {"directory": "out", "formats": ["csv", "json"]}
     }
@@ -22,8 +22,9 @@ settings a config may carry are the integrator's ``method`` (only
 (which sets only the default output grid) and the transport solver's
 ``max_iter``, the cap on Newton steps per barrier stage; quadrature and the rest
 of the solver run at fixed module constants (``discretize``,
-``kernels``, ``metric``), so a config that names one of them is
-rejected like any other unknown key.  Validation here is
+``kernels``, ``metric``) and the sampler always runs the flow's own
+jump rates, so a config that names any other setting is rejected like
+any other unknown key.  Validation here is
 structural, plus the whitelist that every potential expression must
 pass (the one `PotentialSpec` applies), the integrator and output grid
 that ``flow.solve`` would build (the same ``IntegratorConfig`` and grid
@@ -246,7 +247,6 @@ class MetricSection:
 class SamplerSection:
     n_paths: int = 10_000
     seed: int = 0
-    rate_convention: str = "target"
 
 
 @dataclass(frozen=True)
@@ -351,14 +351,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
     sampler = None
     if "sampler" in doc:
         s_doc = doc["sampler"]
-        _check_keys(s_doc, {"n_paths", "seed", "rate_convention"}, "sampler")
+        _check_keys(s_doc, {"n_paths", "seed"}, "sampler")
         sampler = SamplerSection(
             n_paths=_int_at_least(s_doc.get("n_paths", 10_000), 1, "sampler.n_paths"),
             seed=_seed(s_doc.get("seed", 0), "sampler.seed"),
-            rate_convention=s_doc.get("rate_convention", "target"),
         )
-        if sampler.rate_convention not in ("target", "source"):
-            raise ConfigError("sampler.rate_convention: must be 'target' or 'source'")
 
     refinement = None
     if "refinement" in doc:

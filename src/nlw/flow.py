@@ -43,7 +43,6 @@ being silently renormalized.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,21 +220,10 @@ class Trajectory:
     def n_times(self) -> int:
         return self.times.shape[0]
 
-    def to_csv(self, path=None) -> str | None:
-        """Write `t,H,I,mass,min_u` rows; returns the text when path is None."""
-        buf = io.StringIO()
-        buf.write("t,H,I,mass,min_u\n")
-        mass = self.mass
-        mn = self.min_u
-        for k in range(self.n_times):
-            row = (self.times[k], self._H[k], self._I[k], mass[k], mn[k])
-            buf.write(",".join(repr(float(x)) for x in row) + "\n")
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+    def to_csv(self) -> str:
+        """`t,H,I,mass,min_u` rows, one per output time."""
+        cols = zip(*(a.tolist() for a in (self.times, self._H, self._I, self.mass, self.min_u)))
+        return "t,H,I,mass,min_u\n" + "".join(",".join(map(repr, row)) + "\n" for row in cols)
 
 
 # ---------------------------------------------------------------------------

@@ -423,9 +423,9 @@ def _action_from_arrays(u, x, pairs, eps) -> float:
     return (1.0 / x.shape[0]) * _flux_cost(x, theta, pairs.w)
 
 
-def action_of_path(path: DiscretePath, eps: float = 0.0) -> float:
+def action_of_path(path: DiscretePath) -> float:
     """Kinetic action of a discrete path (midpoint logarithmic-mean rule)."""
-    return _action_from_arrays(path.u, path.fluxes, path.system.pairs, eps)
+    return _action_from_arrays(path.u, path.fluxes, path.system.pairs, 0.0)
 
 
 # ---------------------------------------------------------------------------

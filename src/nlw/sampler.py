@@ -7,10 +7,12 @@ occupation probabilities mu_i(t) with rates q_ij (i -> j) and compare:
              = sum_j (mu_j eta_ji pi_i - mu_i eta_ij pi_j),
 
 so q_ij = eta_ij pi_j: the rate of jumping is proportional to the
-weight of the *target* cell.  The tempting source-weighted variant
-q_ij = eta_ij pi_i satisfies detailed balance for the wrong measure and
-is kept available behind ``rate_convention="source"`` purely so tests
-can demonstrate that it fails marginal comparisons on non-uniform pi.
+weight of the *target* cell: the off-diagonal of
+``flow.generator_matrix``, which is where ``simulate`` reads them.  The
+tempting source-weighted variant q_ij = eta_ij pi_i satisfies detailed
+balance for the wrong measure.  It is the target-rate chain of the
+system pi'_i ~ 1/pi_i, eta'_ij = eta_ij pi_i pi_j sum_k 1/pi_k, which is
+how the tests build it to show that it fails on non-uniform pi.
 
 Paths are simulated by Gillespie's algorithm, all paths of a chunk in
 lockstep.  Randomness comes from Philox4x32-10 (Salmon, Moraes, Dror and
@@ -28,12 +30,12 @@ of batching.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import DiscreteSystem
+from .flow import generator_matrix
 from .functionals import DensityState
 
 __all__ = [
@@ -44,17 +46,14 @@ __all__ = [
     "MarginalReport",
 ]
 
-_CONVENTIONS = ("target", "source")
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """How many paths to run, for how long, and with which rates."""
+    """How many paths to run, for how long, and from which seed."""
 
     n_paths: int = 10_000
     horizon: float = 1.0
     seed: int = 0
-    rate_convention: str = "target"
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -63,8 +62,6 @@ class SamplerConfig:
             raise ValueError("seed must be in [0, 2**64): it is the 64-bit Philox key")
         if not (np.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError("horizon must be nonnegative")
-        if self.rate_convention not in _CONVENTIONS:
-            raise ValueError(f"rate_convention must be one of {_CONVENTIONS}")
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,10 @@ class SampleResult:
         f = self.frequencies
         return np.sqrt(f * (1.0 - f) / self.n_paths)
 
-    def to_csv(self, path=None) -> str | None:
-        buf = io.StringIO()
-        buf.write("node_index,count,frequency,stderr\n")
-        freq, err = self.frequencies, self.stderr
-        for i in range(self.counts.shape[0]):
-            buf.write(f"{i},{int(self.counts[i])},{float(freq[i])!r},{float(err[i])!r}\n")
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+    def to_csv(self) -> str:
+        cols = zip(self.counts.tolist(), self.frequencies.tolist(), self.stderr.tolist())
+        rows = [f"{i},{c},{f!r},{e!r}\n" for i, (c, f, e) in enumerate(cols)]
+        return "node_index,count,frequency,stderr\n" + "".join(rows)
 
 
 _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
@@ -143,15 +132,6 @@ def _uniforms(seed: int, k: int, paths: np.ndarray) -> tuple[np.ndarray, np.ndar
     return first, second
 
 
-def _jump_rates(sys: DiscreteSystem, convention: str) -> np.ndarray:
-    if convention == "target":
-        q = sys.eta * sys.pi[None, :]
-    else:
-        q = sys.eta * sys.pi[:, None]
-    np.fill_diagonal(q, 0.0)
-    return q
-
-
 def _last_positive(weights: np.ndarray) -> np.ndarray:
     """Per row, the last column with a positive weight."""
     n = weights.shape[1]
@@ -179,9 +159,10 @@ def simulate(sys: DiscreteSystem, rho0: DensityState, config: SamplerConfig) -> 
     (system, rho0, config) and does not depend on ``_CHUNK_BYTES``.
     """
     n = sys.n_points
-    q = _jump_rates(sys, config.rate_convention)
+    q = generator_matrix(sys)
+    total = -np.diagonal(q)
+    np.fill_diagonal(q, 0.0)
     cum = np.cumsum(q, axis=1)
-    total = q.sum(axis=1)
     last = _last_positive(q)
     mu0 = rho0.masses[None, :]
     cum0 = np.cumsum(mu0, axis=1)

@@ -3,7 +3,16 @@
 The acceptance tests register one verdict line per criterion here; the
 terminal-summary hook prints them after capture ends, so the per-criterion
 PASS/FAIL lines are visible in every run (no -s needed).
+
+``source_rate_system`` builds the negative control of the sampler tests:
+the chain with the wrong, source-weighted jump rates.
 """
+
+import numpy as np
+
+from nlw.discretize import DiscreteSystem
+from nlw.functionals import DensityState
+from nlw.sampler import simulate
 
 acceptance_lines: list[str] = []
 
@@ -13,3 +22,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def source_rate_system(sys: DiscreteSystem) -> DiscreteSystem:
+    """The system whose jump rates eta'_ij pi'_j are the source rates eta_ij pi_i of ``sys``.
+
+    With Z = sum_k 1/pi_k, pi'_i = (1/pi_i) / Z and eta'_ij = eta_ij pi_i pi_j Z;
+    eta' is exactly symmetric, since eta and the outer product of pi are.
+    The source-rate chain satisfies detailed balance for pi', not pi.
+    """
+    inv = 1.0 / sys.pi
+    z = float(inv.sum())
+    return DiscreteSystem.from_arrays(sys.grid, inv / z, sys.eta * np.outer(sys.pi, sys.pi) * z)
+
+
+def simulate_source_rates(sys: DiscreteSystem, rho0: DensityState, config):
+    """``simulate`` with the source rates of ``sys``, from the cell masses of ``rho0``."""
+    wrong = source_rate_system(sys)
+    return simulate(wrong, DensityState.from_masses(wrong, rho0.masses), config)

@@ -230,7 +230,7 @@ def test_criterion_08_log_sobolev_certificate():
         sys16 = build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 16))
         u0 = DensityState.point_mass(sys16, 3)
         traj = solve(sys16, u0, IntegratorConfig(method="matrix_exponential", horizon=2.0, dt=0.02))
-        cert = lsi_certify(sys16, traj, tol=1e-8)
+        cert = lsi_certify(sys16, traj)
         # adjacent cells lose 1/8 of their pair volume to the jump cutoff
         assert abs(cert.c - 0.875) <= 1e-9
         assert cert.certified and cert.pointwise_ok and cert.envelope_ok
@@ -260,12 +260,12 @@ def test_criterion_09_stochastic_cross_validation():
         rep16 = compare_marginals(res16, traj16.u[-1] * sys16.pi)
         assert rep16.passes, f"fractional max|z| = {rep16.max_abs_z:.2f}"
 
-        # the deliberately wrong rate convention must be detected on
+        # the deliberately wrong, source-weighted rates must be detected on
         # asymmetric weights (on uniform pi the two conventions coincide)
         sysw = two_state(pi=(0.8, 0.2))
         uw = DensityState.from_masses(sysw, np.array([0.3, 0.7]))
         trajw = solve(sysw, uw, IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=0.5))
-        wrong = simulate(sysw, uw, SamplerConfig(n_paths=100_000, horizon=1.0, seed=903, rate_convention="source"))
+        wrong = conftest.simulate_source_rates(sysw, uw, SamplerConfig(n_paths=100_000, horizon=1.0, seed=903))
         repw = compare_marginals(wrong, trajw.u[-1] * sysw.pi)
         assert not repw.passes, "wrong rate convention went undetected"
 

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from conftest import simulate_source_rates
 from nlw.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -176,8 +177,10 @@ def test_a_bad_kernel_or_measure_value_is_exit_2_before_the_build(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-def test_failed_comparison_is_exit_4(tmp_path):
-    doc = smoke_doc(tmp_path / "out", sampler={"n_paths": 30000, "seed": 3, "rate_convention": "source"})
+def test_failed_comparison_is_exit_4(tmp_path, monkeypatch):
+    # the sampler runs the source-weighted rates, which miss the flow's marginal on pi = (0.8, 0.2)
+    monkeypatch.setattr("nlw.experiments.simulate", simulate_source_rates)
+    doc = smoke_doc(tmp_path / "out", sampler={"n_paths": 30000, "seed": 3})
     doc["system"]["measure"] = {"type": "tabulated", "dim": 1, "weights": [0.8, 0.2]}
     doc["flow"]["initial"] = {"type": "table", "values": [0.3, 0.7]}
     cfg = write_config(tmp_path, doc)

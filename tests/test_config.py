@@ -277,8 +277,9 @@ def test_sampler_requires_flow():
 
 
 def test_sampler_rate_convention_checked():
-    doc = minimal_doc(flow=flow_doc(), sampler={"rate_convention": "both"})
-    with pytest.raises(ConfigError, match="rate_convention"):
+    # the sampler runs the flow's own rates; naming a convention is an unknown key
+    doc = minimal_doc(flow=flow_doc(), sampler={"rate_convention": "target"})
+    with pytest.raises(ConfigError, match=r"^sampler: unknown key\(s\) 'rate_convention'$"):
         validate_config(doc)
 
 
@@ -421,7 +422,7 @@ def test_resolved_tree_is_json_ready_and_complete():
     cfg = validate_config(doc)
     tree = cfg.resolved()
     json.dumps(tree)  # must not raise
-    assert tree["sampler"] == {"n_paths": 50, "seed": 2, "rate_convention": "target"}
+    assert tree["sampler"] == {"n_paths": 50, "seed": 2}
     assert tree["metric"]["n_steps"] == 32
     assert tree["system"]["measure"] == {"type": "uniform"}
 

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -32,7 +33,8 @@ from nlw.experiments import (
     run_config,
     run_flow_stage,
 )
-from nlw.flow import IntegratorConfig, generator_matrix, solve
+from conftest import simulate_source_rates
+from nlw.flow import IntegratorConfig, Trajectory, generator_matrix, solve
 from nlw.functionals import DensityState, relative_entropy
 from nlw.kernels import (
     ConstantKernel,
@@ -226,6 +228,25 @@ def test_certificate_decay_rate_is_twice_the_gap_and_bounds_c(name):
     assert cert.c <= 0.5 * cert.decay_rate * (1.0 + 1e-12)
 
 
+def test_certificate_reads_eta_without_copying_it():
+    # c is the minimum over eta's upper-triangle rows; a masked copy of the
+    # off-diagonal took the peak to 1.12 x the bytes of eta here
+    n = 1024
+    eta = np.full((n, n), 2.0)
+    np.fill_diagonal(eta, 0.0)
+    eta[5, 700] = eta[700, 5] = 0.5
+    sys = make_system(n, eta=eta)
+    traj = Trajectory(system=sys, times=np.array([0.0, 1.0]), u=np.ones((2, n)), spectral_gap=1.0)
+    tracemalloc.start()
+    try:
+        cert = lsi_certify(sys, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.c == 0.5 and cert.certified
+    assert peak < 0.1 * sys.eta.nbytes, f"peak {peak / sys.eta.nbytes:.2f} x eta"
+
+
 def test_certificate_serializes():
     sys, traj = certify_setup()
     doc = json.loads(canonical_json(asdict(lsi_certify(sys, traj))))
@@ -272,7 +293,8 @@ def test_refinement_decay_rates_follow_the_gap_below_the_roundoff_floor():
     cfg = load_config(CONFIG_DIR / "fractional_gibbs.json")
     doc = cfg.resolved()
     doc["system"]["kernel"]["s"] = 1.5
-    rates = refinement_study(validate_config(doc), levels=(64, 128, 256, 512)).decay_rates
+    doc["refinement"]["levels"] = [64, 128, 256, 512]
+    rates = refinement_study(validate_config(doc)).decay_rates
     assert rates == pytest.approx([68.45, 70.61, 72.14, 73.21], rel=1e-3)
     steps = np.diff(rates)
     assert np.all(steps > 0.0) and np.all(np.diff(steps) < 0.0)
@@ -291,12 +313,6 @@ def test_refinement_rejects_table_initial():
     table = replace(cfg.flow, initial={"type": "table", "values": [1.0] * 8})
     with pytest.raises(ValueError, match="tied to one grid"):
         refinement_study(replace(cfg, flow=table))
-
-
-def test_refinement_levels_override():
-    doc = base_doc(flow=flow_doc(), refinement={"levels": [8, 16, 32]})
-    rep = refinement_study(validate_config(doc), levels=(4, 8))
-    assert rep.levels == (4, 8)
 
 
 def test_refinement_requires_flow():
@@ -560,10 +576,12 @@ def test_run_config_partial_manifest_on_failure(tmp_path):
     assert manifest["artifacts"] == []
 
 
-def test_run_config_sampler_failure_reported_not_raised(tmp_path):
+def test_run_config_sampler_failure_reported_not_raised(tmp_path, monkeypatch):
+    # the sampler runs the source-weighted rates, which miss the flow's marginal on pi = (0.8, 0.2)
+    monkeypatch.setattr("nlw.experiments.simulate", simulate_source_rates)
     doc = full_doc(tmp_path / "conv")
     doc["system"]["measure"] = {"type": "tabulated", "dim": 1, "weights": [0.8, 0.2]}
-    doc["sampler"] = {"n_paths": 30000, "seed": 3, "rate_convention": "source"}
+    doc["sampler"] = {"n_paths": 30000, "seed": 3}
     del doc["metric"]
     result = run_config(validate_config(doc))
     assert result.failure is None
@@ -571,7 +589,7 @@ def test_run_config_sampler_failure_reported_not_raised(tmp_path):
     assert not result.all_checks_passed
     doc_json = json.loads((tmp_path / "conv" / "comparison.json").read_text())
     assert doc_json["passes"] is False
-    assert doc_json["rate_convention"] == "source"
+    assert "rate_convention" not in doc_json
 
 
 def test_an_unconverged_transport_solve_fails_the_checks():
@@ -600,6 +618,14 @@ def test_run_config_refine_stage(tmp_path):
     assert got["levels"] == [4, 8]
     assert (tmp_path / "ref" / "entropy_level_4.csv").exists()
     assert (tmp_path / "ref" / "entropy_level_8.csv").exists()
+
+
+@pytest.mark.parametrize("stage", ["flow", "metric"])
+def test_run_config_flow_and_metric_need_the_build(tmp_path, stage):
+    cfg = validate_config(full_doc(tmp_path / "nb"))
+    with pytest.raises(ValueError, match=f"^the {stage} stage needs the build stage$"):
+        run_config(cfg, stages=(stage,))
+    assert not (tmp_path / "nb" / "manifest.json").exists()
 
 
 def test_run_config_certify_needs_flow(tmp_path):

@@ -353,15 +353,6 @@ def test_trajectory_csv_format():
     assert np.array_equal(parsed["min_u"], traj.min_u)
 
 
-def test_trajectory_csv_file_roundtrip(tmp_path):
-    sys = two_state()
-    u0 = DensityState(sys, np.array([1.25, 0.75]))
-    traj = solve(sys, u0, IntegratorConfig(horizon=0.5, dt=0.25))
-    path = tmp_path / "flow.csv"
-    traj.to_csv(path)
-    assert path.read_text() == traj.to_csv()
-
-
 # ---------------------------------------------------------------------------
 # entropy-dissipation identity
 # ---------------------------------------------------------------------------

@@ -645,8 +645,6 @@ def test_action_of_path_matches_reported_distance():
     b = state(sys, [0.6, 1.4])
     res = nlw_distance(PathProblem(sys, a, b, n_steps=16))
     assert action_of_path(res.path) == pytest.approx(res.w**2, rel=1e-12)
-    # smoothing the mean can only lower the action
-    assert action_of_path(res.path, eps=1e-6) < action_of_path(res.path)
 
 
 def test_path_continuity_residual_is_tiny():
