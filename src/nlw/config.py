@@ -402,6 +402,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
 
     if flow is None and "sampler" in doc:
         raise ConfigError("sampler: requires a flow section (the horizon and reference marginal come from it)")
+    if flow is None and "refinement" in doc:
+        raise ConfigError("refinement: requires a flow section (the study runs that flow on every level)")
 
     return ExperimentConfig(
         system=system,

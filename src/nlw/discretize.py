@@ -57,13 +57,12 @@ eta's upper triangle is the one store of pair integrals: an N x N mask
 marks the pairs still to do, only the pairs left for the pair rule are
 listed, and the division by pi_n(j) pi_n(k) and the mirror run row by
 row.  Batches have a deterministic write order, so two builds from the
-same config are bit-identical.  Only ``DiscreteSystem.pairs`` numbers the
-pairs i < j (with conductances eta_ij pi_i pi_j), on first use, for the
-pairwise functionals and the transport solver; build, flow and
-certificate never build it.  Systems serialize to a self-describing
-JSON document (schema "nlw-system/v2") that stores eta once and
-bit-exactly: its strict upper triangle in pair order, as base64 of
-little-endian float64 bytes.
+same config are bit-identical.  A system holds no pair list: pair order
+is row-major i < j, the order of ``system.json``'s eta, and only the
+transport solver (``metric``) lists the pairs as edge arrays.  Systems
+serialize to a self-describing JSON document (schema "nlw-system/v2")
+that stores eta once and bit-exactly: its strict upper triangle in pair
+order, as base64 of little-endian float64 bytes.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import pairwise
 from pathlib import Path
 from typing import NamedTuple
@@ -91,7 +90,6 @@ from .torus import GridSpec, build_grid, wrapped_norm
 
 __all__ = [
     "DiscreteSystem",
-    "CellPairs",
     "QuadratureError",
     "ZeroCellError",
     "pushforward_measure",
@@ -113,7 +111,6 @@ FAR_CHECK_ORDER = 4  # the coarser rule the far field must agree with to PAIR_TO
 CELL_TOL = 1e-12  # relative change that stops the doubling of the per-cell pushforward rule
 MIN_CELL_MASS = 1e-14  # smallest pi_n(j) a cell may carry
 MAX_DOUBLINGS = 7  # doublings allowed before either rule raises QuadratureError
-_PAIR_BLOCK = 1 << 14  # pairs per block of CellPairs.blocks
 
 
 class QuadratureError(RuntimeError):
@@ -142,30 +139,6 @@ def _reject_empty_cells(pi: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Discrete system container
 # ---------------------------------------------------------------------------
-
-
-class CellPairs(NamedTuple):
-    """Every cell pair i < j, in ``np.triu_indices`` order, with its conductance.
-
-    ``w = eta[i, j] * pi[i] * pi[j]``, evaluated left to right; every
-    ``w`` is positive, since a system has eta > 0 and pi > 0 on every
-    pair, so the list is also the edge list of the transport solver.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    w: np.ndarray
-
-    def blocks(self) -> list[slice]:
-        """Consecutive slices of at most ``_PAIR_BLOCK`` pairs covering the list.
-
-        Pairwise sums run block by block: temporaries over the whole list
-        (1 MiB each at N = 512) go back to the operating system when freed
-        and are page-faulted in again on the next call, which costs more
-        than the arithmetic, while block temporaries stay in cache and in
-        the allocator's free lists.
-        """
-        return [slice(a, a + _PAIR_BLOCK) for a in range(0, self.w.size, _PAIR_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -221,15 +194,6 @@ class DiscreteSystem:
     def delta(self) -> float:
         """The cutoff scale delta_n: the cell diameter of the grid."""
         return self.grid.cell_diameter
-
-    @cached_property
-    def pairs(self) -> CellPairs:
-        """The cell pairs i < j and their conductances, built once per system."""
-        i, j = np.triu_indices(self.n_points, k=1)
-        w = self.eta[i, j] * self.pi[i] * self.pi[j]
-        for arr in (i, j, w):
-            arr.setflags(write=False)
-        return CellPairs(i, j, w)
 
     @classmethod
     def from_arrays(cls, grid: GridSpec, pi, eta) -> "DiscreteSystem":

@@ -17,6 +17,7 @@ produce bit-identical artifact trees.  A stage failure stops the run
 and the manifest still lists whatever was completed, plus the failure.
 A stage whose input stage was not requested is an error, not a
 rebuild: flow and metric need the build, certify and sample the flow.
+``run_config`` checks that before it writes anything.
 
 The sampler stage reuses the flow stage's initial state and horizon:
 the comparison is only meaningful when the paths and the trajectory
@@ -398,12 +399,25 @@ def run_config(
     Stages not backed by a config section are skipped silently, except
     that "flow", "metric", "certify", "sample", and "refine" require what
     they build on ("flow"/"metric" need the build, "certify"/"sample" the
-    flow, "refine" a refinement section): a missing one raises ValueError.
+    flow, "refine" a refinement section): a missing one raises ValueError
+    before anything is written.
     On a numerical failure the run stops, the partial manifest is
     written, and the failure is recorded on the result.
     """
     if seed is not None:
         _seed(seed, "seed")
+    runs_flow = "flow" in stages and cfg.flow is not None
+    runs_metric = "metric" in stages and cfg.metric is not None
+    runs_sample = "sample" in stages and cfg.sampler is not None
+    for missing, message in (
+        ("refine" in stages and cfg.refinement is None, "config has no refinement section"),
+        (runs_flow and "build" not in stages, "the flow stage needs the build stage"),
+        (runs_metric and "build" not in stages, "the metric stage needs the build stage"),
+        ("certify" in stages and not runs_flow, "certification needs a flow stage"),
+        (runs_sample and not runs_flow, "sampling needs a flow stage for the reference marginal"),
+    ):
+        if missing:
+            raise ValueError(message)
     out = out_dir or cfg.outputs.directory
     fmts = cfg.outputs.formats
     bundle = _Bundle(out, cfg.resolved())
@@ -412,8 +426,6 @@ def run_config(
     failure = None
     try:
         if "refine" in stages:
-            if cfg.refinement is None:
-                raise ValueError("config has no refinement section")
             ran.append("refine")
             report = refinement_study(cfg)
             result.refinement = report
@@ -436,9 +448,7 @@ def run_config(
             result.system = sys
             bundle.add_json("system", "system.json", SYSTEM_SCHEMA, system_document(sys))
 
-        if "flow" in stages and cfg.flow is not None:
-            if sys is None:
-                raise ValueError("the flow stage needs the build stage")
+        if runs_flow:
             ran.append("flow")
             traj, icfg = run_flow_stage(cfg, sys)
             result.trajectory = traj
@@ -449,17 +459,13 @@ def run_config(
                 bundle.add_json("edi", "edi.json", "nlw-edi/v1", doc)
 
         if "certify" in stages:
-            if traj is None:
-                raise ValueError("certification needs a flow stage")
             ran.append("certify")
             cert = lsi_certify(sys, traj)
             result.certificate = cert
             if "json" in fmts:
                 bundle.add_json("certificate", "certificate.json", "nlw-certificate/v1", asdict(cert))
 
-        if "metric" in stages and cfg.metric is not None:
-            if sys is None:
-                raise ValueError("the metric stage needs the build stage")
+        if runs_metric:
             ran.append("metric")
             a = density_from_spec(cfg.metric.endpoints[0], sys)
             b = density_from_spec(cfg.metric.endpoints[1], sys)
@@ -474,9 +480,7 @@ def run_config(
                     rows.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
                 bundle.add_text("metric_path", "path.csv", "nlw-path-csv/v1", "\n".join(rows) + "\n")
 
-        if "sample" in stages and cfg.sampler is not None:
-            if traj is None:
-                raise ValueError("sampling needs a flow stage for the reference marginal")
+        if runs_sample:
             ran.append("sample")
             scfg = SamplerConfig(
                 n_paths=cfg.sampler.n_paths,

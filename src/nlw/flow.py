@@ -14,16 +14,18 @@ rate equal to the Fisher information.  The companion flux
 
     v_ij = (u_i - u_j) eta_ij pi_i pi_j            (tangent_flux)
 
-(one value per pair i < j of ``DiscreteSystem.pairs``, the flux form of
-``functionals.action``) solves the nonlocal continuity equation exactly
-and its kinetic action equals the Fisher information identically — the
-discrete form of the entropy-dissipation identity dH/dt = -I = -A.  The
+(one value per pair i < j in pair order, row-major i < j as in
+``system.json``'s eta, the flux form of ``functionals.action``) solves
+the nonlocal continuity equation exactly and its kinetic action equals
+the Fisher information identically — the discrete form of the
+entropy-dissipation identity dH/dt = -I = -A.  The
 audit computes the two sides by independent routes, each for every
 output state at once: I from the generator, -sum_i pi_i (K u)_i log u_i,
 in one product of the states with ``sys.eta`` (Maas, J. Funct. Anal.
 2011); A in one sweep over the rows of eta's upper triangle, where each
 pair term v^2 / (theta w) is |u_i - u_j| ell_ij w_ij, ell the log ratio
-and w_ij = eta_ij pi_i pi_j read from the row (no pair list is built).
+and w_ij = eta_ij pi_i pi_j read from the row by ``functionals._pair_rows``
+(no pair list is built).
 
 One propagator, exact at every output time: every cell carries mass and
 K is self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric,
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscreteSystem
-from .functionals import DensityState, _log_ratio, relative_entropy
+from .functionals import DensityState, _log_ratio, _pair_rows, relative_entropy
 
 __all__ = [
     "IntegratorError",
@@ -119,14 +121,14 @@ def generator_matrix(sys: DiscreteSystem) -> np.ndarray:
 def tangent_flux(rho: DensityState) -> np.ndarray:
     """The flux v_ij = (u_i - u_j) eta_ij pi_i pi_j carried by the flow.
 
-    One value per pair i < j of ``DiscreteSystem.pairs``,
-    v = (u_i - u_j) * w, the form ``functionals.action`` takes.
+    One value per pair i < j in pair order (row-major i < j, the order of
+    ``system.json``'s eta), v = (u_i - u_j) * w, the form
+    ``functionals.action`` takes; filled row by row into one array.
     """
-    pairs = rho.system.pairs
     u = rho.u
-    v = np.empty(pairs.w.shape)
-    for b in pairs.blocks():
-        v[b] = (u[pairs.i[b]] - u[pairs.j[b]]) * pairs.w[b]
+    v = np.empty(u.size * (u.size - 1) // 2)
+    for i, row, w in _pair_rows(rho.system):
+        v[row] = (u[i] - u[i + 1 :]) * w
     return v
 
 
@@ -325,8 +327,8 @@ class EDIReport:
     delta_h compares the entropy at the quadrature start to the final
     entropy; int_fisher and int_action are trapezoid integrals over the
     output grid of I (``Trajectory.fisher``, from the generator) and of
-    the tangent-flux action (in one sweep over the rows of the pair
-    list, theta cancelled).  When the Fisher information is infinite at
+    the tangent-flux action (in one sweep over the rows of eta's upper
+    triangle, theta cancelled).  When the Fisher information is infinite at
     t = 0 (mass next to a hole in the initial state), the quadrature
     starts at the first positive output time and ``infinite_start``
     records the convention; the flow is strictly positive for t > 0, so
@@ -379,14 +381,14 @@ def edi_report(traj: Trajectory) -> EDIReport:
         )
     # every state here has u > 0, so the tangent flux's pair term v^2 / (theta w) is
     # |u_i - u_j| ell_ij w_ij, summed row by row over the pairs (i, j > i)
-    pi, eta, cols = traj.system.pi, traj.system.eta, np.ascontiguousarray(traj.u[start:].T)
+    cols = np.ascontiguousarray(traj.u[start:].T)
     A = np.zeros(cols.shape[1])
     with np.errstate(over="ignore"):  # |u_i - u_j| / min(u_i, u_j) overflows for subnormal u
-        for i in range(cols.shape[0] - 1):
+        for i, _, w in _pair_rows(traj.system):
             rest, own = cols[i + 1 :], cols[i]
             gap = np.abs(rest - own)
             gap *= _log_ratio(rest, np.broadcast_to(own, rest.shape), gap, np.minimum(rest, own))
-            A += (eta[i, i + 1 :] * pi[i] * pi[i + 1 :]) @ gap
+            A += w @ gap
     t = traj.times[start:]
     H = traj.entropy[start:]
     int_I = float(np.trapezoid(I[start:], t))

@@ -18,12 +18,13 @@ The two sides are computed independently (theta from ``log_mean``, the
 Fisher side from log u); the flow's audit cancels theta from the pair
 term, |u_i - u_j| ell w with ell from ``_log_ratio``.
 
-Pair sums run over the system's cached pair list ``DiscreteSystem.pairs``
-(every i < j in ``np.triu_indices`` order, with w), block by block, so
-no N x N temporary is formed.  A sum over i < j equals the ordered-pair
-sum 1/2 sum_{i != j} of the same symmetric term.  A flux is a float
-array in the same order: v[k] = v_ij on the k-th pair i < j, with
-v_ji = -v_ij implied, so antisymmetry holds by construction.
+Pair sums walk eta's upper triangle row by row (``_pair_rows``, which
+reads each row's conductances w_ij from eta and pi), so no N x N
+temporary and no pair list is formed.  Pair order is row-major i < j,
+the order of ``system.json``'s eta.  A sum over i < j equals the
+ordered-pair sum 1/2 sum_{i != j} of the same symmetric term.  A flux
+is a float array in pair order: v[k] = v_ij on the k-th pair i < j,
+with v_ji = -v_ij implied, so antisymmetry holds by construction.
 
 Conventions for degenerate values follow the variational definitions:
 0 log 0 = 0 in the entropy; r (log r - log 0) = +infinity in the Fisher
@@ -241,32 +242,41 @@ def relative_entropy(rho: DensityState) -> float:
     return max(val, 0.0)
 
 
+def _pair_rows(sys: DiscreteSystem):
+    """Yield (i, the slice of row i's pairs (i, j > i) in pair order, their
+    conductances w_ij = eta_ij pi_i pi_j), row by row over eta's upper triangle."""
+    n, start = sys.n_points, 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        yield i, slice(start, stop), sys.eta[i, i + 1 :] * sys.pi[i] * sys.pi[i + 1 :]
+        start = stop
+
+
 def fisher_information(rho: DensityState) -> float:
     """Nonlocal Fisher information; +inf when some u = 0.
 
-    sum_{i < j} (u_i - u_j)(log u_i - log u_j) w_ij over the system's
-    pair list.  A state has mass 1, so some u > 0, and every pair has
-    eta > 0: a hole sits next to mass, where r (log r - log 0) = +inf.
+    sum_{i < j} (u_i - u_j)(log u_i - log u_j) w_ij, row by row over
+    eta's upper triangle.  A state has mass 1, so some u > 0, and every
+    pair has eta > 0: a hole sits next to mass, where
+    r (log r - log 0) = +inf.
     """
     u = rho.u
-    pairs = rho.system.pairs
     if not np.all(u > 0.0):
         return float("inf")
-    # u and log u side by side, so one gather per pair end fetches both
-    ul = np.column_stack([u, np.log(u)])
+    log_u = np.log(u)
     total = 0.0
-    for b in pairs.blocks():
-        diff = np.take(ul, pairs.i[b], axis=0) - np.take(ul, pairs.j[b], axis=0)
-        total += float(np.sum(diff[:, 0] * diff[:, 1] * pairs.w[b]))
+    for i, _, w in _pair_rows(rho.system):
+        total += float(np.sum((u[i] - u[i + 1 :]) * (log_u[i] - log_u[i + 1 :]) * w))
     return total
 
 
 def action(rho: DensityState, v, theta_fn=log_mean) -> float:
     """Kinetic action of a density and a flux ``v`` on the system's pairs.
 
-    ``v[k]`` is v_ij on the k-th pair i < j of ``DiscreteSystem.pairs``
-    (v_ji = -v_ij).  The action is the sum over the pairs of
-    v_ij^2 / (theta(u_i,u_j) w_ij), which equals the ordered-pair sum of
+    ``v[k]`` is v_ij on the k-th pair i < j in pair order (row-major
+    i < j, the order of ``system.json``'s eta; v_ji = -v_ij).  The action
+    is the sum over the pairs of v_ij^2 / (theta(u_i,u_j) w_ij), row by
+    row over eta's upper triangle, which equals the ordered-pair sum of
     v_ij^2 / (2 theta eta_ij pi_i pi_j).  Degenerate pairs follow
     0/0 = 0 and c/0 = +inf for c > 0: flux across a pair with theta = 0
     costs infinitely much.  ``theta_fn`` defaults to the logarithmic
@@ -274,15 +284,15 @@ def action(rho: DensityState, v, theta_fn=log_mean) -> float:
     arithmetic mean as a negative control).
     """
     u = rho.u
-    pairs = rho.system.pairs
+    shape = (u.size * (u.size - 1) // 2,)
     v = np.asarray(v, dtype=float)
-    if v.shape != pairs.w.shape:
-        raise ValueError(f"flux has shape {v.shape}, expected {pairs.w.shape} for {u.size} points")
+    if v.shape != shape:
+        raise ValueError(f"flux has shape {v.shape}, expected {shape} for {u.size} points")
     if not np.all(np.isfinite(v)):
         raise ValueError("flux entries must be finite")
     total = 0.0
-    for b in pairs.blocks():
-        total += _flux_cost(v[b], theta_fn(u[pairs.i[b]], u[pairs.j[b]]), pairs.w[b])
+    for i, row, w in _pair_rows(rho.system):
+        total += _flux_cost(v[row], theta_fn(u[i], u[i + 1 :]), w)
     return total
 
 

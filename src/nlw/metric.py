@@ -42,10 +42,12 @@ divergence-free part of the computed total, so the endpoint constraint
 holds to rounding and ``w`` is the pure action of exactly that path.
 
 Every system has eta > 0 on every pair (a ``DiscreteSystem``
-invariant), so the graph is complete and its edges are exactly
-``DiscreteSystem.pairs``: a flux is one float per pair in that order,
-(E,) for one state as ``functionals.action`` takes it and (M, E) along
-a path.  Every two endpoints with the same total mass are joined by a
+invariant), so the graph is complete and its edges are all pairs i < j.
+This module is the one that lists them, as the vectorized edge arrays
+of ``_edges``, in pair order: row-major i < j, the order of
+``system.json``'s eta.  A flux is one float per pair in that order, (E,)
+for one state as ``functionals.action`` takes it and (M, E) along a
+path.  Every two endpoints with the same total mass are joined by a
 finite-action path, so the distance, Maas's discrete transport metric
 on this graph (J. Funct. Anal. 2011), is finite.  Equal endpoints are
 answered without a solve: w = 0 along the constant path.
@@ -118,8 +120,9 @@ class DiscretePath:
     """A feasible discrete path: densities per time level, flux per pair/step.
 
     ``u`` has shape (M+1, N) on the uniform grid t_m = m/M; ``fluxes``
-    has shape (M, E), row m one flux on the system's pairs
-    (``DiscreteSystem.pairs``, as ``functionals.action`` takes it).
+    has shape (M, E), row m one flux on the E = N(N-1)/2 pairs i < j in
+    pair order (row-major, the order of ``system.json``'s eta), as
+    ``functionals.action`` takes it.
     """
 
     system: DiscreteSystem
@@ -129,9 +132,10 @@ class DiscretePath:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         x = np.asarray(self.fluxes, dtype=float)
-        if u.ndim != 2 or u.shape[1] != self.system.n_points:
+        n = self.system.n_points
+        if u.ndim != 2 or u.shape[1] != n:
             raise ValueError("density array shape mismatch")
-        if x.shape != (u.shape[0] - 1, self.system.pairs.w.size):
+        if x.shape != (u.shape[0] - 1, n * (n - 1) // 2):
             raise ValueError("flux array shape mismatch")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(x))):
             raise ValueError("path contains non-finite entries")
@@ -158,7 +162,8 @@ class DiscretePath:
         """Max violation of mu^{m} - mu^{m-1} + dt * div(x^{m}) = 0."""
         dt = 1.0 / self.n_steps
         mu = self.u * self.system.pi[None, :]
-        index = _scatter_index(self.system, self.n_steps)
+        ei, ej, _ = _edges(self.system)
+        index = _scatter_index(ei, ej, self.system.n_points, self.n_steps)
         div = _node_sums(index, mu[:-1].shape, self.fluxes, -self.fluxes)
         return float(np.max(np.abs(np.diff(mu, axis=0) + dt * div)))
 
@@ -184,18 +189,25 @@ class MetricResult:
 
 
 # ---------------------------------------------------------------------------
-# graph plumbing: the edges are the system's pairs
+# graph plumbing: the edges are the pairs i < j
 # ---------------------------------------------------------------------------
 
 
-def _scatter_index(sys: DiscreteSystem, n_steps: int) -> np.ndarray:
-    """Flat bins m*N + i for every (step, pair), then m*N + j.
+def _edges(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge list (i, j, w): every pair i < j in pair order and its
+    conductance w = eta_ij pi_i pi_j, evaluated left to right."""
+    i, j = np.triu_indices(sys.n_points, 1)
+    return i, j, sys.eta[i, j] * sys.pi[i] * sys.pi[j]
+
+
+def _scatter_index(ei: np.ndarray, ej: np.ndarray, n: int, n_steps: int) -> np.ndarray:
+    """Flat bins m*n + i for every (step, edge), then m*n + j.
 
     With this order ``np.bincount`` adds each bin's terms exactly as
     ``np.add.at`` over the i ends and then over the j ends would.
     """
-    rows = np.arange(n_steps)[:, None] * sys.n_points
-    return np.concatenate([(rows + sys.pairs.i).ravel(), (rows + sys.pairs.j).ravel()])
+    rows = np.arange(n_steps)[:, None] * n
+    return np.concatenate([(rows + ei).ravel(), (rows + ej).ravel()])
 
 
 def _node_sums(index: np.ndarray, shape, at_i: np.ndarray, at_j: np.ndarray) -> np.ndarray:
@@ -245,17 +257,18 @@ class _PathWorkspace:
         self.sys = sys
         self.M = prob.n_steps
         self.dt = 1.0 / self.M
-        self.scatter = _scatter_index(sys, self.M)
+        n = sys.n_points
+        self.ei, self.ej, self.w = _edges(sys)
+        self.scatter = _scatter_index(self.ei, self.ej, n, self.M)
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
-        n = sys.n_points
         self.s0 = self.least_norm((self.mu0 - self.muT) / self.dt)
         # Newton steps keep the total mass: the unit column 1/sqrt(n) spans
         # the excluded mass increments
         self.fixed = np.full((n, 1), 1.0 / np.sqrt(n))
         # flat bins of the per-step (M, N, N) node matrices: the (i, i),
-        # (j, j), (i, j) and (j, i) entries of every pair
-        ei, ej = sys.pairs.i, sys.pairs.j
+        # (j, j), (i, j) and (j, i) entries of every edge
+        ei, ej = self.ei, self.ej
         rows = np.arange(self.M)[:, None] * (n * n)
         self.pattern = np.concatenate(
             [(rows + k * n + l).ravel() for k, l in ((ei, ei), (ej, ej), (ei, ej), (ej, ei))]
@@ -268,11 +281,11 @@ class _PathWorkspace:
         (i, j)), so D D^T = n I - 1 1^T acts as n I on vectors that sum to
         zero, and x = D^T rhs / n.
         """
-        return (rhs[..., self.sys.pairs.i] - rhs[..., self.sys.pairs.j]) / self.sys.n_points
+        return (rhs[..., self.ei] - rhs[..., self.ej]) / self.sys.n_points
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Orthogonal projection of pair values onto the divergence-free ones."""
-        ei, ej, n = self.sys.pairs.i, self.sys.pairs.j, self.sys.n_points
+        ei, ej, n = self.ei, self.ej, self.sys.n_points
         return z - self.least_norm(np.bincount(ei, z, minlength=n) - np.bincount(ej, z, minlength=n))
 
     def close_total(self, x: np.ndarray) -> np.ndarray:
@@ -317,7 +330,7 @@ class _PathWorkspace:
         inner = u[1:-1]
         if inner.min() <= 0.0:
             return np.inf
-        f = _action_from_arrays(u, x, self.sys.pairs, eps)
+        f = _action_from_arrays(u, x, (self.ei, self.ej, self.w), eps)
         if beta > 0.0:
             # summed in column-major order, node by node: the order fixes the rounding
             f -= beta * float(np.sum(np.log(np.asfortranarray(inner))))
@@ -361,7 +374,7 @@ class _PathWorkspace:
         tridiagonal in time with N x N blocks.
         """
         M, n, dt = self.M, self.sys.n_points, self.dt
-        pi, (ei, ej, q) = self.sys.pi, self.sys.pairs
+        pi, ei, ej, q = self.sys.pi, self.ei, self.ej, self.w
         u = mu / pi[None, :]
         ut = 0.5 * (u[:-1] + u[1:])
         a, b = ut[:, ei], ut[:, ej]
@@ -417,15 +430,16 @@ class _PathWorkspace:
         return g_x, g_mu, dx, dmu
 
 
-def _action_from_arrays(u, x, pairs, eps) -> float:
+def _action_from_arrays(u, x, edges, eps) -> float:
+    ei, ej, w = edges
     ut = 0.5 * (u[:-1] + u[1:])
-    theta = log_mean(ut[:, pairs.i], ut[:, pairs.j]) + eps
-    return (1.0 / x.shape[0]) * _flux_cost(x, theta, pairs.w)
+    theta = log_mean(ut[:, ei], ut[:, ej]) + eps
+    return (1.0 / x.shape[0]) * _flux_cost(x, theta, w)
 
 
 def action_of_path(path: DiscretePath) -> float:
     """Kinetic action of a discrete path (midpoint logarithmic-mean rule)."""
-    return _action_from_arrays(path.u, path.fluxes, path.system.pairs, 0.0)
+    return _action_from_arrays(path.u, path.fluxes, _edges(path.system), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +504,7 @@ def nlw_distance(prob: PathProblem) -> MetricResult:
         # the constant path has zero action; the barrier stages would chase
         # empty cells of it toward zero instead
         u = np.tile(prob.start.u, (prob.n_steps + 1, 1))
-        path = DiscretePath(ws.sys, u, np.zeros((prob.n_steps, ws.sys.pairs.w.size)))
+        path = DiscretePath(ws.sys, u, np.zeros((prob.n_steps, ws.w.size)))
         return MetricResult(
             w=0.0,
             n_steps=prob.n_steps,

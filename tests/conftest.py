@@ -5,7 +5,9 @@ terminal-summary hook prints them after capture ends, so the per-criterion
 PASS/FAIL lines are visible in every run (no -s needed).
 
 ``source_rate_system`` builds the negative control of the sampler tests:
-the chain with the wrong, source-weighted jump rates.
+the chain with the wrong, source-weighted jump rates.  ``pair_order``
+numbers the pairs i < j of a system on the test side, in the order of
+fluxes and of ``system.json``'s eta.
 """
 
 import numpy as np
@@ -22,6 +24,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def pair_order(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, w): every pair i < j, row-major, and w = eta_ij pi_i pi_j evaluated left to right."""
+    i, j = np.triu_indices(sys.n_points, 1)
+    return i, j, sys.eta[i, j] * sys.pi[i] * sys.pi[j]
 
 
 def source_rate_system(sys: DiscreteSystem) -> DiscreteSystem:

@@ -127,6 +127,22 @@ def test_a_config_that_fails_after_the_build_is_exit_2_before_it(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [("certify", "certification needs a flow stage"), ("refine", "config has no refinement section")],
+)
+def test_a_stage_without_its_prerequisite_is_exit_2_before_anything_is_written(tmp_path, capsys, command, message):
+    # a build-only config: certify used to write system.json first, refine the empty directory
+    doc = {
+        "system": {"dim": 1, "level": 8, "kernel": {"type": "constant", "c": 1.0}},
+        "outputs": {"directory": str(tmp_path / "out"), "formats": ["csv", "json"]},
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_is_exit_3_with_partial_manifest(tmp_path, capsys):
     doc = smoke_doc(tmp_path / "out")
     doc["system"]["level"] = 8

@@ -276,6 +276,13 @@ def test_sampler_requires_flow():
         validate_config(doc)
 
 
+def test_refinement_requires_flow():
+    doc = minimal_doc(refinement={"levels": [8, 16]})
+    with pytest.raises(ConfigError, match=r"^refinement: requires a flow section"):
+        validate_config(doc)
+    validate_config(minimal_doc(flow=flow_doc(), refinement={"levels": [8, 16]}))
+
+
 def test_sampler_rate_convention_checked():
     # the sampler runs the flow's own rates; naming a convention is an unknown key
     doc = minimal_doc(flow=flow_doc(), sampler={"rate_convention": "target"})

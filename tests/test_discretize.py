@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.special import i0
 
+from conftest import pair_order
 from nlw import discretize, kernels
 from nlw.discretize import (
     MIN_CELL_MASS,
@@ -729,7 +730,8 @@ def test_a_written_system_loads_bit_equal(tmp_path, dim, level, kernel):
 def test_eta_is_written_once_as_its_upper_triangle_in_pair_order():
     sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 6))
     raw = base64.b64decode(system_document(sys)["eta"], validate=True)
-    assert raw == sys.eta[sys.pairs.i, sys.pairs.j].astype("<f8").tobytes()
+    i, j, _ = pair_order(sys)
+    assert raw == sys.eta[i, j].astype("<f8").tobytes()
 
 
 def test_load_rejects_a_delta_that_is_not_the_cell_diameter(tmp_path):

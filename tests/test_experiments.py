@@ -316,9 +316,10 @@ def test_refinement_rejects_table_initial():
 
 
 def test_refinement_requires_flow():
-    doc = base_doc(refinement={"levels": [4, 8]})
+    # validate_config rejects this document; a config built in code meets the study's own check
+    cfg = validate_config(base_doc(flow=flow_doc(), refinement={"levels": [4, 8]}))
     with pytest.raises(ValueError, match="flow section"):
-        refinement_study(validate_config(doc))
+        refinement_study(replace(cfg, flow=None))
 
 
 def test_refinement_point_mass_tracks_base_cell():
@@ -540,17 +541,6 @@ def test_run_config_seed_override_changes_histogram(tmp_path):
     assert r1.comparison.passes and r2.comparison.passes
 
 
-def test_build_flow_and_certify_never_build_the_pair_list(tmp_path):
-    # the EDI audit reads each row's conductances from eta; only the pairwise
-    # functionals and the transport solver use DiscreteSystem.pairs
-    doc = base_doc(flow=flow_doc(initial={"type": "point_mass", "index": 3}))
-    doc["system"]["kernel"] = {"type": "fractional", "s": 1.0}
-    doc["system"]["measure"] = {"type": "gibbs", "potential": {"expr": "cos(2*pi*x)"}}
-    result = run_config(validate_config(doc), out_dir=str(tmp_path), stages=("build", "flow", "certify"))
-    assert result.certificate is not None and result.failure is None
-    assert "pairs" not in result.system.__dict__
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_run_config_rejects_a_seed_outside_the_64_bit_key_before_writing(tmp_path, seed):
     cfg = validate_config(full_doc(tmp_path / "out"))
@@ -633,6 +623,22 @@ def test_run_config_certify_needs_flow(tmp_path):
     doc["outputs"]["directory"] = str(tmp_path / "nf")
     with pytest.raises(ValueError, match="needs a flow"):
         run_config(validate_config(doc), stages=("build", "flow", "certify"))
+    assert not (tmp_path / "nf").exists()
+
+
+@pytest.mark.parametrize(
+    "stages, message",
+    [
+        (("build", "certify"), "certification needs a flow stage"),
+        (("build", "sample"), "sampling needs a flow stage for the reference marginal"),
+        (("build", "flow", "refine"), "config has no refinement section"),
+    ],
+)
+def test_run_config_checks_every_prerequisite_before_writing(tmp_path, stages, message):
+    cfg = validate_config(full_doc(tmp_path / "out"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_config(cfg, stages=stages)
+    assert not (tmp_path / "out").exists()
 
 
 def test_trajectory_csv_parses_back(tmp_path):

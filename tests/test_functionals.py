@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import pair_order
 from nlw.discretize import DiscreteSystem
 from nlw.flow import tangent_flux
 from nlw.functionals import (
@@ -50,16 +51,17 @@ def two_state(pi=(0.5, 0.5), eta12=1.0):
 
 
 def on_pairs(sys, v):
-    """The pair values v_ij, i < j in ``sys.pairs`` order, of an N x N matrix."""
-    return v[sys.pairs.i, sys.pairs.j]
+    """The pair values v_ij, i < j in pair order, of an N x N matrix."""
+    i, j, _ = pair_order(sys)
+    return v[i, j]
 
 
 def dense_flux(sys, v):
-    """The antisymmetric N x N matrix of a flux ``v`` on ``sys.pairs``."""
-    n = sys.n_points
-    dense = np.zeros((n, n))
-    dense[sys.pairs.i, sys.pairs.j] = v
-    dense[sys.pairs.j, sys.pairs.i] = -v
+    """The antisymmetric N x N matrix of a flux ``v`` in pair order."""
+    i, j, _ = pair_order(sys)
+    dense = np.zeros((sys.n_points, sys.n_points))
+    dense[i, j] = v
+    dense[j, i] = -v
     return dense
 
 
@@ -501,14 +503,8 @@ def oracle_fluxes(rng, rho):
     return [dense_tangent_flux(rho), np.zeros((n, n)), upper - upper.T, supported - supported.T]
 
 
-@pytest.fixture(params=["one_block", "blocks_of_7"])
-def block_size(request, monkeypatch):
-    if request.param == "blocks_of_7":
-        monkeypatch.setattr("nlw.discretize._PAIR_BLOCK", 7)
-
-
 @pytest.mark.parametrize("n", [5, 13, 40])
-def test_pair_functionals_match_the_dense_oracles(n, block_size):
+def test_pair_functionals_match_the_dense_oracles(n):
     rng = np.random.default_rng(100 + n)
     seen_inf = seen_zero = 0
     for _ in range(3):
@@ -557,7 +553,6 @@ def test_pair_list_audit_peak_memory_at_1024_points():
     sys = make_system(n, pi=pi / pi.sum(), eta=eta)
     u = 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
     rho = DensityState(sys, u / (u @ sys.pi))
-    fisher_information(rho)  # builds the system's pair list before the measurement
     pair_bytes = 8 * (n * (n - 1) // 2)  # one float per pair i < j
     tracemalloc.start()
     try:
@@ -566,7 +561,7 @@ def test_pair_list_audit_peak_memory_at_1024_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one pair-value array (the flux) plus block temporaries; the dense
+    # one pair-value array (the flux) plus row temporaries; the dense
     # N x N bodies peaked at about 59 MiB here, 15 pair-value arrays
     assert peak < 2 * pair_bytes, f"peak {peak / 2**20:.2f} MiB"
     assert act == pytest.approx(fisher, rel=1e-12)

@@ -1,7 +1,8 @@
 """Source hygiene of ``src/nlw``, checked with the standard library alone.
 
-Five kinds of dead code fail here, one cost at import and three second
-spellings, of the pair order, of the radial kernels and of the log ratio:
+Five kinds of dead code fail here, one cost at import, one cache and
+three second spellings, of the pair order, of the radial kernels and of
+the log ratio:
 
 * a name a module imports but neither uses nor re-exports (a package
   ``__init__`` re-exports everything it imports; other modules re-export
@@ -28,11 +29,14 @@ spellings, of the pair order, of the radial kernels and of the log ratio:
 * a scipy import that runs when its module loads (anywhere outside a
   function body): ``import nlw`` loads numpy alone, and each scipy
   subpackage loads inside the functions that call it;
-* a call of ``np.triu_indices`` outside ``DiscreteSystem.pairs``: every
-  pair list and every flux is in the order of ``DiscreteSystem.pairs``,
-  built in one place; the kernel assembly keeps its pair integrals in
-  eta's upper triangle and the EDI audit reads eta row by row, so
-  neither numbers pairs;
+* a call of ``np.triu_indices`` outside ``metric._edges``: pair order is
+  row-major i < j, the order of ``system.json``'s eta, and the transport
+  solver is the one module that lists the pairs, as vectorized edge
+  arrays; the kernel assembly keeps its pair integrals in eta's upper
+  triangle, and the pair functionals, the tangent flux and the EDI audit
+  walk its rows, so none of them numbers pairs;
+* a ``cached_property`` in ``discretize``: a ``DiscreteSystem`` holds
+  grid, pi, eta and provenance, and no cache derived from eta;
 * a tuple naming both ``ConstantKernel`` and ``FractionalKernel`` (as in
   ``isinstance(spec, (ConstantKernel, FractionalKernel))``) outside
   ``kernels._radial``: the offset classes, the far field and the
@@ -304,7 +308,7 @@ def test_no_scipy_import_runs_at_module_load():
     assert not eager, "module-level scipy imports: " + ", ".join(eager)
 
 
-_PAIR_ORDER_OWNERS = {("discretize.py", "DiscreteSystem.pairs")}
+_PAIR_ORDER_OWNERS = {("metric.py", "_edges")}
 
 
 def _nodes_by_scope(node: ast.AST, kind: type, scope: str = ""):
@@ -327,7 +331,18 @@ def test_the_pair_order_is_built_only_by_the_pair_list():
             if name == "triu_indices":
                 owners.add((path.name, scope or "<module>"))
     assert owners <= _PAIR_ORDER_OWNERS, f"np.triu_indices called in {sorted(owners - _PAIR_ORDER_OWNERS)}"
-    assert owners, "DiscreteSystem.pairs no longer calls np.triu_indices"
+    assert owners, "metric._edges no longer calls np.triu_indices"
+
+
+def test_discretize_defines_no_cached_property():
+    cached = [
+        f"discretize.py:{node.lineno} {node.name}"
+        for node in ast.walk(_parse(PACKAGE / "discretize.py"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for deco in node.decorator_list
+        if getattr(deco, "id", getattr(deco, "attr", None)) == "cached_property"
+    ]
+    assert not cached, "cached properties in discretize: " + ", ".join(cached)
 
 
 _RADIAL_OWNERS = {("kernels.py", "_radial")}

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import pair_order
 from nlw.discretize import DiscreteSystem, build_system
 from nlw.experiments import density_from_spec
 from nlw.flow import IntegratorConfig, solve
@@ -278,7 +279,7 @@ def random_interior_point(n, n_steps, seed):
 
 
 def _split(ws, z):
-    E = ws.sys.pairs.w.size
+    E = pair_order(ws.sys)[2].size
     x = z[: ws.M * E].reshape(ws.M, E)
     mu = np.vstack([ws.mu0, z[ws.M * E :].reshape(ws.M - 1, -1), ws.muT])
     return x, mu
@@ -310,7 +311,7 @@ def test_objective_gradient_matches_finite_differences():
 @pytest.mark.parametrize("beta, eps", [(1e-2, 1e-2), (0.0, 1e-12)])
 def test_newton_step_solves_the_kkt_system_of_the_finite_difference_hessian(n, n_steps, beta, eps):
     ws, x, mu = random_interior_point(n, n_steps, seed=n)
-    M, E, dt = ws.M, ws.sys.pairs.w.size, ws.dt
+    M, E, dt = ws.M, pair_order(ws.sys)[2].size, ws.dt
     z = np.concatenate([x.ravel(), mu[1:-1].ravel()])
     h = 1e-6
     H = np.empty((z.size, z.size))
@@ -320,7 +321,7 @@ def test_newton_step_solves_the_kkt_system_of_the_finite_difference_hessian(n, n
         H[:, k] = (_gradient(ws, z + step, beta, eps) - _gradient(ws, z - step, beta, eps)) / (2 * h)
     H = 0.5 * (H + H.T)
     # continuity rows mu^{m+1} - mu^m + dt D x^m = 0, m = 0 .. M-1, and their residual
-    D = dense_incidence(ws.sys.pairs, n)
+    D = dense_incidence(ws.sys)
     A = np.zeros((M * n, z.size))
     for m in range(M):
         A[m * n : (m + 1) * n, m * E : (m + 1) * E] = dt * D
@@ -348,12 +349,13 @@ def test_objective_infinite_outside_positive_cone():
         assert ws.objective(x, ws.masses(x), beta, eps) == np.inf
 
 
-def dense_incidence(pairs, n_points):
+def dense_incidence(sys):
     """N x E incidence matrix D: +1 at node i and -1 at node j of pair (i, j)."""
-    cols = np.arange(pairs.w.size)
-    D = np.zeros((n_points, pairs.w.size))
-    D[pairs.i, cols] = 1.0
-    D[pairs.j, cols] = -1.0
+    i, j, _ = pair_order(sys)
+    cols = np.arange(i.size)
+    D = np.zeros((sys.n_points, i.size))
+    D[i, cols] = 1.0
+    D[j, cols] = -1.0
     return D
 
 
@@ -364,10 +366,10 @@ def gradient_oracle(ws, x, mu, beta, eps):
     interior = mu[1:-1]
     u = mu / ws.sys.pi[None, :]
     ut = 0.5 * (u[:-1] + u[1:])
-    ei, ej = ws.sys.pairs.i, ws.sys.pairs.j
+    ei, ej, w = pair_order(ws.sys)
     r, s = ut[:, ei], ut[:, ej]
     theta = np.asarray(log_mean(r, s)) + eps
-    cond = theta * ws.sys.pairs.w[None, :]
+    cond = theta * w[None, :]
     f = dt * float(np.sum(x * x / cond))
     bar = np.zeros_like(interior)
     if beta > 0.0:
@@ -413,12 +415,12 @@ def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
     sys = random_system(6, seed=11)
     a = DensityState.uniform(sys)
     ws = _PathWorkspace(PathProblem(sys, a, a, n_steps=4))
-    D = dense_incidence(ws.sys.pairs, 6)
+    D = dense_incidence(ws.sys)
     basis = scipy.linalg.null_space(D)
     assert basis.shape == (15, 10)  # E - N + 1 independent cycles of the complete graph
     rng = np.random.default_rng(5)
     for _ in range(5):
-        z = rng.normal(size=ws.sys.pairs.w.size)
+        z = rng.normal(size=D.shape[1])
         assert np.max(np.abs(ws.project(z) - basis @ (basis.T @ z))) < 1e-12
     g = rng.normal(size=(3, 6))
     g -= g.mean(axis=1, keepdims=True)
@@ -459,7 +461,7 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.sys.pairs.w.size == 128 * 127 // 2
+    assert pair_order(ws.sys)[2].size == 128 * 127 // 2
     assert np.isfinite(f) and dx.shape == x.shape and dmu.shape == (15, 128)
     assert peak < 64 * 2**20
 
@@ -533,7 +535,7 @@ def test_equal_endpoints_with_empty_cells_are_at_distance_zero(make, n_steps):
     res = nlw_distance(PathProblem(a.system, a, DensityState(a.system, a.u.copy()), n_steps=n_steps))
     assert res.w == 0.0 and res.converged and res.iterations == 0
     assert np.array_equal(res.path.u, np.tile(a.u, (n_steps + 1, 1)))
-    assert not res.path.fluxes.any() and res.path.fluxes.shape == (n_steps, a.system.pairs.w.size)
+    assert not res.path.fluxes.any() and res.path.fluxes.shape == (n_steps, pair_order(a.system)[2].size)
     assert res.path.continuity_residual() == 0.0
 
 
