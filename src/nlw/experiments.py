@@ -456,7 +456,7 @@ def run_config(
                 bundle.add_text("trajectory", "trajectory.csv", "nlw-trajectory-csv/v1", traj.to_csv())
             if "json" in fmts:
                 doc = _result_document(edi_report(traj), omit="start_index")
-                bundle.add_json("edi", "edi.json", "nlw-edi/v1", doc)
+                bundle.add_json("edi", "edi.json", "nlw-edi/v2", doc)
 
         if "certify" in stages:
             ran.append("certify")

@@ -18,29 +18,38 @@ rate equal to the Fisher information.  The companion flux
 ``system.json``'s eta, the flux form of ``functionals.action``) solves
 the nonlocal continuity equation exactly and its kinetic action equals
 the Fisher information identically — the discrete form of the
-entropy-dissipation identity dH/dt = -I = -A.  The
-audit computes the two sides by independent routes, each for every
-output state at once: I from the generator, -sum_i pi_i (K u)_i log u_i,
-in one product of the states with ``sys.eta`` (Maas, J. Funct. Anal.
-2011); A in one sweep over the rows of eta's upper triangle, where each
-pair term v^2 / (theta w) is |u_i - u_j| ell_ij w_ij, ell the log ratio
-and w_ij = eta_ij pi_i pi_j read from the row by ``functionals._pair_rows``
-(no pair list is built).
+entropy-dissipation identity dH/dt = -I = -A.
 
-One propagator, exact at every output time: every cell carries mass and
-K is self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric,
-and one eigendecomposition S = V Lambda V^T gives
+One propagator, exact at every time: every cell carries mass and K is
+self-adjoint in L^2(pi), so S = Pi^{1/2} K Pi^{-1/2} is symmetric, and one
+eigendecomposition S = V Lambda V^T gives
 u(t) = Pi^{-1/2} V exp(t Lambda) V^T Pi^{1/2} u0 for all t at once (the
-eigenvector method of Moler & Van Loan, SIAM Rev. 2003).  The same
+eigenvector method of Moler & Van Loan, SIAM Rev. 2003).  ``solve`` keeps
+that decomposition as a ``Spectrum`` on the trajectory, and
+``Spectrum.states`` is the one place the formula is evaluated: the output
+states and the audit's quadrature nodes both come from it.  The same
 spectrum gives the spectral gap lambda_1, minus the second-largest
 eigenvalue (the largest is the constant mode's 0): near equilibrium the
 relative entropy decays like exp(-2 lambda_1 t), and 2 lambda_1 also
 bounds the modified log-Sobolev constant from above (Bobkov & Tetali,
-J. Theor. Probab. 2006).  An integrator is set by its method
-(``matrix_exponential``, the only one), its horizon (``T`` in configs)
-and its step ``dt``, which only sets the default output grid; nothing
-else.  Ill-conditioned results surface as IntegratorError rather than
-being silently renormalized.
+J. Theor. Probab. 2006).
+
+The audit (``edi_report``) checks H(t0) - H(T) = int_t0^T I dt (Maas,
+J. Funct. Anal. 2011) with a fixed time rule: 8-point Gauss-Legendre on
+[0, t1] when I(0) is finite, then on panels that double in length from
+the first positive output time t1 to the horizon T.  The node states are
+one ``Spectrum.states`` product; their I comes from the generator, in one
+product of the states with ``sys.eta`` (``_fisher_rows``).  ``int_action``
+integrates the tangent flux's action at the same nodes, the pair sum of
+w_ij (u_i - u_j)(log u_i - log u_j), from the degrees and one more
+product with eta, with no N x N temporary.  It equals I by algebra and is
+kept for the readers of ``edi.json`` until the audit gains a metric-side
+check (ROADMAP items 1 and 3(b)).
+
+An integrator is set by its method (``matrix_exponential``, the only
+one), its horizon (``T`` in configs) and its step ``dt``, which only sets
+the default output grid; nothing else.  Ill-conditioned results surface
+as IntegratorError rather than being silently renormalized.
 """
 
 from __future__ import annotations
@@ -50,11 +59,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscreteSystem
-from .functionals import DensityState, _log_ratio, _pair_rows, relative_entropy
+from .functionals import DensityState, _pair_rows, relative_entropy
 
 __all__ = [
     "IntegratorError",
     "IntegratorConfig",
+    "Spectrum",
     "Trajectory",
     "generator_matrix",
     "tangent_flux",
@@ -64,6 +74,7 @@ __all__ = [
 ]
 
 _METHODS = ("matrix_exponential",)
+_GAUSS_ORDER = 8  # nodes per panel of the audit's time rule
 
 
 class IntegratorError(RuntimeError):
@@ -153,8 +164,49 @@ def _fisher_rows(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory container
+# Spectrum and trajectory containers
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The eigendecomposition behind a solve, and the one propagator formula.
+
+    ``lam`` ascends and ``V`` holds the eigenvectors of
+    S = Pi^{1/2} K Pi^{-1/2} in its columns; ``sqrt_pi`` is Pi^{1/2}, ``m``
+    the mean u0 . pi and ``c = V^T Pi^{1/2} (u0 - m)`` the coefficients of
+    the centred initial state.  K 1 = 0, so only u0 - m runs through the
+    eigenbasis and mass holds to roundoff however far the computed zero
+    eigenvalue sits from 0.  ``u0`` is the initial state itself, the state
+    at t = 0.
+    """
+
+    lam: np.ndarray
+    V: np.ndarray
+    sqrt_pi: np.ndarray
+    m: float
+    c: np.ndarray
+    u0: np.ndarray
+
+    def states(self, times) -> np.ndarray:
+        """u(t) for each t >= 0 in ``times``, one row each.
+
+        u(t) = m + Pi^{-1/2} V (exp(t lam) * c) for t > 0 and u0 at t = 0;
+        entries below 0 are roundoff and set to 0, unless one lies below
+        the positivity floor -1e-13, which raises IntegratorError.
+        """
+        t = np.asarray(times, dtype=float)
+        later = t > 0.0
+        out = np.empty((t.shape[0], self.u0.shape[0]))
+        out[~later] = self.u0
+        out[later] = self.m + ((np.exp(np.outer(t[later], self.lam)) * self.c) @ self.V.T) * (1.0 / self.sqrt_pi)
+        worst = float(out.min())
+        if worst < -1e-13:
+            raise IntegratorError(
+                f"the spectral propagator produced density {worst:.3e} below the positivity floor -1.0e-13"
+            )
+        out[out < 0.0] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,8 +215,8 @@ class Trajectory:
 
     Diagnostics: H (relative entropy), I (Fisher information from the
     generator, `_fisher_rows`; inf at t = 0 for states with holes), mass,
-    min_u.  ``spectral_gap`` is lambda_1, minus the generator's
-    second-largest eigenvalue, so H decays at the asymptotic rate
+    min_u.  ``spectrum`` is the eigendecomposition the states came from;
+    ``spectral_gap`` is its lambda_1, so H decays at the asymptotic rate
     2 lambda_1.  Construction re-validates every state and the entropy
     monotonicity invariant (non-increasing up to 1e-10).
     """
@@ -172,7 +224,7 @@ class Trajectory:
     system: DiscreteSystem
     times: np.ndarray
     u: np.ndarray
-    spectral_gap: float
+    spectrum: Spectrum
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -182,6 +234,8 @@ class Trajectory:
             raise ValueError("times must be strictly increasing and start at 0")
         if u.shape != (times.shape[0], self.system.n_points):
             raise ValueError("density array shape does not match times/system")
+        if self.spectrum.lam.shape != (self.system.n_points,):
+            raise ValueError("spectrum does not match the system")
         states = [DensityState(self.system, row) for row in u]  # validates mass and sign
         H = np.array([relative_entropy(s) for s in states])
         I = _fisher_rows(self.system, u)
@@ -198,6 +252,11 @@ class Trajectory:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "_H", H)
         object.__setattr__(self, "_I", I)
+
+    @property
+    def spectral_gap(self) -> float:
+        # the largest eigenvalue is the constant mode's 0
+        return -float(self.spectrum.lam[-2])
 
     @property
     def entropy(self) -> np.ndarray:
@@ -263,7 +322,7 @@ def solve(
     Guarantees on the emitted trajectory: mass drift <= 1e-10,
     positivity, entropy non-increasing within 1e-10.  Violations raise
     IntegratorError instead of being repaired.  The trajectory carries
-    the spectral gap of the eigendecomposition behind it.
+    the eigendecomposition behind it, whose ``states`` gave its output.
     """
     from scipy.linalg.lapack import dsyevd
 
@@ -273,9 +332,6 @@ def solve(
         raise ValueError("initial state belongs to a different system")
     times = _output_grid(cfg, output_times)
 
-    # K 1 = 0, so the mean m of u0 stays put and only u0 - m runs through
-    # the eigenbasis: mass then holds to roundoff however far the computed
-    # zero eigenvalue sits from 0
     m = float(u0.u @ sys.pi)
     K = generator_matrix(sys)
     sqrt_pi = np.sqrt(sys.pi)
@@ -289,19 +345,8 @@ def solve(
     lam, V, info = dsyevd(K.T, overwrite_a=1)
     if info != 0:
         raise IntegratorError(f"symmetric eigensolver dsyevd failed (info {info})")
-    # lam ascends and is <= 0 up to roundoff; its top is the constant mode's 0
-    spectral_gap = -float(lam[-2])
-    c = V.T @ (sqrt_pi * (u0.u - m))
-    out = np.empty((times.shape[0], sys.n_points))
-    out[0] = u0.u
-    out[1:] = m + ((np.exp(np.outer(times[1:], lam)) * c) @ V.T) * inv_sqrt_pi
-    worst = float(out.min())
-    if worst < -1e-13:
-        raise IntegratorError(
-            f"the spectral propagator produced density {worst:.3e} below the positivity floor -1.0e-13"
-        )
-    out[1:] = np.where(out[1:] < 0.0, 0.0, out[1:])
-
+    spectrum = Spectrum(lam=lam, V=V, sqrt_pi=sqrt_pi, m=m, c=V.T @ (sqrt_pi * (u0.u - m)), u0=u0.u)
+    out = spectrum.states(times)
     mass = out @ sys.pi
     drift = float(np.max(np.abs(mass - 1.0)))
     if drift > 1e-10:
@@ -310,7 +355,7 @@ def solve(
         system=sys,
         times=times,
         u=out,
-        spectral_gap=spectral_gap,
+        spectrum=spectrum,
         meta={"config": cfg.to_dict(), "mass_drift": drift},
     )
 
@@ -324,18 +369,23 @@ def solve(
 class EDIReport:
     """Entropy-dissipation identity audit over a trajectory.
 
-    delta_h compares the entropy at the quadrature start to the final
-    entropy; int_fisher and int_action are trapezoid integrals over the
-    output grid of I (``Trajectory.fisher``, from the generator) and of
-    the tangent-flux action (in one sweep over the rows of eta's upper
-    triangle, theta cancelled).  When the Fisher information is infinite at
-    t = 0 (mass next to a hole in the initial state), the quadrature
-    starts at the first positive output time and ``infinite_start``
-    records the convention; the flow is strictly positive for t > 0, so
-    every later value is finite.  A defect claim is only made when
-    ``valid`` is true: it is false when a later I is infinite (integrals
-    inf) and when fewer than two output times remain to integrate over
-    (integrals nan).
+    delta_h is the entropy at the quadrature start minus the final
+    entropy; int_fisher and int_action integrate, with one time rule, I
+    (``_fisher_rows``, from the generator) and the tangent flux's action
+    (the pair sum of w_ij (u_i - u_j)(log u_i - log u_j)) at states the
+    trajectory's spectrum gives at the rule's nodes; the stored output
+    states are not read.  The rule is ``order``-point Gauss-Legendre on
+    ``panels`` panels, ``nodes`` states in all: [0, t1] when I(0) is
+    finite, then panels that double in length from the first positive
+    output time t1 to the horizon.  When the Fisher information is
+    infinite at t = 0 (mass next to a hole in the initial state), the
+    quadrature starts at t1 and ``infinite_start`` records the convention;
+    the flow is strictly positive for t > 0, so every later value is
+    finite.  A defect claim is only made when ``valid`` is true: it is
+    false when I is infinite at a node (integrals inf) and when t1 is the
+    horizon, which leaves nothing to integrate over after an infinite
+    start (integrals nan).  ``int_action`` equals ``int_fisher`` by
+    algebra; it is kept for the readers of ``edi.json``.
     """
 
     delta_h: float
@@ -347,25 +397,45 @@ class EDIReport:
     start_time: float
     infinite_start: bool
     valid: bool
+    order: int
+    panels: int
+    nodes: int
     note: str = ""
+
+
+def _time_rule(times: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the audit's rule from ``times[start]`` to the horizon.
+
+    ``_GAUSS_ORDER``-point Gauss-Legendre on [0, t1] when ``start`` is 0,
+    then on P = ceil(log2(T / t1)) panels from t1 = times[1] to T, each
+    twice as long as the one before but the last, which ends at T.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    t1, horizon = float(times[1]), float(times[-1])
+    n_doubling = int(np.ceil(np.log2(horizon / t1)))
+    edges = np.concatenate(([0.0] if start == 0 else [], t1 * 2.0 ** np.arange(n_doubling), [horizon]))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def edi_report(traj: Trajectory) -> EDIReport:
     """Audit H(start) - H(end) against the dissipation integrals."""
     if traj.n_times < 2:
         raise ValueError("need at least two output times")
-    I = traj.fisher
-    start = 0
-    infinite_start = False
-    if not np.isfinite(I[0]):
-        start = 1
-        infinite_start = True
-    if not np.all(np.isfinite(I[start:])):
-        integral, no_claim = float("inf"), "Fisher information infinite beyond the initial time"
-    elif traj.n_times - start < 2:
+    sys = traj.system
+    start = 0 if np.isfinite(traj.fisher[0]) else 1
+    infinite_start = start == 1
+    nodes, weights = _time_rule(traj.times, start)
+    panels = nodes.size // _GAUSS_ORDER
+    no_claim = ""
+    if nodes.size == 0:
         integral, no_claim = float("nan"), "I infinite at t=0 leaves a single output time to integrate over"
     else:
-        no_claim = ""
+        u = traj.spectrum.states(nodes)
+        I = _fisher_rows(sys, u)
+        if not np.all(np.isfinite(I)):
+            integral, no_claim = float("inf"), "Fisher information infinite beyond the initial time"
     if no_claim:
         return EDIReport(
             delta_h=float("nan"),
@@ -377,23 +447,20 @@ def edi_report(traj: Trajectory) -> EDIReport:
             start_time=float(traj.times[start]),
             infinite_start=infinite_start,
             valid=False,
+            order=_GAUSS_ORDER,
+            panels=panels,
+            nodes=nodes.size,
             note=no_claim + "; no defect claim",
         )
-    # every state here has u > 0, so the tangent flux's pair term v^2 / (theta w) is
-    # |u_i - u_j| ell_ij w_ij, summed row by row over the pairs (i, j > i)
-    cols = np.ascontiguousarray(traj.u[start:].T)
-    A = np.zeros(cols.shape[1])
-    with np.errstate(over="ignore"):  # |u_i - u_j| / min(u_i, u_j) overflows for subnormal u
-        for i, _, w in _pair_rows(traj.system):
-            rest, own = cols[i + 1 :], cols[i]
-            gap = np.abs(rest - own)
-            gap *= _log_ratio(rest, np.broadcast_to(own, rest.shape), gap, np.minimum(rest, own))
-            A += w @ gap
-    t = traj.times[start:]
-    H = traj.entropy[start:]
-    int_I = float(np.trapezoid(I[start:], t))
-    int_A = float(np.trapezoid(A, t))
-    dh = float(H[0] - H[-1])
+    # every node state has u > 0.  The pair sum over i < j of w_ij (u_i - u_j)(log u_i - log u_j),
+    # w_ij = eta_ij pi_i pi_j, is sum_i d_i u_i log u_i - sum_ij (u_i pi_i) eta_ij (pi_j log u_j)
+    # with the degrees d = (eta pi) pi: one product of the states with eta, no N x N temporary
+    log_u = np.log(u)
+    degrees = (sys.eta @ sys.pi) * sys.pi
+    A = (u * log_u) @ degrees - (((u * sys.pi) @ sys.eta) * log_u) @ sys.pi
+    int_I = float(weights @ I)
+    int_A = float(weights @ A)
+    dh = float(traj.entropy[start] - traj.entropy[-1])
     note = "quadrature starts at the first output time (I infinite at t=0)" if infinite_start else ""
     return EDIReport(
         delta_h=dh,
@@ -402,9 +469,11 @@ def edi_report(traj: Trajectory) -> EDIReport:
         defect=abs(dh - 0.5 * int_I - 0.5 * int_A),
         defect_production=abs(dh - int_I),
         start_index=start,
-        start_time=float(t[0]),
+        start_time=float(traj.times[start]),
         infinite_start=infinite_start,
         valid=True,
+        order=_GAUSS_ORDER,
+        panels=panels,
+        nodes=nodes.size,
         note=note,
     )
-

@@ -15,8 +15,7 @@ Fisher information exactly: each pair term becomes
 exact cancellation is what makes the heat flow the gradient flow of the
 entropy in this geometry, and the test suite pins it at relative 1e-12.
 The two sides are computed independently (theta from ``log_mean``, the
-Fisher side from log u); the flow's audit cancels theta from the pair
-term, |u_i - u_j| ell w with ell from ``_log_ratio``.
+Fisher side from log u).
 
 Pair sums walk eta's upper triangle row by row (``_pair_rows``, which
 reads each row's conductances w_ij from eta and pi), so no N x N

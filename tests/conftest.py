@@ -7,12 +7,14 @@ PASS/FAIL lines are visible in every run (no -s needed).
 ``source_rate_system`` builds the negative control of the sampler tests:
 the chain with the wrong, source-weighted jump rates.  ``pair_order``
 numbers the pairs i < j of a system on the test side, in the order of
-fluxes and of ``system.json``'s eta.
+fluxes and of ``system.json``'s eta.  ``spectrum_of`` gives a trajectory
+built by hand the spectrum of its system, from a solve.
 """
 
 import numpy as np
 
 from nlw.discretize import DiscreteSystem
+from nlw.flow import IntegratorConfig, Spectrum, solve
 from nlw.functionals import DensityState
 from nlw.sampler import simulate
 
@@ -30,6 +32,11 @@ def pair_order(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(i, j, w): every pair i < j, row-major, and w = eta_ij pi_i pi_j evaluated left to right."""
     i, j = np.triu_indices(sys.n_points, 1)
     return i, j, sys.eta[i, j] * sys.pi[i] * sys.pi[j]
+
+
+def spectrum_of(sys: DiscreteSystem) -> Spectrum:
+    """The spectrum of ``sys``, from a solve that starts at the uniform state."""
+    return solve(sys, DensityState.uniform(sys), IntegratorConfig(horizon=1.0), np.array([0.0, 1.0])).spectrum
 
 
 def source_rate_system(sys: DiscreteSystem) -> DiscreteSystem:

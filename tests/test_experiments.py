@@ -33,7 +33,7 @@ from nlw.experiments import (
     run_config,
     run_flow_stage,
 )
-from conftest import simulate_source_rates
+from conftest import simulate_source_rates, spectrum_of
 from nlw.flow import IntegratorConfig, Trajectory, generator_matrix, solve
 from nlw.functionals import DensityState, relative_entropy
 from nlw.kernels import (
@@ -236,7 +236,7 @@ def test_certificate_reads_eta_without_copying_it():
     np.fill_diagonal(eta, 0.0)
     eta[5, 700] = eta[700, 5] = 0.5
     sys = make_system(n, eta=eta)
-    traj = Trajectory(system=sys, times=np.array([0.0, 1.0]), u=np.ones((2, n)), spectral_gap=1.0)
+    traj = Trajectory(system=sys, times=np.array([0.0, 1.0]), u=np.ones((2, n)), spectrum=spectrum_of(sys))
     tracemalloc.start()
     try:
         cert = lsi_certify(sys, traj)
@@ -377,8 +377,10 @@ def test_run_config_produces_complete_manifest(tmp_path):
     for art in manifest["artifacts"]:
         blob = (tmp_path / "run" / art["path"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == art["sha256"]
-        assert art["schema"].endswith("/v2" if art["name"] == "system" else "/v1")
+        assert art["schema"].endswith("/v2" if art["name"] in ("system", "edi") else "/v1")
     assert np.array_equal(load_system(tmp_path / "run" / "system.json").eta, result.system.eta)
+    edi = json.loads((tmp_path / "run" / "edi.json").read_text())
+    assert edi["order"] == 8 and edi["nodes"] == 8 * edi["panels"] > 0
     assert result.all_checks_passed
 
 

@@ -13,13 +13,16 @@ which gives closed forms for every diagnostic we assert against.
 from __future__ import annotations
 
 import glob
+import importlib.util
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
-from nlw.config import load_config
+from nlw.config import load_config, validate_config
 from nlw.discretize import DiscreteSystem, build_system
 from nlw.experiments import build_system_from_config, run_flow_stage
 from nlw.flow import (
@@ -39,6 +42,7 @@ from nlw.functionals import (
 )
 from nlw.kernels import ConstantKernel, FractionalKernel, UniformMeasure, measure_from_dict
 from nlw.torus import build_grid
+from conftest import spectrum_of
 from test_functionals import continuity_residual, dense_action, dense_flux, dense_tangent_flux
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -326,16 +330,18 @@ def test_trajectory_rejects_entropy_increase():
     sys = two_state()
     u = np.array([[1.0, 1.0], [1.5, 0.5]])  # equilibrium, then excited
     with pytest.raises(IntegratorError, match="entropy increased"):
-        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, spectral_gap=1.0)
+        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, spectrum=spectrum_of(sys))
 
 
 def test_trajectory_rejects_bad_times():
     sys = two_state()
     u = np.ones((2, 2))
     with pytest.raises(ValueError):
-        Trajectory(system=sys, times=np.array([0.5, 1.0]), u=u, spectral_gap=1.0)
+        Trajectory(system=sys, times=np.array([0.5, 1.0]), u=u, spectrum=spectrum_of(sys))
     with pytest.raises(ValueError):
-        Trajectory(system=sys, times=np.array([0.0, 0.0]), u=u, spectral_gap=1.0)
+        Trajectory(system=sys, times=np.array([0.0, 0.0]), u=u, spectrum=spectrum_of(sys))
+    with pytest.raises(ValueError, match="spectrum"):
+        Trajectory(system=sys, times=np.array([0.0, 1.0]), u=u, spectrum=spectrum_of(make_system(3)))
 
 
 def test_trajectory_csv_format():
@@ -381,15 +387,16 @@ def test_edi_identity_two_state_fine_grid():
     assert rep.int_action == pytest.approx(rep.int_fisher, rel=1e-12)
 
 
-def test_edi_defect_shrinks_under_grid_refinement():
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+def test_edi_defect_is_roundoff_at_either_output_step(dt):
+    # the time rule's nodes do not sit on the output grid, so the defect
+    # does not depend on the output step: it is roundoff at both
     sys = two_state()
     u0 = DensityState(sys, np.array([1.5, 0.5]))
-
-    def defect(dt):
-        traj = solve(sys, u0, IntegratorConfig(horizon=1.0, dt=dt))
-        return edi_report(traj).defect_production
-
-    assert defect(1e-3) < defect(1e-2) / 50.0  # trapezoid quadrature is O(dt^2)
+    rep = edi_report(solve(sys, u0, IntegratorConfig(horizon=1.0, dt=dt)))
+    assert rep.valid and rep.delta_h > 0
+    assert rep.defect_production <= 1e-12 * rep.delta_h
+    assert rep.defect <= 1e-12 * rep.delta_h
 
 
 def test_edi_infinite_start_convention():
@@ -402,8 +409,8 @@ def test_edi_infinite_start_convention():
     assert rep.start_index == 1
     assert rep.start_time == pytest.approx(1e-3)
     assert np.isfinite(rep.defect)
-    # I(t) ~ -(1/2) log t near the point-mass start, so the trapezoid rule
-    # is only first order on the leading panels: expect ~dt-sized defect
+    # I(t) ~ -(1/2) log t near the point-mass start; the rule skips
+    # [0, t1] and its first panel ends at 2 t1
     assert rep.defect_production <= 2e-4 * rep.delta_h
     assert "first output time" in rep.note
 
@@ -425,6 +432,31 @@ def _gibbs_64():
     return build_system(FractionalKernel(s=1.0), gibbs, build_grid(1, 64))
 
 
+def _subnormal_start(sys):
+    u = np.full(sys.n_points, sys.n_points / (sys.n_points - 1.0))
+    u[2] = 5e-324  # log u_2 is finite, so I(0) is finite and the rule starts at 0
+    return DensityState(sys, u)
+
+
+def gauss_rule(times, start):
+    """The audit's time rule written out: 8-point Gauss-Legendre on [0, t1]
+    when the audit starts at 0, then on panels [t1 2^k, t1 2^(k+1)] up to the
+    last output time, the last panel cut off there."""
+    x, w = scipy.special.roots_legendre(8)
+    t1, horizon = times[1], times[-1]
+    edges = [0.0] if start == 0 else []
+    edge = t1
+    while edge < horizon:
+        edges.append(edge)
+        edge *= 2.0
+    edges.append(horizon)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes += list(0.5 * (a + b) + 0.5 * (b - a) * x)
+        weights += list(0.5 * (b - a) * w)
+    return np.array(nodes), np.array(weights)
+
+
 @pytest.mark.parametrize(
     "make, start, horizon",
     [
@@ -433,31 +465,23 @@ def _gibbs_64():
          lambda sys: DensityState.point_mass(sys, 4), 0.5),
         (lambda: random_system(np.random.default_rng(4), n=12, scale=3.0),
          lambda sys: random_state(np.random.default_rng(5), sys), 2.0),
+        (lambda: build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 8)), _subnormal_start, 1.0),
     ],
-    ids=["gibbs_1d", "fractional_2d", "random_system"],
+    ids=["gibbs_1d", "fractional_2d", "random_system", "subnormal_start"],
 )
-def test_edi_int_action_is_the_trapezoid_of_the_dense_oracle_action(make, start, horizon):
+def test_edi_int_action_is_the_gauss_sum_of_the_dense_oracle_action(make, start, horizon):
     sys = make()
     traj = solve(sys, start(sys), IntegratorConfig(horizon=horizon, dt=horizon / 50))
     rep = edi_report(traj)
     assert rep.valid
-    t = traj.times[rep.start_index :]
-    states = [traj.state(k) for k in range(rep.start_index, traj.n_times)]
+    nodes, weights = gauss_rule(traj.times, rep.start_index)
+    assert (rep.order, rep.panels, rep.nodes) == (8, nodes.size // 8, nodes.size)
+    states = [DensityState(sys, row) for row in traj.spectrum.states(nodes)]
     oracle = [dense_action(s, dense_tangent_flux(s)) for s in states]
-    assert rep.int_action == pytest.approx(np.trapezoid(oracle, t), rel=1e-13, abs=0.0)
-    # the audit's sweep over the pair rows is the per-state action up to summation order
+    assert rep.int_action == pytest.approx(weights @ oracle, rel=1e-13, abs=0.0)
+    # the audit's expanded pair sum is the per-state action up to summation order
     per_state = [action(s, tangent_flux(s)) for s in states]
-    assert rep.int_action == pytest.approx(np.trapezoid(per_state, t), rel=1e-13, abs=0.0)
-
-
-def test_edi_int_action_takes_the_difference_of_logs_where_the_ratio_overflows():
-    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 8))
-    u = np.full(8, 8.0 / 7.0)
-    u[2] = 5e-324  # |u_i - u_j| / u_2 overflows to inf
-    traj = Trajectory(system=sys, times=np.array([0.0, 0.5, 1.0]), u=np.tile(u, (3, 1)), spectral_gap=1.0)
-    rep = edi_report(traj)
-    assert rep.valid and np.isfinite(rep.int_action)
-    assert rep.int_action == pytest.approx(rep.int_fisher, rel=1e-12, abs=0.0)
+    assert rep.int_action == pytest.approx(weights @ per_state, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -482,6 +506,74 @@ def test_trajectory_fisher_is_the_pair_sum_of_every_state(make, start, horizon):
     err = np.abs(I - ref)
     assert np.all(np.where(tiny, err <= 1e-24, err <= 1e-12 * ref)), float(np.max(err / ref))
     assert np.all(I >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the spectrum of a solve and the audit gate
+# ---------------------------------------------------------------------------
+
+
+def _workloads():
+    """The benchmark's config generators (``perfbench/workloads.py``, standard library only)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FLOW_1D_SEEDS = range(5)
+SHIPPED_FLOWS = sorted(
+    os.path.basename(p)[: -len(".json")]
+    for p in glob.glob(os.path.join(CONFIG_DIR, "*.json"))
+    if load_config(p).flow is not None
+)
+
+
+@pytest.fixture(scope="module")
+def flow_1d():
+    """The benchmark's flow_1d configs by seed, and their one 512-point Gibbs system."""
+    make = _workloads().flow_1d
+    configs = {seed: validate_config(make(seed, "unused")) for seed in FLOW_1D_SEEDS}
+    return configs, build_system_from_config(configs[0])
+
+
+def _flow(case, flow_1d):
+    if case.startswith("flow_1d-"):
+        configs, sys = flow_1d
+        return run_flow_stage(configs[int(case.split("-")[1])], sys)[0]
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{case}.json"))
+    return run_flow_stage(cfg, build_system_from_config(cfg))[0]
+
+
+@pytest.mark.parametrize("case", ["flow_1d-0", "constant_torus"])
+def test_spectrum_states_are_the_trajectory_bit_for_bit(case, flow_1d):
+    traj = _flow(case, flow_1d)
+    assert traj.spectrum.states(traj.times).tobytes() == traj.u.tobytes()
+    assert traj.spectral_gap == -traj.spectrum.lam[-2]
+
+
+@pytest.mark.parametrize("case", SHIPPED_FLOWS + [f"flow_1d-{seed}" for seed in FLOW_1D_SEEDS])
+def test_edi_defect_is_within_1e_9_of_the_entropy_drop(case, flow_1d):
+    rep = edi_report(_flow(case, flow_1d))
+    assert rep.valid and rep.delta_h > 0
+    assert rep.defect <= 1e-9 * rep.delta_h, rep.defect / rep.delta_h
+    assert rep.defect_production <= 1e-9 * rep.delta_h, rep.defect_production / rep.delta_h
+
+
+def test_edi_report_peak_memory_at_1024_points():
+    # the audit holds node states, never an N x N temporary; the row sweep
+    # over eta's upper triangle it replaced peaked at 0.81 x eta here
+    sys = random_system(np.random.default_rng(7), n=1024)
+    traj = solve(sys, DensityState.point_mass(sys, 3), IntegratorConfig(horizon=1.0, dt=0.005))
+    tracemalloc.start()
+    try:
+        rep = edi_report(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.valid and rep.nodes == 64
+    assert peak <= 0.5 * sys.eta.nbytes, f"peak {peak / sys.eta.nbytes:.2f} x eta"
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ the log ratio:
   row-major i < j, the order of ``system.json``'s eta, and the transport
   solver is the one module that lists the pairs, as vectorized edge
   arrays; the kernel assembly keeps its pair integrals in eta's upper
-  triangle, and the pair functionals, the tangent flux and the EDI audit
-  walk its rows, so none of them numbers pairs;
+  triangle, and the pair functionals and the tangent flux walk its rows,
+  so none of them numbers pairs;
 * a ``cached_property`` in ``discretize``: a ``DiscreteSystem`` holds
   grid, pi, eta and provenance, and no cache derived from eta;
 * a tuple naming both ``ConstantKernel`` and ``FractionalKernel`` (as in
@@ -43,9 +43,13 @@ the log ratio:
   one-probe moment sups all ask that one predicate whether a kernel
   reads only the radius;
 * a call of ``np.log1p`` in ``functionals`` or ``flow`` outside
-  ``functionals._log_ratio``: the logarithmic mean and the EDI audit's
-  row sweep take the log ratio ell and its overflow branch from that one
-  helper.
+  ``functionals._log_ratio``: the logarithmic mean takes the log ratio
+  ell and its overflow branch from that one helper.
+
+One more check ties the benchmark's tracer to the program: every
+"<layer>.<function>" name ``perfbench/tracing.py`` reads is a public
+function of its layer, so a rename fails here rather than zeroing a
+per-layer metric.
 """
 
 from __future__ import annotations
@@ -370,3 +374,57 @@ def test_the_log_ratio_is_taken_only_by_its_helper():
                 owners.add((name, scope or "<module>"))
     assert owners <= _LOG_RATIO_OWNERS, f"np.log1p called in {sorted(owners - _LOG_RATIO_OWNERS)}"
     assert owners, "functionals._log_ratio no longer calls np.log1p"
+
+
+# a name the benchmark's tracer reads though the program no longer defines it;
+# its per-layer metric reads 0 until the benchmark drops it
+_TRACED_BUT_DELETED = {"discretize.save_system"}
+_TRACE_READERS = {"total", "self_s", "calls", "count", "_under"}  # layer_metrics' readers of span names
+
+
+def _traced_names(tree: ast.Module) -> set[str]:
+    """The "<layer>.<function>" span names ``perfbench/tracing.py`` reads.
+
+    They are ``EXTRACT``'s keys, the first argument of each call to one of
+    ``layer_metrics``' readers and the strings compared with a span's name.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "EXTRACT" for t in node.targets):
+            names |= {key.value for key in node.value.keys}
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _TRACE_READERS:
+            names |= {arg.value for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+        elif isinstance(node, ast.Compare):
+            names |= {c.value for c in node.comparators if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return names
+
+
+def test_every_name_the_benchmark_traces_is_a_public_function_of_its_layer():
+    # the tracer wraps the functions in each layer's __all__ and the density
+    # method of each measure class; any other name it reads would give a
+    # per-layer metric that reads 0, so it fails here instead
+    tree = _parse(ROOT / "perfbench" / "tracing.py")
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    )
+    traced = {name for name in _traced_names(tree) if name.split(".")[0] in layers}
+    assert {"flow.solve", "flow.edi_report", "kernels.density"} <= traced
+    missing = []
+    for name in sorted(traced - _TRACED_BUT_DELETED):
+        layer, function = name.split(".")
+        module = _parse(PACKAGE / f"{layer}.py")
+        if name == "kernels.density":
+            found = any(
+                isinstance(node, ast.FunctionDef) and node.name == "density"
+                for cls in module.body if isinstance(cls, ast.ClassDef)
+                for node in cls.body
+            )
+        else:
+            defined = {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
+            found = function in defined and function in _dunder_all(module)
+        if not found:
+            missing.append(name)
+    assert not missing, "traced names that are not public functions of their layer: " + ", ".join(missing)
+
