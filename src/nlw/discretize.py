@@ -21,16 +21,24 @@ Quadrature.  One integrator, `_pair_integrals`, takes every cell-pair
 integral in displacement coordinates: with t = y - x it integrates over
 the window s + [-w, w]^d around the wrapped centre offset s, by an outer
 tensor rule in tau = t - s whose nodes carry a cutoff mask per pair,
-times a tensor Gauss rule over the exact overlap box.  Each pair doubles
-its rule until the relative change drops below ``PAIR_TOL``.  Every
-d = 1 pair and every pair where the cutoff is inactive (the cells are at
-least delta_n/2 apart) uses Gauss panels whose boundaries hold every
-tent, wrap and (in d = 1) cutoff kink, so the converged entries are
-accurate far beyond that tolerance.  In d >= 2 the pairs the cutoff cuts
-use a midpoint lattice whose subcells get exact-geometry mask fractions
-from a fixed sub-lattice; accuracy there is the doubling tolerance, not
-machine precision.  Work runs in blocks of at most ``_NODE_BUDGET``
-nodes, and a rule whose per-pair node array would exceed
+times a tensor Gauss rule over the exact overlap box.  A constant or
+fractional kernel depends on the displacement alone, so the integral
+factors per tau: eta(|s + tau|), evaluated once per (pair, tau), times
+the inner rule's average of rho(x) rho(y) over the overlap box (the
+split of Sauter & Schwab, Boundary Element Methods, 2011, ch. 5).  On
+the uniform measure that average is exactly 1: the pair integral is the
+outer sum of eta(|s + tau|) times the mask, with no inner rule and no
+density.  Weighted and tabulated kernels take eta with the densities at
+every inner node.  Each pair doubles its rule until the relative change
+drops below ``PAIR_TOL``.  Every d = 1 pair and every pair where the
+cutoff is inactive (the cells are at least delta_n/2 apart) uses Gauss
+panels whose boundaries hold every tent, wrap and (in d = 1) cutoff
+kink, so the converged entries are accurate far beyond that tolerance.
+In d >= 2 the pairs the cutoff cuts use a midpoint lattice whose
+subcells get exact-geometry mask fractions from a fixed sub-lattice;
+that rule converges as O(1/m), so its ``PAIR_TOL`` stop bounds the last
+change, not the error.  Work runs in blocks of at most ``_NODE_BUDGET``
+points, and a rule whose per-pair node array would exceed
 ``_ARRAY_BYTES_LIMIT`` raises QuadratureError before it is allocated, as
 does a pushforward rule whose cell nodes would.
 
@@ -83,6 +91,7 @@ from .kernels import (
     UniformMeasure,
     _gauss_nodes,
     _radial,
+    _radial_values,
     _refuse_above_limit,
     _values_with_radius,
 )
@@ -299,10 +308,12 @@ def _pair_representatives(spec, pi, grid: GridSpec) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
-# One cell pair's (T U, d) nodes of its outer (T) and inner (U) rule may take
-# at most ``_ARRAY_BYTES_LIMIT`` bytes; below it `_pair_integrals` evaluates at
-# most ``_NODE_BUDGET`` (pair, outer, inner) nodes at a time and holds at most
-# ``_OUTER_VALUES`` masked inner integrals (pair, outer) for its outer sums.
+# One cell pair's (T U, d) nodes of its outer (T) and inner (U) rule, or on the
+# uniform measure with a radial kernel its (T, d) outer nodes, may take at most
+# ``_ARRAY_BYTES_LIMIT`` bytes; below it `_pair_integrals` evaluates at most
+# ``_NODE_BUDGET`` points at a time, (pair, outer, inner) nodes or (pair, outer,
+# sub-lattice) mask points, and holds at most ``_OUTER_VALUES`` masked inner
+# integrals (pair, outer) for its outer sums.
 _NODE_BUDGET = 2**17
 _OUTER_VALUES = 2**20
 
@@ -379,38 +390,52 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
     In displacement coordinates t = y - x each pair integrates over
     s + [-w, w]^d, s the wrapped centre offset, with the outer ``rule`` in
     tau = t - s, masked per pair by `_cutoff_fractions`.  For fixed tau, x
-    runs over the overlap box of side w - |tau_i| with a tensor Gauss rule
-    of order ``rule.order``; its offsets from the centre of cell j do not
+    runs over the overlap box of side w - |tau_i|.  A radial kernel
+    (`_radial`) is constant there, eta(|s + tau|), so it is evaluated once
+    per (pair, tau) and multiplies the inner Gauss rule's average of
+    rho(x) rho(y); on the uniform measure that average is exactly 1, and
+    the step builds no inner nodes and calls no density.  Any other
+    kernel is evaluated with the densities at every inner node, of order
+    ``rule.order``; the node offsets from the centre of cell j do not
     depend on the pair, so nodes and densities are built once per cell of
-    a block and gathered by j and k.  A block holds at most
-    ``_NODE_BUDGET`` nodes, splitting a pair's tau nodes when one pair has
-    more.  Both sums are matrix-vector products, whose BLAS kernels work
-    on groups of four rows: tau nodes are split in groups of four, so the
-    inner sums do not depend on the blocking, and the outer sums run over
-    chunks of ``_OUTER_VALUES`` masked inner integrals, independent of the
-    node budget.  A pair whose node array would exceed
-    ``_ARRAY_BYTES_LIMIT`` raises QuadratureError before anything is
-    allocated.
+    a block and gathered by j and k.
+
+    A block holds at most ``_NODE_BUDGET`` points: inner nodes, or on the
+    uniform measure the mask's sub-lattice points, splitting a pair's tau
+    nodes when one pair has more.  Both sums are matrix-vector products,
+    whose BLAS kernels work on groups of four rows: tau nodes are split in
+    groups of four, so the inner sums do not depend on the blocking, and
+    the outer sums run over chunks of ``_OUTER_VALUES`` masked inner
+    integrals, independent of the node budget.  A pair whose nodes would
+    take more than ``_ARRAY_BYTES_LIMIT`` bytes, as a (tau, inner node, d)
+    array or on the uniform measure a (tau, d) array, raises
+    QuadratureError before anything is allocated.
     """
     d, w = grid.dim, grid.cell_width
     dhalf = 0.5 * grid.cell_diameter
-    n_tau, n_u = rule.tau.size**d, rule.order**d
+    radial = _radial(spec)
+    flat = radial and isinstance(meas, UniformMeasure)  # rho(x) rho(y) = 1: no inner rule
+    n_tau, n_u = rule.tau.size**d, 1 if flat else rule.order**d
     what = f"{rule.name} for cells {int(j[0])} and {int(k[0])}"
     _refuse_above_limit(n_tau * n_u * d * 8, QuadratureError, what, rule.size)
     length1 = w - np.abs(rule.tau)
     wt = reduce(np.multiply.outer, [rule.weight * length1] * d).reshape(-1)
-    u1, wu1 = _gauss_nodes(0.0, 1.0, rule.order)
-    x_off1 = -0.5 * rule.tau[:, None] + length1[:, None] * (u1[None, :] - 0.5)  # (A, order)
-    y_off1 = x_off1 + rule.tau[:, None]
-    ui = np.indices((rule.order,) * d).reshape(d, -1).T  # (U, d)
-    wu = np.prod(wu1[ui], axis=1)
-    axis_base = np.arange(d) * (rule.tau.size * rule.order)
-    taus = min(n_tau, 4 * max(1, _NODE_BUDGET // (4 * n_u)))  # tau nodes per block
-    per_block = max(1, _NODE_BUDGET // (n_tau * n_u))  # pairs per block
+    if not flat:
+        u1, wu1 = _gauss_nodes(0.0, 1.0, rule.order)
+        x_off1 = -0.5 * rule.tau[:, None] + length1[:, None] * (u1[None, :] - 0.5)  # (A, order)
+        y_off1 = x_off1 + rule.tau[:, None]
+        ui = np.indices((rule.order,) * d).reshape(d, -1).T  # (U, d)
+        wu = np.prod(wu1[ui], axis=1)
+        axis_base = np.arange(d) * (rule.tau.size * rule.order)
+    points = rule.sub**d if flat else n_u  # points evaluated per (pair, tau)
+    taus = min(n_tau, 4 * max(1, _NODE_BUDGET // (4 * points)))  # tau nodes per block
+    per_block = max(1, _NODE_BUDGET // (n_tau * points))  # pairs per block
     per_sum = max(1, _OUTER_VALUES // n_tau)  # pairs per outer sum
 
     centres = grid.points
     out = np.empty(j.size)
+    inner = 1.0  # inner rule of rho(x) rho(y), or of eta rho(x) rho(y) for a non-radial kernel
+    kernel = 1.0  # eta(|s + tau|) for a radial kernel
     for lo in range(0, j.size, per_sum):
         hi = min(lo + per_sum, j.size)
         g = np.empty((hi - lo, n_tau))  # masked inner integrals
@@ -418,27 +443,34 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
             block = slice(b, min(b + per_block, hi))
             jc, kc = j[block], k[block]
             s = _wrapped_signed(centres[kc] - centres[jc])[:, None, :]
-            cj, ij = np.unique(jc, return_inverse=True)
-            ck, ik = np.unique(kc, return_inverse=True)
-            # per cell, the node coordinates of every axis, flattened from (d, A, order);
-            # a node's coordinates are gathered from them, one per axis
-            x1 = np.mod(centres[cj][:, :, None, None] + x_off1, 1.0).reshape(cj.size, -1)
-            y1 = np.mod(centres[ck][:, :, None, None] + y_off1, 1.0).reshape(ck.size, -1)
+            if not flat:
+                cj, ij = np.unique(jc, return_inverse=True)
+                ck, ik = np.unique(kc, return_inverse=True)
+                # per cell, the node coordinates of every axis, flattened from (d, A, order);
+                # a node's coordinates are gathered from them, one per axis
+                x1 = np.mod(centres[cj][:, :, None, None] + x_off1, 1.0).reshape(cj.size, -1)
+                y1 = np.mod(centres[ck][:, :, None, None] + y_off1, 1.0).reshape(ck.size, -1)
             for a in range(0, n_tau, taus):
                 ti = np.stack(np.unravel_index(np.arange(a, min(a + taus, n_tau)), (rule.tau.size,) * d), axis=1)
-                tau = rule.tau[ti]  # (T, d)
-                flat = (axis_base + ti * rule.order)[:, None, :] + ui[None, :, :]  # (T, U, d)
-                X = x1[:, flat].reshape(cj.size, -1, d)
-                Y = y1[:, flat].reshape(ck.size, -1, d)
-                dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
-                dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
-                r = wrapped_norm(s + tau)  # (P, T)
-                vals = _values_with_radius(
-                    spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, n_u, axis=1).reshape(-1)
-                )
-                f = (vals.reshape(jc.size, -1) * dx[ij] * dy[ik]).reshape(jc.size, -1, n_u)
+                r = wrapped_norm(s + rule.tau[ti])  # (P, T)
+                if radial:
+                    kernel = _radial_values(spec, r, d)
+                if not flat:
+                    nodes = (axis_base + ti * rule.order)[:, None, :] + ui[None, :, :]  # (T, U, d)
+                    X = x1[:, nodes].reshape(cj.size, -1, d)
+                    Y = y1[:, nodes].reshape(ck.size, -1, d)
+                    dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
+                    dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
+                    if radial:
+                        f = dx[ij] * dy[ik]
+                    else:
+                        vals = _values_with_radius(
+                            spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, n_u, axis=1).reshape(-1)
+                        )
+                        f = vals.reshape(jc.size, -1) * dx[ij] * dy[ik]
+                    inner = f.reshape(jc.size, -1, n_u) @ wu
                 mask = _cutoff_fractions(s + rule.probe[ti], rule.cell, rule.sub, dhalf)
-                g[b - lo : b - lo + jc.size, a : a + ti.shape[0]] = (f @ wu) * mask
+                g[b - lo : b - lo + jc.size, a : a + ti.shape[0]] = inner * kernel * mask
         out[lo:hi] = g @ wt
     return out
 
@@ -484,9 +516,7 @@ def _far_field(spec, meas, grid: GridSpec, todo: np.ndarray):
         alpha, b = _gauss_nodes(-0.5 * w, 0.5 * w, order)
         a = b * meas.density(np.mod(grid.points + alpha, 1.0).reshape(-1, 1)).reshape(n, order)
         r = (offsets * w)[:, None, None] + (alpha[None, :] - alpha[:, None])
-        # a translation-invariant kernel reads only the radius, so the radii stand in for the points
-        t = r.reshape(-1, 1)
-        rules.append((a, _values_with_radius(spec, t, t, r.reshape(-1)).reshape(r.shape)))
+        rules.append((a, _radial_values(spec, r, 1)))
     cells = np.arange(n)
     for i, o in enumerate(offsets):
         partner = (cells + o) % n

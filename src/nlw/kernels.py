@@ -518,18 +518,25 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
 # ---------------------------------------------------------------------------
 
 
+def _radial_values(spec: KernelSpec, r: np.ndarray, dim: int) -> np.ndarray:
+    """eta at radius r on T^dim, for a kernel that reads only the radius (`_radial`)."""
+    if isinstance(spec, ConstantKernel):
+        return np.full(r.shape, spec.c)
+    if isinstance(spec, FractionalKernel):
+        return spec.scale * r ** (-(dim + spec.s))
+    raise TypeError(f"{type(spec).__name__} is not a radial kernel")
+
+
 def _values_with_radius(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Kernel dispatch with the pair distance supplied by the caller.
 
     Radial quadratures pass the analytically known radius here: near the
     diagonal x + t rounds back to x in floating point, so recomputing r
-    from the points would collapse it to zero.
+    from the points would collapse it to zero.  Only point-dependent
+    kernels read X and Y; radial ones go to `_radial_values`.
     """
-    if isinstance(spec, ConstantKernel):
-        return np.full(r.shape, spec.c)
-    if isinstance(spec, FractionalKernel):
-        d = X.shape[1]
-        return spec.scale * r ** (-(d + spec.s))
+    if _radial(spec):
+        return _radial_values(spec, r, X.shape[1])
     if isinstance(spec, WeightedKernel):
         cv = spec.potential.normalization(X.shape[1])
         w = np.exp(spec.potential(X)) + np.exp(spec.potential(Y))
@@ -540,7 +547,7 @@ def _values_with_radius(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, r: np.nd
 
 
 def _radial(spec: KernelSpec) -> bool:
-    """Whether eta(x, y) reads only the radius |x - y|, as `_values_with_radius` dispatches it."""
+    """Whether eta(x, y) reads only the radius |x - y|, so `_radial_values` evaluates it."""
     return isinstance(spec, (ConstantKernel, FractionalKernel))
 
 

@@ -52,7 +52,7 @@ from nlw.kernels import (
     extend_kernel,
     second_moment,
 )
-from nlw.torus import build_grid
+from nlw.torus import build_grid, wrapped_norm
 
 
 # ---------------------------------------------------------------------------
@@ -413,34 +413,146 @@ def test_discretize_2d_gibbs_matches_full_sub_lattice_build(monkeypatch):
     assert_build_matches_full_sub_lattice(monkeypatch, meas)
 
 
-def test_oversized_displacement_lattice_fails_early():
-    # one 3D pair on the m = 256 lattice needs a ((4 * 256)^3, 3) node array: 24 GiB
-    grid = build_grid(3, 2)
-    pair = (ConstantKernel(c=1.0), UniformMeasure(), grid, np.array([0]), np.array([1]))
+# ---------------------------------------------------------------------------
+# the factored pair rule against the per-node oracle
+# ---------------------------------------------------------------------------
+
+
+def per_node_pair_integrals(spec, meas, grid, j, k, rule):
+    """Oracle: eta, rho(x) and rho(y) at every inner node of every (pair, tau), pair by pair.
+
+    The integrator evaluated every kernel this way before it factored
+    radial kernels out of the inner rule; the nodes here are placed
+    directly, not gathered per cell.
+    """
+    d, w = grid.dim, grid.cell_width
+    dhalf = 0.5 * grid.cell_diameter
+    u1, wu1 = kernels._gauss_nodes(0.0, 1.0, rule.order)
+    ui = np.indices((rule.order,) * d).reshape(d, -1).T
+    u, wu = u1[ui], np.prod(wu1[ui], axis=1)  # inner nodes on [0, 1]^d and their weights
+    ti = np.indices((rule.tau.size,) * d).reshape(d, -1).T
+    tau, probe = rule.tau[ti], rule.probe[ti]
+    length = w - np.abs(tau)  # sides of the overlap box
+    wt = np.prod(rule.weight[ti] * length, axis=1)
+    out = np.empty(j.size)
+    for p in range(j.size):
+        s = _wrapped_signed(grid.points[k[p]] - grid.points[j[p]])
+        total = 0.0
+        for c in range(0, tau.shape[0], 4096):
+            t = slice(c, c + 4096)
+            off = -0.5 * tau[t, None, :] + length[t, None, :] * (u - 0.5)  # x minus the centre of cell j
+            X = np.mod(grid.points[j[p]] + off, 1.0).reshape(-1, d)
+            Y = np.mod(grid.points[k[p]] + off + tau[t, None, :], 1.0).reshape(-1, d)
+            r = np.repeat(wrapped_norm(s + tau[t]), wu.size)
+            f = kernels._values_with_radius(spec, X, Y, r) * meas.density(X) * meas.density(Y)
+            mask = _cutoff_fractions(s + probe[t], rule.cell, rule.sub, dhalf)
+            total += ((f.reshape(-1, wu.size) @ wu) * mask) @ wt[t]
+        out[p] = total
+    return out
+
+
+def max_relative_gap(a, b):
+    off = ~np.eye(a.shape[0], dtype=bool) if a.ndim == 2 else np.ones(a.shape, dtype=bool)
+    return float(np.max(np.abs(a[off] - b[off]) / np.abs(b[off])))
+
+
+GIBBS_2D = GibbsMeasure(potential=PotentialSpec(expr="0.25*sin(2*pi*x)*cos(2*pi*y)"))
+GIBBS_1D = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+RADIAL = [ConstantKernel(c=1.0), FractionalKernel(s=0.5), FractionalKernel(s=1.0)]
+
+
+def oracle_case(d, level, meas, spec):
+    name = "constant" if isinstance(spec, ConstantKernel) else f"s={spec.s:g}"
+    return pytest.param(d, level, meas, spec, id=f"{d}d-{level}-{type(meas).__name__[:-7].lower()}-{name}")
+
+
+@pytest.mark.parametrize(
+    "d, level, meas, spec",
+    [oracle_case(2, level, UniformMeasure(), spec) for level in (2, 3, 4) for spec in RADIAL]
+    + [oracle_case(2, 2, GIBBS_2D, FractionalKernel(s=0.5))]
+    + [oracle_case(1, 16, meas, spec) for meas in (UniformMeasure(), GIBBS_1D) for spec in RADIAL],
+)
+def test_eta_matches_the_per_node_oracle_build(monkeypatch, d, level, meas, spec):
+    # every rule size a build doubles through, on the pairs it evaluates; in 1D the near pairs
+    grid = build_grid(d, level)
+    eta = discretize_kernel(spec, meas, grid)
+    monkeypatch.setattr(discretize, "_pair_integrals", per_node_pair_integrals)
+    assert max_relative_gap(eta, discretize_kernel(spec, meas, grid)) <= 1e-13
+
+
+@pytest.mark.parametrize("meas", [UniformMeasure(), GIBBS_2D], ids=["uniform", "gibbs"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_pair_integrals_match_the_per_node_oracle_under_both_rules(level, meas):
+    # every pair j < k, not one per offset class, on the rule each takes in a build
+    grid = build_grid(2, level)
+    j, k = np.nonzero(~np.tri(grid.n_points, dtype=bool))
+    active = _pair_min_distance_sq(grid, j, k) < (0.5 * grid.cell_diameter) ** 2
+    for spec in RADIAL:
+        for rule, members in ((_panel_gauss(4, grid), ~active), (_masked_lattice(16, grid), active)):
+            if members.any():
+                args = (spec, meas, grid, j[members], k[members], rule)
+                assert max_relative_gap(_pair_integrals(*args), per_node_pair_integrals(*args)) <= 1e-13
+
+
+def test_a_uniform_build_calls_no_density_in_the_pair_rule(monkeypatch):
+    inside, calls, density = [False], [], UniformMeasure.density
+
+    def rule_spy(*args):
+        inside[0] = True
+        try:
+            return _pair_integrals(*args)
+        finally:
+            inside[0] = False
+
+    def density_spy(self, pts):
+        calls.append(inside[0])
+        return density(self, pts)
+
+    monkeypatch.setattr(discretize, "_pair_integrals", rule_spy)
+    monkeypatch.setattr(UniformMeasure, "density", density_spy)
+    build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(2, 3))
+    assert calls and not any(calls)  # the pushforward calls it, the pair rule never does
+
+
+def assert_refused_before_allocating(pair, rule, message):
     tracemalloc.start()
     try:
-        with pytest.raises(QuadratureError, match=r"lattice for cells 0 and 1 needs about 24576 MiB per array at m=256"):
-            _pair_integrals(*pair, _masked_lattice(256, grid))
+        with pytest.raises(QuadratureError, match=message):
+            _pair_integrals(*pair, rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_oversized_displacement_lattice_fails_early():
+    # one 3D Gibbs pair on the m = 256 lattice needs a ((4 * 256)^3, 3) node array: 24 GiB
+    grid = build_grid(3, 2)
+    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*cos(2*pi*x)"))
+    pair = (ConstantKernel(c=1.0), meas, grid, np.array([0]), np.array([1]))
+    message = r"lattice for cells 0 and 1 needs about 24576 MiB per array at m=256"
+    assert_refused_before_allocating(pair, _masked_lattice(256, grid), message)
     assert _pair_integrals(*pair, _masked_lattice(8, grid))[0] > 0.0
 
 
 def test_oversized_gauss_pair_rule_fails_early():
-    # one 2D pair at order 64 needs a ((4 * 64^2)^2, 2) node array: 4 GiB
+    # one 2D Gibbs pair at order 64 needs a ((4 * 64^2)^2, 2) node array: 4 GiB
     grid = build_grid(2, 4)
-    pair = (FractionalKernel(s=1.0), UniformMeasure(), grid, np.array([0]), np.array([2]))
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureError, match=r"cells 0 and 2 needs about 4096 MiB per array at order 64"):
-            _pair_integrals(*pair, _panel_gauss(64, grid))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    meas = GibbsMeasure(potential=PotentialSpec(expr="0.25*cos(2*pi*x)"))
+    pair = (FractionalKernel(s=1.0), meas, grid, np.array([0]), np.array([2]))
+    message = r"cells 0 and 2 needs about 4096 MiB per array at order 64"
+    assert_refused_before_allocating(pair, _panel_gauss(64, grid), message)
     assert _pair_integrals(*pair, _panel_gauss(8, grid))[0] > 0.0
+
+
+def test_oversized_uniform_lattice_fails_early():
+    # on the uniform measure a pair builds no inner nodes; one 3D pair on the
+    # m = 1024 lattice still needs a (1024^3, 3) array of outer nodes: 24 GiB
+    grid = build_grid(3, 2)
+    pair = (ConstantKernel(c=1.0), UniformMeasure(), grid, np.array([0]), np.array([1]))
+    message = r"lattice for cells 0 and 1 needs about 24576 MiB per array at m=1024"
+    assert_refused_before_allocating(pair, _masked_lattice(1024, grid), message)
+    assert _pair_integrals(*pair, _masked_lattice(8, grid))[0] > 0.0
 
 
 @pytest.mark.parametrize("measure", ["gibbs", "uniform"])
@@ -480,6 +592,24 @@ def test_node_budget_does_not_change_a_build(monkeypatch, d, level, budget):
     assert np.array_equal(discretize_kernel(spec, meas, grid), eta)
     assert set(blocks) == {1}
     assert len(blocks) > sum(pairs)
+
+
+def test_node_budget_does_not_change_a_uniform_build(monkeypatch):
+    # on the uniform measure a block counts the mask's sub-lattice points, 8^2 per
+    # (pair, tau) on the 2D lattice that all 36 pairs of level 3 take
+    grid = build_grid(2, 3)
+    spec = FractionalKernel(s=1.0)
+    eta = discretize_kernel(spec, UniformMeasure(), grid)
+    blocks = []
+
+    def block_spy(t, *rest):
+        blocks.append(t.shape[0] * t.shape[1])
+        return _cutoff_fractions(t, *rest)
+
+    monkeypatch.setattr(discretize, "_NODE_BUDGET", 1024)
+    monkeypatch.setattr(discretize, "_cutoff_fractions", block_spy)
+    assert np.array_equal(discretize_kernel(spec, UniformMeasure(), grid), eta)
+    assert max(blocks) == 1024 // 64
 
 
 # ---------------------------------------------------------------------------

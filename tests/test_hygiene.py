@@ -46,16 +46,18 @@ the log ratio:
   ``functionals._log_ratio``: the logarithmic mean takes the log ratio
   ell and its overflow branch from that one helper.
 
-One more check ties the benchmark's tracer to the program: every
+Two more checks tie the benchmark to the program: every
 "<layer>.<function>" name ``perfbench/tracing.py`` reads is a public
 function of its layer, so a rename fails here rather than zeroing a
-per-layer metric.
+per-layer metric, and ``perfbench/selftest.py`` exits 0.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -428,3 +430,11 @@ def test_every_name_the_benchmark_traces_is_a_public_function_of_its_layer():
             missing.append(name)
     assert not missing, "traced names that are not public functions of their layer: " + ", ".join(missing)
 
+
+def test_the_benchmark_self_test_passes():
+    # the harness's own self-test (tiny workloads through their checks, span
+    # arithmetic, the tracer) runs with the suite, in a fresh interpreter
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
