@@ -323,19 +323,20 @@ class _OuterRule(NamedTuple):
 
     ``tau`` and ``weight`` are the nodes and weights of one axis; the
     overlap-box length w - |tau_i| is applied by `_pair_integrals`.  The
-    mask of a node is the share of the ``sub``^d midpoint sub-lattice of
-    the box of side ``cell`` around s + ``probe`` that lies outside the
-    cutoff (`_cutoff_fractions`).  ``order`` is the inner Gauss order per
-    axis; ``name`` and ``size`` label error messages.
+    mask of a node is the share of the sub-lattice ``offsets`` (S, d), the
+    midpoints of a box of side ``cell``, around s + ``probe`` that lies
+    outside the cutoff (`_cutoff_fractions`); a ``probe`` of None is tau
+    itself.  ``order`` is the inner Gauss order per axis; ``name`` and
+    ``size`` label error messages.
     """
 
     name: str
     size: str
     tau: np.ndarray
     weight: np.ndarray
-    probe: np.ndarray
+    probe: np.ndarray | None
     cell: float
-    sub: int
+    offsets: np.ndarray
     order: int
 
 
@@ -353,34 +354,37 @@ def _panel_gauss(order: int, grid: GridSpec) -> _OuterRule:
     tau = np.concatenate([t for t, _ in panels])
     weight = np.concatenate([wt for _, wt in panels])
     mid = np.repeat(0.5 * (edges[:-1] + edges[1:]), order)
-    return _OuterRule("Gauss pair rule", f"order {order}", tau, weight, mid, 0.0, 1, order)
+    return _OuterRule("Gauss pair rule", f"order {order}", tau, weight, mid, 0.0, np.zeros((1, grid.dim)), order)
 
 
 def _masked_lattice(m: int, grid: GridSpec) -> _OuterRule:
     """Midpoint lattice of m subcells per axis, each masked by its frac_sub^d
     sub-lattice (d >= 2 pairs the cutoff cuts); the inner rule has order 4."""
-    w = grid.cell_width
+    w, d = grid.cell_width, grid.dim
     tau = ((np.arange(m) + 0.5) / m - 0.5) * (2.0 * w)
     h = 2.0 * w / m
-    frac_sub = 8 if grid.dim == 2 else 4
-    return _OuterRule("displacement lattice", f"m={m}", tau, np.full(m, h), tau, h, frac_sub, 4)
+    frac_sub = 8 if d == 2 else 4
+    sub1 = ((np.arange(frac_sub) + 0.5) / frac_sub - 0.5) * h
+    offsets = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    return _OuterRule("displacement lattice", f"m={m}", tau, np.full(m, h), None, h, offsets, 4)
 
 
-def _cutoff_fractions(t: np.ndarray, cell: float, sub: int, dhalf: float) -> np.ndarray:
-    """Share of the sub^d midpoint sub-lattice of each box t + [-cell/2, cell/2]^d at wrapped radius >= dhalf.
+def _cutoff_fractions(
+    t: np.ndarray, cell: float, offsets: np.ndarray, dhalf: float, r: np.ndarray | None = None
+) -> np.ndarray:
+    """Share of the sub-lattice ``offsets`` of each box t + [-cell/2, cell/2]^d at wrapped radius >= dhalf.
 
-    ``t`` has shape (..., d); the result has shape (...).  The torus
-    distance is 1-Lipschitz, so a box whose centre radius lies farther
-    than its half-diagonal from dhalf is wholly kept (1) or wholly cut
-    (0); only the boxes of that cutoff band evaluate their sub-lattice.
+    ``t`` has shape (..., d) and ``r``, its wrapped radius when the caller
+    has it, shape (...); so has the result.  The torus distance is
+    1-Lipschitz, so a box whose centre radius lies farther than its
+    half-diagonal from dhalf is wholly kept (1) or wholly cut (0); only the
+    boxes of that cutoff band evaluate their sub-lattice.
     """
-    d = t.shape[-1]
-    r = wrapped_norm(t)
+    if r is None:
+        r = wrapped_norm(t)
     frac = (r >= dhalf).astype(float)
-    band = np.abs(r - dhalf) < 0.5 * cell * np.sqrt(d) * (1.0 + 1e-9) + 1e-12
-    sub1 = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
-    offs = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    frac[band] = np.mean(wrapped_norm(t[band][:, None, :] + offs) >= dhalf, axis=1)
+    band = np.abs(r - dhalf) < 0.5 * cell * np.sqrt(t.shape[-1]) * (1.0 + 1e-9) + 1e-12
+    frac[band] = np.mean(wrapped_norm(t[band][:, None, :] + offsets) >= dhalf, axis=1)
     return frac
 
 
@@ -427,7 +431,7 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
         ui = np.indices((rule.order,) * d).reshape(d, -1).T  # (U, d)
         wu = np.prod(wu1[ui], axis=1)
         axis_base = np.arange(d) * (rule.tau.size * rule.order)
-    points = rule.sub**d if flat else n_u  # points evaluated per (pair, tau)
+    points = rule.offsets.shape[0] if flat else n_u  # points evaluated per (pair, tau)
     taus = min(n_tau, 4 * max(1, _NODE_BUDGET // (4 * points)))  # tau nodes per block
     per_block = max(1, _NODE_BUDGET // (n_tau * points))  # pairs per block
     per_sum = max(1, _OUTER_VALUES // n_tau)  # pairs per outer sum
@@ -452,7 +456,8 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
                 y1 = np.mod(centres[ck][:, :, None, None] + y_off1, 1.0).reshape(ck.size, -1)
             for a in range(0, n_tau, taus):
                 ti = np.stack(np.unravel_index(np.arange(a, min(a + taus, n_tau)), (rule.tau.size,) * d), axis=1)
-                r = wrapped_norm(s + rule.tau[ti])  # (P, T)
+                t = s + rule.tau[ti]  # (P, T, d)
+                r = wrapped_norm(t)
                 if radial:
                     kernel = _radial_values(spec, r, d)
                 if not flat:
@@ -469,7 +474,10 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
                         )
                         f = vals.reshape(jc.size, -1) * dx[ij] * dy[ik]
                     inner = f.reshape(jc.size, -1, n_u) @ wu
-                mask = _cutoff_fractions(s + rule.probe[ti], rule.cell, rule.sub, dhalf)
+                if rule.probe is None:
+                    mask = _cutoff_fractions(t, rule.cell, rule.offsets, dhalf, r)
+                else:
+                    mask = _cutoff_fractions(s + rule.probe[ti], rule.cell, rule.offsets, dhalf)
                 g[b - lo : b - lo + jc.size, a : a + ti.shape[0]] = inner * kernel * mask
         out[lo:hi] = g @ wt
     return out

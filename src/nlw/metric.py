@@ -23,16 +23,22 @@ pair; what a pair leaves in its two midpoint densities is
 -(x^2/theta^2) times the Hessian of the logarithmic mean, positive
 semidefinite because the mean is concave (Erbar, Rumpf, Schmitzer &
 Simon, Numer. Math. 2020, use this action on graphs).  The continuity
-multipliers are eliminated next with one dense factorization per step of
-the graph Laplacian with conductances theta * eta_ij pi_i pi_j.  What is
-left is a system in the mass increments, restricted to those that keep
-the total mass: symmetric positive definite and block tridiagonal in
-time with dense N x N blocks, solved by block Cholesky elimination, so
-a step costs O(M N^3) plus O(M E).  The step is cut to stay inside the
-positive masses (fraction to the boundary) and halved until the Armijo
-test holds.  The barrier schedule, stopping test and line-search
-constants are module constants; ``PathProblem.max_iter``, the Newton
-steps per stage, is the one setting.
+multipliers are eliminated next through the inverse of each step's graph
+Laplacian with conductances theta * eta_ij pi_i pi_j, formed from its
+Cholesky factor R as R^-1 R^-T (``_spd_inverse``).  What is left is a
+system in the mass increments, restricted to those that keep the total
+mass: symmetric positive definite and block tridiagonal in time with
+dense N x N blocks, solved by block Cholesky elimination with one LAPACK
+``dposv`` call per pivot (``_block_tridiagonal_solve``), so a step costs
+O(M N^3) plus O(M E).  Both helpers call LAPACK directly: on small
+blocks scipy's checking wrappers cost more per call than the
+factorization.  A block that is not positive definite raises
+``np.linalg.LinAlgError``, which ends the Newton stage.  The step is
+cut to stay inside the positive masses (fraction to the boundary) and
+halved until the Armijo test holds.  The barrier schedule, stopping
+test and line-search constants are module constants;
+``PathProblem.max_iter``, the Newton steps per stage, is the one
+setting.
 
 The returned path is rebuilt from the final fluxes alone: their total
 over all steps is replaced by the least-norm total between the endpoints
@@ -216,14 +222,36 @@ def _node_sums(index: np.ndarray, shape, at_i: np.ndarray, at_j: np.ndarray) -> 
     return np.bincount(index, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
 
 
+def _spd_inverse(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric positive definite blocks (K, n, n) from their Cholesky factors.
+
+    LAPACK's ``dpotrf`` factors each block as R^T R with R upper
+    triangular, ``dtrtri`` inverts R, and one batched product forms
+    R^-1 R^-T.  A block that is not positive definite raises
+    ``np.linalg.LinAlgError``.
+    """
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
+    factor_inv = np.empty_like(blocks)
+    for k, block in enumerate(blocks):
+        factor, info = dpotrf(block)
+        if info == 0:
+            factor_inv[k], info = dtrtri(factor)
+        if info:
+            raise np.linalg.LinAlgError(f"block {k} is not positive definite (LAPACK info {info})")
+    return factor_inv @ np.swapaxes(factor_inv, 1, 2)
+
+
 def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite block tridiagonal system by block Cholesky elimination.
 
     ``diag`` (K, n, n) holds the diagonal blocks, ``upper[k]`` the block at
     (k, k+1) (its transpose sits at (k+1, k)) and ``rhs`` (K, n) the right
-    side.
+    side.  Each pivot is factored and solved against [upper[k], y] by one
+    call of LAPACK's ``dposv``, which reads the pivot's upper triangle; a
+    pivot that is not positive definite raises ``np.linalg.LinAlgError``.
     """
-    import scipy.linalg
+    from scipy.linalg.lapack import dposv
 
     K, n = rhs.shape
     gain = np.empty_like(upper)  # pivot^-1 upper[k]
@@ -233,15 +261,24 @@ def _block_tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarra
         if k:
             pivot = pivot - upper[k - 1].T @ gain[k - 1]
             y = y - upper[k - 1].T @ z[k - 1]
-        factor = scipy.linalg.cho_factor(pivot, check_finite=False)
-        if k < K - 1:
-            sol = scipy.linalg.cho_solve(factor, np.column_stack([upper[k], y]), check_finite=False)
-            gain[k], z[k] = sol[:, :n], sol[:, n]
-        else:
-            z[k] = scipy.linalg.cho_solve(factor, y, check_finite=False)
+        last = k == K - 1
+        _, sol, info = dposv(pivot, y[:, None] if last else np.column_stack([upper[k], y]))
+        if info:
+            raise np.linalg.LinAlgError(f"pivot {k} is not positive definite (LAPACK info {info})")
+        z[k] = sol[:, -1]
+        if not last:
+            gain[k] = sol[:, :n]
     for k in range(K - 2, -1, -1):
         z[k] -= gain[k] @ z[k + 1]
     return z
+
+
+def _restrict(blocks: np.ndarray) -> np.ndarray:
+    """P B P for each block B, with P = I - 1 1^T / n the projection onto the
+    mass increments a step may take: B less its row means, then less the
+    column means of that."""
+    centred = blocks - blocks.mean(axis=2, keepdims=True)
+    return centred - centred.mean(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +300,6 @@ class _PathWorkspace:
         self.mu0 = prob.start.masses
         self.muT = prob.end.masses
         self.s0 = self.least_norm((self.mu0 - self.muT) / self.dt)
-        # Newton steps keep the total mass: the unit column 1/sqrt(n) spans
-        # the excluded mass increments
-        self.fixed = np.full((n, 1), 1.0 / np.sqrt(n))
         # flat bins of the per-step (M, N, N) node matrices: the (i, i),
         # (j, j), (i, j) and (j, i) entries of every edge
         ei, ej = self.ei, self.ej
@@ -342,12 +376,6 @@ class _PathWorkspace:
         weights = np.concatenate([w.ravel() for w in (at_ii, at_jj, at_ij, at_ji)])
         return np.bincount(self.pattern, weights, minlength=self.M * n * n).reshape(self.M, n, n)
 
-    def _restrict(self, blocks: np.ndarray) -> np.ndarray:
-        """P B P for each block B, P the projection onto the mass increments a step may take."""
-        Z = self.fixed
-        BZ = blocks @ Z
-        return blocks - Z @ (Z.T @ blocks) - BZ @ Z.T + Z @ (Z.T @ BZ) @ Z.T
-
     def newton_step(self, x: np.ndarray, mu: np.ndarray, beta: float, eps: float):
         """Gradient (g_x, g_mu) and Newton direction (dx, dmu) of the stage objective at (x, mu).
 
@@ -398,8 +426,8 @@ class _PathWorkspace:
         alpha, gamma = x * th_a / theta, x * th_b / theta
         Kp = (0.5 * dt) * self._node_matrices(alpha, -gamma, gamma, -alpha) / pi[None, None, :]
         lap = (0.5 * dt) * self._node_matrices(cond, cond, -cond, -cond) + 1.0 / n
-        sol = np.linalg.solve(lap, np.concatenate([np.broadcast_to(np.eye(n), lap.shape), Kp], axis=2))
-        Linv, LK = sol[..., :n], sol[..., n:]
+        Linv = _spd_inverse(lap)
+        LK = Linv @ Kp
         LKt = np.swapaxes(LK, 1, 2)
         KLK = np.swapaxes(Kp, 1, 2) @ LK
         rho = mu[:-1] - mu[1:]
@@ -412,12 +440,12 @@ class _PathWorkspace:
         VU = Linv + LK - LKt - KLK
         diag = R[:-1] + R[1:] + UU[:-1] + VV[1:]
         diag[:, np.arange(n), np.arange(n)] += bar / inner
-        Z = self.fixed
+        # the increments that keep the total mass: the excluded direction 1 gets a unit pivot
         rhs = act + bar + (lr + klr)[:-1] - (lr - klr)[1:]
         dmu = _block_tridiagonal_solve(
-            self._restrict(diag) + Z @ Z.T,
-            self._restrict(R[1:-1] - VU[1:-1]),
-            rhs - (rhs @ Z) @ Z.T,
+            _restrict(diag) + 1.0 / n,
+            _restrict(R[1:-1] - VU[1:-1]),
+            rhs - rhs.mean(axis=1, keepdims=True),
         )
 
         full = np.zeros_like(mu)

@@ -353,9 +353,14 @@ def test_a_pair_without_a_positive_kernel_is_rejected_by_name(tmp_path, value):
 # ---------------------------------------------------------------------------
 
 
-def full_sub_lattice_fractions(t, cell, sub, dhalf):
-    """Oracle: mask fractions from the sub-lattice of every box, in the band or not."""
+def full_sub_lattice_fractions(t, cell, offsets, dhalf, r=None):
+    """Oracle: mask fractions from the sub-lattice of every box, in the band or not.
+
+    It rebuilds the sub^d midpoints of a box from their count alone and
+    takes every radius itself, ignoring ``r``.
+    """
     d = t.shape[-1]
+    sub = round(offsets.shape[0] ** (1.0 / d))
     sub1 = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
     offs = np.stack(np.meshgrid(*([sub1] * d), indexing="ij"), axis=-1).reshape(-1, d)
     TS = t[..., None, :] + offs
@@ -384,12 +389,13 @@ def test_cutoff_geometry_matches_full_sub_lattice(d, level, ms):
     assert np.max(np.abs(offsets)) + grid.cell_width > 0.5
     for m in ms:
         rule = _masked_lattice(m, grid)
-        assert rule.sub == (8 if d == 2 else 4)
-        tau = np.stack(np.meshgrid(*([rule.probe] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        assert rule.probe is None and rule.offsets.shape == ((8 if d == 2 else 4) ** d, d)
+        tau = np.stack(np.meshgrid(*([rule.tau] * d), indexing="ij"), axis=-1).reshape(-1, d)
         t = offsets[:, None, :] + tau  # (offsets, m^d, d): every offset at once, as in a block
-        frac = _cutoff_fractions(t, rule.cell, rule.sub, dhalf)
-        frac_ref = full_sub_lattice_fractions(t, rule.cell, rule.sub, dhalf)
+        frac = _cutoff_fractions(t, rule.cell, rule.offsets, dhalf)
+        frac_ref = full_sub_lattice_fractions(t, rule.cell, rule.offsets, dhalf)
         assert np.array_equal(frac, frac_ref)
+        assert np.array_equal(_cutoff_fractions(t, rule.cell, rule.offsets, dhalf, wrapped_norm(t)), frac)
         for row in frac:
             assert 0.0 < np.mean((row > 0.0) & (row < 1.0)) < 1.0
 
@@ -431,7 +437,8 @@ def per_node_pair_integrals(spec, meas, grid, j, k, rule):
     ui = np.indices((rule.order,) * d).reshape(d, -1).T
     u, wu = u1[ui], np.prod(wu1[ui], axis=1)  # inner nodes on [0, 1]^d and their weights
     ti = np.indices((rule.tau.size,) * d).reshape(d, -1).T
-    tau, probe = rule.tau[ti], rule.probe[ti]
+    tau = rule.tau[ti]
+    probe = tau if rule.probe is None else rule.probe[ti]
     length = w - np.abs(tau)  # sides of the overlap box
     wt = np.prod(rule.weight[ti] * length, axis=1)
     out = np.empty(j.size)
@@ -445,7 +452,7 @@ def per_node_pair_integrals(spec, meas, grid, j, k, rule):
             Y = np.mod(grid.points[k[p]] + off + tau[t, None, :], 1.0).reshape(-1, d)
             r = np.repeat(wrapped_norm(s + tau[t]), wu.size)
             f = kernels._values_with_radius(spec, X, Y, r) * meas.density(X) * meas.density(Y)
-            mask = _cutoff_fractions(s + probe[t], rule.cell, rule.sub, dhalf)
+            mask = _cutoff_fractions(s + probe[t], rule.cell, rule.offsets, dhalf)
             total += ((f.reshape(-1, wu.size) @ wu) * mask) @ wt[t]
         out[p] = total
     return out

@@ -26,7 +26,9 @@ from nlw.metric import (
     AxiomCheck,
     DiscretePath,
     PathProblem,
+    _block_tridiagonal_solve,
     _PathWorkspace,
+    _spd_inverse,
     action_of_path,
     check_metric_axioms,
     nlw_distance,
@@ -431,17 +433,30 @@ def test_laplacian_projection_matches_the_dense_null_space_and_lstsq():
         assert np.max(np.abs(rows[k] - ref)) < 1e-12
 
 
-def test_newton_steps_stay_flat_as_the_grid_refines():
-    # the transport benchmark problem: Gibbs measure of cos(2 pi x), uniform -> Gibbs state of sin(2 pi x);
-    # the quasi-Newton descent this solver replaced took 1,146 or more iterations from N = 8 on
+def benchmark_transport(n):
+    """The transport benchmark problem on n points: the fractional (s = 1) Gibbs system
+    of cos(2 pi x), uniform -> Gibbs state of sin(2 pi x), M = 16, max_iter = 1000."""
     measure = GibbsMeasure(potential=PotentialSpec(expr="cos(2*pi*x)"))
+    sys = build_system(FractionalKernel(s=1.0), measure, build_grid(1, n))
+    a = density_from_spec({"type": "uniform"}, sys)
+    b = density_from_spec({"type": "gibbs", "potential": {"expr": "sin(2*pi*x)"}}, sys)
+    return PathProblem(sys, a, b, n_steps=16, max_iter=1000)
+
+
+def test_newton_steps_stay_flat_as_the_grid_refines():
+    # the quasi-Newton descent this solver replaced took 1,146 or more iterations from N = 8 on
     for n in (8, 16, 32, 64):
-        sys = build_system(FractionalKernel(s=1.0), measure, build_grid(1, n))
-        a = density_from_spec({"type": "uniform"}, sys)
-        b = density_from_spec({"type": "gibbs", "potential": {"expr": "sin(2*pi*x)"}}, sys)
-        res = nlw_distance(PathProblem(sys, a, b, n_steps=16, max_iter=1000))
+        res = nlw_distance(benchmark_transport(n))
         assert res.converged and res.constraint_residual < 1e-12
         assert res.iterations <= 40, (n, res.stage_iterations)
+
+
+def test_the_32_point_benchmark_problem_keeps_its_distance():
+    # a change to how the Newton step factors its blocks may move w in its last bits only
+    res = nlw_distance(benchmark_transport(32))
+    assert res.converged
+    assert res.iterations <= 20, res.stage_iterations
+    assert res.w == pytest.approx(0.17897633195467047, rel=1e-10, abs=0.0)
 
 
 def test_workspace_memory_at_128_points_stays_on_the_edge_list():
@@ -464,6 +479,65 @@ def test_workspace_memory_at_128_points_stays_on_the_edge_list():
     assert pair_order(ws.sys)[2].size == 128 * 127 // 2
     assert np.isfinite(f) and dx.shape == x.shape and dmu.shape == (15, 128)
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# block solvers of the Newton step: Cholesky inverses, block tridiagonal elimination
+# ---------------------------------------------------------------------------
+
+
+def random_spd_blocks(rng, count, n):
+    """``count`` random symmetric positive definite n x n blocks."""
+    g = rng.normal(size=(count, n, n))
+    return g @ np.swapaxes(g, 1, 2) + n * np.eye(n)
+
+
+def random_block_tridiagonal(rng, K, n):
+    """Diagonal and upper blocks of a random SPD block tridiagonal system, and its dense matrix."""
+    diag = random_spd_blocks(rng, K, n) + 2.0 * n * np.eye(n)  # dominant enough to stay positive definite
+    upper = rng.normal(size=(K - 1, n, n))
+    dense = scipy.linalg.block_diag(*diag)
+    for k in range(K - 1):
+        dense[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = upper[k]
+        dense[(k + 1) * n : (k + 2) * n, k * n : (k + 1) * n] = upper[k].T
+    assert np.linalg.eigvalsh(dense).min() > 0.0
+    return diag, upper, dense
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+@pytest.mark.parametrize("K", [1, 2, 15])
+def test_block_tridiagonal_solve_matches_a_dense_solve(K, n):
+    rng = np.random.default_rng(100 * K + n)
+    diag, upper, dense = random_block_tridiagonal(rng, K, n)
+    rhs = rng.normal(size=(K, n))
+    z = _block_tridiagonal_solve(diag, upper, rhs)
+    ref = np.linalg.solve(dense, rhs.ravel()).reshape(K, n)
+    assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_block_tridiagonal_solve_raises_on_an_indefinite_pivot(bad):
+    # the first pivot, a middle one and the last, which solves against y alone
+    rng = np.random.default_rng(7)
+    diag, upper, _ = random_block_tridiagonal(rng, 3, 5)
+    diag[bad, 2, 2] = -1.0  # the Schur complements only lower a pivot further
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_tridiagonal_solve(diag, upper, rng.normal(size=(3, 5)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+def test_spd_inverse_matches_the_dense_inverse(n):
+    blocks = random_spd_blocks(np.random.default_rng(n), 4, n)
+    inv = _spd_inverse(blocks)
+    ref = np.linalg.inv(blocks)
+    assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_spd_inverse_raises_on_a_block_that_is_not_positive_definite():
+    blocks = random_spd_blocks(np.random.default_rng(3), 3, 5)
+    blocks[1] -= (np.linalg.eigvalsh(blocks[1]).min() + 1.0) * np.eye(5)  # one eigenvalue -1
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_inverse(blocks)
 
 
 # ---------------------------------------------------------------------------
