@@ -66,7 +66,6 @@ from .functionals import (
     fisher_information,
     log_mean,
     relative_entropy,
-    theta_connectedness_constant,
 )
 from .kernels import (
     ConstantKernel,
@@ -82,9 +81,7 @@ from .metric import (
     MetricResult,
     PathProblem,
     TransportError,
-    check_metric_axioms,
     nlw_distance,
-    two_point_distance_oracle,
 )
 from .sampler import MarginalReport, SamplerConfig, SampleResult, compare_marginals, simulate
 from .torus import GridSpec, build_grid, nearest_cell

@@ -487,8 +487,7 @@ def run_config(
                 horizon=icfg.horizon,
                 seed=cfg.sampler.seed if seed is None else seed,
             )
-            u0 = density_from_spec(cfg.flow.initial, sys)
-            sample = simulate(sys, u0, scfg)
+            sample = simulate(sys, traj.state(0), scfg)
             expected = traj.u[-1] * sys.pi
             comparison = compare_marginals(sample, expected)
             result.comparison = comparison

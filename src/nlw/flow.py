@@ -46,10 +46,11 @@ product with eta, with no N x N temporary.  It equals I by algebra and is
 kept for the readers of ``edi.json`` until the audit gains a metric-side
 check (ROADMAP items 1 and 3(b)).
 
-An integrator is set by its method (``matrix_exponential``, the only
-one), its horizon (``T`` in configs) and its step ``dt``, which only sets
-the default output grid; nothing else.  Ill-conditioned results surface
-as IntegratorError rather than being silently renormalized.
+The spectral propagator is the one integrator, so a solve is set by its
+horizon (``T`` in configs) and its step ``dt``, which only sets the
+default output grid; nothing else.  A config may still name the method,
+as ``matrix_exponential`` and nothing else.  Ill-conditioned results
+surface as IntegratorError rather than being silently renormalized.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ __all__ = [
     "EDIReport",
 ]
 
-_METHODS = ("matrix_exponential",)
 _GAUSS_ORDER = 8  # nodes per panel of the audit's time rule
 
 
@@ -83,29 +83,20 @@ class IntegratorError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method, horizon and step.
+    """Horizon and step.
 
     ``dt`` is optional: it only sets the default output grid, every dt up
     to the horizon.  In config documents the horizon is spelled ``T``.
     """
 
-    method: str = "matrix_exponential"
     horizon: float = 1.0
     dt: float | None = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown integrator {self.method!r}; pick one of {_METHODS}")
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive when given")
-
-    def to_dict(self) -> dict:
-        doc = {"method": self.method, "T": self.horizon}
-        if self.dt is not None:
-            doc["dt"] = self.dt
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntegratorConfig":
@@ -113,7 +104,10 @@ class IntegratorConfig:
         if unknown:
             names = ", ".join(map(repr, unknown))
             raise ValueError(f"unknown integrator key(s) {names}; the horizon is spelled 'T'")
-        return cls(method=doc.get("method", cls.method), horizon=float(doc.get("T", cls.horizon)), dt=doc.get("dt"))
+        method = doc.get("method", "matrix_exponential")
+        if method != "matrix_exponential":
+            raise ValueError(f"unknown integrator {method!r}; the one integrator is 'matrix_exponential'")
+        return cls(horizon=float(doc.get("T", cls.horizon)), dt=doc.get("dt"))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ def solve(
         times=times,
         u=out,
         spectrum=spectrum,
-        meta={"config": cfg.to_dict(), "mass_drift": drift},
+        meta={"mass_drift": drift},
     )
 
 

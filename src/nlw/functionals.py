@@ -44,7 +44,6 @@ from .discretize import DiscreteSystem
 
 __all__ = [
     "log_mean",
-    "theta_connectedness_constant",
     "DensityState",
     "relative_entropy",
     "fisher_information",
@@ -159,22 +158,6 @@ def _log_mean_derivatives(r, s):
     if edge.any():
         dr[edge] = ds[edge] = rs[edge] = 0.0
     return theta, dr, ds, rr, rs, ss
-
-
-def theta_connectedness_constant() -> float:
-    """C = int_0^1 dr / theta(1 - r, 1 + r) for the logarithmic mean.
-
-    Finiteness of this integral is what lets finite-action paths move
-    mass onto/off a point.  The integrand equals 1 at r = 0 and grows
-    only logarithmically as r -> 1, so adaptive quadrature on the open
-    interval converges comfortably.  (Analytically the value is
-    sum_{k>=0} (2k+1)^{-2} = pi^2/8; the test suite uses the series as
-    an independent oracle.)
-    """
-    from scipy.integrate import quad
-
-    val, _err = quad(lambda r: 1.0 / log_mean(1.0 - r, 1.0 + r), 0.0, 1.0, limit=200)
-    return float(val)
 
 
 # ---------------------------------------------------------------------------

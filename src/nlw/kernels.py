@@ -76,7 +76,6 @@ __all__ = [
     "FractionalKernel",
     "WeightedKernel",
     "TabulatedKernel",
-    "eval_kernel",
     "kernel_values",
     "second_moment",
     "c_eta",
@@ -566,12 +565,6 @@ def kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _values_with_radius(spec, X, Y, r)
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """eta(x, y) for a single pair of distinct torus points."""
-    p, q = as_point(x), as_point(y)
-    return float(kernel_values(spec, p[None, :], q[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # Moment quadrature constants
 # ---------------------------------------------------------------------------
@@ -715,18 +708,25 @@ def _probe_lattice(dim: int, working_level: int | None) -> np.ndarray:
     return build_grid(dim, n).points
 
 
-def _moment_sup(spec: KernelSpec, pi: MeasureSpec, dim: int, working_level: int | None = None) -> float:
-    """sup_x second_moment, as a max over a probe lattice of
-    ``PROBE_FACTOR`` times the working level points per axis (64 / 12 / 5
-    without one in d = 1 / 2 / 3, capped at 512 / 24 / 8), so the value is
-    a lower bound on the true sup.  On the uniform measure with a
-    `_radial` kernel the integrand reads no position, so every probe gives
-    the same bits and the first, the origin, stands for the lattice.
+def _sup_probes(spec: KernelSpec, pi: MeasureSpec, dim: int, working_level: int | None) -> np.ndarray:
+    """The points x at which the sups over x read their integral.
+
+    The probe lattice has ``PROBE_FACTOR`` times the working level points
+    per axis (64 / 12 / 5 without one in d = 1 / 2 / 3, capped at
+    512 / 24 / 8).  On the uniform measure with a `_radial` kernel the
+    integrand reads no position, so every probe gives the same bits and
+    the first, the origin, stands for the lattice.
     """
     probes = _probe_lattice(dim, working_level)
     if isinstance(pi, UniformMeasure) and _radial(spec):
-        probes = probes[:1]
-    return max(0.0, *(second_moment(spec, pi, x) for x in probes))
+        return probes[:1]
+    return probes
+
+
+def _moment_sup(spec: KernelSpec, pi: MeasureSpec, dim: int, working_level: int | None = None) -> float:
+    """sup_x second_moment, as a max over `_sup_probes`, so the value is a
+    lower bound on the true sup."""
+    return max(0.0, *(second_moment(spec, pi, x) for x in _sup_probes(spec, pi, dim, working_level)))
 
 
 def c_eta(spec: KernelSpec, pi: MeasureSpec, dim: int = 1, working_level: int | None = None) -> float:
@@ -744,15 +744,12 @@ def tail_profile(spec: KernelSpec, pi: MeasureSpec, R: float, dim: int = 1) -> f
     in d = 1, and B(1/R) is inside Q(1/R), which is inside B(sqrt(d)/R),
     so in every d the cube tail tends to 0 as R -> inf exactly when the
     ball tail does, i.e. when the kernel is uniformly integrable at the
-    diagonal.  Nonincreasing in R.  The sup is over the probe lattice of
-    `_moment_sup` without a working level, with one probe in its one-probe case.
+    diagonal.  Nonincreasing in R.  The sup is over `_sup_probes`
+    without a working level.
     """
     if R <= 1.0:
         raise ValueError("tail profile requires R > 1")
-    probes = _probe_lattice(dim, None)
-    if isinstance(pi, UniformMeasure) and _radial(spec):
-        probes = probes[:1]
-    return max(0.0, *(_moment(spec, pi, x, min(1.0 / R, 0.5)) for x in probes))
+    return max(0.0, *(_moment(spec, pi, x, min(1.0 / R, 0.5)) for x in _sup_probes(spec, pi, dim, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +766,7 @@ class AdmissibilityReport:
     (zero for translation-invariant kernels); no threshold is applied.
     ``moment_sup`` is `_moment_sup` itself, not c_eta^2 / 2, and
     ``probe_points`` the size of the probe lattice of the sups, where one
-    probe stands for it in the one-probe case of `_moment_sup`.
+    probe stands for it in the one-probe case of `_sup_probes`.
     """
 
     symmetry_residual: float

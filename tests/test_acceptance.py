@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conftest
-
+from conftest import check_metric_axioms, theta_connectedness_constant, two_point_distance_oracle
 from nlw.config import load_config
 from nlw.discretize import DiscreteSystem, build_system, verify_moment_bound
 from nlw.experiments import (
@@ -35,7 +35,6 @@ from nlw.functionals import (
     fisher_information,
     log_mean,
     relative_entropy,
-    theta_connectedness_constant,
 )
 from nlw.kernels import (
     ConstantKernel,
@@ -47,9 +46,7 @@ from nlw.kernels import (
 from nlw.metric import (
     MetricResult,
     PathProblem,
-    check_metric_axioms,
     nlw_distance,
-    two_point_distance_oracle,
 )
 from nlw.sampler import SamplerConfig, compare_marginals, simulate
 from nlw.torus import build_grid
@@ -104,7 +101,7 @@ def test_criterion_02_two_state_closed_form():
     with criterion(2, 1.0, "two-state closed form: gap, Fisher value, dissipation identity"):
         sys2 = two_state()
         u0 = DensityState(sys2, np.array([1.5, 0.5]))
-        cfg = IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=1e-3)
+        cfg = IntegratorConfig(horizon=1.0, dt=1e-3)
         traj = solve(sys2, u0, cfg)
         gap = traj.u[:, 0] - traj.u[:, 1]
         assert np.max(np.abs(gap - np.exp(-traj.times))) <= 1e-8
@@ -229,7 +226,7 @@ def test_criterion_08_log_sobolev_certificate():
     with criterion(8, 30.0, "log-Sobolev certificate with C = min kernel entry (7/8)"):
         sys16 = build_system(ConstantKernel(c=1.0), UniformMeasure(), build_grid(1, 16))
         u0 = DensityState.point_mass(sys16, 3)
-        traj = solve(sys16, u0, IntegratorConfig(method="matrix_exponential", horizon=2.0, dt=0.02))
+        traj = solve(sys16, u0, IntegratorConfig(horizon=2.0, dt=0.02))
         cert = lsi_certify(sys16, traj)
         # adjacent cells lose 1/8 of their pair volume to the jump cutoff
         assert abs(cert.c - 0.875) <= 1e-9
@@ -247,7 +244,7 @@ def test_criterion_09_stochastic_cross_validation():
         # two-state system
         sys2 = two_state()
         u0 = DensityState.from_masses(sys2, np.array([0.75, 0.25]))
-        traj = solve(sys2, u0, IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=0.5))
+        traj = solve(sys2, u0, IntegratorConfig(horizon=1.0, dt=0.5))
         res = simulate(sys2, u0, SamplerConfig(n_paths=100_000, horizon=1.0, seed=902))
         rep = compare_marginals(res, traj.u[-1] * sys2.pi)
         assert rep.passes, f"two-state max|z| = {rep.max_abs_z:.2f}"
@@ -255,7 +252,7 @@ def test_criterion_09_stochastic_cross_validation():
         # N=16 fractional system
         sys16 = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 16))
         u16 = DensityState.point_mass(sys16, 0)
-        traj16 = solve(sys16, u16, IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=0.5))
+        traj16 = solve(sys16, u16, IntegratorConfig(horizon=1.0, dt=0.5))
         res16 = simulate(sys16, u16, SamplerConfig(n_paths=100_000, horizon=1.0, seed=916))
         rep16 = compare_marginals(res16, traj16.u[-1] * sys16.pi)
         assert rep16.passes, f"fractional max|z| = {rep16.max_abs_z:.2f}"
@@ -264,7 +261,7 @@ def test_criterion_09_stochastic_cross_validation():
         # asymmetric weights (on uniform pi the two conventions coincide)
         sysw = two_state(pi=(0.8, 0.2))
         uw = DensityState.from_masses(sysw, np.array([0.3, 0.7]))
-        trajw = solve(sysw, uw, IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=0.5))
+        trajw = solve(sysw, uw, IntegratorConfig(horizon=1.0, dt=0.5))
         wrong = conftest.simulate_source_rates(sysw, uw, SamplerConfig(n_paths=100_000, horizon=1.0, seed=903))
         repw = compare_marginals(wrong, trajw.u[-1] * sysw.pi)
         assert not repw.passes, "wrong rate convention went undetected"

@@ -92,7 +92,7 @@ def test_removed_quadrature_knob_is_an_error(path, key, setter):
 
 def test_adaptive_rk_is_an_unknown_integrator():
     with pytest.raises(ValueError, match="unknown integrator"):
-        IntegratorConfig(method="adaptive_rk")
+        IntegratorConfig.from_dict({"method": "adaptive_rk"})
 
 
 def test_solver_max_iter_still_validates():

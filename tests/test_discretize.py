@@ -48,8 +48,8 @@ from nlw.kernels import (
     TabulatedMeasure,
     UniformMeasure,
     WeightedKernel,
-    eval_kernel,
     extend_kernel,
+    kernel_values,
     second_moment,
 )
 from nlw.torus import build_grid, wrapped_norm
@@ -156,7 +156,7 @@ def nested_quad_pair_1d(spec, meas, n, j, k):
     def integrand(y, x):
         a = abs(y - x) % 1.0
         r = min(a, 1.0 - a)
-        return 0.0 if r < dhalf else eval_kernel(spec, x % 1.0, y % 1.0) * rho(x) * rho(y)
+        return 0.0 if r < dhalf else kernel_values(spec, x % 1.0, y % 1.0)[0] * rho(x) * rho(y)
 
     def inner(x):
         pts = [x + o for o in kinks if ck - w / 2 < x + o < ck + w / 2]
@@ -826,7 +826,7 @@ def test_moment_bound_fractional_stable_under_refinement():
 def test_refinement_consistency_at_fixed_far_pair():
     # eta_n at the pair (0, 1/2) approaches the pointwise kernel value
     spec = FractionalKernel(s=1.0)
-    target = eval_kernel(spec, 0.0, 0.5)
+    target = kernel_values(spec, 0.0, 0.5)[0]
     gaps = []
     for n in (4, 8, 16):
         grid = build_grid(1, n)

@@ -168,7 +168,7 @@ def test_build_system_from_config_matches_direct_build():
 def certify_setup(n=8, eta_value=1.0, index=0, T=2.0):
     sys = make_system(n, eta_value=eta_value)
     u0 = DensityState.point_mass(sys, index)
-    traj = solve(sys, u0, IntegratorConfig(method="matrix_exponential", horizon=T, dt=0.05))
+    traj = solve(sys, u0, IntegratorConfig(horizon=T, dt=0.05))
     return sys, traj
 
 
@@ -188,7 +188,7 @@ def test_certificate_c_is_min_offdiagonal():
     eta[1, 3] = eta[3, 1] = 0.25
     sys = make_system(4, eta=eta)
     u0 = DensityState.from_masses(sys, np.array([0.7, 0.1, 0.1, 0.1]))
-    traj = solve(sys, u0, IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=0.1))
+    traj = solve(sys, u0, IntegratorConfig(horizon=1.0, dt=0.1))
     cert = lsi_certify(sys, traj)
     assert cert.c == pytest.approx(0.25)
     assert cert.certified
@@ -417,10 +417,11 @@ def test_run_config_is_bit_reproducible(tmp_path):
 
 
 # every call site of a deferred scipy import: the flow (dsyevd), the metric
-# (Cholesky), the sampler comparison (ndtr, ndtri) and both quadratures; the
-# same code runs in a fresh interpreter and in this one
+# (Cholesky) and the sampler comparison (ndtr, ndtri); the same code runs in
+# a fresh interpreter and in this one
 _EVERY_DEFERRED_IMPORT = """
-DEFERRED = ("scipy.integrate", "scipy.linalg", "scipy.special")
+DEFERRED = ("scipy.linalg", "scipy.special")
+UNUSED = ("scipy.integrate", "scipy.sparse")  # the program loads neither
 
 
 def every_deferred_import(config_path, out_dir):
@@ -431,20 +432,15 @@ def every_deferred_import(config_path, out_dir):
 
     cfg = nlw.load_config(config_path)
     result = nlw.run_config(cfg, out_dir=out_dir, stages=("build", "flow", "certify", "metric", "sample"))
-    # before the quadratures below: scipy.integrate itself imports scipy.sparse
-    sparse = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
-    a, b = (nlw.density_from_spec(spec, result.system) for spec in cfg.metric.endpoints)
     with open(result.manifest_path, "rb") as fh:
         manifest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "manifest": manifest,
         "artifacts": {art["path"]: art["sha256"] for art in result.artifacts},
-        "theta_constant": repr(nlw.theta_connectedness_constant()),
-        "oracle": repr(nlw.two_point_distance_oracle(result.system, a, b)),
         "w": repr(result.metric.w),
         "threshold": repr(result.comparison.threshold),
         "loaded": sorted(m for m in DEFERRED if m in sys.modules),
-        "sparse": sparse,
+        "unused": sorted(m for m in sys.modules if m.startswith(UNUSED)),
     }
 """
 
@@ -460,8 +456,8 @@ def test_a_fresh_interpreter_runs_every_deferred_import(tmp_path):
     exec(_EVERY_DEFERRED_IMPORT, namespace)
     here = namespace["every_deferred_import"](config, str(tmp_path / "here"))
     assert fresh["loaded"] == list(namespace["DEFERRED"])
-    assert fresh.pop("sparse") == []  # the full run loads no scipy.sparse module
-    here.pop("sparse")  # other tests may have loaded it into this interpreter
+    assert fresh.pop("unused") == []  # the full run loads no scipy.integrate or scipy.sparse module
+    here.pop("unused")  # the tests' oracles load scipy.integrate into this interpreter
     assert set(fresh["artifacts"]) == {
         "system.json", "trajectory.csv", "edi.json", "certificate.json",
         "metric.json", "path.csv", "histogram.csv", "comparison.json",

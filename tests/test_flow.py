@@ -177,7 +177,7 @@ def test_expm_matches_two_state_closed_form():
     pi = (0.3, 0.7)
     sys = two_state(pi=pi, eta12=2.0)
     u0 = DensityState(sys, two_state_exact(pi, 2.0, 1.0, 0.0))
-    cfg = IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=0.01)
+    cfg = IntegratorConfig(horizon=1.0, dt=0.01)
     traj = solve(sys, u0, cfg)
     exact = two_state_exact(pi, 2.0, 1.0, traj.times)
     assert np.max(np.abs(traj.u - exact)) < 1e-13
@@ -186,16 +186,16 @@ def test_expm_matches_two_state_closed_form():
 def test_expm_symmetric_gap_decays_like_exp_minus_t():
     sys = two_state()
     u0 = DensityState(sys, np.array([1.5, 0.5]))
-    traj = solve(sys, u0, IntegratorConfig(method="matrix_exponential", horizon=1.0, dt=1e-3))
+    traj = solve(sys, u0, IntegratorConfig(horizon=1.0, dt=1e-3))
     gap = traj.u[:, 0] - traj.u[:, 1]
     assert np.max(np.abs(gap - np.exp(-traj.times))) < 1e-8
 
 
-def test_equilibrium_is_fixed_point_for_all_methods():
+def test_equilibrium_is_a_fixed_point():
     sys = make_system(6)
     u0 = DensityState.uniform(sys)
     for cfg in (
-        IntegratorConfig(method="matrix_exponential", horizon=0.5, dt=0.1),
+        IntegratorConfig(horizon=0.5, dt=0.1),
         IntegratorConfig(horizon=0.5),
     ):
         traj = solve(sys, u0, cfg)
@@ -229,7 +229,7 @@ def test_invariants_on_random_system():
     rng = np.random.default_rng(40)
     sys = random_system(rng, n=16, scale=3.0)
     u0 = random_state(rng, sys, floor=0.01)
-    traj = solve(sys, u0, IntegratorConfig(method="matrix_exponential", horizon=2.0, dt=0.05))
+    traj = solve(sys, u0, IntegratorConfig(horizon=2.0, dt=0.05))
     assert np.max(np.abs(traj.mass - 1.0)) <= 1e-10
     assert np.all(np.diff(traj.entropy) <= 1e-10)
     # maximum principle: minima rise, maxima fall
@@ -240,7 +240,7 @@ def test_invariants_on_random_system():
 def test_positivity_from_point_mass():
     sys = make_system(8)
     u0 = DensityState.point_mass(sys, 3)
-    ex = solve(sys, u0, IntegratorConfig(method="matrix_exponential", horizon=4.0, dt=0.5))
+    ex = solve(sys, u0, IntegratorConfig(horizon=4.0, dt=0.5))
     assert np.all(ex.u >= 0.0)
     # strict positivity after the first step: the kernel is irreducible
     assert np.all(ex.u[1:] > 0.0)
@@ -266,18 +266,12 @@ def test_solve_validates_output_times():
         solve(sys, u0, cfg, np.array([0.0, 0.6, 0.4, 1.0]))
 
 
-@pytest.mark.parametrize(
-    "method, output_times",
-    [
-        ("matrix_exponential", None),  # default output times on the dt grid
-    ],
-)
-def test_horizon_must_be_whole_number_of_steps(method, output_times):
+def test_horizon_must_be_whole_number_of_steps():
     sys = make_system(4)
     u0 = DensityState.uniform(sys)
-    cfg = IntegratorConfig(method=method, horizon=1.0, dt=0.3)
+    cfg = IntegratorConfig(horizon=1.0, dt=0.3)
     with pytest.raises(ValueError, match="horizon must be an integer multiple of dt"):
-        solve(sys, u0, cfg, output_times)
+        solve(sys, u0, cfg)  # default output times on the dt grid
 
 
 SHIPPED_FLOWS = sorted(os.path.basename(p)[: -len(".json")] for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -303,18 +297,16 @@ def test_trajectory_matches_the_matrix_exponential_at_every_output_time(name):
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError, match="unknown integrator"):
-        IntegratorConfig(method="leapfrog")
+        IntegratorConfig.from_dict({"method": "leapfrog"})
     with pytest.raises(ValueError, match="horizon"):
         IntegratorConfig(horizon=-1.0)
     with pytest.raises(ValueError, match="dt"):
         IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError, match="unknown integrator"):
-        IntegratorConfig(method="backward_euler")
     with pytest.raises(ValueError, match="unknown integrator"):  # as a config document names it
         IntegratorConfig.from_dict({"method": "backward_euler", "T": 1.0, "dt": 0.1})
     cfg = IntegratorConfig.from_dict({"method": "matrix_exponential", "T": 2.0, "dt": 0.1})
-    assert cfg.horizon == 2.0 and cfg.dt == 0.1
-    assert IntegratorConfig.from_dict(cfg.to_dict()) == cfg
+    assert cfg == IntegratorConfig(horizon=2.0, dt=0.1)
+    assert IntegratorConfig.from_dict({"T": 2.0, "dt": 0.1}) == cfg  # the method may go unnamed
     with pytest.raises(ValueError, match="'horizon'"):  # the horizon is spelled "T" only
         IntegratorConfig.from_dict({"T": 1.0, "horizon": 2.0})
     with pytest.raises(ValueError, match="'rtol'"):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import pair_order
+from conftest import pair_order, theta_connectedness_constant
 from nlw.discretize import DiscreteSystem
 from nlw.flow import tangent_flux
 from nlw.functionals import (
@@ -16,7 +16,6 @@ from nlw.functionals import (
     fisher_information,
     log_mean,
     relative_entropy,
-    theta_connectedness_constant,
 )
 from nlw.torus import build_grid
 

@@ -21,7 +21,7 @@ the log ratio:
   tests pass is a test hook, and the program runs one value: a constant.
   ``cli.main(argv)`` is exempt, since it carries the program's outside
   input.  An option of a callable that only tests and ``perfbench/`` call
-  (a test oracle like ``check_metric_axioms`` or ``action``) must still be
+  (a function the tests check, like ``action`` or ``check_assumptions``) must still be
   set by some call under the three directories.  Calls match by the
   called name alone, and a call with ``*args`` or ``**kwargs`` sets every
   option of its name.  Non-frozen dataclasses, filled after construction

@@ -37,7 +37,6 @@ from nlw.kernels import (
     _values_with_radius,
     c_eta,
     check_assumptions,
-    eval_kernel,
     extend_kernel,
     kernel_from_dict,
     kernel_values,
@@ -55,7 +54,7 @@ from nlw.torus import build_grid
 
 def test_constant_kernel_values():
     k = ConstantKernel(c=3.5)
-    assert eval_kernel(k, 0.1, 0.7) == 3.5
+    assert kernel_values(k, 0.1, 0.7)[0] == 3.5
     with pytest.raises(ValueError):
         ConstantKernel(c=0.0)
 
@@ -63,8 +62,8 @@ def test_constant_kernel_values():
 def test_fractional_kernel_uses_torus_distance():
     k = FractionalKernel(s=1.0)
     # wrapped distance between 0.05 and 0.95 is 0.1
-    assert eval_kernel(k, 0.05, 0.95) == pytest.approx(0.1 ** (-2.0), rel=1e-14)
-    assert eval_kernel(k, 0.0, 0.5) == pytest.approx(0.5 ** (-2.0), rel=1e-14)
+    assert kernel_values(k, 0.05, 0.95)[0] == pytest.approx(0.1 ** (-2.0), rel=1e-14)
+    assert kernel_values(k, 0.0, 0.5)[0] == pytest.approx(0.5 ** (-2.0), rel=1e-14)
 
 
 def test_fractional_kernel_2d_exponent():
@@ -77,13 +76,13 @@ def test_fractional_kernel_2d_exponent():
 
 def test_kernel_on_diagonal_raises():
     with pytest.raises(KernelError):
-        eval_kernel(ConstantKernel(c=1.0), 0.3, 0.3)
+        kernel_values(ConstantKernel(c=1.0), 0.3, 0.3)
 
 
 def test_weighted_kernel_zero_potential_doubles_base():
     # e^{V(x)} + e^{V(y)} = 2 and c_V = 1 when V = 0
     k = WeightedKernel(potential=PotentialSpec(expr="0*x"), base=ConstantKernel(c=1.0))
-    assert eval_kernel(k, 0.2, 0.8) == pytest.approx(2.0, rel=1e-12)
+    assert kernel_values(k, 0.2, 0.8)[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_weighted_kernel_is_symmetric():

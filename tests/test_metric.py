@@ -2,7 +2,7 @@
 
 The two-point system doubles as the exact oracle: there the distance
 is a one-dimensional integral in the mass coordinate, which we evaluate
-both with scipy quadrature (the shipped oracle) and with mpmath at high
+both with scipy quadrature (the oracle in ``conftest``) and with mpmath at high
 precision, and then require the path optimizer to reproduce it under
 time refinement.
 """
@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import pair_order
+import nlw.metric
+
+from conftest import AxiomCheck, check_metric_axioms, pair_order, two_point_distance_oracle
 from nlw.discretize import DiscreteSystem, build_system
 from nlw.experiments import density_from_spec
 from nlw.flow import IntegratorConfig, solve
@@ -23,16 +25,14 @@ from nlw.functionals import DensityState, _log_mean_derivatives, fisher_informat
 from nlw.kernels import FractionalKernel, GibbsMeasure, PotentialSpec, UniformMeasure
 from nlw.metric import (
     BARRIER_SCHEDULE,
-    AxiomCheck,
+    EPS_POLISH,
     DiscretePath,
     PathProblem,
     _block_tridiagonal_solve,
     _PathWorkspace,
     _spd_inverse,
     action_of_path,
-    check_metric_axioms,
     nlw_distance,
-    two_point_distance_oracle,
 )
 from nlw.torus import build_grid
 
@@ -670,24 +670,57 @@ def test_point_mass_to_point_mass_starts_on_the_bowed_path():
     assert res.w == pytest.approx(back.w, rel=1e-6)
 
 
-def test_exhausted_newton_stages_report_no_convergence():
-    sys, a, b = point_masses_on_eight_points()
-    res = nlw_distance(PathProblem(sys, a, b, n_steps=8, max_iter=1))
-    assert not res.converged
-    assert res.stage_iterations == [1] * (len(BARRIER_SCHEDULE) + 1)
+def smooth_ends_on_eight_points():
+    # every mass stays far from 0, so no Newton step of this problem nears a singular system
+    sys = build_system(FractionalKernel(s=1.0), UniformMeasure(), build_grid(1, 8))
+    bump = np.exp(2.0 * np.cos(2.0 * np.pi * sys.grid.points[:, 0]))
+    return sys, DensityState.uniform(sys), state(sys, bump / (bump @ sys.pi))
 
 
-def test_unfactorable_newton_step_ends_the_stage_unconverged():
-    # with one step per stage, point mass 0 -> 1 reaches a barrier stage whose
-    # reduced system is numerically not positive definite at its first step;
-    # that stage and the later ones stop where they are instead of raising
-    sys, a, _ = point_masses_on_eight_points()
-    b = DensityState.point_mass(sys, 1)
+STAGES = [(beta, beta) for beta in BARRIER_SCHEDULE] + [(0.0, EPS_POLISH)]  # (beta, eps) of each stage
+
+
+def test_exhausted_newton_stages_report_no_convergence(monkeypatch):
+    # with both stopping tests switched off, no stage can converge, so every
+    # stage runs to its cap and the solve reports no convergence
+    monkeypatch.setattr(nlw.metric, "NEWTON_TOL", -np.inf)
+    monkeypatch.setattr(nlw.metric, "ACTION_FLOOR", -np.inf)
+    sys, a, b = smooth_ends_on_eight_points()
     res = nlw_distance(PathProblem(sys, a, b, n_steps=8, max_iter=1))
     assert not res.converged
+    assert res.stage_iterations == [1] * len(STAGES)
+
+
+@pytest.mark.parametrize("stage, call", [(0, 2), (len(STAGES) - 1, 1)], ids=["barrier", "polish"])
+def test_unfactorable_newton_step_ends_the_stage_unconverged(monkeypatch, stage, call):
+    # newton_step raises LinAlgError on the call-th step of one stage: that stage
+    # stops at the iterate it reached, which stays feasible, and the later
+    # stages go on from there instead of the solve raising
+    sys, a, b = smooth_ends_on_eight_points()
+    step = _PathWorkspace.newton_step
+    calls = []
+
+    def failing(ws, x, mu, beta, eps):
+        calls.append(((beta, eps), x.copy(), mu.copy()))
+        if sum(key == STAGES[stage] for key, _, _ in calls) == call:
+            raise np.linalg.LinAlgError("not positive definite")
+        return step(ws, x, mu, beta, eps)
+
+    monkeypatch.setattr(_PathWorkspace, "newton_step", failing)
+    res = nlw_distance(PathProblem(sys, a, b, n_steps=8))
+    assert res.stage_iterations[stage] == call - 1
+    last = max(k for k, (key, _, _) in enumerate(calls) if key == STAGES[stage])
+    _, x, mu = calls[last]
+    ws = _PathWorkspace(PathProblem(sys, a, b, n_steps=8))
+    assert mu[1:-1].min() > 0.0 and np.isfinite(ws.objective(x, mu, *STAGES[stage]))
+    later = calls[last + 1 :]
+    assert list(dict.fromkeys(key for key, _, _ in later)) == STAGES[stage + 1 :]
+    if later:  # the next stage starts where the failed one stopped
+        assert np.array_equal(later[0][1], x) and np.array_equal(later[0][2], mu)
+    else:  # a failed polish stage ends the solve unconverged
+        assert not res.converged
     assert np.isfinite(res.w) and res.w > 0.0
     assert res.constraint_residual < 1e-8
-    assert 0 in res.stage_iterations and res.stage_iterations[0] == 1
 
 
 def test_result_document_fields():
