@@ -38,9 +38,11 @@ In d >= 2 the pairs the cutoff cuts use a midpoint lattice whose
 subcells get exact-geometry mask fractions from a fixed sub-lattice;
 that rule converges as O(1/m), so its ``PAIR_TOL`` stop bounds the last
 change, not the error.  Work runs in blocks of at most ``_NODE_BUDGET``
-points, and a rule whose per-pair node array would exceed
-``_ARRAY_BYTES_LIMIT`` raises QuadratureError before it is allocated, as
-does a pushforward rule whose cell nodes would.
+points, and both sums of the rule are taken pair by pair, so a pair's
+value does not depend on which pairs share its block.  A rule whose
+per-pair node array would exceed ``_ARRAY_BYTES_LIMIT`` raises
+QuadratureError before it is allocated, as does a pushforward rule whose
+cell nodes would.
 
 Far field.  In d = 1 with a constant or fractional kernel, a pair whose
 cells are at least one cell apart and whose displacements stay inside
@@ -312,10 +314,9 @@ def _pair_representatives(spec, pi, grid: GridSpec) -> np.ndarray | None:
 # uniform measure with a radial kernel its (T, d) outer nodes, may take at most
 # ``_ARRAY_BYTES_LIMIT`` bytes; below it `_pair_integrals` evaluates at most
 # ``_NODE_BUDGET`` points at a time, (pair, outer, inner) nodes or (pair, outer,
-# sub-lattice) mask points, and holds at most ``_OUTER_VALUES`` masked inner
-# integrals (pair, outer) for its outer sums.
+# sub-lattice) mask points.  Each sum is taken entry by entry, so neither the
+# budget nor a pair's block changes a value.
 _NODE_BUDGET = 2**17
-_OUTER_VALUES = 2**20
 
 
 class _OuterRule(NamedTuple):
@@ -404,16 +405,15 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
     depend on the pair, so nodes and densities are built once per cell of
     a block and gathered by j and k.
 
-    A block holds at most ``_NODE_BUDGET`` points: inner nodes, or on the
-    uniform measure the mask's sub-lattice points, splitting a pair's tau
-    nodes when one pair has more.  Both sums are matrix-vector products,
-    whose BLAS kernels work on groups of four rows: tau nodes are split in
-    groups of four, so the inner sums do not depend on the blocking, and
-    the outer sums run over chunks of ``_OUTER_VALUES`` masked inner
-    integrals, independent of the node budget.  A pair whose nodes would
-    take more than ``_ARRAY_BYTES_LIMIT`` bytes, as a (tau, inner node, d)
-    array or on the uniform measure a (tau, d) array, raises
-    QuadratureError before anything is allocated.
+    Pairs run in blocks of at most ``_NODE_BUDGET`` points: inner nodes,
+    or on the uniform measure the mask's sub-lattice points, splitting a
+    pair's tau nodes into chunks when one pair has more.  Both sums are
+    per-entry reductions (``einsum``), the inner one per (pair, tau) and
+    the outer one per pair, so each value depends on its pair alone: not
+    on the other pairs of its block, nor on the budget.  A pair whose
+    nodes would take more than ``_ARRAY_BYTES_LIMIT`` bytes, as a (tau,
+    inner node, d) array or on the uniform measure a (tau, d) array,
+    raises QuadratureError before anything is allocated.
     """
     d, w = grid.dim, grid.cell_width
     dhalf = 0.5 * grid.cell_diameter
@@ -432,54 +432,50 @@ def _pair_integrals(spec, meas, grid: GridSpec, j: np.ndarray, k: np.ndarray, ru
         wu = np.prod(wu1[ui], axis=1)
         axis_base = np.arange(d) * (rule.tau.size * rule.order)
     points = rule.offsets.shape[0] if flat else n_u  # points evaluated per (pair, tau)
-    taus = min(n_tau, 4 * max(1, _NODE_BUDGET // (4 * points)))  # tau nodes per block
+    taus = min(n_tau, max(1, _NODE_BUDGET // points))  # tau nodes per block
     per_block = max(1, _NODE_BUDGET // (n_tau * points))  # pairs per block
-    per_sum = max(1, _OUTER_VALUES // n_tau)  # pairs per outer sum
 
     centres = grid.points
     out = np.empty(j.size)
     inner = 1.0  # inner rule of rho(x) rho(y), or of eta rho(x) rho(y) for a non-radial kernel
     kernel = 1.0  # eta(|s + tau|) for a radial kernel
-    for lo in range(0, j.size, per_sum):
-        hi = min(lo + per_sum, j.size)
-        g = np.empty((hi - lo, n_tau))  # masked inner integrals
-        for b in range(lo, hi, per_block):
-            block = slice(b, min(b + per_block, hi))
-            jc, kc = j[block], k[block]
-            s = _wrapped_signed(centres[kc] - centres[jc])[:, None, :]
+    for b in range(0, j.size, per_block):
+        jc, kc = j[b : b + per_block], k[b : b + per_block]
+        s = _wrapped_signed(centres[kc] - centres[jc])[:, None, :]
+        if not flat:
+            cj, ij = np.unique(jc, return_inverse=True)
+            ck, ik = np.unique(kc, return_inverse=True)
+            # per cell, the node coordinates of every axis, flattened from (d, A, order);
+            # a node's coordinates are gathered from them, one per axis
+            x1 = np.mod(centres[cj][:, :, None, None] + x_off1, 1.0).reshape(cj.size, -1)
+            y1 = np.mod(centres[ck][:, :, None, None] + y_off1, 1.0).reshape(ck.size, -1)
+        g = np.empty((jc.size, n_tau))  # masked inner integrals
+        for a in range(0, n_tau, taus):
+            ti = np.stack(np.unravel_index(np.arange(a, min(a + taus, n_tau)), (rule.tau.size,) * d), axis=1)
+            t = s + rule.tau[ti]  # (P, T, d)
+            r = wrapped_norm(t)
+            if radial:
+                kernel = _radial_values(spec, r, d)
             if not flat:
-                cj, ij = np.unique(jc, return_inverse=True)
-                ck, ik = np.unique(kc, return_inverse=True)
-                # per cell, the node coordinates of every axis, flattened from (d, A, order);
-                # a node's coordinates are gathered from them, one per axis
-                x1 = np.mod(centres[cj][:, :, None, None] + x_off1, 1.0).reshape(cj.size, -1)
-                y1 = np.mod(centres[ck][:, :, None, None] + y_off1, 1.0).reshape(ck.size, -1)
-            for a in range(0, n_tau, taus):
-                ti = np.stack(np.unravel_index(np.arange(a, min(a + taus, n_tau)), (rule.tau.size,) * d), axis=1)
-                t = s + rule.tau[ti]  # (P, T, d)
-                r = wrapped_norm(t)
+                nodes = (axis_base + ti * rule.order)[:, None, :] + ui[None, :, :]  # (T, U, d)
+                X = x1[:, nodes].reshape(cj.size, -1, d)
+                Y = y1[:, nodes].reshape(ck.size, -1, d)
+                dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
+                dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
                 if radial:
-                    kernel = _radial_values(spec, r, d)
-                if not flat:
-                    nodes = (axis_base + ti * rule.order)[:, None, :] + ui[None, :, :]  # (T, U, d)
-                    X = x1[:, nodes].reshape(cj.size, -1, d)
-                    Y = y1[:, nodes].reshape(ck.size, -1, d)
-                    dx = meas.density(X.reshape(-1, d)).reshape(cj.size, -1)
-                    dy = meas.density(Y.reshape(-1, d)).reshape(ck.size, -1)
-                    if radial:
-                        f = dx[ij] * dy[ik]
-                    else:
-                        vals = _values_with_radius(
-                            spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, n_u, axis=1).reshape(-1)
-                        )
-                        f = vals.reshape(jc.size, -1) * dx[ij] * dy[ik]
-                    inner = f.reshape(jc.size, -1, n_u) @ wu
-                if rule.probe is None:
-                    mask = _cutoff_fractions(t, rule.cell, rule.offsets, dhalf, r)
+                    f = dx[ij] * dy[ik]
                 else:
-                    mask = _cutoff_fractions(s + rule.probe[ti], rule.cell, rule.offsets, dhalf)
-                g[b - lo : b - lo + jc.size, a : a + ti.shape[0]] = inner * kernel * mask
-        out[lo:hi] = g @ wt
+                    vals = _values_with_radius(
+                        spec, X[ij].reshape(-1, d), Y[ik].reshape(-1, d), np.repeat(r, n_u, axis=1).reshape(-1)
+                    )
+                    f = vals.reshape(jc.size, -1) * dx[ij] * dy[ik]
+                inner = np.einsum("ptu,u->pt", f.reshape(jc.size, -1, n_u), wu)
+            if rule.probe is None:
+                mask = _cutoff_fractions(t, rule.cell, rule.offsets, dhalf, r)
+            else:
+                mask = _cutoff_fractions(s + rule.probe[ti], rule.cell, rule.offsets, dhalf)
+            g[:, a : a + ti.shape[0]] = inner * kernel * mask
+        out[b : b + jc.size] = np.einsum("pt,t->p", g, wt)
     return out
 
 

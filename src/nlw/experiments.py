@@ -265,42 +265,40 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     out_times = np.asarray(cfg.flow.output_times, dtype=float) if cfg.flow.output_times else None
     base_grid = build_grid(sec.dim, sec.level)
 
-    trajectories: list[Trajectory] = []
-    systems: list[DiscreteSystem] = []
+    # each level is compared with the one before it, so only that level's trajectory is kept
+    entropy_gaps, density_gaps, decay_rates, entropies, times = [], [], [], [], []
+    coarse = None
     for level in levels:
         try:
             grid = build_grid(sec.dim, level)
             sys = build_system(kernel, measure, grid)
             u0 = density_from_spec(cfg.flow.initial, sys, base_grid=base_grid)
-            trajectories.append(solve(sys, u0, icfg, out_times))
-            systems.append(sys)
+            fine = solve(sys, u0, icfg, out_times)
         except NumericalFailure as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
-
-    entropy_gaps = np.empty(len(levels) - 1)
-    density_gaps = np.empty(len(levels) - 1)
-    for k in range(len(levels) - 1):
-        coarse, fine = trajectories[k], trajectories[k + 1]
-        h_interp = np.interp(fine.times, coarse.times, coarse.entropy)
-        entropy_gaps[k] = float(np.max(np.abs(h_interp - fine.entropy)))
-        if levels[k + 1] % levels[k] == 0 and np.array_equal(coarse.times, fine.times):
-            mu_f = fine.u * systems[k + 1].pi[None, :]
-            mu_c = coarse.u * systems[k].pi[None, :]
-            density_gaps[k] = float(np.max(np.abs(
-                _aggregate_to_coarse(mu_f, systems[k + 1].grid, systems[k].grid) - mu_c
-            )))
-        else:
-            density_gaps[k] = float("nan")
+        if coarse is not None:
+            h_interp = np.interp(fine.times, coarse.times, coarse.entropy)
+            entropy_gaps.append(float(np.max(np.abs(h_interp - fine.entropy))))
+            if level % coarse.system.grid.level == 0 and np.array_equal(coarse.times, fine.times):
+                mu_f = fine.u * sys.pi[None, :]
+                mu_c = coarse.u * coarse.system.pi[None, :]
+                density_gaps.append(float(np.max(np.abs(_aggregate_to_coarse(mu_f, grid, coarse.system.grid) - mu_c))))
+            else:
+                density_gaps.append(float("nan"))
+        decay_rates.append(2.0 * fine.spectral_gap)
+        entropies.append(fine.entropy)
+        times.append(fine.times)
+        coarse = fine
 
     return RefinementReport(
         levels=levels,
         horizon=icfg.horizon,
-        entropy_gaps=entropy_gaps,
-        density_gaps=density_gaps,
-        decay_rates=np.array([2.0 * t.spectral_gap for t in trajectories]),
+        entropy_gaps=np.array(entropy_gaps),
+        density_gaps=np.array(density_gaps),
+        decay_rates=np.array(decay_rates),
         gaps_decreasing=bool(np.all(np.diff(entropy_gaps) < 0.0)),
-        entropies=[t.entropy for t in trajectories],
-        times=[t.times for t in trajectories],
+        entropies=entropies,
+        times=times,
     )
 
 

@@ -431,41 +431,32 @@ def edi_report(traj: Trajectory) -> EDIReport:
         if not np.all(np.isfinite(I)):
             integral, no_claim = float("inf"), "Fisher information infinite beyond the initial time"
     if no_claim:
-        return EDIReport(
-            delta_h=float("nan"),
-            int_fisher=integral,
-            int_action=integral,
-            defect=float("nan"),
-            defect_production=float("nan"),
-            start_index=start,
-            start_time=float(traj.times[start]),
-            infinite_start=infinite_start,
-            valid=False,
-            order=_GAUSS_ORDER,
-            panels=panels,
-            nodes=nodes.size,
-            note=no_claim + "; no defect claim",
-        )
-    # every node state has u > 0.  The pair sum over i < j of w_ij (u_i - u_j)(log u_i - log u_j),
-    # w_ij = eta_ij pi_i pi_j, is sum_i d_i u_i log u_i - sum_ij (u_i pi_i) eta_ij (pi_j log u_j)
-    # with the degrees d = (eta pi) pi: one product of the states with eta, no N x N temporary
-    log_u = np.log(u)
-    degrees = (sys.eta @ sys.pi) * sys.pi
-    A = (u * log_u) @ degrees - (((u * sys.pi) @ sys.eta) * log_u) @ sys.pi
-    int_I = float(weights @ I)
-    int_A = float(weights @ A)
-    dh = float(traj.entropy[start] - traj.entropy[-1])
-    note = "quadrature starts at the first output time (I infinite at t=0)" if infinite_start else ""
+        dh = defect = defect_production = float("nan")
+        int_I = int_A = integral
+        note = no_claim + "; no defect claim"
+    else:
+        # every node state has u > 0.  The pair sum over i < j of w_ij (u_i - u_j)(log u_i - log u_j),
+        # w_ij = eta_ij pi_i pi_j, is sum_i d_i u_i log u_i - sum_ij (u_i pi_i) eta_ij (pi_j log u_j)
+        # with the degrees d = (eta pi) pi: one product of the states with eta, no N x N temporary
+        log_u = np.log(u)
+        degrees = (sys.eta @ sys.pi) * sys.pi
+        A = (u * log_u) @ degrees - (((u * sys.pi) @ sys.eta) * log_u) @ sys.pi
+        int_I = float(weights @ I)
+        int_A = float(weights @ A)
+        dh = float(traj.entropy[start] - traj.entropy[-1])
+        defect = abs(dh - 0.5 * int_I - 0.5 * int_A)
+        defect_production = abs(dh - int_I)
+        note = "quadrature starts at the first output time (I infinite at t=0)" if infinite_start else ""
     return EDIReport(
         delta_h=dh,
         int_fisher=int_I,
         int_action=int_A,
-        defect=abs(dh - 0.5 * int_I - 0.5 * int_A),
-        defect_production=abs(dh - int_I),
+        defect=defect,
+        defect_production=defect_production,
         start_index=start,
         start_time=float(traj.times[start]),
         infinite_start=infinite_start,
-        valid=True,
+        valid=not no_claim,
         order=_GAUSS_ORDER,
         panels=panels,
         nodes=nodes.size,

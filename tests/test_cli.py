@@ -9,6 +9,7 @@ import pytest
 
 from conftest import simulate_source_rates
 from nlw.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from nlw.metric import _PathWorkspace
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -222,11 +223,23 @@ def test_unconverged_transport_solve_is_exit_4(tmp_path, capsys):
     assert metric["converged"] is False and metric["w"] > 30.0
 
 
-def test_a_transport_path_that_dips_below_zero_is_exit_3_with_partial_manifest(tmp_path, capsys):
-    # the polish stage drives the cells empty at both ends to 4.9e-324, and closing
-    # the total flux rounds one of them below zero: this used to raise "path contains
-    # negative densities" (exit 2, as for a bad config) with no manifest.  Which block
-    # dips below -1e-12 rides on the last bits of eta; on cells 2-4 it dips to -6.8e-11
+def test_a_transport_path_that_dips_below_zero_is_exit_3_with_partial_manifest(tmp_path, capsys, monkeypatch):
+    # the polish stage drives the cells empty at both ends toward 4.9e-324, and closing
+    # the total flux can round one of them below zero: this used to raise "path contains
+    # negative densities" (exit 2, as for a bad config) with no manifest.  Whether it
+    # dips below -1e-12 rides on the last bits of eta, so the closed path is made to dip:
+    # a flux out of the empty cell 0 in the first step, sent back in the second, takes
+    # its density at t = 1/M to -1e-11 and leaves every other level as it was
+    close_total = _PathWorkspace.close_total
+
+    def dipping(ws, x):
+        closed = close_total(ws, x)
+        push = (ws.masses(closed)[1, 0] + 1e-11 * ws.sys.pi[0]) / ws.dt
+        closed[0, 0] += push  # pair (0, 1), the first in pair order
+        closed[1, 0] -= push
+        return closed
+
+    monkeypatch.setattr(_PathWorkspace, "close_total", dipping)
     doc = shipped_doc("fractional_gibbs", tmp_path / "out")
     start = [0.0] * 2 + [1.0 + 1e-9, 1.0, 1.0 - 1e-9] + [0.0] * 11
     end = [0.0] * 2 + [1.0] * 3 + [0.0] * 11

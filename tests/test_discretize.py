@@ -619,6 +619,28 @@ def test_node_budget_does_not_change_a_uniform_build(monkeypatch):
     assert max(blocks) == 1024 // 64
 
 
+@pytest.mark.parametrize(
+    "spec, meas, d, level",
+    [
+        (FractionalKernel(s=1.0), GIBBS_1D, 1, 16),
+        (FractionalKernel(s=1.0), GIBBS_1D, 1, 64),
+        (WeightedKernel(potential=PotentialSpec(expr="0.5*cos(2*pi*x)"), base=FractionalKernel(s=1.0)), GIBBS_1D, 1, 32),
+        (FractionalKernel(s=1.0), UniformMeasure(), 2, 3),
+        (FractionalKernel(s=0.5), GIBBS_2D, 2, 3),
+    ],
+    ids=["gibbs-16", "gibbs-64", "weighted-32", "uniform-2d", "gibbs-2d"],
+)
+def test_a_pair_integral_depends_on_its_pair_alone(spec, meas, d, level):
+    # every pair of the grid in one call against one call per pair, bit for bit:
+    # the Gauss panels in d = 1, the masked lattice in d = 2
+    grid = build_grid(d, level)
+    rule = _panel_gauss(4, grid) if d == 1 else _masked_lattice(8, grid)
+    j, k = np.nonzero(~np.tri(grid.n_points, dtype=bool))
+    batch = _pair_integrals(spec, meas, grid, j, k, rule)
+    single = [_pair_integrals(spec, meas, grid, j[p : p + 1], k[p : p + 1], rule)[0] for p in range(j.size)]
+    assert np.array_equal(batch, single)
+
+
 # ---------------------------------------------------------------------------
 # uniform measure: one pair integral per offset class {o, -o}
 # ---------------------------------------------------------------------------

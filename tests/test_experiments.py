@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -329,6 +330,24 @@ def test_refinement_point_mass_tracks_base_cell():
     rep = refinement_study(validate_config(doc))
     assert rep.entropies[0][0] == pytest.approx(np.log(8))
     assert rep.entropies[1][0] == pytest.approx(np.log(16))
+
+
+def test_refinement_keeps_only_the_previous_level(monkeypatch):
+    # each trajectory holds its N x N eigenvectors; a level is compared with the one
+    # before it only, so no older trajectory may still be alive when a level is solved
+    made, alive = [], []
+
+    def solve_spy(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        traj = solve(*args)
+        made.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr("nlw.experiments.solve", solve_spy)
+    rep = refinement_study(validate_config(base_doc(flow=flow_doc(), refinement={"levels": [4, 8, 16, 32]})))
+    assert alive == [0, 1, 1, 1]
+    assert rep.entropy_gaps.shape == rep.density_gaps.shape == (3,)
+    assert len(rep.entropies) == len(rep.times) == rep.decay_rates.size == 4
 
 
 # ---------------------------------------------------------------------------
